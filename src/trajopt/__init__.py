@@ -15,13 +15,14 @@ from .errors import (BackwardPassError, ConfigError, DimensionError,
 from .expansion import ExpansionSequence, expand_along
 from .kkt import (DenseQP, KktSolution, assemble_qp, cost_gradient_adjoint,
                   solve_kkt, split_primal, verify_equivalence)
-from .linesearch import (LineSearchConfig, LineSearchOutcome, accept,
+from .linesearch import (LineSearchConfig, LineSearchOutcome,
                          directional_derivative, forward_pass, line_search)
 from .models import (CartPoleModel, CostModel, DerivativeBundle,
                      LinearModel, PendulumModel, QuadraticCost,
                      check_derivatives, make_benchmark)
-from .solver import (IterationRecord, SolveResult, SolverConfig, converged,
-                     hybrid_solve, initial_multiplier_estimate, solve)
+from .solver import (IterationRecord, SolveResult, SolverConfig,
+                     backward_for, converged, initial_multiplier_estimate,
+                     solve)
 from .trajectory import (PerturbationPath, Trajectory, linear_rollout,
                          rollout, total_cost)
 
@@ -35,12 +36,12 @@ __all__ = [
     "ExpansionSequence", "expand_along",
     "DenseQP", "KktSolution", "assemble_qp", "cost_gradient_adjoint",
     "solve_kkt", "split_primal", "verify_equivalence",
-    "LineSearchConfig", "LineSearchOutcome", "accept",
+    "LineSearchConfig", "LineSearchOutcome",
     "directional_derivative", "forward_pass", "line_search",
     "CartPoleModel", "CostModel", "DerivativeBundle", "LinearModel",
     "PendulumModel", "QuadraticCost", "check_derivatives", "make_benchmark",
-    "IterationRecord", "SolveResult", "SolverConfig", "converged",
-    "hybrid_solve", "initial_multiplier_estimate", "solve",
+    "IterationRecord", "SolveResult", "SolverConfig", "backward_for",
+    "converged", "initial_multiplier_estimate", "solve",
     "PerturbationPath", "Trajectory", "linear_rollout", "rollout",
     "total_cost",
 ]

@@ -1,0 +1,134 @@
+"""Every file a run writes: the CSV tables and the JSON reports.
+
+Numbers go through one formatter with 17 significant digits, so doubles
+round-trip losslessly and identical inputs give byte-identical files. The
+numerical modules compute; only this module and the CLI touch the disk.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from .backward import quu_spectrum
+
+__all__ = [
+    "prediction_row",
+    "write_iterations_csv",
+    "write_trials_csv",
+    "write_summary_json",
+    "write_gain_profile_csv",
+    "write_trajectory_csv",
+    "write_verification_json",
+    "write_merged_csv",
+    "write_prediction_csv",
+]
+
+
+def _row(*cells) -> str:
+    """One CSV line: strings verbatim, numbers with 17 significant digits."""
+    return ",".join(c if isinstance(c, str) else f"{c:.17g}" for c in cells)
+
+
+def _write(path, text):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text + "\n")
+
+
+def _write_csv(path, header, rows):
+    _write(path, "\n".join([header, *rows]))
+
+
+def prediction_row(j, dj_pred, j_min=0.0):
+    """Model-predicted next cost and whether it is physically attainable."""
+    j_pred = j + dj_pred
+    return j_pred, j_pred >= j_min
+
+
+def write_iterations_csv(path, records):
+    _write_csv(
+        path,
+        "index,J,dJ_pred,dJ_realized,alpha,min_quu,grad_norm,linear_pred,method,status",
+        (_row(r.index, r.cost, r.dj_pred, r.dj_realized, r.alpha, r.min_quu,
+              r.grad_norm, r.linear_pred, r.method_active, r.status)
+         for r in records))
+
+
+def write_trials_csv(path, logs):
+    _write_csv(
+        path, "iteration,trial,alpha,J_candidate,ratio",
+        (_row(iteration, trial, alpha, cost_val, ratio)
+         for iteration, rows in logs
+         for trial, (alpha, cost_val, ratio) in enumerate(rows)))
+
+
+def write_summary_json(path, result, **fields):
+    """The run's outcome plus `fields` (method, wall time, ...), keys sorted."""
+    summary = {
+        "converged": bool(result.converged),
+        "reason": result.reason,
+        "iterations": result.iterations,
+        "final_cost": result.final_cost,
+        **fields,
+    }
+    _write(path, json.dumps(summary, indent=2, sort_keys=True))
+
+
+def write_gain_profile_csv(path, sol):
+    """Per-stage curvature and gain magnitudes: t, min eig Quu, |k|, ||K||_F."""
+    spectrum = quu_spectrum(sol)
+    _write_csv(
+        path, "t,min_eig_quu,k_norm,K_norm",
+        (_row(t, spectrum[t], np.linalg.norm(sol.k[t]), np.linalg.norm(sol.K[t]))
+         for t in range(sol.horizon)))
+
+
+def write_trajectory_csv(path, traj, cost):
+    """One row per timestep: t, state, control, stage cost.
+
+    The final row holds the terminal state with empty control cells and the
+    terminal cost in the cost column.
+    """
+    n = traj.states.shape[1]
+    m = traj.controls.shape[1]
+    header = ",".join(["t"] + [f"x{i}" for i in range(n)]
+                      + [f"u{i}" for i in range(m)] + ["stage_cost"])
+    rows = [_row(t, *traj.states[t], *traj.controls[t],
+                 cost.stage_cost(traj.states[t], traj.controls[t]))
+            for t in range(traj.horizon)]
+    rows.append(_row(traj.horizon, *traj.states[-1], *([""] * m),
+                     cost.terminal_cost(traj.states[-1])))
+    _write_csv(path, header, rows)
+
+
+def write_verification_json(path, reports):
+    payload = [
+        {
+            "variant": r.variant,
+            "T": r.horizon,
+            "max_rel_err": r.max_rel_err,
+            "pass": r.passed,
+        }
+        for r in reports
+    ]
+    _write(path, json.dumps(payload, indent=2))
+
+
+def write_merged_csv(path, results):
+    """compare's merged trace: one row per (method, iteration)."""
+    _write_csv(
+        path, "method,iteration,J,alpha,min_quu,grad_norm,dJ_pred",
+        (_row(method, r.index, r.cost, r.alpha, r.min_quu, r.grad_norm, r.dj_pred)
+         for method, result in results for r in result.records))
+
+
+def write_prediction_csv(path, results):
+    """compare's prediction table: J + dJ_pred and whether it is attainable."""
+    rows = []
+    for method, result in results:
+        for r in result.records:
+            j_pred, feasible = prediction_row(r.cost, r.dj_pred)
+            rows.append(_row(method, r.index, r.cost, r.dj_pred, j_pred,
+                             "true" if feasible else "false"))
+    _write_csv(path, "method,iteration,J,dJ_pred,J_pred,feasible", rows)

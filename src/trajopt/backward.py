@@ -33,7 +33,6 @@ __all__ = [
     "multipliers_from",
     "expected_reduction",
     "quu_spectrum",
-    "write_gain_profile_csv",
 ]
 
 PSD_SLACK = 1e-10  # tolerated eigenvalue undershoot from rounding
@@ -203,17 +202,3 @@ def quu_spectrum(sol) -> np.ndarray:
         out[t] = np.linalg.eigvalsh(sol.quu[t])[0]
     return out
 
-
-def write_gain_profile_csv(path, sol):
-    """Per-stage curvature and gain magnitudes: t, min eig Quu, |k|, ||K||_F."""
-    spectrum = quu_spectrum(sol)
-    lines = ["t,min_eig_quu,k_norm,K_norm"]
-    for t in range(sol.horizon):
-        lines.append(",".join([
-            str(t),
-            f"{spectrum[t]:.17g}",
-            f"{np.linalg.norm(sol.k[t]):.17g}",
-            f"{np.linalg.norm(sol.K[t]):.17g}",
-        ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

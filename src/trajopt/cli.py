@@ -18,29 +18,28 @@ byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .backward import backward_ddp, backward_ilqr, backward_newton, write_gain_profile_csv
+from . import artifacts
 from .errors import ConfigError, DimensionError, TrajoptError
-from .kkt import verify_equivalence, write_verification_json
+from .expansion import expand_along
+from .kkt import verify_equivalence
 from .linesearch import LineSearchConfig
 from .models import check_derivatives, make_benchmark
-from .solver import (SolverConfig, initial_multiplier_estimate, solve,
-                     summary_dict, write_iterations_csv, write_trials_csv)
-from .trajectory import rollout, write_trajectory_csv
-from .expansion import expand_along
+from .solver import METHODS, SWEEPS, SolverConfig, backward_for, solve
+from .trajectory import rollout
 
 __all__ = [
     "ExperimentConfig",
     "build_config",
     "parse_kv_file",
-    "prediction_row",
     "cmd_run",
     "cmd_compare",
     "cmd_verify",
@@ -48,12 +47,15 @@ __all__ = [
 ]
 
 SYSTEMS = ("pendulum", "cartpole")
-RUN_METHODS = ("ilqr", "newton", "ddp", "hybrid")
 VERIFY_HORIZONS = (1, 2, 5, 20)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The experiment's settings. The solver and line-search settings live
+    in `solver`, so their fields and defaults are those of SolverConfig and
+    LineSearchConfig."""
+
     system: str = "pendulum"
     method: str = "ilqr"
     horizon: int | None = None       # None -> benchmark default
@@ -67,39 +69,28 @@ class ExperimentConfig:
     init_amplitude: float = 1.0
     seed: int = 0
     out: str = "runs"
-    max_iters: int = 200
-    grad_tol: float = 1e-4
-    step_tol: float = 1e-9
-    sigma: float = 0.1
-    rho: float = 0.5
-    alpha_min: float = 1e-8
-    alpha_init: float = 1.0
-    hybrid_alpha_switch: float = 1e-2
-    hybrid_patience: int = 2
     warm_start: bool = False
+    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def solver_config(self, method) -> SolverConfig:
-        return SolverConfig(
-            method=method,
-            max_iters=self.max_iters,
-            grad_tol=self.grad_tol,
-            step_tol=self.step_tol,
-            linesearch=LineSearchConfig(
-                sigma=self.sigma, rho=self.rho,
-                alpha_min=self.alpha_min, alpha_init=self.alpha_init),
-            hybrid_alpha_switch=self.hybrid_alpha_switch,
-            hybrid_patience=self.hybrid_patience,
-        )
+        return replace(self.solver, method=method)
 
     def methods(self):
         if self.method == "all":
-            return list(RUN_METHODS)
+            return list(METHODS)
         return self.method.split(",")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value '{text}'")
+    return value
 
 
 def _parse_float_list(text):
     try:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(_finite_float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated floats, got '{text}'") from exc
 
@@ -122,30 +113,29 @@ def _typed(parser, label):
     return parse
 
 
-_KEY_PARSERS = {
-    "system": str,
-    "method": str,
-    "horizon": _typed(int, "horizon"),
-    "timestep": _typed(float, "timestep"),
-    "q_diag": _parse_float_list,
-    "r_scale": _typed(float, "r_scale"),
-    "qt_scale": _typed(float, "qt_scale"),
-    "x0": _parse_float_list,
-    "goal": _parse_float_list,
-    "init": str,
-    "init_amplitude": _typed(float, "init_amplitude"),
-    "seed": _typed(int, "seed"),
-    "out": str,
-    "max_iters": _typed(int, "max_iters"),
-    "grad_tol": _typed(float, "grad_tol"),
-    "step_tol": _typed(float, "step_tol"),
-    "sigma": _typed(float, "sigma"),
-    "rho": _typed(float, "rho"),
-    "alpha_min": _typed(float, "alpha_min"),
-    "alpha_init": _typed(float, "alpha_init"),
-    "hybrid_alpha_switch": _typed(float, "hybrid_alpha_switch"),
-    "hybrid_patience": _typed(int, "hybrid_patience"),
-    "warm_start": _parse_bool,
+_TYPE_PARSERS = {str: str, int: int, float: _finite_float, bool: _parse_bool,
+                 tuple: _parse_float_list}
+
+
+def _keys(cls, skip=()):
+    """key -> (cls, parser) for each field of `cls`, the parser chosen by
+    the field's type (for an optional type, by its non-None member)."""
+    hints = typing.get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        if f.name in skip:
+            continue
+        kind = next((t for t in typing.get_args(hints[f.name]) if t is not type(None)),
+                    hints[f.name])
+        keys[f.name] = (cls, _typed(_TYPE_PARSERS[kind], f.name))
+    return keys
+
+
+# Every configuration key, derived from the dataclass field that holds it.
+_KEYS = {
+    **_keys(ExperimentConfig, skip=("solver",)),
+    **_keys(SolverConfig, skip=("method", "linesearch")),
+    **_keys(LineSearchConfig),
 }
 
 
@@ -166,18 +156,19 @@ def parse_kv_file(path):
 
 def build_config(pairs) -> ExperimentConfig:
     """Validate raw string pairs and produce a typed configuration."""
-    values = {}
+    values = {ExperimentConfig: {}, SolverConfig: {}, LineSearchConfig: {}}
     for key, raw in pairs.items():
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key '{key}'")
-        values[key] = _KEY_PARSERS[key](raw)
+        owner, parse = _KEYS[key]
+        values[owner][key] = parse(raw)
 
-    cfg = ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values[ExperimentConfig])
     if cfg.system not in SYSTEMS:
         raise ConfigError(f"unknown system '{cfg.system}'")
     if cfg.method != "all":
         for method in cfg.methods():
-            if method not in RUN_METHODS:
+            if method not in METHODS:
                 raise ConfigError(f"unknown method '{method}'")
     if cfg.init not in ("zero", "random"):
         raise ConfigError(f"unknown init '{cfg.init}'")
@@ -185,10 +176,11 @@ def build_config(pairs) -> ExperimentConfig:
         raise ConfigError("init_amplitude must be nonnegative")
     try:
         # Surface bad numeric settings now rather than mid-run.
-        cfg.solver_config(cfg.methods()[0] if cfg.method != "all" else "ilqr")
+        solver = SolverConfig(linesearch=LineSearchConfig(**values[LineSearchConfig]),
+                              **values[SolverConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return replace(cfg, solver=solver)
 
 
 def _setup(cfg):
@@ -214,41 +206,21 @@ def output_root(cfg):
     return os.environ.get("TRAJOPT_OUT", cfg.out)
 
 
-def prediction_row(j, dj_pred, j_min=0.0):
-    """Model-predicted next cost and whether it is physically attainable."""
-    j_pred = j + dj_pred
-    return j_pred, j_pred >= j_min
-
-
-def _first_sweep(method, exp):
-    if method == "ilqr":
-        return backward_ilqr(exp)
-    if method == "newton":
-        return backward_newton(exp, initial_multiplier_estimate(exp))
-    # hybrid starts with a DDP sweep
-    return backward_ddp(exp)
-
-
 def _run_single(cfg, method, model, cost, x0, outdir, controls0):
     os.makedirs(outdir, exist_ok=True)
-
-    nominal = rollout(model, cost, x0, controls0)
-    first_sol = _first_sweep(method, expand_along(model, cost, nominal))
-    write_gain_profile_csv(os.path.join(outdir, "quu_profile.csv"), first_sol)
-
     start = time.perf_counter()
     result = solve(model, cost, x0, controls0, cfg.solver_config(method))
     wall = time.perf_counter() - start
 
-    write_iterations_csv(os.path.join(outdir, "iterations.csv"), result.records)
-    write_trials_csv(os.path.join(outdir, "trials.csv"), result.trial_logs)
-    write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
-                         result.trajectory, cost)
-    summary = summary_dict(result, method, wall)
-    summary.update({"system": cfg.system, "seed": cfg.seed})
-    with open(os.path.join(outdir, "summary.json"), "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_gain_profile_csv(os.path.join(outdir, "quu_profile.csv"),
+                                     result.first_sweep)
+    artifacts.write_iterations_csv(os.path.join(outdir, "iterations.csv"), result.records)
+    artifacts.write_trials_csv(os.path.join(outdir, "trials.csv"), result.trial_logs)
+    artifacts.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
+                                   result.trajectory, cost)
+    artifacts.write_summary_json(os.path.join(outdir, "summary.json"), result,
+                                 method=method, wall_time=wall,
+                                 system=cfg.system, seed=cfg.seed)
     return result
 
 
@@ -266,33 +238,6 @@ def cmd_run(cfg) -> int:
     return 0
 
 
-def _write_merged_csv(path, results):
-    lines = ["method,iteration,J,alpha,min_quu,grad_norm,dJ_pred"]
-    for method, result in results:
-        for r in result.records:
-            lines.append(",".join([
-                method, str(r.index),
-                f"{r.cost:.17g}", f"{r.alpha:.17g}", f"{r.min_quu:.17g}",
-                f"{r.grad_norm:.17g}", f"{r.dj_pred:.17g}",
-            ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_prediction_csv(path, results):
-    lines = ["method,iteration,J,dJ_pred,J_pred,feasible"]
-    for method, result in results:
-        for r in result.records:
-            j_pred, feasible = prediction_row(r.cost, r.dj_pred)
-            lines.append(",".join([
-                method, str(r.index),
-                f"{r.cost:.17g}", f"{r.dj_pred:.17g}", f"{j_pred:.17g}",
-                "true" if feasible else "false",
-            ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_compare(cfg) -> int:
     model, cost, x0, horizon = _setup(cfg)
     controls0 = initial_controls(cfg, horizon, model.control_dim)
@@ -302,9 +247,8 @@ def cmd_compare(cfg) -> int:
     if cfg.warm_start:
         # Shared near-solution starting point: plain iLQR down to a loose
         # gradient tolerance, then every method restarts from its controls.
-        warm_cfg = replace(cfg, grad_tol=1e-2)
         warm = solve(model, cost, x0, controls0,
-                     warm_cfg.solver_config("ilqr"))
+                     replace(cfg.solver_config("ilqr"), grad_tol=1e-2))
         controls0 = warm.trajectory.controls
 
     results = []
@@ -315,8 +259,8 @@ def cmd_compare(cfg) -> int:
         print(f"{cfg.system}/{method}: converged={result.converged} "
               f"iterations={result.iterations} final_cost={result.final_cost:.6g}")
 
-    _write_merged_csv(os.path.join(root, "merged.csv"), results)
-    _write_prediction_csv(os.path.join(root, "prediction_table.csv"), results)
+    artifacts.write_merged_csv(os.path.join(root, "merged.csv"), results)
+    artifacts.write_prediction_csv(os.path.join(root, "prediction_table.csv"), results)
     return 0
 
 
@@ -340,20 +284,14 @@ def cmd_verify(cfg) -> int:
             traj = rollout(model, cost, x0, controls)
             exp = expand_along(model, cost, traj)
 
-            checks = [
-                ("ilqr", backward_ilqr(exp), None),
-            ]
-            lam = initial_multiplier_estimate(exp)
-            checks.append(("newton", backward_newton(exp, lam), lam))
-            checks.append(("ddp", backward_ddp(exp), None))
-
-            for label, sol, multipliers in checks:
+            for label in SWEEPS:
+                sol, multipliers = backward_for(label, exp)
                 report = verify_equivalence(sol, exp, multipliers, tol=1e-8)
                 reports.append(report)
                 print(f"[{system}] {label:6s} {report.summary()}")
                 all_ok = all_ok and report.passed
 
-    write_verification_json(os.path.join(root, "verify_report.json"), reports)
+    artifacts.write_verification_json(os.path.join(root, "verify_report.json"), reports)
     print("verification:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 

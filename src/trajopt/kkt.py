@@ -13,7 +13,6 @@ the KKT solve line up with lam_1 .. lam_T of `multipliers_from` directly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "cost_gradient_adjoint",
     "VerificationReport",
     "verify_equivalence",
-    "write_verification_json",
 ]
 
 MAX_ORACLE_HORIZON = 50
@@ -266,17 +264,3 @@ def verify_equivalence(sol, exp, multipliers=None, tol=1e-8) -> VerificationRepo
         worst_timestep=errs[worst_block][1], tol=tol,
         passed=max(err_dx, err_du, err_lam) <= tol)
 
-
-def write_verification_json(path, reports):
-    payload = [
-        {
-            "variant": r.variant,
-            "T": r.horizon,
-            "max_rel_err": r.max_rel_err,
-            "pass": r.passed,
-        }
-        for r in reports
-    ]
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

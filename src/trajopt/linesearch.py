@@ -26,7 +26,6 @@ __all__ = [
     "LineSearchConfig",
     "LineSearchOutcome",
     "forward_pass",
-    "accept",
     "directional_derivative",
     "line_search",
 ]
@@ -83,29 +82,20 @@ def forward_pass(model, cost, nominal, sol, alpha) -> Trajectory:
     return Trajectory(states, controls, total_cost(cost, states, controls))
 
 
-def accept(j_old, j_new, alpha, linear_pred, sigma) -> bool:
-    """Ratio acceptance test against the first-order prediction."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if linear_pred >= 0.0:
-        raise NonDescentError(
-            f"first-order prediction {linear_pred:.3e} is not a descent slope")
-    return (j_new - j_old) / (alpha * linear_pred) > sigma
-
-
 def directional_derivative(exp, sol, grad) -> float:
     """d'grad for the full step d = du from the alpha = 1 linearized rollout."""
     path = linear_rollout(exp, sol, 1.0)
     return float(np.sum(path.du * grad))
 
 
-def line_search(model, cost, nominal, exp, sol, grad, config) -> LineSearchOutcome:
+def line_search(model, cost, nominal, sol, linear_pred, config) -> LineSearchOutcome:
     """Backtrack on alpha until the ratio test accepts or the floor is hit.
 
-    Raises NonDescentError if the direction predicts no decrease to begin
-    with. A FLOOR_HIT outcome returns the nominal unchanged.
+    `linear_pred` is the full step's first-order prediction d'grad, as
+    returned by `directional_derivative`. Raises NonDescentError, before any
+    forward pass, if it predicts no decrease. A FLOOR_HIT outcome returns the
+    nominal unchanged.
     """
-    linear_pred = directional_derivative(exp, sol, grad)
     if linear_pred >= 0.0:
         raise NonDescentError(
             f"direction predicts {linear_pred:.3e}; refusing to backtrack")

@@ -8,9 +8,9 @@ agree with the sweep's own value gradients and the step becomes the exact
 Newton step.
 
 The hybrid method runs DDP until its accepted steps cool below a threshold
-for a configurable number of consecutive iterations (or the direction stops
-predicting descent), then switches permanently to iLQR from the current
-trajectory.
+for a configurable number of consecutive iterations (or a DDP iteration ends
+in NON_DESCENT or FLOOR_HIT), then switches permanently to iLQR from the
+current trajectory.
 """
 
 from __future__ import annotations
@@ -27,19 +27,19 @@ from .linesearch import LineSearchConfig, directional_derivative, line_search
 from .trajectory import rollout
 
 __all__ = [
+    "SWEEPS",
+    "METHODS",
     "SolverConfig",
     "IterationRecord",
     "SolveResult",
     "converged",
     "solve",
-    "hybrid_solve",
+    "backward_for",
     "initial_multiplier_estimate",
-    "write_iterations_csv",
-    "write_trials_csv",
-    "summary_dict",
 ]
 
-METHODS = ("ilqr", "newton", "ddp", "hybrid")
+SWEEPS = ("ilqr", "newton", "ddp")
+METHODS = SWEEPS + ("hybrid",)
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,7 @@ class SolveResult:
     reason: str
     multipliers: np.ndarray | None = None  # threaded costates (Newton only)
     trial_logs: tuple = ()  # (iteration, ((alpha, J_candidate, ratio), ...)) rows
+    first_sweep: object = None  # the BackwardSolution of iteration 0
 
     @property
     def iterations(self) -> int:
@@ -99,12 +100,19 @@ class SolveResult:
         return self.trajectory.cost
 
 
-def converged(record, config) -> bool:
-    """Closed-threshold convergence test on one iteration record."""
+def converged(record, config) -> str | None:
+    """Closed-threshold convergence test on one iteration record.
+
+    Returns the stop reason, "gradient" or "step", or None if the record
+    meets neither threshold.
+    """
     if record.status != "OK":
-        return False
-    return (record.grad_norm <= config.grad_tol
-            or abs(record.dj_realized) <= config.step_tol)
+        return None
+    if record.grad_norm <= config.grad_tol:
+        return "gradient"
+    if abs(record.dj_realized) <= config.step_tol:
+        return "step"
+    return None
 
 
 def initial_multiplier_estimate(exp) -> np.ndarray:
@@ -114,35 +122,29 @@ def initial_multiplier_estimate(exp) -> np.ndarray:
     return backward_ilqr(exp).v.copy()
 
 
-def _backward_for(method, exp, lam_bar):
+def backward_for(method, exp, multipliers=None):
+    """The backward sweep of one method in SWEEPS on `exp`.
+
+    Returns (sweep, costates): Newton contracts the given costates, seeded by
+    `initial_multiplier_estimate` when there are none yet; the other sweeps
+    pass them through unchanged.
+    """
     if method == "ilqr":
-        return backward_ilqr(exp), lam_bar
+        return backward_ilqr(exp), multipliers
     if method == "ddp":
-        return backward_ddp(exp), lam_bar
-    if lam_bar is None:
-        lam_bar = initial_multiplier_estimate(exp)
-    return backward_newton(exp, lam_bar), lam_bar
+        return backward_ddp(exp), multipliers
+    if multipliers is None:
+        multipliers = initial_multiplier_estimate(exp)
+    return backward_newton(exp, multipliers), multipliers
 
 
 def solve(model, cost, x0, init_controls, config):
     """Iterate one method to convergence, a terminal failure, or max_iters."""
-    if config.method == "hybrid":
-        return hybrid_solve(model, cost, x0, init_controls, config)
-    return _run(model, cost, x0, init_controls, config, hybrid=False)
-
-
-def hybrid_solve(model, cost, x0, init_controls, config):
-    """DDP until its accepted steps cool, then iLQR from where it stopped."""
-    if config.method != "hybrid":
-        raise ValueError("hybrid_solve requires config.method == 'hybrid'")
-    return _run(model, cost, x0, init_controls, config, hybrid=True)
-
-
-def _run(model, cost, x0, init_controls, config, hybrid):
+    hybrid = config.method == "hybrid"
     traj = rollout(model, cost, x0, init_controls)
     records = []
     trial_logs = []
-    lam_bar = None
+    first_sweep = lam_bar = None
     active = "ddp" if hybrid else config.method
     # Seed the cooling streak as if alpha_init had already been accepted
     # `patience` times: a switch threshold above alpha_init can then never be
@@ -150,8 +152,6 @@ def _run(model, cost, x0, init_controls, config, hybrid):
     streak = 0
     if hybrid and config.linesearch.alpha_init < config.hybrid_alpha_switch:
         streak = config.hybrid_patience
-
-    is_converged = False
     reason = "max_iters"
 
     for index in range(config.max_iters):
@@ -161,109 +161,61 @@ def _run(model, cost, x0, init_controls, config, hybrid):
         exp = expand_along(model, cost, traj)
         grad = cost_gradient_adjoint(exp)
         grad_norm = float(np.max(np.abs(grad)))
-        sol, lam_bar = _backward_for(active, exp, lam_bar)
+        sol, lam_bar = backward_for(active, exp, lam_bar)
+        if index == 0:
+            first_sweep = sol
         dj_pred = expected_reduction(sol, exp, 1.0)
         min_quu = float(quu_spectrum(sol).min())
 
-        if grad_norm <= config.grad_tol:
-            records.append(IterationRecord(
-                index, traj.cost, dj_pred, 0.0, 0.0, min_quu, grad_norm,
-                0.0, active, "OK"))
-            is_converged, reason = True, "gradient"
-            break
+        # A converged gradient takes no step; otherwise the line search
+        # accepts one or ends the iteration in NON_DESCENT or FLOOR_HIT.
+        status, linear_pred, accepted = "OK", 0.0, None
+        if grad_norm > config.grad_tol:
+            linear_pred = directional_derivative(exp, sol, grad)
+            try:
+                outcome = line_search(model, cost, traj, sol, linear_pred,
+                                      config.linesearch)
+            except NonDescentError:
+                if active == "ilqr":
+                    # The cost-only sweep provably yields a descent direction;
+                    # reaching this line means a bug, not a method failure.
+                    raise
+                status = "NON_DESCENT"
+            else:
+                trial_logs.append((index, outcome.trial_log))
+                if outcome.status == "ACCEPTED":
+                    accepted = outcome
+                else:
+                    status = "FLOOR_HIT"
 
-        linear_pred = directional_derivative(exp, sol, grad)
-        try:
-            outcome = line_search(model, cost, traj, exp, sol, grad,
-                                  config.linesearch)
-        except NonDescentError:
-            if active == "ilqr":
-                # The cost-only sweep provably yields a descent direction;
-                # reaching this line means a bug, not a method failure.
-                raise
-            records.append(IterationRecord(
-                index, traj.cost, dj_pred, 0.0, 0.0, min_quu, grad_norm,
-                linear_pred, active, "NON_DESCENT"))
+        step, alpha = (accepted.trajectory, accepted.alpha) if accepted else (traj, 0.0)
+        record = IterationRecord(
+            index, traj.cost, dj_pred, step.cost - traj.cost, alpha, min_quu,
+            grad_norm, linear_pred, active, status)
+        records.append(record)
+
+        if status != "OK":
             if hybrid and active == "ddp":
-                active = "ilqr"
-                streak = config.hybrid_patience
+                streak = config.hybrid_patience  # switch to iLQR next iteration
                 continue
-            reason = "non_descent"
+            reason = status.lower()
             break
 
-        trial_logs.append((index, outcome.trial_log))
-        if outcome.status == "FLOOR_HIT":
-            records.append(IterationRecord(
-                index, traj.cost, dj_pred, 0.0, 0.0, min_quu, grad_norm,
-                linear_pred, active, "FLOOR_HIT"))
+        if accepted:
+            if active == "newton":
+                dx = step.states - traj.states
+                lam_bar = sol.v + np.einsum("tij,tj->ti", sol.V, dx)
             if hybrid and active == "ddp":
-                active = "ilqr"
-                streak = config.hybrid_patience
-                continue
-            reason = "floor_hit"
-            break
+                streak = streak + 1 if alpha < config.hybrid_alpha_switch else 0
+            traj = step
 
-        dj_realized = outcome.trajectory.cost - traj.cost
-        records.append(IterationRecord(
-            index, traj.cost, dj_pred, dj_realized, outcome.alpha, min_quu,
-            grad_norm, linear_pred, active, "OK"))
-
-        previous = traj
-        traj = outcome.trajectory
-        if active == "newton":
-            dx = traj.states - previous.states
-            lam_bar = sol.v + np.einsum("tij,tj->ti", sol.V, dx)
-        if hybrid and active == "ddp":
-            streak = streak + 1 if outcome.alpha < config.hybrid_alpha_switch else 0
-
-        if abs(dj_realized) <= config.step_tol:
-            is_converged, reason = True, "step"
+        stop = converged(record, config)
+        if stop:
+            reason = stop
             break
 
     return SolveResult(
-        trajectory=traj, records=tuple(records), converged=is_converged,
-        reason=reason, multipliers=lam_bar, trial_logs=tuple(trial_logs))
-
-
-def write_iterations_csv(path, records):
-    header = ("index,J,dJ_pred,dJ_realized,alpha,min_quu,grad_norm,"
-              "linear_pred,method,status")
-    lines = [header]
-    for r in records:
-        lines.append(",".join([
-            str(r.index),
-            f"{r.cost:.17g}",
-            f"{r.dj_pred:.17g}",
-            f"{r.dj_realized:.17g}",
-            f"{r.alpha:.17g}",
-            f"{r.min_quu:.17g}",
-            f"{r.grad_norm:.17g}",
-            f"{r.linear_pred:.17g}",
-            r.method_active,
-            r.status,
-        ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_trials_csv(path, logs):
-    lines = ["iteration,trial,alpha,J_candidate,ratio"]
-    for iteration, rows in logs:
-        for trial, (alpha, cost_val, ratio) in enumerate(rows):
-            lines.append(",".join([
-                str(iteration), str(trial),
-                f"{alpha:.17g}", f"{cost_val:.17g}", f"{ratio:.17g}",
-            ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def summary_dict(result, method, wall_time):
-    return {
-        "method": method,
-        "converged": bool(result.converged),
-        "reason": result.reason,
-        "iterations": result.iterations,
-        "final_cost": result.final_cost,
-        "wall_time": wall_time,
-    }
+        trajectory=traj, records=tuple(records),
+        converged=reason in ("gradient", "step"), reason=reason,
+        multipliers=lam_bar, trial_logs=tuple(trial_logs),
+        first_sweep=first_sweep)

@@ -15,8 +15,6 @@ __all__ = [
     "total_cost",
     "rollout",
     "linear_rollout",
-    "check_feasible",
-    "write_trajectory_csv",
 ]
 
 # Rollouts abort once any state component passes this magnitude. Without a
@@ -110,37 +108,3 @@ def linear_rollout(exp, sol, alpha) -> PerturbationPath:
         dx[t + 1] = exp.fx[t] @ dx[t] + exp.fu[t] @ du[t]
     return PerturbationPath(dx, du)
 
-
-def check_feasible(model, traj, tol=1e-12) -> bool:
-    """True if every transition satisfies the dynamics to within tol."""
-    for t in range(traj.horizon):
-        err = np.max(np.abs(traj.states[t + 1] - model.step(traj.states[t], traj.controls[t])))
-        if err > tol:
-            return False
-    return True
-
-
-def write_trajectory_csv(path, traj, cost):
-    """One row per timestep: t, state, control, stage cost.
-
-    The final row holds the terminal state with empty control cells and the
-    terminal cost in the cost column.
-    """
-    n = traj.states.shape[1]
-    m = traj.controls.shape[1]
-    header = (["t"] + [f"x{i}" for i in range(n)]
-              + [f"u{i}" for i in range(m)] + ["stage_cost"])
-    lines = [",".join(header)]
-    for t in range(traj.horizon):
-        cells = [str(t)]
-        cells += [f"{v:.17g}" for v in traj.states[t]]
-        cells += [f"{v:.17g}" for v in traj.controls[t]]
-        cells.append(f"{cost.stage_cost(traj.states[t], traj.controls[t]):.17g}")
-        lines.append(",".join(cells))
-    cells = [str(traj.horizon)]
-    cells += [f"{v:.17g}" for v in traj.states[-1]]
-    cells += ["" for _ in range(m)]
-    cells.append(f"{cost.terminal_cost(traj.states[-1]):.17g}")
-    lines.append(",".join(cells))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -7,7 +7,7 @@ from trajopt import (BackwardPassError, SolverConfig, backward_ddp,
                      backward_ilqr, backward_newton, expand_along,
                      expected_reduction, linear_rollout, make_benchmark,
                      multipliers_from, quu_spectrum, rollout, solve)
-from trajopt.backward import write_gain_profile_csv
+from trajopt.artifacts import write_gain_profile_csv
 from trajopt.expansion import ExpansionSequence
 from trajopt.kkt import assemble_qp, solve_kkt
 

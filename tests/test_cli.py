@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from trajopt.cli import build_config, main, parse_kv_file, prediction_row
+from trajopt.artifacts import prediction_row
+from trajopt.cli import build_config, main, parse_kv_file
 from trajopt.models import PendulumModel
 
 
@@ -67,6 +68,16 @@ def test_bad_values_exit_2(tmp_path):
     assert _run(["run", "--out", str(tmp_path), "--set", "sigma=2.0"]) == 2
 
 
+@pytest.mark.parametrize("setting", ["grad_tol=nan", "init_amplitude=nan",
+                                     "step_tol=inf", "x0=nan,0"])
+def test_non_finite_values_exit_2(tmp_path, capsys, setting):
+    out = tmp_path / "out"
+    args = ["run", "--out", str(out), "--set", "init=random", "--set", setting]
+    assert _run(args) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -121,6 +132,22 @@ def test_quu_profile_nonnegative_for_ilqr(tmp_path):
         rows = (out / "quu_profile.csv").read_text().splitlines()[1:]
         mins = [float(r.split(",")[1]) for r in rows]
         assert min(mins) >= 0.1 - 1e-10
+
+
+def test_quu_profile_is_the_solvers_first_sweep(tmp_path):
+    # alpha_init below hybrid_alpha_switch makes hybrid run iLQR from
+    # iteration 0, so its profile is the iLQR sweep, not a DDP one.
+    common = ["--seed", "4", "--set", "init=random", "--set", "horizon=30",
+              "--set", "alpha_init=0.005", "--set", "max_iters=3"]
+    profiles = {}
+    for method in ("hybrid", "ilqr", "ddp"):
+        out = tmp_path / method
+        assert _run(["run", "--method", method, "--out", str(out), *common]) == 0
+        profiles[method] = (out / "quu_profile.csv").read_bytes()
+    first = (tmp_path / "hybrid" / "iterations.csv").read_text().splitlines()[1]
+    assert first.split(",")[8] == "ilqr"
+    assert profiles["hybrid"] == profiles["ilqr"]
+    assert profiles["hybrid"] != profiles["ddp"]
 
 
 def test_compare_writes_merged_tables(tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from trajopt import (KktError, backward_ddp, backward_ilqr, backward_newton,
                      cost_gradient_adjoint, expand_along, make_benchmark,
                      rollout, verify_equivalence)
-from trajopt.kkt import (DenseQP, assemble_qp, solve_kkt, split_primal,
-                         write_verification_json)
+from trajopt.artifacts import write_verification_json
+from trajopt.kkt import DenseQP, assemble_qp, solve_kkt, split_primal
 from trajopt.solver import initial_multiplier_estimate
 
 from conftest import random_nominal

@@ -1,12 +1,15 @@
 """Forward pass, the ratio acceptance rule, and backtracking."""
 
+import math
+
 import numpy as np
 import pytest
 
-from trajopt import (BackwardSolution, LineSearchConfig, NonDescentError,
-                     QuadraticCost, accept, backward_ilqr,
-                     cost_gradient_adjoint, expand_along, forward_pass,
-                     line_search, make_benchmark, rollout)
+from trajopt import (BackwardSolution, LinearModel, LineSearchConfig,
+                     NonDescentError, QuadraticCost, backward_ilqr,
+                     cost_gradient_adjoint, directional_derivative,
+                     expand_along, forward_pass, line_search, make_benchmark,
+                     rollout)
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
 from trajopt.models import DerivativeBundle, SystemModel
 
@@ -53,24 +56,59 @@ def test_forward_pass_full_step_solves_lqr(lqr_instance):
     assert out.cost == pytest.approx(optimum.cost, rel=1e-12)
 
 
+def _one_step(j_old, j_new):
+    """One step of x' = u priced J = u^2: the nominal costs j_old and the
+    full step (alpha = 1) costs j_new."""
+    model = LinearModel(np.zeros((1, 1)), np.eye(1))
+    cost = QuadraticCost(np.zeros((1, 1)), 2.0 * np.eye(1), np.zeros((1, 1)),
+                         np.zeros(1))
+    u_old, u_new = math.sqrt(j_old), math.sqrt(j_new)
+    nominal = rollout(model, cost, [0.0], [[u_old]])
+    return model, cost, nominal, _gains([[u_old - u_new]], [[0.0]], 1, 1, 1)
+
+
+def _first_trial(j_old, j_new, linear_pred):
+    model, cost, nominal, sol = _one_step(j_old, j_new)
+    outcome = line_search(model, cost, nominal, sol, linear_pred,
+                          LineSearchConfig(sigma=0.1))
+    alpha, j_candidate, ratio = outcome.trial_log[0]
+    assert alpha == 1.0
+    assert j_candidate == pytest.approx(j_new, rel=1e-14)
+    return outcome, ratio
+
+
 def test_accept_perfectly_linear_decrease():
-    assert accept(j_old=10.0, j_new=9.0, alpha=1.0, linear_pred=-1.0, sigma=0.1)
+    outcome, ratio = _first_trial(j_old=10.0, j_new=9.0, linear_pred=-1.0)
+    assert ratio == pytest.approx(1.0, rel=1e-12)
+    assert outcome.status == "ACCEPTED"
+    assert outcome.alpha == 1.0
+    assert outcome.trials == 1
 
 
 def test_accept_rejects_cost_increase():
-    assert not accept(j_old=10.0, j_new=11.0, alpha=1.0, linear_pred=-1.0, sigma=0.1)
+    outcome, ratio = _first_trial(j_old=10.0, j_new=11.0, linear_pred=-1.0)
+    assert ratio < 0.0
+    assert outcome.alpha != 1.0
 
 
 def test_accept_hand_ratio_case():
     # realized -0.5 against predicted -10 at alpha 1: ratio 0.05 < sigma
-    assert not accept(j_old=1.0, j_new=0.5, alpha=1.0, linear_pred=-10.0, sigma=0.1)
+    outcome, ratio = _first_trial(j_old=1.0, j_new=0.5, linear_pred=-10.0)
+    assert ratio == pytest.approx(0.05, rel=1e-12)
+    assert outcome.alpha != 1.0
 
 
 def test_accept_raises_on_nondescent_prediction():
-    with pytest.raises(NonDescentError):
-        accept(j_old=1.0, j_new=0.5, alpha=1.0, linear_pred=0.0, sigma=0.1)
+    model, cost, nominal, sol = _one_step(j_old=1.0, j_new=0.5)
+    forward_steps = []
+    model.step = lambda x, u: forward_steps.append((x, u))
+    for linear_pred in (0.0, 1.0):
+        with pytest.raises(NonDescentError):
+            line_search(model, cost, nominal, sol, linear_pred, LineSearchConfig())
+    assert forward_steps == []  # refused before any forward pass
+    # no configuration lets the ratio test divide by a zero step
     with pytest.raises(ValueError):
-        accept(j_old=1.0, j_new=0.5, alpha=0.0, linear_pred=-1.0, sigma=0.1)
+        LineSearchConfig(alpha_min=0.0)
 
 
 class _StiffScalarModel(SystemModel):
@@ -110,7 +148,8 @@ def test_line_search_backtracks_twice_on_stiff_curvature():
     # alpha in {1, 0.5} and first passes at alpha = 0.25.
     model, cost, nominal, exp, grad = _stiff_setup()
     sol = _gains([[1.0]], [[0.0]], 1, 1, 1)
-    outcome = line_search(model, cost, nominal, exp, sol, grad,
+    outcome = line_search(model, cost, nominal, sol,
+                          directional_derivative(exp, sol, grad),
                           LineSearchConfig())
     assert outcome.status == "ACCEPTED"
     assert outcome.alpha == pytest.approx(0.25)
@@ -125,7 +164,8 @@ def test_line_search_accepts_full_step_on_quadratic(lqr_instance):
     exp = expand_along(model, cost, nominal)
     sol = backward_ilqr(exp)
     grad = cost_gradient_adjoint(exp)
-    outcome = line_search(model, cost, nominal, exp, sol, grad,
+    outcome = line_search(model, cost, nominal, sol,
+                          directional_derivative(exp, sol, grad),
                           LineSearchConfig())
     assert outcome.status == "ACCEPTED"
     assert outcome.alpha == 1.0
@@ -137,7 +177,8 @@ def test_line_search_raises_on_nondescent_direction():
     sol = _gains([[-1.0]], [[0.0]], 1, 1, 1)  # points uphill
     grad = cost_gradient_adjoint(exp)
     with pytest.raises(NonDescentError):
-        line_search(model, cost, nominal, exp, sol, grad, LineSearchConfig())
+        line_search(model, cost, nominal, sol,
+                    directional_derivative(exp, sol, grad), LineSearchConfig())
 
 
 def test_line_search_floor_hit_returns_nominal_unchanged():
@@ -146,7 +187,8 @@ def test_line_search_floor_hit_returns_nominal_unchanged():
     model, cost, nominal, exp, _ = _stiff_setup()
     sol = _gains([[-1.0]], [[0.0]], 1, 1, 1)
     fake_grad = np.array([[-1.0]])  # claims descent along the uphill direction
-    outcome = line_search(model, cost, nominal, exp, sol, fake_grad,
+    outcome = line_search(model, cost, nominal, sol,
+                          directional_derivative(exp, sol, fake_grad),
                           LineSearchConfig())
     assert outcome.status == "FLOOR_HIT"
     assert outcome.alpha == 0.0
@@ -161,7 +203,8 @@ def test_accepted_outcomes_strictly_decrease_cost():
         exp = expand_along(model, cost, nominal)
         sol = backward_ilqr(exp)
         grad = cost_gradient_adjoint(exp)
-        outcome = line_search(model, cost, nominal, exp, sol, grad,
+        outcome = line_search(model, cost, nominal, sol,
+                              directional_derivative(exp, sol, grad),
                               LineSearchConfig())
         assert outcome.status == "ACCEPTED"
         assert outcome.trajectory.cost < nominal.cost

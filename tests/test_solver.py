@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from trajopt import (IterationRecord, SolverConfig, backward_newton,
-                     converged, expand_along, hybrid_solve, make_benchmark,
+                     converged, expand_along, make_benchmark, quu_spectrum,
                      rollout, solve)
+from trajopt.artifacts import write_iterations_csv, write_trials_csv
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
-from trajopt.solver import write_iterations_csv, write_trials_csv
 
 
 def _random_controls(horizon, m, seed, amplitude=1.0):
@@ -92,13 +92,6 @@ def test_hybrid_with_unreachable_threshold_is_identical_to_ilqr():
     assert [r.cost for r in hybrid.records] == [r.cost for r in ilqr.records]
 
 
-def test_hybrid_requires_hybrid_method():
-    model, cost, x0, horizon = make_benchmark("pendulum")
-    with pytest.raises(ValueError):
-        hybrid_solve(model, cost, x0, np.zeros((horizon, 1)),
-                     SolverConfig(method="ddp"))
-
-
 def test_newton_multiplier_consistency_at_convergence():
     model, cost, x0, horizon = make_benchmark("pendulum")
     warm = solve(model, cost, x0, np.zeros((horizon, 1)),
@@ -120,11 +113,25 @@ def test_converged_predicate_thresholds():
         return IterationRecord(0, 1.0, -1.0, dj_realized, 1.0, 0.1,
                                grad_norm, -1.0, "ilqr", status)
 
-    assert converged(record(0.0, -1.0), config)
-    assert converged(record(1e-4, -1.0), config)          # closed threshold
+    assert converged(record(0.0, -1.0), config) == "gradient"
+    assert converged(record(1e-4, -1.0), config) == "gradient"  # closed threshold
     assert not converged(record(2e-4, -1.0), config)
-    assert converged(record(1.0, 1e-10), config)
+    assert converged(record(1.0, 1e-10), config) == "step"
     assert not converged(record(1.0, -1.0, status="NON_DESCENT"), config)
+
+
+def test_solve_stops_at_the_first_converged_record():
+    model, cost, x0, horizon = make_benchmark("pendulum")
+    u0 = _random_controls(horizon, 1, seed=2)
+    for config in (SolverConfig(), SolverConfig(grad_tol=1e-2),
+                   SolverConfig(step_tol=1e-3), SolverConfig(method="newton")):
+        result = solve(model, cost, x0, u0, config)
+        *running, last = result.records
+        assert [converged(r, config) for r in running] == [None] * len(running)
+        assert converged(last, config) == result.reason
+        assert result.converged
+        assert result.first_sweep.method == result.records[0].method_active
+        assert float(quu_spectrum(result.first_sweep).min()) == result.records[0].min_quu
 
 
 def test_identical_seeds_are_bit_identical():

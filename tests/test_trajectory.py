@@ -8,7 +8,7 @@ import pytest
 from trajopt import (BackwardSolution, DimensionError, DivergenceError,
                      LinearModel, PendulumModel, QuadraticCost, expand_along,
                      linear_rollout, make_benchmark, rollout, total_cost)
-from trajopt.trajectory import check_feasible, write_trajectory_csv
+from trajopt.artifacts import write_trajectory_csv
 
 from conftest import random_nominal
 
@@ -155,7 +155,9 @@ def test_rollout_is_dynamically_feasible():
     for system in ("pendulum", "cartpole"):
         model, cost, x0, _ = make_benchmark(system)
         traj = random_nominal(model, cost, x0, 30, seed=13)
-        assert check_feasible(model, traj, tol=1e-12)
+        for t in range(traj.horizon):
+            nxt = model.step(traj.states[t], traj.controls[t])
+            assert np.max(np.abs(traj.states[t + 1] - nxt)) <= 1e-12
         assert traj.cost == total_cost(cost, traj.states, traj.controls)
 
 
