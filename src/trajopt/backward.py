@@ -196,9 +196,5 @@ def expected_reduction(sol, exp, alpha) -> float:
 
 def quu_spectrum(sol) -> np.ndarray:
     """Minimum eigenvalue of each stage's control curvature block."""
-    horizon = sol.horizon
-    out = np.zeros(horizon)
-    for t in range(horizon):
-        out[t] = np.linalg.eigvalsh(sol.quu[t])[0]
-    return out
+    return np.linalg.eigvalsh(sol.quu)[:, 0]
 

@@ -174,6 +174,8 @@ def build_config(pairs) -> ExperimentConfig:
         raise ConfigError(f"unknown init '{cfg.init}'")
     if cfg.init_amplitude < 0:
         raise ConfigError("init_amplitude must be nonnegative")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     try:
         # Surface bad numeric settings now rather than mid-run.
         solver = SolverConfig(linesearch=LineSearchConfig(**values[LineSearchConfig]),
@@ -224,41 +226,39 @@ def _run_single(cfg, method, model, cost, x0, outdir, controls0):
     return result
 
 
-def cmd_run(cfg) -> int:
+def _run_methods(cfg, root, subdirs):
+    """Solve each configured method from one shared initial guess, writing
+    each run's artifacts to `root` or, with `subdirs`, to root/<method>.
+
+    With `warm_start` the shared guess is a near-solution: plain iLQR down
+    to a loose gradient tolerance, from whose controls every method restarts.
+    """
     model, cost, x0, horizon = _setup(cfg)
     controls0 = initial_controls(cfg, horizon, model.control_dim)
-    root = output_root(cfg)
-    methods = cfg.methods()
-    for method in methods:
-        outdir = root if len(methods) == 1 else os.path.join(root, method)
-        result = _run_single(cfg, method, model, cost, x0, outdir, controls0)
-        print(f"{cfg.system}/{method}: converged={result.converged} "
-              f"reason={result.reason} iterations={result.iterations} "
-              f"final_cost={result.final_cost:.6g}")
-    return 0
-
-
-def cmd_compare(cfg) -> int:
-    model, cost, x0, horizon = _setup(cfg)
-    controls0 = initial_controls(cfg, horizon, model.control_dim)
-    root = output_root(cfg)
-    os.makedirs(root, exist_ok=True)
-
     if cfg.warm_start:
-        # Shared near-solution starting point: plain iLQR down to a loose
-        # gradient tolerance, then every method restarts from its controls.
         warm = solve(model, cost, x0, controls0,
                      replace(cfg.solver_config("ilqr"), grad_tol=1e-2))
         controls0 = warm.trajectory.controls
 
     results = []
     for method in cfg.methods():
-        outdir = os.path.join(root, method)
+        outdir = os.path.join(root, method) if subdirs else root
         result = _run_single(cfg, method, model, cost, x0, outdir, controls0)
         results.append((method, result))
         print(f"{cfg.system}/{method}: converged={result.converged} "
-              f"iterations={result.iterations} final_cost={result.final_cost:.6g}")
+              f"reason={result.reason} iterations={result.iterations} "
+              f"final_cost={result.final_cost:.6g}")
+    return results
 
+
+def cmd_run(cfg) -> int:
+    _run_methods(cfg, output_root(cfg), subdirs=len(cfg.methods()) > 1)
+    return 0
+
+
+def cmd_compare(cfg) -> int:
+    root = output_root(cfg)
+    results = _run_methods(cfg, root, subdirs=True)
     artifacts.write_merged_csv(os.path.join(root, "merged.csv"), results)
     artifacts.write_prediction_csv(os.path.join(root, "prediction_table.csv"), results)
     return 0

@@ -41,12 +41,11 @@ RESIDUAL_SCALE = 1e-9  # KKT residual bound, scaled by 1 + input norms
 
 @dataclass(frozen=True, eq=False)
 class DenseQP:
-    """min g'z + 0.5 z'Hz subject to A z + b = 0 over the stacked variables."""
+    """min g'z + 0.5 z'Hz subject to A z = 0 over the stacked variables."""
 
     hessian: np.ndarray      # (N, N), symmetric
     gradient: np.ndarray     # (N,)
     constraints: np.ndarray  # (T n, N)
-    offset: np.ndarray       # (T n,), zero for feasible nominals
     horizon: int
     state_dim: int
     control_dim: int
@@ -118,19 +117,18 @@ def assemble_qp(exp, variant, multipliers=None) -> DenseQP:
         constraints[block, iu(t)] = -exp.fu[t]
 
     return DenseQP(hessian=hess, gradient=grad, constraints=constraints,
-                   offset=np.zeros(rows), horizon=horizon,
-                   state_dim=n, control_dim=m, variant=variant)
+                   horizon=horizon, state_dim=n, control_dim=m, variant=variant)
 
 
 def solve_kkt(qp) -> KktSolution:
-    """Solve [H A'; A 0] [dz; lam] = [-g; -b] by dense LU with pivoting."""
+    """Solve [H A'; A 0] [dz; lam] = [-g; 0] by dense LU with pivoting."""
     size = qp.gradient.shape[0]
-    rows = qp.offset.shape[0]
+    rows = qp.constraints.shape[0]
     kkt = np.zeros((size + rows, size + rows))
     kkt[:size, :size] = qp.hessian
     kkt[:size, size:] = qp.constraints.T
     kkt[size:, :size] = qp.constraints
-    rhs = np.concatenate([-qp.gradient, -qp.offset])
+    rhs = np.concatenate([-qp.gradient, np.zeros(rows)])
 
     try:
         lu, piv = scipy.linalg.lu_factor(kkt)
@@ -143,15 +141,14 @@ def solve_kkt(qp) -> KktSolution:
         raise KktError(f"KKT solve produced non-finite values (cond estimate {cond:.3e})")
 
     residual = float(np.max(np.abs(kkt @ solution - rhs)))
-    scale = 1.0 + float(np.max(np.abs(qp.gradient), initial=0.0)) \
-        + float(np.max(np.abs(qp.offset), initial=0.0))
+    scale = 1.0 + float(np.max(np.abs(qp.gradient), initial=0.0))
     if residual > RESIDUAL_SCALE * scale:
         raise KktError(f"KKT residual {residual:.3e} exceeds {RESIDUAL_SCALE * scale:.3e}")
 
     dz = solution[:size]
     lam = solution[size:]
     if rows:
-        constraint_err = float(np.max(np.abs(qp.constraints @ dz + qp.offset)))
+        constraint_err = float(np.max(np.abs(qp.constraints @ dz)))
         if constraint_err > 1e-9 * scale:
             raise KktError(f"constraint violation {constraint_err:.3e} after KKT solve")
     return KktSolution(dz=dz, multipliers=lam, residual=residual)

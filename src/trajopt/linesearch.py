@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, NonDescentError
-from .trajectory import (STATE_MAGNITUDE_LIMIT, Trajectory, linear_rollout,
-                         total_cost)
+from .trajectory import Trajectory, _propagate, linear_rollout
 
 __all__ = [
     "LineSearchConfig",
@@ -65,21 +64,15 @@ def forward_pass(model, cost, nominal, sol, alpha) -> Trajectory:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    horizon = nominal.horizon
-    if sol.horizon != horizon:
+    if sol.horizon != nominal.horizon:
         raise ValueError("gain horizon does not match the nominal")
 
-    states = np.zeros_like(nominal.states)
-    controls = np.zeros_like(nominal.controls)
-    states[0] = nominal.states[0]
-    for t in range(horizon):
-        controls[t] = (nominal.controls[t] - alpha * sol.k[t]
-                       - sol.K[t] @ (states[t] - nominal.states[t]))
-        nxt = model.step(states[t], controls[t])
-        if not np.isfinite(nxt).all() or np.max(np.abs(nxt)) > STATE_MAGNITUDE_LIMIT:
-            raise DivergenceError(t + 1)
-        states[t + 1] = nxt
-    return Trajectory(states, controls, total_cost(cost, states, controls))
+    def law(t, x):
+        return (nominal.controls[t] - alpha * sol.k[t]
+                - sol.K[t] @ (x - nominal.states[t]))
+
+    return _propagate(model, cost, nominal.states[0],
+                      np.zeros_like(nominal.controls), law)
 
 
 def directional_derivative(exp, sol, grad) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "PendulumModel",
     "CartPoleModel",
     "LinearModel",
-    "CostModel",
     "QuadraticCost",
     "DerivativeCheck",
     "DerivativeCheckReport",
@@ -68,10 +67,6 @@ class SystemModel:
     state_high: np.ndarray
     control_low: np.ndarray
     control_high: np.ndarray
-
-    @property
-    def params(self) -> dict:
-        return {}
 
     def _validate(self, x, u):
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -129,16 +124,6 @@ class PendulumModel(SystemModel):
         self.control_low = np.array([-5.0])
         self.control_high = np.array([5.0])
 
-    @property
-    def params(self):
-        return {
-            "mass": self.mass,
-            "length": self.length,
-            "gravity": self.gravity,
-            "damping": self.damping,
-            "dt": self.dt,
-        }
-
     def _step(self, x, u):
         th, w = x
         ml2 = self.mass * self.length ** 2
@@ -193,16 +178,6 @@ class CartPoleModel(SystemModel):
         self.state_high = np.array([2.0, 3.0, 2 * np.pi, 6.0])
         self.control_low = np.array([-10.0])
         self.control_high = np.array([10.0])
-
-    @property
-    def params(self):
-        return {
-            "cart_mass": self.cart_mass,
-            "pole_mass": self.pole_mass,
-            "pole_com": self.pole_com,
-            "gravity": self.gravity,
-            "dt": self.dt,
-        }
 
     def _accel(self, th, w, force):
         M, m = self.cart_mass, self.pole_mass
@@ -309,10 +284,6 @@ class LinearModel(SystemModel):
         self.control_low = -np.ones(self.control_dim)
         self.control_high = np.ones(self.control_dim)
 
-    @property
-    def params(self):
-        return {"a": self.a.tolist(), "b": self.b.tolist(), "dt": self.dt}
-
     def _step(self, x, u):
         return self.a @ x + self.b @ u
 
@@ -327,55 +298,14 @@ class LinearModel(SystemModel):
 # Costs
 # ---------------------------------------------------------------------------
 
-class CostModel:
-    """Separable cost: stage l(x) + 0.5 u'Ru, terminal C(x).
-
-    Subclasses provide the state-dependent pieces and their derivatives. The
-    control weight R must be symmetric positive definite so control updates
-    are always well posed; the state Hessians must stay positive semidefinite
-    wherever they are evaluated.
-    """
-
-    control_weight: np.ndarray
-
-    def state_cost(self, x) -> float:
-        raise NotImplementedError
-
-    def terminal_cost(self, x) -> float:
-        raise NotImplementedError
-
-    def state_grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def state_hess(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def terminal_grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def terminal_hess(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def stage_cost(self, x, u) -> float:
-        u = np.asarray(u, dtype=float).reshape(-1)
-        return self.state_cost(x) + 0.5 * float(u @ self.control_weight @ u)
-
-    def stage_derivatives(self, x, u):
-        """Return (l_x, l_xx, R u, R) at the point (x, u)."""
-        u = np.asarray(u, dtype=float).reshape(-1)
-        return (self.state_grad(x), self.state_hess(x),
-                self.control_weight @ u, self.control_weight)
-
-    def terminal_derivatives(self, x):
-        """Return (C_x, C_xx) at the terminal state x."""
-        return self.terminal_grad(x), self.terminal_hess(x)
-
-
-class QuadraticCost(CostModel):
+class QuadraticCost:
     """0.5 (x-goal)'Q(x-goal) + 0.5 u'Ru per stage, Qt-weighted terminal.
 
     Purely quadratic with no state-control coupling, so the total cost of any
     trajectory is bounded below by zero: the physically attainable minimum.
+    The control weight R must be symmetric positive definite so control
+    updates are always well posed, and the state Hessians Q and Q_terminal
+    positive semidefinite; the constructor rejects anything else.
     """
 
     def __init__(self, q, r, q_terminal, goal):
@@ -400,25 +330,25 @@ class QuadraticCost(CostModel):
         self.q_terminal = qt
         self.goal = goal
 
-    def state_cost(self, x):
+    def stage_cost(self, x, u) -> float:
         e = np.asarray(x, dtype=float).reshape(-1) - self.goal
-        return 0.5 * float(e @ self.q @ e)
+        u = np.asarray(u, dtype=float).reshape(-1)
+        return 0.5 * float(e @ self.q @ e) + 0.5 * float(u @ self.control_weight @ u)
 
-    def terminal_cost(self, x):
+    def terminal_cost(self, x) -> float:
         e = np.asarray(x, dtype=float).reshape(-1) - self.goal
         return 0.5 * float(e @ self.q_terminal @ e)
 
-    def state_grad(self, x):
-        return self.q @ (np.asarray(x, dtype=float).reshape(-1) - self.goal)
+    def stage_derivatives(self, x, u):
+        """Return (l_x, l_xx, R u, R) at the point (x, u)."""
+        u = np.asarray(u, dtype=float).reshape(-1)
+        return (self.q @ (np.asarray(x, dtype=float).reshape(-1) - self.goal),
+                self.q.copy(), self.control_weight @ u, self.control_weight)
 
-    def state_hess(self, x):
-        return self.q.copy()
-
-    def terminal_grad(self, x):
-        return self.q_terminal @ (np.asarray(x, dtype=float).reshape(-1) - self.goal)
-
-    def terminal_hess(self, x):
-        return self.q_terminal.copy()
+    def terminal_derivatives(self, x):
+        """Return (C_x, C_xx) at the terminal state x."""
+        return (self.q_terminal @ (np.asarray(x, dtype=float).reshape(-1) - self.goal),
+                self.q_terminal.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +510,8 @@ def check_derivatives(model, cost, sample_count=100, tol=1e-5, seed=0):
         record("fuu", _rel_err(fd_fuu, np.zeros_like(fd_fuu)), idx)
 
         lx, lxx, ru, r = cost.stage_derivatives(x, u)
-        fd_lx = _fd_jacobian(lambda z: [cost.state_cost(z)], x, 1)[0]
-        fd_lxx = _fd_jacobian(lambda z: cost.state_grad(z), x, n)
+        fd_lx = _fd_jacobian(lambda z: [cost.stage_cost(z, u)], x, 1)[0]
+        fd_lxx = _fd_jacobian(lambda z: cost.stage_derivatives(z, u)[0], x, n)
         fd_ru = _fd_jacobian(lambda z: [cost.stage_cost(x, z)], u, 1)[0]
         fd_r = _fd_jacobian(lambda z: cost.stage_derivatives(x, z)[2], u, m)
         record("lx", _rel_err(fd_lx, lx), idx)
@@ -591,7 +521,7 @@ def check_derivatives(model, cost, sample_count=100, tol=1e-5, seed=0):
 
         ct_x, ct_xx = cost.terminal_derivatives(x)
         fd_ct_x = _fd_jacobian(lambda z: [cost.terminal_cost(z)], x, 1)[0]
-        fd_ct_xx = _fd_jacobian(lambda z: cost.terminal_grad(z), x, n)
+        fd_ct_xx = _fd_jacobian(lambda z: cost.terminal_derivatives(z)[0], x, n)
         record("terminal_grad", _rel_err(fd_ct_x, ct_x), idx)
         record("terminal_hess", _rel_err(fd_ct_xx, ct_xx), idx)
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backward import backward_ddp, backward_ilqr, backward_newton, expected_reduction, quu_spectrum
+from .backward import (backward_ddp, backward_ilqr, backward_newton, expected_reduction,
+                       multipliers_from, quu_spectrum)
 from .errors import NonDescentError
 from .expansion import expand_along
 from .kkt import cost_gradient_adjoint
 from .linesearch import LineSearchConfig, directional_derivative, line_search
-from .trajectory import rollout
+from .trajectory import PerturbationPath, rollout
 
 __all__ = [
     "SWEEPS",
@@ -203,8 +204,9 @@ def solve(model, cost, x0, init_controls, config):
 
         if accepted:
             if active == "newton":
-                dx = step.states - traj.states
-                lam_bar = sol.v + np.einsum("tij,tj->ti", sol.V, dx)
+                path = PerturbationPath(step.states - traj.states,
+                                        step.controls - traj.controls)
+                lam_bar = -multipliers_from(sol, path)
             if hybrid and active == "ddp":
                 streak = streak + 1 if alpha < config.hybrid_alpha_switch else 0
             traj = step

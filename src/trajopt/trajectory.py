@@ -77,14 +77,30 @@ def rollout(model, cost, x0, controls) -> Trajectory:
     if u_seq.shape[1] != model.control_dim:
         raise DimensionError("control width does not match the model")
 
+    return _propagate(model, cost, x0, u_seq)
+
+
+def _propagate(model, cost, x0, controls, law=None) -> Trajectory:
+    """Step x0 through `model.step` and price the result: the one
+    nonlinear propagation behind `rollout` and the line search's forward
+    pass.
+
+    With a `law`, control t is law(t, x_t), written into `controls` before
+    step t; without one, `controls` is applied as given. Raises
+    DivergenceError naming the first state that goes non-finite or beyond
+    STATE_MAGNITUDE_LIMIT.
+    """
+    horizon = controls.shape[0]
     states = np.zeros((horizon + 1, model.state_dim))
     states[0] = x0
     for t in range(horizon):
-        nxt = model.step(states[t], u_seq[t])
+        if law is not None:
+            controls[t] = law(t, states[t])
+        nxt = model.step(states[t], controls[t])
         if not np.isfinite(nxt).all() or np.max(np.abs(nxt)) > STATE_MAGNITUDE_LIMIT:
             raise DivergenceError(t + 1)
         states[t + 1] = nxt
-    return Trajectory(states, u_seq, total_cost(cost, states, u_seq))
+    return Trajectory(states, controls, total_cost(cost, states, controls))
 
 
 def linear_rollout(exp, sol, alpha) -> PerturbationPath:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from trajopt import (BackwardPassError, SolverConfig, backward_ddp,
-                     backward_ilqr, backward_newton, expand_along,
-                     expected_reduction, linear_rollout, make_benchmark,
-                     multipliers_from, quu_spectrum, rollout, solve)
+from trajopt import (BackwardPassError, LinearModel, QuadraticCost,
+                     SolverConfig, backward_ddp, backward_for, backward_ilqr,
+                     backward_newton, expand_along, expected_reduction,
+                     linear_rollout, make_benchmark, multipliers_from,
+                     quu_spectrum, rollout, solve)
 from trajopt.artifacts import write_gain_profile_csv
 from trajopt.expansion import ExpansionSequence
 from trajopt.kkt import assemble_qp, solve_kkt
@@ -215,6 +216,26 @@ def test_quu_spectrum_scalar_control_returns_entries():
     traj = random_nominal(model, cost, x0, 12, seed=3)
     sol = backward_ilqr(expand_along(model, cost, traj))
     assert np.allclose(quu_spectrum(sol), sol.quu[:, 0, 0])
+
+
+def _two_input_linear():
+    rng = np.random.default_rng(4)
+    model = LinearModel(np.eye(3) + 0.1 * rng.normal(size=(3, 3)),
+                        rng.normal(size=(3, 2)))
+    cost = QuadraticCost(np.eye(3), np.diag([0.1, 0.3]), 10.0 * np.eye(3),
+                         np.zeros(3))
+    return model, cost, np.ones(3)
+
+
+@pytest.mark.parametrize("method", ["ilqr", "newton", "ddp"])
+def test_quu_spectrum_equals_the_per_stage_loop(method):
+    instances = [make_benchmark("pendulum")[:3], make_benchmark("cartpole")[:3],
+                 _two_input_linear()]
+    for model, cost, x0 in instances:
+        traj = random_nominal(model, cost, x0, 15, seed=6)
+        sol, _ = backward_for(method, expand_along(model, cost, traj))
+        loop = np.array([np.linalg.eigvalsh(quu_t)[0] for quu_t in sol.quu])
+        assert np.array_equal(quu_spectrum(sol), loop)
 
 
 @pytest.mark.parametrize("system", ["pendulum", "cartpole"])

@@ -78,6 +78,14 @@ def test_non_finite_values_exit_2(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--set", "init=random"], ["verify"]])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert _run([*command, "--seed", "-1", "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -178,6 +186,20 @@ def test_compare_warm_start_runs(tmp_path):
     assert _run(args) == 0
     summary = json.loads((out / "ddp" / "summary.json").read_text())
     assert summary["converged"] is True
+
+
+def test_run_warm_starts_like_compare(tmp_path):
+    cold = ["--system", "pendulum", "--method", "ilqr", "--set", "horizon=20"]
+    warm = [*cold, "--set", "warm_start=true"]
+    assert _run(["run", "--out", str(tmp_path / "run"), *warm]) == 0
+    assert _run(["compare", "--out", str(tmp_path / "cmp"), *warm]) == 0
+    assert _run(["run", "--out", str(tmp_path / "cold"), *cold]) == 0
+
+    def first_cost(path):
+        return (path / "iterations.csv").read_text().splitlines()[1].split(",")[1]
+
+    assert first_cost(tmp_path / "run") == first_cost(tmp_path / "cmp" / "ilqr")
+    assert first_cost(tmp_path / "run") != first_cost(tmp_path / "cold")
 
 
 def test_prediction_row_flags_unattainable_predictions():

@@ -30,7 +30,6 @@ def test_assemble_single_stage_scalar_transcription():
     expected_a[:, :2] = np.eye(2)
     expected_a[:, 2:] = -exp.fu[0]
     assert np.array_equal(qp.constraints, expected_a)
-    assert not qp.offset.any()
     # single stage: dx_0 = 0 removes every dynamics-Hessian block
     lam = np.ones((2, 2))
     assert np.array_equal(assemble_qp(exp, "newton", lam).hessian, qp.hessian)
@@ -90,7 +89,7 @@ def test_assemble_pendulum_entrywise_recomputation():
 def test_solve_unconstrained_identity_hessian():
     g = np.array([1.0, -2.0, 0.5])
     qp = DenseQP(hessian=np.eye(3), gradient=g,
-                 constraints=np.zeros((0, 3)), offset=np.zeros(0),
+                 constraints=np.zeros((0, 3)),
                  horizon=1, state_dim=2, control_dim=1, variant="ilqr")
     sol = solve_kkt(qp)
     assert np.allclose(sol.dz, -g, atol=1e-14)
@@ -101,7 +100,7 @@ def test_solve_scalar_constrained_by_hand():
     # min 4 z + z^2 subject to z = 0: dz = 0 and the multiplier balances
     # the gradient, lam = -4.
     qp = DenseQP(hessian=np.array([[2.0]]), gradient=np.array([4.0]),
-                 constraints=np.array([[1.0]]), offset=np.zeros(1),
+                 constraints=np.array([[1.0]]),
                  horizon=1, state_dim=1, control_dim=0, variant="ilqr")
     sol = solve_kkt(qp)
     assert sol.dz[0] == pytest.approx(0.0, abs=1e-14)
@@ -236,7 +235,7 @@ def test_verify_equivalence_localizes_injected_fault():
 def test_solve_kkt_rejects_singular_systems():
     import warnings
     qp = DenseQP(hessian=np.zeros((2, 2)), gradient=np.array([1.0, 0.0]),
-                 constraints=np.zeros((0, 2)), offset=np.zeros(0),
+                 constraints=np.zeros((0, 2)),
                  horizon=1, state_dim=1, control_dim=1, variant="ilqr")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # LU of an exactly singular matrix

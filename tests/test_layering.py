@@ -1,8 +1,12 @@
-"""Module layering: only the artifact writer and the CLI touch files.
+"""Module layering: only the artifact writer and the CLI touch files, and
+helpers exist once.
 
 Parses every module of the package and fails on an `open(` call or a `json`
 import outside `artifacts.py` and `cli.py`, and on the `.17g` float format
-outside `artifacts.py`, the one place that formats numbers for output.
+outside `artifacts.py`, the one place that formats numbers for output. It
+also fails if more than one function reads STATE_MAGNITUDE_LIMIT (the one
+divergence guard of the one nonlinear propagation), or if `models.py`
+defines `params` again.
 """
 
 import ast
@@ -51,3 +55,64 @@ def test_the_layering_check_sees_each_kind_of_violation():
               "def f(p, x):\n    with open(p) as fh:\n        return f'{x:.17g}'\n")
     kinds = sorted(kind for kind, _ in _violations(ast.parse(source)))
     assert kinds == [".17g", "json", "json", "open"]
+
+
+def _readers(tree, name):
+    """Functions that read `name`, bare or as an attribute; each read counts
+    for its innermost enclosing function ("<module>" outside any)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Lambda):
+                visit(child, "<lambda>")
+                continue
+            read = (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name)
+            if read and isinstance(child.ctx, ast.Load):
+                found.add(scope)
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def _defines(tree, name):
+    """Whether any function, method or assignment target is called `name`."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == name:
+                return True
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id == name:
+                return True
+    return False
+
+
+def test_one_function_reads_the_divergence_guard():
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        readers += [f"{path.name}:{fn}"
+                    for fn in _readers(tree, "STATE_MAGNITUDE_LIMIT")]
+    assert len(readers) == 1, readers
+
+
+def test_models_define_no_params():
+    path = PACKAGE / "models.py"
+    assert not _defines(ast.parse(path.read_text(), str(path)), "params")
+
+
+def test_the_helper_checks_see_each_reader_and_definition():
+    source = ("LIMIT = 1\n"
+              "def a(x):\n    return x > LIMIT\n"
+              "def b(m):\n    def inner(x):\n        return x > m.LIMIT\n    return inner\n"
+              "class C:\n    @property\n    def params(self):\n        return {}\n")
+    tree = ast.parse(source)
+    assert _readers(tree, "LIMIT") == {"a", "inner"}
+    assert _defines(tree, "params")
+    assert _defines(ast.parse("params = {}\n"), "params")
+    assert not _defines(ast.parse("f(params)\n"), "params")

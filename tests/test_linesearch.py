@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from trajopt import (BackwardSolution, LinearModel, LineSearchConfig,
-                     NonDescentError, QuadraticCost, backward_ilqr,
-                     cost_gradient_adjoint, directional_derivative,
-                     expand_along, forward_pass, line_search, make_benchmark,
-                     rollout)
+from trajopt import (BackwardSolution, DivergenceError, LinearModel,
+                     LineSearchConfig, NonDescentError, QuadraticCost,
+                     backward_ilqr, cost_gradient_adjoint,
+                     directional_derivative, expand_along, forward_pass,
+                     line_search, make_benchmark, rollout)
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
 from trajopt.models import DerivativeBundle, SystemModel
 
@@ -156,6 +156,37 @@ def test_line_search_backtracks_twice_on_stiff_curvature():
     assert outcome.trials == 3
     alphas = [row[0] for row in outcome.trial_log]
     assert alphas == sorted(alphas, reverse=True)
+
+
+def test_forward_pass_raises_divergence_naming_the_timestep():
+    model, cost, _, _, _ = _stiff_setup()
+    nominal = rollout(model, cost, [1.0], np.zeros((3, 1)))
+    # u_1 = -1e4 sends x_2 = 1 - 1e4 + 3e8 past the guard; x_1 stays at 1
+    sol = _gains([[0.0], [1e4], [0.0]], np.zeros(3), 3, 1, 1)
+    with pytest.raises(DivergenceError) as excinfo:
+        forward_pass(model, cost, nominal, sol, 1.0)
+    assert excinfo.value.timestep == 2
+
+
+def test_line_search_logs_a_diverged_trial_and_backtracks():
+    # The full step overshoots to x = 1 - 1e4 + 3e8, past the guard; every
+    # shorter step stays finite, and the ratio test first passes once
+    # alpha k has shrunk to about 0.15.
+    model, cost, nominal, exp, grad = _stiff_setup()
+    sol = _gains([[1e4]], [[0.0]], 1, 1, 1)
+    outcome = line_search(model, cost, nominal, sol,
+                          directional_derivative(exp, sol, grad),
+                          LineSearchConfig())
+    alpha, j_candidate, ratio = outcome.trial_log[0]
+    assert alpha == 1.0
+    assert j_candidate == math.inf
+    assert math.isnan(ratio)
+    assert all(math.isfinite(row[1]) for row in outcome.trial_log[1:])
+    assert outcome.status == "ACCEPTED"
+    assert 0.0 < outcome.alpha < 1.0
+    assert outcome.alpha == outcome.trial_log[-1][0]
+    assert outcome.trials == len(outcome.trial_log)
+    assert outcome.trajectory.cost < nominal.cost
 
 
 def test_line_search_accepts_full_step_on_quadratic(lqr_instance):

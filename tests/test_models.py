@@ -127,7 +127,7 @@ def test_quadratic_cost_derivatives_at_special_points():
 
 def test_quadratic_cost_centered_at_zero():
     cost = QuadraticCost(np.eye(2), np.eye(1), np.eye(2), np.zeros(2))
-    assert cost.state_cost([0.0, 0.0]) == 0.0
+    assert cost.stage_cost([0.0, 0.0], np.zeros(1)) == 0.0
     lx, lxx, _, _ = cost.stage_derivatives([0.0, 0.0], [0.3])
     assert np.array_equal(lx, np.zeros(2))
     assert np.array_equal(lxx, np.eye(2))

@@ -27,7 +27,8 @@ def test_rollout_at_equilibrium_accumulates_stage_costs():
     horizon = 10
     traj = rollout(model, cost, [0.0, 0.0], np.zeros((horizon, 1)))
     assert np.array_equal(traj.states, np.zeros((horizon + 1, 2)))
-    expected = horizon * cost.state_cost([0.0, 0.0]) + cost.terminal_cost([0.0, 0.0])
+    expected = (horizon * cost.stage_cost([0.0, 0.0], np.zeros(1))
+                + cost.terminal_cost([0.0, 0.0]))
     assert traj.cost == pytest.approx(expected, rel=1e-15)
 
 
