@@ -17,9 +17,8 @@ from .kkt import (DenseQP, KktSolution, assemble_qp, cost_gradient_adjoint,
                   solve_kkt, split_primal, verify_equivalence)
 from .linesearch import (LineSearchConfig, LineSearchOutcome,
                          directional_derivative, forward_pass, line_search)
-from .models import (CartPoleModel, DerivativeBundle, LinearModel,
-                     PendulumModel, QuadraticCost, check_derivatives,
-                     make_benchmark)
+from .models import (CartPoleModel, LinearModel, PendulumModel,
+                     QuadraticCost, check_derivatives, make_benchmark)
 from .solver import (IterationRecord, SolveResult, SolverConfig,
                      backward_for, converged, initial_multiplier_estimate,
                      solve)
@@ -38,8 +37,8 @@ __all__ = [
     "solve_kkt", "split_primal", "verify_equivalence",
     "LineSearchConfig", "LineSearchOutcome",
     "directional_derivative", "forward_pass", "line_search",
-    "CartPoleModel", "DerivativeBundle", "LinearModel",
-    "PendulumModel", "QuadraticCost", "check_derivatives", "make_benchmark",
+    "CartPoleModel", "LinearModel", "PendulumModel", "QuadraticCost",
+    "check_derivatives", "make_benchmark",
     "IterationRecord", "SolveResult", "SolverConfig", "backward_for",
     "converged", "initial_multiplier_estimate", "solve",
     "PerturbationPath", "Trajectory", "linear_rollout", "rollout",

@@ -48,6 +48,7 @@ __all__ = [
 
 SYSTEMS = ("pendulum", "cartpole")
 VERIFY_HORIZONS = (1, 2, 5, 20)
+VERIFY_KEYS = ("seed", "out", "init_amplitude")  # verify fixes every other key
 
 
 @dataclass(frozen=True)
@@ -315,14 +316,9 @@ def _collect_pairs(args):
             raise ConfigError(f"--set expects key=value, got '{item}'")
         key, value = item.split("=", 1)
         pairs[key.strip()] = value.strip()
-    if args.system is not None:
-        pairs["system"] = args.system
-    if args.method is not None:
-        pairs["method"] = args.method
-    if args.seed is not None:
-        pairs["seed"] = str(args.seed)
-    if args.out is not None:
-        pairs["out"] = args.out
+    for key in ("system", "method", "seed", "out"):
+        if getattr(args, key) is not None:
+            pairs[key] = str(getattr(args, key))
     return pairs
 
 
@@ -336,7 +332,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        cfg = build_config(_collect_pairs(args))
+        pairs = _collect_pairs(args)
+        ignored = sorted(set(pairs) - set(VERIFY_KEYS))
+        if args.command == "verify" and ignored:
+            raise ConfigError(f"verify takes only {', '.join(VERIFY_KEYS)}, "
+                              f"not {', '.join(ignored)}")
+        cfg = build_config(pairs)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

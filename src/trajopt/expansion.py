@@ -45,30 +45,26 @@ class ExpansionSequence:
 
 
 def expand_along(model, cost, traj) -> ExpansionSequence:
-    """Evaluate all derivatives along a feasible nominal trajectory."""
+    """Evaluate all derivatives along a feasible nominal trajectory.
+
+    Every stage depends only on its own (x_t, u_t), so the model and the cost
+    are each called once on the whole batch of T stages.
+    """
     horizon = traj.horizon
     n, m = model.state_dim, model.control_dim
-    if traj.states.shape[1] != n or traj.controls.shape[1] != m:
-        raise DimensionError("trajectory does not match the model dimensions")
+    states, controls = traj.states[:-1], traj.controls
+    fx, fu, fxx, fxu = model.derivatives(states, controls)
+    lx, lxx, ru, r = cost.stage_derivatives(states, controls)
 
-    fx = np.zeros((horizon, n, n))
-    fu = np.zeros((horizon, n, m))
-    fxx = np.zeros((horizon, n, n, n))
-    fxu = np.zeros((horizon, n, n, m))
-    lx = np.zeros((horizon, n))
-    lxx = np.zeros((horizon, n, n))
-    ru = np.zeros((horizon, m))
-
-    for t in range(horizon):
-        bundle = model.derivatives(traj.states[t], traj.controls[t])
-        fx[t], fu[t] = bundle.fx, bundle.fu
-        fxx[t], fxu[t] = bundle.fxx, bundle.fxu
-        lx[t], lxx[t], ru[t], r = cost.stage_derivatives(traj.states[t], traj.controls[t])
-        if not (np.isfinite(fx[t]).all() and np.isfinite(fu[t]).all()
-                and np.isfinite(fxx[t]).all() and np.isfinite(fxu[t]).all()
-                and np.isfinite(lx[t]).all() and np.isfinite(lxx[t]).all()
-                and np.isfinite(ru[t]).all()):
-            raise TrajoptError(f"non-finite derivative at timestep {t}")
+    blocks = (fx, fu, fxx, fxu, lx, lxx, ru)
+    shapes = ((n, n), (n, m), (n, n, n), (n, n, m), (n,), (n, n), (m,))
+    if any(b.shape != (horizon, *s) for b, s in zip(blocks, shapes)):
+        raise DimensionError("the derivatives do not carry one entry per stage")
+    finite = np.ones(horizon, dtype=bool)
+    for block in blocks:
+        finite &= np.isfinite(block).reshape(horizon, -1).all(axis=1)
+    if not finite.all():
+        raise TrajoptError(f"non-finite derivative at timestep {np.argmin(finite)}")
 
     ct_x, ct_xx = cost.terminal_derivatives(traj.states[-1])
     if not (np.isfinite(ct_x).all() and np.isfinite(ct_xx).all()):

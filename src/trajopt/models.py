@@ -8,8 +8,9 @@ derivatives with respect to the control vanish). Higher-order integrators
 would re-introduce control nonlinearity through the stage compositions.
 
 Every model provides analytic first derivatives (Jacobians) and second
-derivative tensors of the discrete map, plus a finite-difference verifier
-(`check_derivatives`) that certifies them against central differences.
+derivative tensors of the discrete map, evaluated at a whole batch of points
+in one call, plus a finite-difference verifier (`check_derivatives`) that
+certifies them against central differences.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import DimensionError
 
 __all__ = [
-    "DerivativeBundle",
     "SystemModel",
     "PendulumModel",
     "CartPoleModel",
@@ -36,27 +36,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class DerivativeBundle:
-    """First and second derivatives of the discrete map at one point.
-
-    fx:  (n, n) Jacobian wrt state.
-    fu:  (n, m) Jacobian wrt control.
-    fxx: (n, n, n) tensor, fxx[i] = d^2 f_i / dx dx (symmetric in the last two axes).
-    fxu: (n, n, m) tensor, fxu[i] = d^2 f_i / dx du.
-
-    The control-control block is identically zero for control-affine maps and
-    is therefore not stored.
-    """
-
-    fx: np.ndarray
-    fu: np.ndarray
-    fxx: np.ndarray
-    fxu: np.ndarray
-
-
 class SystemModel:
-    """Base class for discrete-time dynamics x' = f(x, u), affine in u."""
+    """Base class for discrete-time dynamics x' = f(x, u), affine in u.
+
+    `derivatives` is array-first: it takes a whole batch of points in one
+    call, so a subclass's `_derivatives` must broadcast over leading axes.
+    `step` takes one point, because a rollout is sequential.
+    """
 
     state_dim: int = 0
     control_dim: int = 0
@@ -69,25 +55,36 @@ class SystemModel:
     control_high: np.ndarray
 
     def _validate(self, x, u):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if x.shape != (self.state_dim,):
+        """x of shape (..., n) and u of shape (..., m), one leading shape, finite."""
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if (x.shape[-1:] != (self.state_dim,)
+                or u.shape != x.shape[:-1] + (self.control_dim,)):
             raise DimensionError(
-                f"state has shape {x.shape}, expected ({self.state_dim},)")
-        if u.shape != (self.control_dim,):
-            raise DimensionError(
-                f"control has shape {u.shape}, expected ({self.control_dim},)")
+                f"state and control have shapes {x.shape} and {u.shape}, expected "
+                f"(..., {self.state_dim}) and (..., {self.control_dim}) with one "
+                "leading shape")
         if not (np.isfinite(x).all() and np.isfinite(u).all()):
             raise DimensionError("non-finite state or control input")
         return x, u
 
     def step(self, x, u) -> np.ndarray:
-        """One discrete dynamics step."""
+        """One discrete dynamics step from one state (n,) under one control (m,)."""
         x, u = self._validate(x, u)
+        if x.ndim != 1:
+            raise DimensionError(f"step takes one point, not a batch of {x.shape[:-1]}")
         return self._step(x, u)
 
-    def derivatives(self, x, u) -> DerivativeBundle:
-        """Analytic derivatives of the discrete map at (x, u)."""
+    def derivatives(self, x, u):
+        """Analytic derivatives of the discrete map at a batch of points.
+
+        For x of shape (*B, n) and u of shape (*B, m), returns (fx, fu, fxx, fxu):
+        fx (*B, n, n) and fu (*B, n, m) are the Jacobians wrt state and control;
+        fxx (*B, n, n, n) holds d^2 f_i / dx dx in fxx[..., i, :, :] (symmetric
+        in the last two axes) and fxu (*B, n, n, m) holds d^2 f_i / dx du. The
+        control-control block is identically zero for control-affine maps and
+        is therefore not returned.
+        """
         x, u = self._validate(x, u)
         return self._derivatives(x, u)
 
@@ -132,20 +129,21 @@ class PendulumModel(SystemModel):
         return np.array([th + self.dt * w, w + self.dt * acc])
 
     def _derivatives(self, x, u):
-        th = x[0]
+        th = x[..., 0]
         dt = self.dt
         ml2 = self.mass * self.length ** 2
         gl = self.gravity / self.length
 
-        fx = np.array([
-            [1.0, dt],
-            [-dt * gl * np.cos(th), 1.0 - dt * self.damping / ml2],
-        ])
-        fu = np.array([[0.0], [dt / ml2]])
-        fxx = np.zeros((2, 2, 2))
-        fxx[1, 0, 0] = dt * gl * np.sin(th)
-        fxu = np.zeros((2, 2, 1))
-        return DerivativeBundle(fx, fu, fxx, fxu)
+        fx = np.zeros(th.shape + (2, 2))
+        fx[..., 0, :] = 1.0, dt
+        fx[..., 1, 0] = -dt * gl * np.cos(th)
+        fx[..., 1, 1] = 1.0 - dt * self.damping / ml2
+        fu = np.zeros(th.shape + (2, 1))
+        fu[..., 1, 0] = dt / ml2
+        fxx = np.zeros(th.shape + (2, 2, 2))
+        fxx[..., 1, 0, 0] = dt * gl * np.sin(th)
+        fxu = np.zeros(th.shape + (2, 2, 1))
+        return fx, fu, fxx, fxu
 
 
 class CartPoleModel(SystemModel):
@@ -197,8 +195,8 @@ class CartPoleModel(SystemModel):
     def _derivatives(self, x, u):
         M, m = self.cart_mass, self.pole_mass
         L, g = self.pole_com, self.gravity
-        th, w = x[2], x[3]
-        force = u[0]
+        th, w = x[..., 2], x[..., 3]
+        force = u[..., 0]
         dt = self.dt
 
         s, c = np.sin(th), np.cos(th)
@@ -240,28 +238,30 @@ class CartPoleModel(SystemModel):
         a2_ww = n2_ww / (L * den)
         a2_tf = (s + c * dden / den) / (L * den)
 
-        fx = np.eye(4)
-        fx[0, 1] += dt
-        fx[1, 2] += dt * a1_t
-        fx[1, 3] += dt * a1_w
-        fx[2, 3] += dt
-        fx[3, 2] += dt * a2_t
-        fx[3, 3] += dt * a2_w
+        fx = np.broadcast_to(np.eye(4), th.shape + (4, 4)).copy()
+        fx[..., 0, 1] += dt
+        fx[..., 1, 2] += dt * a1_t
+        fx[..., 1, 3] += dt * a1_w
+        fx[..., 2, 3] += dt
+        fx[..., 3, 2] += dt * a2_t
+        fx[..., 3, 3] += dt * a2_w
 
-        fu = np.array([[0.0], [dt * a1_f], [0.0], [dt * a2_f]])
+        fu = np.zeros(th.shape + (4, 1))
+        fu[..., 1, 0] = dt * a1_f
+        fu[..., 3, 0] = dt * a2_f
 
-        fxx = np.zeros((4, 4, 4))
-        fxx[1, 2, 2] = dt * a1_tt
-        fxx[1, 2, 3] = fxx[1, 3, 2] = dt * a1_tw
-        fxx[1, 3, 3] = dt * a1_ww
-        fxx[3, 2, 2] = dt * a2_tt
-        fxx[3, 2, 3] = fxx[3, 3, 2] = dt * a2_tw
-        fxx[3, 3, 3] = dt * a2_ww
+        fxx = np.zeros(th.shape + (4, 4, 4))
+        fxx[..., 1, 2, 2] = dt * a1_tt
+        fxx[..., 1, 2, 3] = fxx[..., 1, 3, 2] = dt * a1_tw
+        fxx[..., 1, 3, 3] = dt * a1_ww
+        fxx[..., 3, 2, 2] = dt * a2_tt
+        fxx[..., 3, 2, 3] = fxx[..., 3, 3, 2] = dt * a2_tw
+        fxx[..., 3, 3, 3] = dt * a2_ww
 
-        fxu = np.zeros((4, 4, 1))
-        fxu[1, 2, 0] = dt * a1_tf
-        fxu[3, 2, 0] = dt * a2_tf
-        return DerivativeBundle(fx, fu, fxx, fxu)
+        fxu = np.zeros(th.shape + (4, 4, 1))
+        fxu[..., 1, 2, 0] = dt * a1_tf
+        fxu[..., 3, 2, 0] = dt * a2_tf
+        return fx, fu, fxx, fxu
 
 
 class LinearModel(SystemModel):
@@ -288,10 +288,10 @@ class LinearModel(SystemModel):
         return self.a @ x + self.b @ u
 
     def _derivatives(self, x, u):
-        n, m = self.state_dim, self.control_dim
-        return DerivativeBundle(
-            self.a.copy(), self.b.copy(),
-            np.zeros((n, n, n)), np.zeros((n, n, m)))
+        batch, n, m = x.shape[:-1], self.state_dim, self.control_dim
+        return (np.broadcast_to(self.a, batch + (n, n)).copy(),
+                np.broadcast_to(self.b, batch + (n, m)).copy(),
+                np.zeros(batch + (n, n, n)), np.zeros(batch + (n, n, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +340,14 @@ class QuadraticCost:
         return 0.5 * float(e @ self.q_terminal @ e)
 
     def stage_derivatives(self, x, u):
-        """Return (l_x, l_xx, R u, R) at the point (x, u)."""
-        u = np.asarray(u, dtype=float).reshape(-1)
-        return (self.q @ (np.asarray(x, dtype=float).reshape(-1) - self.goal),
-                self.q.copy(), self.control_weight @ u, self.control_weight)
+        """Return (l_x, l_xx, R u, R) at a batch of points x (*B, n), u (*B, m):
+        l_x is (*B, n), l_xx (*B, n, n), R u (*B, m) and R (m, m)."""
+        e = np.asarray(x, dtype=float) - self.goal
+        u = np.asarray(u, dtype=float)
+        # a stack of matrix-vector products rounds as each point's Q e does
+        return ((self.q @ e[..., None])[..., 0],
+                np.broadcast_to(self.q, e.shape[:-1] + self.q.shape).copy(),
+                (self.control_weight @ u[..., None])[..., 0], self.control_weight)
 
     def terminal_derivatives(self, x):
         """Return (C_x, C_xx) at the terminal state x."""
@@ -480,6 +484,8 @@ def check_derivatives(model, cost, sample_count=100, tol=1e-5, seed=0):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
     rng = np.random.default_rng(seed)
     n, m = model.state_dim, model.control_dim
     worst = {}
@@ -491,22 +497,22 @@ def check_derivatives(model, cost, sample_count=100, tol=1e-5, seed=0):
     for idx in range(sample_count):
         x = rng.uniform(model.state_low, model.state_high)
         u = rng.uniform(model.control_low, model.control_high)
-        bundle = model.derivatives(x, u)
+        fx, fu, fxx, fxu = model.derivatives(x, u)
 
         fd_fx = _fd_jacobian(lambda z: model.step(z, u), x, n)
         fd_fu = _fd_jacobian(lambda z: model.step(x, z), u, n)
-        record("fx", _rel_err(fd_fx, bundle.fx), idx)
-        record("fu", _rel_err(fd_fu, bundle.fu), idx)
+        record("fx", _rel_err(fd_fx, fx), idx)
+        record("fu", _rel_err(fd_fu, fu), idx)
 
         # d(fx)/dx_k -> fxx[:, :, k], d(fx)/du_l -> fxu[:, :, l]
         fd_fxx = _fd_jacobian(
-            lambda z: model.derivatives(z, u).fx.reshape(-1), x, n * n)
+            lambda z: model.derivatives(z, u)[0].reshape(-1), x, n * n)
         fd_fxu = _fd_jacobian(
-            lambda z: model.derivatives(x, z).fx.reshape(-1), u, n * n)
+            lambda z: model.derivatives(x, z)[0].reshape(-1), u, n * n)
         fd_fuu = _fd_jacobian(
-            lambda z: model.derivatives(x, z).fu.reshape(-1), u, n * m)
-        record("fxx", _rel_err(fd_fxx.reshape(n, n, n), bundle.fxx), idx)
-        record("fxu", _rel_err(fd_fxu.reshape(n, n, m), bundle.fxu), idx)
+            lambda z: model.derivatives(x, z)[1].reshape(-1), u, n * m)
+        record("fxx", _rel_err(fd_fxx.reshape(n, n, n), fxx), idx)
+        record("fxu", _rel_err(fd_fxu.reshape(n, n, m), fxu), idx)
         record("fuu", _rel_err(fd_fuu, np.zeros_like(fd_fuu)), idx)
 
         lx, lxx, ru, r = cost.stage_derivatives(x, u)

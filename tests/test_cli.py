@@ -78,6 +78,22 @@ def test_non_finite_values_exit_2(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [["--system", "cartpole"], ["--method", "ddp"],
+                                   ["--set", "horizon=100"], ["--set", "max_iters=5"]])
+def test_verify_rejects_keys_it_ignores(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    assert _run(["verify", "--out", str(out), *extra]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_accepts_seed_out_and_init_amplitude(tmp_path):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"seed = 2\ninit_amplitude = 0.5\nout = {tmp_path / 'v'}\n")
+    assert _run(["verify", "--config", str(cfg)]) == 0
+    assert (tmp_path / "v" / "verify_report.json").exists()
+
+
 @pytest.mark.parametrize("command", [["run", "--set", "init=random"], ["verify"]])
 def test_negative_seed_exits_2(tmp_path, capsys, command):
     out = tmp_path / "out"
@@ -219,16 +235,20 @@ def test_verify_passes_by_default(tmp_path):
     assert len(payload) == 24
     assert all(entry["pass"] for entry in payload)
     assert {entry["T"] for entry in payload} == {1, 2, 5, 20}
+    for entry in payload:
+        assert entry["tol"] == 1e-8
+        assert entry["max_rel_err"] == max(entry["err_dx"], entry["err_du"],
+                                           entry["err_lam"])
+        assert 0 <= entry["worst_timestep"] <= entry["T"]
 
 
 def test_verify_detects_injected_jacobian_fault(tmp_path, monkeypatch):
     true_derivatives = PendulumModel._derivatives
 
     def corrupted(self, x, u):
-        bundle = true_derivatives(self, x, u)
-        fx = bundle.fx.copy()
-        fx[1, 0] += 0.05
-        return type(bundle)(fx, bundle.fu, bundle.fxx, bundle.fxu)
+        fx, fu, fxx, fxu = true_derivatives(self, x, u)
+        fx[..., 1, 0] += 0.05
+        return fx, fu, fxx, fxu
 
     monkeypatch.setattr(PendulumModel, "_derivatives", corrupted)
     assert _run(["verify", "--out", str(tmp_path / "v")]) == 1

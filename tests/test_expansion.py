@@ -1,9 +1,11 @@
 """The per-trajectory local model."""
 
 import numpy as np
+import pytest
 
-from trajopt import (LinearModel, PendulumModel, QuadraticCost, expand_along,
-                     make_benchmark, rollout)
+from trajopt import (DimensionError, LinearModel, PendulumModel, QuadraticCost,
+                     TrajoptError, Trajectory, expand_along, make_benchmark,
+                     rollout)
 
 from conftest import random_nominal
 
@@ -35,17 +37,32 @@ def test_equilibrium_nominal_at_cost_minimum_has_zero_gradients():
     assert not exp.ct_x.any()
 
 
-def test_expansion_matches_pointwise_model_calls():
-    model, cost, x0, _ = make_benchmark("pendulum")
+def _two_input_linear():
+    rng = np.random.default_rng(5)
+    model = LinearModel(np.eye(3) + 0.1 * rng.normal(size=(3, 3)),
+                        rng.normal(size=(3, 2)))
+    cost = QuadraticCost(np.eye(3), np.diag([0.1, 0.3]), 10.0 * np.eye(3),
+                         np.ones(3))
+    return model, cost, np.ones(3)
+
+
+@pytest.mark.parametrize("instance", [
+    lambda: make_benchmark("pendulum")[:3],
+    lambda: make_benchmark("cartpole")[:3],
+    _two_input_linear,
+], ids=["pendulum", "cartpole", "linear_m2"])
+def test_expansion_matches_pointwise_model_calls(instance):
+    # the batched expansion is the per-point model and cost calls, stage by stage
+    model, cost, x0 = instance()
     traj = random_nominal(model, cost, x0, 20, seed=8)
     exp = expand_along(model, cost, traj)
     assert exp.nominal_cost == traj.cost
     for t in range(20):
-        bundle = model.derivatives(traj.states[t], traj.controls[t])
-        assert np.array_equal(exp.fx[t], bundle.fx)
-        assert np.array_equal(exp.fu[t], bundle.fu)
-        assert np.array_equal(exp.fxx[t], bundle.fxx)
-        assert np.array_equal(exp.fxu[t], bundle.fxu)
+        fx, fu, fxx, fxu = model.derivatives(traj.states[t], traj.controls[t])
+        assert np.array_equal(exp.fx[t], fx)
+        assert np.array_equal(exp.fu[t], fu)
+        assert np.array_equal(exp.fxx[t], fxx)
+        assert np.array_equal(exp.fxu[t], fxu)
         lx, lxx, ru, r = cost.stage_derivatives(traj.states[t], traj.controls[t])
         assert np.array_equal(exp.lx[t], lx)
         assert np.array_equal(exp.lxx[t], lxx)
@@ -57,22 +74,50 @@ def test_expansion_matches_pointwise_model_calls():
 
 
 def test_expansion_rejects_non_finite_derivatives():
-    import pytest
-    from trajopt import TrajoptError
-    from trajopt.models import DerivativeBundle
-
     class _BrokenPendulum(PendulumModel):
         def _derivatives(self, x, u):
-            bundle = super()._derivatives(x, u)
-            fx = bundle.fx.copy()
-            fx[0, 0] = np.inf
-            return DerivativeBundle(fx, bundle.fu, bundle.fxx, bundle.fxu)
+            # expand_along passes all stages in one batch; break stages 2 and 3
+            fx, fu, fxx, fxu = super()._derivatives(x, u)
+            fx[2, 0, 0] = np.inf
+            fxx[3, 1, 0, 0] = np.nan
+            return fx, fu, fxx, fxu
 
     model = _BrokenPendulum()
     _, cost, x0, _ = make_benchmark("pendulum")
-    traj = rollout(model, cost, x0, np.zeros((4, 1)))
-    with pytest.raises(TrajoptError, match="timestep 0"):
+    traj = rollout(model, cost, x0, np.zeros((5, 1)))
+    with pytest.raises(TrajoptError, match="non-finite derivative at timestep 2$"):
         expand_along(model, cost, traj)
+
+
+def test_expansion_rejects_derivatives_that_ignore_the_batch():
+    class _PointOnlyLinear(LinearModel):
+        def _derivatives(self, x, u):  # evaluates one point, whatever it is given
+            n, m = self.state_dim, self.control_dim
+            return self.a, self.b, np.zeros((n, n, n)), np.zeros((n, n, m))
+
+    model = _PointOnlyLinear(np.eye(2), np.ones((2, 1)))
+    cost = QuadraticCost(np.eye(2), np.eye(1), np.eye(2), np.zeros(2))
+    traj = rollout(model, cost, np.ones(2), np.zeros((2, 1)))
+    with pytest.raises(DimensionError, match="one entry per stage"):
+        expand_along(model, cost, traj)
+    with pytest.raises(DimensionError):
+        # a trajectory of the wrong state width fails the model's own check
+        expand_along(PendulumModel(), cost,
+                     Trajectory(np.zeros((3, 3)), traj.controls, traj.cost))
+
+
+def test_expansion_makes_one_model_derivatives_call():
+    model, cost, x0, _ = make_benchmark("cartpole")
+    traj = random_nominal(model, cost, x0, 30, seed=2)
+    calls = []
+
+    def counted(x, u):
+        calls.append(np.shape(x))
+        return type(model).derivatives(model, x, u)
+
+    model.derivatives = counted
+    expand_along(model, cost, traj)
+    assert calls == [(30, 4)]
 
 
 def test_expansion_dims():

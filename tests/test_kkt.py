@@ -262,4 +262,7 @@ def test_verification_json_schema(tmp_path):
     assert payload == [{
         "variant": "ilqr", "T": 5,
         "max_rel_err": report.max_rel_err, "pass": True,
+        "err_dx": report.err_dx, "err_du": report.err_du,
+        "err_lam": report.err_lam, "worst_timestep": report.worst_timestep,
+        "tol": 1e-8,
     }]

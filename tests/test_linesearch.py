@@ -11,7 +11,7 @@ from trajopt import (BackwardSolution, DivergenceError, LinearModel,
                      directional_derivative, expand_along, forward_pass,
                      line_search, make_benchmark, rollout)
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
-from trajopt.models import DerivativeBundle, SystemModel
+from trajopt.models import SystemModel
 
 from conftest import random_nominal
 
@@ -128,9 +128,10 @@ class _StiffScalarModel(SystemModel):
         return np.array([x[0] + u[0] + 3.0 * u[0] ** 2])
 
     def _derivatives(self, x, u):
-        fx = np.array([[1.0]])
-        fu = np.array([[1.0 + 6.0 * u[0]]])
-        return DerivativeBundle(fx, fu, np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
+        batch = x.shape[:-1]
+        fu = (1.0 + 6.0 * u)[..., None]
+        return (np.ones(batch + (1, 1)), fu,
+                np.zeros(batch + (1, 1, 1)), np.zeros(batch + (1, 1, 1)))
 
 
 def _stiff_setup():

@@ -28,8 +28,8 @@ def test_pendulum_hand_euler_step():
 
 def test_pendulum_jacobian_entry_at_origin():
     model = PendulumModel(mass=1.0, length=1.0, gravity=9.81, damping=0.0, dt=0.05)
-    bundle = model.derivatives([0.0, 0.0], [0.0])
-    assert bundle.fx[1, 0] == pytest.approx(-0.4905, abs=1e-12)
+    fx, _, _, _ = model.derivatives([0.0, 0.0], [0.0])
+    assert fx[1, 0] == pytest.approx(-0.4905, abs=1e-12)
 
 
 def test_linear_model_derivatives_are_the_matrices():
@@ -39,11 +39,11 @@ def test_linear_model_derivatives_are_the_matrices():
     x = np.array([0.3, -0.7])
     u = np.array([0.2])
     assert np.array_equal(model.step(x, u), a @ x + b @ u)
-    bundle = model.derivatives(x, u)
-    assert np.array_equal(bundle.fx, a)
-    assert np.array_equal(bundle.fu, b)
-    assert not bundle.fxx.any()
-    assert not bundle.fxu.any()
+    fx, fu, fxx, fxu = model.derivatives(x, u)
+    assert np.array_equal(fx, a)
+    assert np.array_equal(fu, b)
+    assert not fxx.any()
+    assert not fxu.any()
 
 
 @pytest.mark.parametrize("system", ["pendulum", "cartpole"])
@@ -71,9 +71,9 @@ def test_hessian_symmetry_and_cost_definiteness(system):
     for _ in range(25):
         x = rng.uniform(model.state_low, model.state_high)
         u = rng.uniform(model.control_low, model.control_high)
-        bundle = model.derivatives(x, u)
+        _, _, fxx, _ = model.derivatives(x, u)
         for i in range(model.state_dim):
-            assert np.allclose(bundle.fxx[i], bundle.fxx[i].T, atol=1e-14)
+            assert np.allclose(fxx[i], fxx[i].T, atol=1e-14)
         _, lxx, _, _ = cost.stage_derivatives(x, u)
         _, ct_xx = cost.terminal_derivatives(x)
         assert np.linalg.eigvalsh(lxx)[0] >= -1e-12
@@ -98,10 +98,9 @@ def test_check_derivatives_linear_model_is_machine_exact():
 
 class _CorruptedPendulum(PendulumModel):
     def _derivatives(self, x, u):
-        bundle = super()._derivatives(x, u)
-        fx = bundle.fx.copy()
-        fx[0, 1] += 0.1
-        return type(bundle)(fx, bundle.fu, bundle.fxx, bundle.fxu)
+        fx, fu, fxx, fxu = super()._derivatives(x, u)
+        fx[..., 0, 1] += 0.1
+        return fx, fu, fxx, fxu
 
 
 def test_check_derivatives_flags_injected_jacobian_fault():
@@ -110,6 +109,13 @@ def test_check_derivatives_flags_injected_jacobian_fault():
     report = check_derivatives(model, cost, sample_count=5, tol=1e-5, seed=0)
     assert not report.passed
     assert [c.name for c in report.failures()] == ["fx"]
+
+
+@pytest.mark.parametrize("sample_count", [0, -1])
+def test_check_derivatives_rejects_an_empty_sample(sample_count):
+    model, cost, _, _ = make_benchmark("pendulum")
+    with pytest.raises(ValueError, match="sample_count"):
+        check_derivatives(model, cost, sample_count=sample_count)
 
 
 def test_quadratic_cost_derivatives_at_special_points():
@@ -143,6 +149,29 @@ def test_dimension_and_finiteness_contracts():
         model.step([np.nan, 0.0], [0.0])
     with pytest.raises(DimensionError):
         model.derivatives([0.0, np.inf], [0.0])
+    # step takes one point; derivatives takes a batch with one leading shape
+    with pytest.raises(DimensionError):
+        model.step(np.zeros((2, 2)), np.zeros((2, 1)))
+    with pytest.raises(DimensionError):
+        model.derivatives(np.zeros((3, 2)), np.zeros((2, 1)))
+    with pytest.raises(DimensionError):
+        model.derivatives(np.zeros((3, 2)), np.zeros(1))
+
+
+@pytest.mark.parametrize("system", ["pendulum", "cartpole"])
+def test_batched_derivatives_match_pointwise_calls(system):
+    model, cost, _, _ = make_benchmark(system)
+    rng = np.random.default_rng(9)
+    x = rng.uniform(model.state_low, model.state_high, size=(2, 3, model.state_dim))
+    u = rng.uniform(model.control_low, model.control_high, size=(2, 3, model.control_dim))
+
+    def evaluate(x, u):  # everything but the constant R
+        return model.derivatives(x, u) + cost.stage_derivatives(x, u)[:3]
+
+    batched = evaluate(x, u)
+    for i, j in np.ndindex(2, 3):
+        for whole, single in zip(batched, evaluate(x[i, j], u[i, j])):
+            assert np.array_equal(whole[i, j], single)
 
 
 def test_cost_validation_rejects_bad_weights():
