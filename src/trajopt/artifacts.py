@@ -94,8 +94,8 @@ def write_trajectory_csv(path, traj, cost):
     m = traj.controls.shape[1]
     header = ",".join(["t"] + [f"x{i}" for i in range(n)]
                       + [f"u{i}" for i in range(m)] + ["stage_cost"])
-    rows = [_row(t, *traj.states[t], *traj.controls[t],
-                 cost.stage_cost(traj.states[t], traj.controls[t]))
+    stage = cost.stage_cost(traj.states[:-1], traj.controls).tolist()
+    rows = [_row(t, *traj.states[t], *traj.controls[t], stage[t])
             for t in range(traj.horizon)]
     rows.append(_row(traj.horizon, *traj.states[-1], *([""] * m),
                      cost.terminal_cost(traj.states[-1])))

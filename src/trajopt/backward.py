@@ -14,6 +14,9 @@ iLQR value Hessians stay positive semidefinite and every Quu is positive
 definite, so the iLQR step is always a descent direction. Neither property
 survives the Hessian contractions: Newton-LQR and DDP may produce indefinite
 Quu, which is recorded rather than repaired (no regularization anywhere).
+
+The iLQR sweep guards both with batched eigenvalue checks after the recursion:
+the first failure in sweep order raises, as per-stage checks would, naming its stage.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ __all__ = [
 ]
 
 PSD_SLACK = 1e-10  # tolerated eigenvalue undershoot from rounding
+_QUU_LOST = "iLQR control curvature lost definiteness"
+_V_LOST = "iLQR value Hessian lost semidefiniteness"
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,44 +98,52 @@ def _sweep(exp, method, lam_bar=None):
     big_v[horizon] = 0.5 * (exp.ct_xx + exp.ct_xx.T)
     r_min = float(np.linalg.eigvalsh(exp.r)[0])
 
-    for t in reversed(range(horizon)):
-        fx, fu = exp.fx[t], exp.fu[t]
-        vn, big_vn = v[t + 1], big_v[t + 1]
+    failed = None
+    try:
+        for t in reversed(range(horizon)):
+            fx, fu = exp.fx[t], exp.fu[t]
+            vn, big_vn = v[t + 1], big_v[t + 1]
 
-        qu = exp.ru[t] + fu.T @ vn
-        qx = exp.lx[t] + fx.T @ vn
-        quu_t = exp.r + fu.T @ big_vn @ fu
-        qux = fu.T @ big_vn @ fx
-        qxx = exp.lxx[t] + fx.T @ big_vn @ fx
+            fu_v = fu.T @ big_vn  # `@` is left-associative: fu' V fu == fu_v @ fu
+            qu = exp.ru[t] + fu.T @ vn
+            qx = exp.lx[t] + fx.T @ vn
+            quu_t = exp.r + fu_v @ fu
+            qux = fu_v @ fx
+            qxx = exp.lxx[t] + fx.T @ big_vn @ fx
 
-        if method != "ilqr":
-            weight = vn if use_own_gradient else lam_bar[t + 1]
-            qxx = qxx + np.einsum("i,ijk->jk", weight, exp.fxx[t])
-            qux = qux + np.einsum("i,ijk->kj", weight, exp.fxu[t])
+            if method != "ilqr":
+                weight = vn if use_own_gradient else lam_bar[t + 1]
+                qxx = qxx + np.einsum("i,ijk->jk", weight, exp.fxx[t])
+                qux = qux + np.einsum("i,ijk->kj", weight, exp.fxu[t])
 
-        quu_t = 0.5 * (quu_t + quu_t.T)
-        quu[t] = quu_t
+            quu_t = 0.5 * (quu_t + quu_t.T)
+            quu[t] = quu_t
 
-        if method == "ilqr":
-            # R > 0 plus PSD value Hessian propagation make these impossible
-            # to violate for valid cost models; treat violations as bugs.
-            if float(np.linalg.eigvalsh(quu_t)[0]) < r_min - PSD_SLACK:
-                raise BackwardPassError(t, "iLQR control curvature lost definiteness")
+            sol = _solve_sym(quu_t, np.concatenate([qu[:, None], qux], axis=1), t)
+            k[t] = sol[:, 0]
+            feedback[t] = sol[:, 1:]
 
-        sol = _solve_sym(quu_t, np.concatenate([qu[:, None], qux], axis=1), t)
-        k[t] = sol[:, 0]
-        feedback[t] = sol[:, 1:]
-
-        v[t] = qx - qux.T @ k[t]
-        vt = qxx - qux.T @ feedback[t]
-        big_v[t] = 0.5 * (vt + vt.T)
-
-        if not (np.isfinite(v[t]).all() and np.isfinite(big_v[t]).all()
-                and np.isfinite(k[t]).all() and np.isfinite(feedback[t]).all()):
-            raise BackwardPassError(t, "backward recursion produced non-finite values")
-        if method == "ilqr":
-            if float(np.linalg.eigvalsh(big_v[t])[0]) < -PSD_SLACK:
-                raise BackwardPassError(t, "iLQR value Hessian lost semidefiniteness")
+            # a non-finite k_t or K_t always reaches v_t or V_t
+            v[t] = qx - qux.T @ k[t]
+            vt = qxx - qux.T @ feedback[t]
+            big_v[t] = 0.5 * (vt + vt.T)
+            if not (np.isfinite(v[t]).all() and np.isfinite(big_v[t]).all()):
+                raise BackwardPassError(t, "backward recursion produced non-finite values")
+    except BackwardPassError as exc:
+        failed = exc
+    if method == "ilqr":
+        # Impossible to violate for valid cost models (R > 0, PSD V propagation).
+        # In sweep order each stage checks Quu, then V: the stages done in one
+        # batch, then the Quu (maybe not finite) of the stage that raised.
+        done = 0 if failed is None else failed.timestep + 1
+        quu_bad = np.linalg.eigvalsh(quu[done:])[:, 0] < r_min - PSD_SLACK
+        v_bad = np.linalg.eigvalsh(big_v[done:horizon])[:, 0] < -PSD_SLACK
+        for i in np.flatnonzero(quu_bad | v_bad)[-1:]:  # the last, if any
+            raise BackwardPassError(done + int(i), _QUU_LOST if quu_bad[i] else _V_LOST)
+        if failed is not None and np.linalg.eigvalsh(quu[done - 1])[0] < r_min - PSD_SLACK:
+            raise BackwardPassError(done - 1, _QUU_LOST)
+    if failed is not None:
+        raise failed
 
     return BackwardSolution(v=v, V=big_v, k=k, K=feedback, quu=quu, method=method)
 
@@ -187,10 +200,11 @@ def expected_reduction(sol, exp, alpha) -> float:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
+    # stacks of matrix-vector and dot products round as each stage's would
+    g = exp.ru + (exp.fu.transpose(0, 2, 1) @ sol.v[1:, :, None])[..., 0]
     total = 0.0
-    for t in range(sol.horizon):
-        g = exp.ru[t] + exp.fu[t].T @ sol.v[t + 1]
-        total += float(g @ sol.k[t])
+    for term in (g[:, None, :] @ sol.k[:, :, None])[:, 0, 0].tolist():
+        total += term
     return -(alpha - 0.5 * alpha * alpha) * total
 
 

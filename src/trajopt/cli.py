@@ -171,6 +171,8 @@ def build_config(pairs) -> ExperimentConfig:
         for method in cfg.methods():
             if method not in METHODS:
                 raise ConfigError(f"unknown method '{method}'")
+            if cfg.methods().count(method) > 1:  # one run directory per method
+                raise ConfigError(f"method '{method}' is repeated")
     if cfg.init not in ("zero", "random"):
         raise ConfigError(f"unknown init '{cfg.init}'")
     if cfg.init_amplitude < 0:

@@ -330,10 +330,14 @@ class QuadraticCost:
         self.q_terminal = qt
         self.goal = goal
 
-    def stage_cost(self, x, u) -> float:
-        e = np.asarray(x, dtype=float).reshape(-1) - self.goal
-        u = np.asarray(u, dtype=float).reshape(-1)
-        return 0.5 * float(e @ self.q @ e) + 0.5 * float(u @ self.control_weight @ u)
+    def stage_cost(self, x, u):
+        """0.5 e'Qe + 0.5 u'Ru at x (*B, n), u (*B, m): a float at one point,
+        a (*B) array at a batch, each entry rounding as at one point."""
+        e = np.asarray(x, dtype=float) - self.goal
+        u = np.asarray(u, dtype=float)
+        cost = (0.5 * ((e[..., None, :] @ self.q) @ e[..., None])[..., 0, 0]
+                + 0.5 * ((u[..., None, :] @ self.control_weight) @ u[..., None])[..., 0, 0])
+        return float(cost) if cost.ndim == 0 else cost
 
     def terminal_cost(self, x) -> float:
         e = np.asarray(x, dtype=float).reshape(-1) - self.goal

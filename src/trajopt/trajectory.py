@@ -56,8 +56,8 @@ def total_cost(cost, states, controls) -> float:
     if states.shape[0] != controls.shape[0] + 1:
         raise DimensionError("need exactly one more state than controls")
     j = 0.0
-    for t in range(controls.shape[0]):
-        j += cost.stage_cost(states[t], controls[t])
+    for stage in cost.stage_cost(states[:-1], controls).tolist():
+        j += stage
     return j + cost.terminal_cost(states[-1])
 
 
@@ -97,7 +97,7 @@ def _propagate(model, cost, x0, controls, law=None) -> Trajectory:
         if law is not None:
             controls[t] = law(t, states[t])
         nxt = model.step(states[t], controls[t])
-        if not np.isfinite(nxt).all() or np.max(np.abs(nxt)) > STATE_MAGNITUDE_LIMIT:
+        if not np.abs(nxt).max() <= STATE_MAGNITUDE_LIMIT:  # NaN fails too
             raise DivergenceError(t + 1)
         states[t + 1] = nxt
     return Trajectory(states, controls, total_cost(cost, states, controls))

@@ -260,6 +260,56 @@ def test_backward_error_names_timestep_on_singular_curvature():
     assert excinfo.value.timestep == 1
 
 
+@pytest.mark.parametrize("fu", [[[1.0]], [[1.0, 0.0]]], ids=["m1", "m2"])
+@pytest.mark.parametrize("ct_xx", [-0.5, -1.0], ids=["indefinite", "singular"])
+def test_ilqr_quu_guard_fires_at_the_last_stage(fu, ct_xx):
+    # a negative terminal Hessian pulls Quu = R + fu' C_xx fu below R; at -1 it
+    # is also singular, and the guard still comes before the solve
+    m = len(fu[0])
+    exp = _tiny_expansion(
+        fx=[[[1.0]], [[1.0]]], fu=[fu, fu], r=np.eye(m), ru=np.full((2, m), 0.5),
+        ct_x=[1.0], ct_xx=[[ct_xx]])
+    with pytest.raises(BackwardPassError,
+                       match="control curvature lost definiteness") as excinfo:
+        backward_ilqr(exp)
+    assert excinfo.value.timestep == 1
+
+
+@pytest.mark.parametrize("lxx_2", [-10.0, -1.5], ids=["indefinite", "singular"])
+def test_ilqr_value_guard_raises_before_a_later_quu_failure(lxx_2):
+    # lxx[2] = -10 makes V_2 = -9.5, and with it Quu_1 = R + V_2 < R; -1.5
+    # makes V_2 = -1 and Quu_1 = 0, so the solve at stage 1 raises. Either
+    # way the value check at stage 2 comes first in sweep order and must win.
+    exp = _tiny_expansion(
+        fx=[[[1.0]]] * 3, fu=[[[1.0]]] * 3, r=[[1.0]], ru=[[0.5]] * 3,
+        ct_x=[0.0], ct_xx=[[1.0]], lxx=[[[0.0]], [[0.0]], [[lxx_2]]])
+    with pytest.raises(BackwardPassError,
+                       match="value Hessian lost semidefiniteness") as excinfo:
+        backward_ilqr(exp)
+    assert excinfo.value.timestep == 2
+
+
+OVERFLOWS = {
+    # k_1 = 1e300 / 1e-300 overflows and reaches v_1 as 0 * inf, through fu = 0
+    "gain": dict(fu=[[[0.0]], [[0.0]]], r=[[1e-300]], ru=[[0.0], [1e300]],
+                 ct_x=[1.0], lx=None),
+    # q_x = 1e308 + 1e308 overflows at R = 1, where the unreached stage 0
+    # (its Quu still zero) must not trip the Quu guard
+    "gradient": dict(fu=[[[1.0]], [[1.0]]], r=[[1.0]], ru=[[0.0], [0.0]],
+                     ct_x=[1e308], lx=[[0.0], [1e308]]),
+}
+
+
+@pytest.mark.parametrize("method", ["ilqr", "ddp"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflow_raises_non_finite_values(method, case):
+    exp = _tiny_expansion(fx=[[[1.0]], [[1.0]]], ct_xx=[[1.0]], **OVERFLOWS[case])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BackwardPassError, match="non-finite values") as excinfo:
+            backward_for(method, exp)
+    assert excinfo.value.timestep == 1
+
+
 def test_gain_profile_csv(tmp_path):
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 8, seed=0)

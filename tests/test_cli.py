@@ -78,6 +78,14 @@ def test_non_finite_values_exit_2(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method", ["ilqr,ilqr", "ilqr,ddp,ilqr"])
+def test_repeated_method_exits_2(tmp_path, capsys, method):
+    out = tmp_path / "out"
+    assert _run(["run", "--method", method, "--out", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [["--system", "cartpole"], ["--method", "ddp"],
                                    ["--set", "horizon=100"], ["--set", "max_iters=5"]])
 def test_verify_rejects_keys_it_ignores(tmp_path, capsys, extra):

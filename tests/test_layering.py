@@ -5,8 +5,10 @@ Parses every module of the package and fails on an `open(` call or a `json`
 import outside `artifacts.py` and `cli.py`, and on the `.17g` float format
 outside `artifacts.py`, the one place that formats numbers for output. It
 also fails if more than one function reads STATE_MAGNITUDE_LIMIT (the one
-divergence guard of the one nonlinear propagation), or if `models.py`
-defines `params` again.
+divergence guard of the one nonlinear propagation), if `models.py`
+defines `params` again, or if the per-stage loop of `backward._sweep` (or a
+function of `backward.py` it calls) makes an `np.linalg` call: the sweep's
+guards run batched after the loop, never as an eigendecomposition per stage.
 """
 
 import ast
@@ -116,3 +118,41 @@ def test_the_helper_checks_see_each_reader_and_definition():
     assert _defines(tree, "params")
     assert _defines(ast.parse("params = {}\n"), "params")
     assert not _defines(ast.parse("f(params)\n"), "params")
+
+
+def _linalg_calls_in_loops(tree, function):
+    """`np.linalg` calls made inside the `for` loops of `function`, directly
+    or through the module's own functions they call, as "caller:name"."""
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found, seen = [], set()
+
+    def scan(node, owner):
+        for sub in ast.walk(node):
+            if not isinstance(sub, ast.Call):
+                continue
+            func = sub.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "linalg"
+                    and getattr(func.value.value, "id", None) in ("np", "numpy")):
+                found.append(f"{owner}:{func.attr}")
+            elif isinstance(func, ast.Name) and func.id in defs and func.id not in seen:
+                seen.add(func.id)
+                scan(defs[func.id], func.id)
+
+    for loop in ast.walk(defs[function]):
+        if isinstance(loop, ast.For):
+            scan(loop, function)
+    return found
+
+
+def test_the_sweep_loop_makes_no_linalg_call():
+    path = PACKAGE / "backward.py"
+    assert _linalg_calls_in_loops(ast.parse(path.read_text(), str(path)), "_sweep") == []
+
+
+def test_the_loop_check_sees_direct_and_indirect_linalg_calls():
+    source = ("def helper(a):\n    return numpy.linalg.solve(a, a)\n"
+              "def f(xs):\n    np.linalg.norm(xs)\n"
+              "    for x in xs:\n        np.linalg.eigvalsh(x)\n        helper(x)\n"
+              "        scipy.linalg.solve(x, x)\n")
+    assert _linalg_calls_in_loops(ast.parse(source), "f") == ["f:eigvalsh", "helper:solve"]
