@@ -3,7 +3,7 @@
 One outer loop drives three local steps over the same per-trajectory
 expansion: iLQR (first-order dynamics), Newton-LQR (exact constrained Newton
 with threaded costates), and DDP (value-gradient-weighted dynamics Hessians).
-A dense whole-trajectory KKT solve acts as the independent oracle certifying
+A banded whole-trajectory KKT solve acts as the independent oracle certifying
 each sweep, and a CLI runs the seeded benchmark experiments.
 """
 
@@ -13,7 +13,7 @@ from .backward import (BackwardSolution, backward_ddp, backward_ilqr,
 from .errors import (BackwardPassError, ConfigError, DimensionError,
                      DivergenceError, KktError, NonDescentError, TrajoptError)
 from .expansion import ExpansionSequence, expand_along
-from .kkt import (DenseQP, KktSolution, assemble_qp, cost_gradient_adjoint,
+from .kkt import (KktSolution, StackedQP, assemble_qp, cost_gradient_adjoint,
                   solve_kkt, split_primal, verify_equivalence)
 from .linesearch import (LineSearchConfig, LineSearchOutcome,
                          directional_derivative, forward_pass, line_search)
@@ -33,7 +33,7 @@ __all__ = [
     "BackwardPassError", "ConfigError", "DimensionError", "DivergenceError",
     "KktError", "NonDescentError", "TrajoptError",
     "ExpansionSequence", "expand_along",
-    "DenseQP", "KktSolution", "assemble_qp", "cost_gradient_adjoint",
+    "KktSolution", "StackedQP", "assemble_qp", "cost_gradient_adjoint",
     "solve_kkt", "split_primal", "verify_equivalence",
     "LineSearchConfig", "LineSearchOutcome",
     "directional_derivative", "forward_pass", "line_search",

@@ -5,7 +5,7 @@ Three subcommands:
   run      execute one solve (or one per method) and write its artifacts
   compare  run several methods from the same initial guess and merge their
            iteration traces into plot-ready CSV tables
-  verify   run the derivative checks and the dense-KKT equivalence suite
+  verify   run the derivative checks and the KKT-oracle equivalence suite
 
 Configuration comes from a plain key=value file (--config), overridable with
 repeated --set key=value flags and the direct --system/--method/--seed/--out
@@ -32,7 +32,7 @@ from .errors import ConfigError, DimensionError, TrajoptError
 from .expansion import expand_along
 from .kkt import verify_equivalence
 from .linesearch import LineSearchConfig
-from .models import check_derivatives, make_benchmark
+from .models import check_derivatives, make_benchmark, random_linear
 from .solver import METHODS, SWEEPS, SolverConfig, backward_for, solve
 from .trajectory import rollout
 
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 SYSTEMS = ("pendulum", "cartpole")
-VERIFY_HORIZONS = (1, 2, 5, 20)
+VERIFY_HORIZONS = (1, 2, 5, 20, 100, 200)
 VERIFY_KEYS = ("seed", "out", "init_amplitude")  # verify fixes every other key
 
 
@@ -273,9 +273,11 @@ def cmd_verify(cfg) -> int:
     rng = np.random.default_rng(cfg.seed)
     all_ok = True
     reports = []
+    # both benchmarks and a seeded linear system with two inputs
+    instances = [(system, *make_benchmark(system)[:3]) for system in SYSTEMS]
+    instances.append(("linear-m2", *random_linear(rng)))
 
-    for system in SYSTEMS:
-        model, cost, x0, _ = make_benchmark(system)
+    for system, model, cost, x0 in instances:
         deriv = check_derivatives(model, cost, sample_count=100, tol=1e-5,
                                   seed=cfg.seed)
         print(f"[{system}] {deriv.summary()}")

@@ -30,7 +30,7 @@ class NonDescentError(TrajoptError):
 
 
 class KktError(TrajoptError):
-    """The dense KKT system could not be assembled or solved reliably."""
+    """The stacked KKT system could not be assembled or solved reliably."""
 
 
 class ConfigError(TrajoptError):

@@ -2,7 +2,7 @@
 
 One call collects, per timestep, the dynamics Jacobians and Hessian tensors
 together with the cost derivatives, all evaluated on the nominal. Every
-backward pass and the dense QP oracle consume this one structure, so they are
+backward pass and the KKT oracle consume this one structure, so they are
 guaranteed to linearize the same problem.
 """
 

@@ -1,12 +1,15 @@
-"""Dense whole-trajectory QP oracle.
+"""Whole-trajectory QP oracle, solved as one banded KKT system.
 
-Stacks the local quadratic subproblem over the full horizon, solves its KKT
-system by dense LU with partial pivoting, and certifies the Riccati sweeps
-against that direct solve. This module exists for verification, not speed:
-horizons are capped so the dense factorization stays trivially cheap.
+Stacks the local quadratic subproblem min g'z + 0.5 z'Hz s.t. A z = 0 over
+the full horizon and certifies the Riccati sweeps against a direct solve of
+its KKT system [H A'; A 0] [dz; lam] = [-g; 0]. Ordered stage by stage,
+(du_t, lam_{t+1}, dx_{t+1}) for t = 0 .. T-1, the matrix is banded with
+half-bandwidth 2n + m - 1 at any horizon. The Riccati sweep is a block
+factorization of this same matrix (Rao, Wright & Rawlings, JOTA 1998); the
+oracle factors it independently, by LAPACK's banded LU with partial pivoting.
+The matrix is kept as (row, col, value) triplets, and every check reads them.
 
-Variable stacking: z = (dx_1 .. dx_T, du_0 .. du_{T-1}); dx_0 is fixed at
-zero and is not a variable. Constraint row t enforces
+dx_0 is fixed at zero and is not an unknown. Constraint t enforces
 dx_{t+1} - fx_t dx_t - fu_t du_t = 0, so the equality multipliers returned by
 the KKT solve line up with lam_1 .. lam_T of `multipliers_from` directly.
 """
@@ -22,30 +25,22 @@ from .backward import multipliers_from
 from .errors import KktError
 from .trajectory import linear_rollout
 
-__all__ = [
-    "DenseQP",
-    "KktSolution",
-    "MAX_ORACLE_HORIZON",
-    "assemble_qp",
-    "solve_kkt",
-    "split_primal",
-    "cost_gradient_adjoint",
-    "VerificationReport",
-    "verify_equivalence",
-]
-
-MAX_ORACLE_HORIZON = 50
+__all__ = ["StackedQP", "KktSolution", "assemble_qp", "solve_kkt", "split_primal",
+           "cost_gradient_adjoint", "VerificationReport", "verify_equivalence"]
 
 RESIDUAL_SCALE = 1e-9  # KKT residual bound, scaled by 1 + input norms
 
 
 @dataclass(frozen=True, eq=False)
-class DenseQP:
-    """min g'z + 0.5 z'Hz subject to A z = 0 over the stacked variables."""
+class StackedQP:
+    """The KKT matrix of min g'z + 0.5 z'Hz s.t. A z = 0 as triplets over its
+    unknowns, z and lam interleaved; repeated (row, col) pairs add up."""
 
-    hessian: np.ndarray      # (N, N), symmetric
-    gradient: np.ndarray     # (N,)
-    constraints: np.ndarray  # (T n, N)
+    rows: np.ndarray      # (nnz,) int
+    cols: np.ndarray      # (nnz,) int
+    values: np.ndarray    # (nnz,)
+    gradient: np.ndarray  # (K,) g on the entries of z, 0 on those of lam
+    primal: np.ndarray    # (K,) bool, True on the entries of z
     horizon: int
     state_dim: int
     control_dim: int
@@ -54,12 +49,12 @@ class DenseQP:
 
 @dataclass(frozen=True, eq=False)
 class KktSolution:
-    dz: np.ndarray           # (N,) stacked primal step
+    dz: np.ndarray           # (N,) primal step, (du_t, dx_{t+1}) stage by stage
     multipliers: np.ndarray  # (T n,) stacked equality multipliers
     residual: float          # inf-norm of the KKT equations at the solution
 
 
-def assemble_qp(exp, variant, multipliers=None) -> DenseQP:
+def assemble_qp(exp, variant, multipliers=None) -> StackedQP:
     """Stack the quadratic subproblem matching one backward pass.
 
     variant "ilqr": block-diagonal Hessian from the cost expansion only.
@@ -67,101 +62,103 @@ def assemble_qp(exp, variant, multipliers=None) -> DenseQP:
     with the supplied (T+1, n) multiplier sequence, including the cross blocks
     between dx_t and du_t. Stage 0 contributes no such blocks because dx_0 is
     pinned to zero.
+
+    Stage t fills one dense window of the matrix, over the unknowns
+    (dx_t, du_t, lam_{t+1}, dx_{t+1}), which are contiguous; all T windows
+    are filled at once and their structurally nonzero entries kept.
     """
     horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
-    if horizon > MAX_ORACLE_HORIZON:
-        raise KktError(
-            f"oracle horizon {horizon} exceeds the cap {MAX_ORACLE_HORIZON}")
     if variant not in ("ilqr", "newton"):
         raise ValueError(f"unknown variant '{variant}'")
-    if variant == "newton":
+    newton = variant == "newton"
+    if newton:
         multipliers = np.asarray(multipliers, dtype=float)
         if multipliers.shape != (horizon + 1, n):
             raise ValueError("multiplier sequence must have shape (T+1, n)")
 
-    nx = n * horizon
-    size = nx + m * horizon
+    xt, ut, lam, xn = (slice(0, n), slice(n, n + m),
+                       slice(n + m, 2 * n + m), slice(2 * n + m, 3 * n + m))
+    width, stride = 3 * n + m, 2 * n + m
+    window = np.zeros((horizon, width, width))
+    window[:, ut, ut] = exp.r
+    window[:, lam, xt] = -exp.fx
+    window[:, xt, lam] = -exp.fx.transpose(0, 2, 1)
+    window[:, lam, ut] = -exp.fu
+    window[:, ut, lam] = -exp.fu.transpose(0, 2, 1)
+    window[:, lam, xn] = window[:, xn, lam] = np.eye(n)
+    window[:, xn, xn] = np.concatenate([exp.lxx[1:], exp.ct_xx[None]])
+    if newton:
+        w = multipliers[2:]  # lam_{t+1} for the stages t = 1 .. T-1
+        window[:-1, xn, xn] += np.einsum("ti,tijk->tjk", w, exp.fxx[1:])
+        cross = np.einsum("ti,tijk->tjk", w, exp.fxu[1:])
+        window[1:, xt, ut] = cross
+        window[1:, ut, xt] = cross.transpose(0, 2, 1)
 
-    def ix(t):  # state block of dx_t, 1 <= t <= T
-        return slice((t - 1) * n, t * n)
+    blocks = np.array([[0, newton, 1, 0], [newton, 1, 1, 0],
+                       [1, 1, 0, 1], [0, 0, 1, 1]], dtype=bool)
+    sizes = (n, m, n, n)
+    keep = np.tile(np.repeat(np.repeat(blocks, sizes, 0), sizes, 1), (horizon, 1, 1))
+    keep[0, :n] = keep[0, :, :n] = False  # dx_0 is not an unknown
+    # the window of stage t starts n before the stage's own unknowns
+    first = np.arange(horizon)[:, None, None] * stride - n
+    local = np.arange(width)
+    rows = np.broadcast_to(first + local[:, None], window.shape)[keep]
+    cols = np.broadcast_to(first + local, window.shape)[keep]
 
-    def iu(t):  # control block of du_t, 0 <= t <= T-1
-        return slice(nx + t * m, nx + (t + 1) * m)
+    grad = np.zeros((horizon, stride))
+    grad[:, :m] = exp.ru
+    grad[:, m + n:] = np.concatenate([exp.lx[1:], exp.ct_x[None]])
+    primal = np.ones((horizon, stride), dtype=bool)
+    primal[:, m:m + n] = False
+    return StackedQP(rows=rows, cols=cols, values=window[keep],
+                     gradient=grad.reshape(-1), primal=primal.reshape(-1),
+                     horizon=horizon, state_dim=n, control_dim=m, variant=variant)
 
-    hess = np.zeros((size, size))
-    grad = np.zeros(size)
-    for t in range(horizon):
-        hess[iu(t), iu(t)] = exp.r
-        grad[iu(t)] = exp.ru[t]
-        if t >= 1:
-            hess[ix(t), ix(t)] = exp.lxx[t]
-            grad[ix(t)] = exp.lx[t]
-    hess[ix(horizon), ix(horizon)] = exp.ct_xx
-    grad[ix(horizon)] = exp.ct_x
 
-    if variant == "newton":
-        for t in range(1, horizon):
-            w = multipliers[t + 1]
-            hess[ix(t), ix(t)] += np.einsum("i,ijk->jk", w, exp.fxx[t])
-            cross = np.einsum("i,ijk->jk", w, exp.fxu[t])  # (n, m)
-            hess[ix(t), iu(t)] += cross
-            hess[iu(t), ix(t)] += cross.T
-
-    rows = n * horizon
-    constraints = np.zeros((rows, size))
-    for t in range(horizon):
-        block = slice(t * n, (t + 1) * n)
-        constraints[block, ix(t + 1)] = np.eye(n)
-        if t >= 1:
-            constraints[block, ix(t)] = -exp.fx[t]
-        constraints[block, iu(t)] = -exp.fu[t]
-
-    return DenseQP(hessian=hess, gradient=grad, constraints=constraints,
-                   horizon=horizon, state_dim=n, control_dim=m, variant=variant)
+def _matvec(qp, x):
+    """The KKT matrix times x, summed from the triplets."""
+    return np.bincount(qp.rows, weights=qp.values * x[qp.cols], minlength=x.size)
 
 
 def solve_kkt(qp) -> KktSolution:
-    """Solve [H A'; A 0] [dz; lam] = [-g; 0] by dense LU with pivoting."""
+    """Solve [H A'; A 0] [dz; lam] = [-g; 0] by banded LU with pivoting, in
+    the band read off the triplets."""
     size = qp.gradient.shape[0]
-    rows = qp.constraints.shape[0]
-    kkt = np.zeros((size + rows, size + rows))
-    kkt[:size, :size] = qp.hessian
-    kkt[:size, size:] = qp.constraints.T
-    kkt[size:, :size] = qp.constraints
-    rhs = np.concatenate([-qp.gradient, np.zeros(rows)])
-
+    offset = qp.rows - qp.cols
+    lower = int(np.max(offset, initial=0))
+    upper = int(np.max(-offset, initial=0))
+    band = np.bincount((upper + offset) * size + qp.cols, weights=qp.values,
+                       minlength=(lower + upper + 1) * size)
+    rhs = -qp.gradient
     try:
-        lu, piv = scipy.linalg.lu_factor(kkt)
-        solution = scipy.linalg.lu_solve((lu, piv), rhs)
+        solution = scipy.linalg.solve_banded(
+            (lower, upper), band.reshape(lower + upper + 1, size), rhs,
+            overwrite_ab=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        cond = float(np.linalg.cond(kkt)) if size + rows <= 2000 else float("inf")
-        raise KktError(f"singular KKT matrix (cond estimate {cond:.3e}): {exc}") from exc
+        raise KktError(f"singular KKT matrix: {exc}") from exc
     if not np.isfinite(solution).all():
-        cond = float(np.linalg.cond(kkt))
-        raise KktError(f"KKT solve produced non-finite values (cond estimate {cond:.3e})")
+        raise KktError("KKT solve produced non-finite values")
 
-    residual = float(np.max(np.abs(kkt @ solution - rhs)))
+    product = _matvec(qp, solution)
+    residual = float(np.max(np.abs(product - rhs), initial=0.0))
     scale = 1.0 + float(np.max(np.abs(qp.gradient), initial=0.0))
     if residual > RESIDUAL_SCALE * scale:
         raise KktError(f"KKT residual {residual:.3e} exceeds {RESIDUAL_SCALE * scale:.3e}")
 
-    dz = solution[:size]
-    lam = solution[size:]
-    if rows:
-        constraint_err = float(np.max(np.abs(qp.constraints @ dz)))
-        if constraint_err > 1e-9 * scale:
-            raise KktError(f"constraint violation {constraint_err:.3e} after KKT solve")
-    return KktSolution(dz=dz, multipliers=lam, residual=residual)
+    constraint_err = float(np.max(np.abs(product[~qp.primal]), initial=0.0))
+    if constraint_err > 1e-9 * scale:
+        raise KktError(f"constraint violation {constraint_err:.3e} after KKT solve")
+    return KktSolution(dz=solution[qp.primal], multipliers=solution[~qp.primal],
+                       residual=residual)
 
 
 def split_primal(qp, dz):
     """Unstack dz into (dx, du) with dx including the pinned dx_0 = 0 row."""
     n, m, horizon = qp.state_dim, qp.control_dim, qp.horizon
-    nx = n * horizon
+    stages = dz.reshape(horizon, m + n)
     dx = np.zeros((horizon + 1, n))
-    dx[1:] = dz[:nx].reshape(horizon, n)
-    du = dz[nx:].reshape(horizon, m)
-    return dx, du
+    dx[1:] = stages[:, m:]
+    return dx, stages[:, :m]
 
 
 def cost_gradient_adjoint(exp) -> np.ndarray:
@@ -211,7 +208,7 @@ def _block_err(candidate, reference, t_offset=0):
 
 
 def verify_equivalence(sol, exp, multipliers=None, tol=1e-8) -> VerificationReport:
-    """Compare one backward sweep against the direct dense KKT solve.
+    """Compare one backward sweep against the direct banded KKT solve.
 
     The sweep's full step (alpha = 1 linear rollout) and its multiplier
     sequence must reproduce the QP minimizer and equality multipliers. iLQR
@@ -245,8 +242,11 @@ def verify_equivalence(sol, exp, multipliers=None, tol=1e-8) -> VerificationRepo
     if sol.method == "ilqr":
         # Descent certificate of the cost-only subproblem: on the constraint
         # kernel the step satisfies dz'g = -dz'H dz < 0 unless it is zero.
-        directional = float(ksol.dz @ qp.gradient)
-        curvature = float(ksol.dz @ qp.hessian @ ksol.dz)
+        # With its multiplier entries zeroed, z'Kz is exactly dz'H dz.
+        z = np.zeros(qp.primal.size)
+        z[qp.primal] = ksol.dz
+        directional = float(z @ qp.gradient)
+        curvature = float(z @ _matvec(qp, z))
         scale = max(1.0, abs(curvature))
         if abs(directional + curvature) > 1e-7 * scale:
             raise KktError("descent certificate identity violated")
@@ -260,4 +260,3 @@ def verify_equivalence(sol, exp, multipliers=None, tol=1e-8) -> VerificationRepo
         err_dx=err_dx, err_du=err_du, err_lam=err_lam,
         worst_timestep=errs[worst_block][1], tol=tol,
         passed=max(err_dx, err_du, err_lam) <= tol)
-

@@ -31,6 +31,7 @@ __all__ = [
     "DerivativeCheckReport",
     "check_derivatives",
     "make_benchmark",
+    "random_linear",
     "PENDULUM_DEFAULTS",
     "CARTPOLE_DEFAULTS",
 ]
@@ -330,11 +331,21 @@ class QuadraticCost:
         self.q_terminal = qt
         self.goal = goal
 
+    def _deviation(self, x, u):
+        """(x - goal, u) as float arrays, once their trailing dimensions are
+        checked, so a column vector cannot broadcast into a batch."""
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        if x.shape[-1:] != self.goal.shape or u.shape[-1:] != self.control_weight.shape[:1]:
+            raise DimensionError(f"cost takes x (*B, {self.goal.shape[0]}) and u "
+                                 f"(*B, {self.control_weight.shape[0]}), "
+                                 f"not {x.shape} and {u.shape}")
+        return x - self.goal, u
+
     def stage_cost(self, x, u):
         """0.5 e'Qe + 0.5 u'Ru at x (*B, n), u (*B, m): a float at one point,
         a (*B) array at a batch, each entry rounding as at one point."""
-        e = np.asarray(x, dtype=float) - self.goal
-        u = np.asarray(u, dtype=float)
+        e, u = self._deviation(x, u)
         cost = (0.5 * ((e[..., None, :] @ self.q) @ e[..., None])[..., 0, 0]
                 + 0.5 * ((u[..., None, :] @ self.control_weight) @ u[..., None])[..., 0, 0])
         return float(cost) if cost.ndim == 0 else cost
@@ -346,8 +357,7 @@ class QuadraticCost:
     def stage_derivatives(self, x, u):
         """Return (l_x, l_xx, R u, R) at a batch of points x (*B, n), u (*B, m):
         l_x is (*B, n), l_xx (*B, n, n), R u (*B, m) and R (m, m)."""
-        e = np.asarray(x, dtype=float) - self.goal
-        u = np.asarray(u, dtype=float)
+        e, u = self._deviation(x, u)
         # a stack of matrix-vector products rounds as each point's Q e does
         return ((self.q @ e[..., None])[..., 0],
                 np.broadcast_to(self.q, e.shape[:-1] + self.q.shape).copy(),
@@ -420,6 +430,21 @@ def make_benchmark(system, horizon=None, timestep=None, q_diag=None,
     r = r_scale * np.eye(model.control_dim)
     cost = QuadraticCost(q, r, qt_scale * q, goal)
     return model, cost, x0, horizon
+
+
+def random_linear(rng):
+    """(model, cost, x0) of a seeded linear-quadratic instance with n = 4 and
+    m = 2, so the sweeps take their multi-input branch: near-identity A of
+    spectral norm at most 1, so states stay bounded over any horizon, PD R
+    and PSD Q."""
+    n, m = 4, 2
+    a = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    a /= max(1.0, np.linalg.norm(a, 2))
+    b = 0.5 * rng.standard_normal((n, m))
+    q = np.diag(rng.uniform(0.5, 2.0, size=n))
+    half = rng.standard_normal((m, m))
+    cost = QuadraticCost(q, 0.1 * (np.eye(m) + half @ half.T), 10.0 * q, np.zeros(n))
+    return LinearModel(a, b), cost, rng.uniform(-1.0, 1.0, size=n)
 
 
 # ---------------------------------------------------------------------------

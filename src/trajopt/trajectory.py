@@ -109,7 +109,7 @@ def linear_rollout(exp, sol, alpha) -> PerturbationPath:
     du_t = -alpha k_t - K_t dx_t with dx_0 = 0; only the feedforward term is
     scaled by alpha, the feedback stays at full strength. At alpha = 1 this
     path is the exact minimizer of the quadratic subproblem the gains came
-    from (certified by the dense KKT oracle).
+    from (certified by the KKT oracle).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")

@@ -1,9 +1,11 @@
-"""Shared fixtures: benchmark instances and seeded nominal generators."""
+"""Shared fixtures: benchmark instances, seeded nominal generators and a dense
+view of the stacked KKT oracle's QP."""
 
 import numpy as np
 import pytest
 
-from trajopt import LinearModel, QuadraticCost, make_benchmark, rollout
+from trajopt import (LinearModel, QuadraticCost, make_benchmark, rollout,
+                     split_primal)
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +33,15 @@ def random_nominal(model, cost, x0, horizon, seed, amplitude=1.0):
     rng = np.random.default_rng(seed)
     controls = rng.uniform(-amplitude, amplitude, size=(horizon, model.control_dim))
     return rollout(model, cost, x0, controls)
+
+
+def dense_qp(qp):
+    """(H, g, A) of an assembled `StackedQP` as dense arrays, in the layout
+    z = (dx_1 .. dx_T, du_0 .. du_{T-1}) with the rows of A in constraint
+    order, read entry by entry off the QP's triplets."""
+    kkt = np.zeros((qp.primal.size, qp.primal.size))
+    np.add.at(kkt, (qp.rows, qp.cols), qp.values)
+    dx, du = split_primal(qp, np.flatnonzero(qp.primal))
+    z = np.concatenate([dx[1:].reshape(-1), du.reshape(-1)]).astype(int)
+    lam = np.flatnonzero(~qp.primal)
+    return kkt[np.ix_(z, z)], qp.gradient[z], kkt[np.ix_(lam, z)]

@@ -88,7 +88,7 @@ def test_criterion_01_oracle_equivalence():
             for report in reports:
                 worst = max(worst, report.max_rel_err)
                 ok = ok and report.passed
-    _report(1, "backward passes match the dense KKT solves at 1e-8", ok,
+    _report(1, "backward passes match the banded KKT solves at 1e-8", ok,
             f"worst rel err {worst:.2e}")
 
 

@@ -12,7 +12,7 @@ from trajopt.artifacts import write_gain_profile_csv
 from trajopt.expansion import ExpansionSequence
 from trajopt.kkt import assemble_qp, solve_kkt
 
-from conftest import random_nominal
+from conftest import dense_qp, random_nominal
 
 
 def _riccati_reference(a, b, q, r, qt, horizon):
@@ -193,9 +193,10 @@ def test_expected_reduction_matches_dense_quadratic_model(variant):
         lam = 0.1 * np.ones((7, 2))
         sol = backward_newton(exp, lam)
         qp = assemble_qp(exp, "newton", lam)
+    hessian, gradient, _ = dense_qp(qp)
     for alpha in (0.25, 0.5, 1.0):
         z = _stack_path(linear_rollout(exp, sol, alpha))
-        model_change = float(qp.gradient @ z + 0.5 * z @ qp.hessian @ z)
+        model_change = float(gradient @ z + 0.5 * z @ hessian @ z)
         assert model_change == pytest.approx(
             expected_reduction(sol, exp, alpha), abs=1e-10)
 

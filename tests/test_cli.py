@@ -235,14 +235,23 @@ def test_prediction_row_flags_unattainable_predictions():
     assert not feasible
 
 
-def test_verify_passes_by_default(tmp_path):
+def test_verify_passes_by_default(tmp_path, capsys):
     out = tmp_path / "verify"
     assert _run(["verify", "--out", str(out), "--seed", "1"]) == 0
     payload = json.loads((out / "verify_report.json").read_text())
-    # two systems x four horizons x three sweeps
-    assert len(payload) == 24
+    # three systems x six horizons x three sweeps
+    assert len(payload) == 54
     assert all(entry["pass"] for entry in payload)
-    assert {entry["T"] for entry in payload} == {1, 2, 5, 20}
+    assert {entry["T"] for entry in payload} == {1, 2, 5, 20, 100, 200}
+    # the horizons the benchmarks run at are certified for every sweep,
+    # on both benchmarks and on the two-input linear system
+    at_200 = [entry["variant"] for entry in payload if entry["T"] == 200]
+    assert at_200 == ["ilqr", "newton", "newton"] * 3
+    certified = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
+                 if "T=200" in line and line.endswith(" ok")]
+    assert certified == [[f"[{system}]", sweep]
+                         for system in ("pendulum", "cartpole", "linear-m2")
+                         for sweep in ("ilqr", "newton", "ddp")]
     for entry in payload:
         assert entry["tol"] == 1e-8
         assert entry["max_rel_err"] == max(entry["err_dx"], entry["err_du"],

@@ -1,38 +1,40 @@
-"""Dense QP assembly, KKT solves, the adjoint gradient, and equivalence."""
+"""Stacked QP assembly, banded KKT solves, the adjoint gradient, and
+equivalence."""
 
 import json
 
 import numpy as np
 import pytest
 
-from trajopt import (KktError, backward_ddp, backward_ilqr, backward_newton,
-                     cost_gradient_adjoint, expand_along, make_benchmark,
-                     rollout, verify_equivalence)
+from trajopt import (KktError, backward_ddp, backward_for, backward_ilqr,
+                     backward_newton, cost_gradient_adjoint, expand_along,
+                     make_benchmark, rollout, verify_equivalence)
 from trajopt.artifacts import write_verification_json
-from trajopt.kkt import DenseQP, assemble_qp, solve_kkt, split_primal
+from trajopt.kkt import StackedQP, assemble_qp, solve_kkt, split_primal
+from trajopt.models import random_linear
 from trajopt.solver import initial_multiplier_estimate
 
-from conftest import random_nominal
+from conftest import dense_qp, random_nominal
 
 
 def test_assemble_single_stage_scalar_transcription():
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 1, seed=0)
     exp = expand_along(model, cost, traj)
-    qp = assemble_qp(exp, "ilqr")
+    hessian, gradient, constraints = dense_qp(assemble_qp(exp, "ilqr"))
     # variables: (dx_1 (2), du_0 (1))
     expected_h = np.zeros((3, 3))
     expected_h[:2, :2] = exp.ct_xx
     expected_h[2:, 2:] = exp.r
-    assert np.array_equal(qp.hessian, expected_h)
-    assert np.array_equal(qp.gradient, np.concatenate([exp.ct_x, exp.ru[0]]))
+    assert np.array_equal(hessian, expected_h)
+    assert np.array_equal(gradient, np.concatenate([exp.ct_x, exp.ru[0]]))
     expected_a = np.zeros((2, 3))
     expected_a[:, :2] = np.eye(2)
     expected_a[:, 2:] = -exp.fu[0]
-    assert np.array_equal(qp.constraints, expected_a)
+    assert np.array_equal(constraints, expected_a)
     # single stage: dx_0 = 0 removes every dynamics-Hessian block
     lam = np.ones((2, 2))
-    assert np.array_equal(assemble_qp(exp, "newton", lam).hessian, qp.hessian)
+    assert np.array_equal(dense_qp(assemble_qp(exp, "newton", lam))[0], hessian)
 
 
 def test_assemble_newton_adds_symmetric_hessian_blocks():
@@ -41,8 +43,8 @@ def test_assemble_newton_adds_symmetric_hessian_blocks():
     exp = expand_along(model, cost, traj)
     rng = np.random.default_rng(2)
     lam = rng.normal(size=(4, 4))
-    qp = assemble_qp(exp, "newton", lam)
-    assert np.array_equal(qp.hessian, qp.hessian.T)
+    hessian = dense_qp(assemble_qp(exp, "newton", lam))[0]
+    assert np.array_equal(hessian, hessian.T)
     n, m = 4, 1
     nx = 3 * n
     for t in (1, 2):
@@ -50,15 +52,15 @@ def test_assemble_newton_adds_symmetric_hessian_blocks():
         wxu = np.einsum("i,ijk->jk", lam[t + 1], exp.fxu[t])
         ix = slice((t - 1) * n, t * n)
         iu = slice(nx + t * m, nx + (t + 1) * m)
-        assert np.allclose(qp.hessian[ix, ix], exp.lxx[t] + wxx, atol=1e-14)
-        assert np.allclose(qp.hessian[ix, iu], wxu, atol=1e-14)
+        assert np.allclose(hessian[ix, ix], exp.lxx[t] + wxx, atol=1e-14)
+        assert np.allclose(hessian[ix, iu], wxu, atol=1e-14)
 
 
 def test_assemble_pendulum_entrywise_recomputation():
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 3, seed=4)
     exp = expand_along(model, cost, traj)
-    qp = assemble_qp(exp, "ilqr")
+    hessian, gradient, constraints = dense_qp(assemble_qp(exp, "ilqr"))
     n, m, horizon = 2, 1, 3
     size = (n + m) * horizon
 
@@ -81,16 +83,17 @@ def test_assemble_pendulum_entrywise_recomputation():
             cons[rows, (t - 1) * n:t * n] = -exp.fx[t]
         cons[rows, iu] = -exp.fu[t]
 
-    assert np.array_equal(qp.hessian, hess)
-    assert np.array_equal(qp.gradient, grad)
-    assert np.array_equal(qp.constraints, cons)
+    assert np.array_equal(hessian, hess)
+    assert np.array_equal(gradient, grad)
+    assert np.array_equal(constraints, cons)
 
 
 def test_solve_unconstrained_identity_hessian():
     g = np.array([1.0, -2.0, 0.5])
-    qp = DenseQP(hessian=np.eye(3), gradient=g,
-                 constraints=np.zeros((0, 3)),
-                 horizon=1, state_dim=2, control_dim=1, variant="ilqr")
+    diagonal = np.arange(3)
+    qp = StackedQP(rows=diagonal, cols=diagonal, values=np.ones(3), gradient=g,
+                   primal=np.ones(3, dtype=bool),
+                   horizon=1, state_dim=2, control_dim=1, variant="ilqr")
     sol = solve_kkt(qp)
     assert np.allclose(sol.dz, -g, atol=1e-14)
     assert sol.multipliers.size == 0
@@ -98,10 +101,11 @@ def test_solve_unconstrained_identity_hessian():
 
 def test_solve_scalar_constrained_by_hand():
     # min 4 z + z^2 subject to z = 0: dz = 0 and the multiplier balances
-    # the gradient, lam = -4.
-    qp = DenseQP(hessian=np.array([[2.0]]), gradient=np.array([4.0]),
-                 constraints=np.array([[1.0]]),
-                 horizon=1, state_dim=1, control_dim=0, variant="ilqr")
+    # the gradient, lam = -4. Unknowns (z, lam): KKT matrix [[2, 1], [1, 0]].
+    qp = StackedQP(rows=np.array([0, 0, 1]), cols=np.array([0, 1, 0]),
+                   values=np.array([2.0, 1.0, 1.0]), gradient=np.array([4.0, 0.0]),
+                   primal=np.array([True, False]),
+                   horizon=1, state_dim=1, control_dim=0, variant="ilqr")
     sol = solve_kkt(qp)
     assert sol.dz[0] == pytest.approx(0.0, abs=1e-14)
     assert sol.multipliers[0] == pytest.approx(-4.0, abs=1e-14)
@@ -141,12 +145,15 @@ def test_solver_invariants_on_random_problems():
         exp = expand_along(model, cost, traj)
         qp = assemble_qp(exp, "ilqr")
         sol = solve_kkt(qp)
-        scale = 1.0 + np.max(np.abs(qp.gradient))
+        hessian, gradient, constraints = dense_qp(qp)
+        dx, du = split_primal(qp, sol.dz)
+        dz = np.concatenate([dx[1:].reshape(-1), du.reshape(-1)])
+        scale = 1.0 + np.max(np.abs(gradient))
         assert sol.residual <= 1e-9 * scale
-        assert np.max(np.abs(qp.constraints @ sol.dz)) <= 1e-9 * scale
+        assert np.max(np.abs(constraints @ dz)) <= 1e-9 * scale
         # descent certificate
-        directional = float(sol.dz @ qp.gradient)
-        curvature = float(sol.dz @ qp.hessian @ sol.dz)
+        directional = float(dz @ gradient)
+        curvature = float(dz @ hessian @ dz)
         assert directional == pytest.approx(-curvature, rel=1e-9, abs=1e-9)
         assert directional < 0.0
 
@@ -234,21 +241,29 @@ def test_verify_equivalence_localizes_injected_fault():
 
 def test_solve_kkt_rejects_singular_systems():
     import warnings
-    qp = DenseQP(hessian=np.zeros((2, 2)), gradient=np.array([1.0, 0.0]),
-                 constraints=np.zeros((0, 2)),
-                 horizon=1, state_dim=1, control_dim=1, variant="ilqr")
+    rows, cols = np.divmod(np.arange(4), 2)
+    qp = StackedQP(rows=rows, cols=cols, values=np.zeros(4),
+                   gradient=np.array([1.0, 0.0]), primal=np.ones(2, dtype=bool),
+                   horizon=1, state_dim=1, control_dim=1, variant="ilqr")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # LU of an exactly singular matrix
         with pytest.raises(KktError):
             solve_kkt(qp)
 
 
-def test_oracle_horizon_cap():
-    model, cost, x0, _ = make_benchmark("pendulum")
-    traj = random_nominal(model, cost, x0, 51, seed=0)
-    exp = expand_along(model, cost, traj)
-    with pytest.raises(KktError):
-        assemble_qp(exp, "ilqr")
+def test_oracle_certifies_every_sweep_at_benchmark_horizons():
+    instances = [make_benchmark(system)[:3] for system in ("pendulum", "cartpole")]
+    instances.append(random_linear(np.random.default_rng(0)))
+    assert instances[-1][0].control_dim == 2
+    for model, cost, x0 in instances:
+        for horizon in (100, 200):
+            traj = random_nominal(model, cost, x0, horizon, seed=horizon)
+            exp = expand_along(model, cost, traj)
+            for method in ("ilqr", "newton", "ddp"):
+                sol, multipliers = backward_for(method, exp)
+                report = verify_equivalence(sol, exp, multipliers, tol=1e-8)
+                assert report.horizon == horizon
+                assert report.passed, report.summary()
 
 
 def test_verification_json_schema(tmp_path):

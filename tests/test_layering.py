@@ -9,9 +9,15 @@ divergence guard of the one nonlinear propagation), if `models.py`
 defines `params` again, or if the per-stage loop of `backward._sweep` (or a
 function of `backward.py` it calls) makes an `np.linalg` call: the sweep's
 guards run batched after the loop, never as an eigendecomposition per stage.
+The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
+arithmetic and no loop over stages, and `import trajopt` leaves `scipy.sparse`
+unloaded, so the library's import time and memory do not carry it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import trajopt
@@ -156,3 +162,37 @@ def test_the_loop_check_sees_direct_and_indirect_linalg_calls():
               "    for x in xs:\n        np.linalg.eigvalsh(x)\n        helper(x)\n"
               "        scipy.linalg.solve(x, x)\n")
     assert _linalg_calls_in_loops(ast.parse(source), "f") == ["f:eigvalsh", "helper:solve"]
+
+
+def _loops(tree, function):
+    """The loops of the module-level `function`, comprehensions included,
+    as "kind:line"."""
+    kinds = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function)
+    # a comprehension carries no line of its own; its target does
+    return [f"{type(node).__name__}:{getattr(node, 'lineno', None) or node.target.lineno}"
+            for node in ast.walk(fn) if isinstance(node, kinds)]
+
+
+def test_the_oracle_assembly_has_no_loop():
+    path = PACKAGE / "kkt.py"
+    assert _loops(ast.parse(path.read_text(), str(path)), "assemble_qp") == []
+
+
+def test_the_loop_finder_sees_each_kind_of_loop():
+    source = ("def f(xs):\n    for x in xs:\n        pass\n"
+              "    while xs:\n        xs = [y for y in xs[1:]]\n"
+              "def g(xs):\n    return sum(xs)\n")
+    tree = ast.parse(source)
+    assert _loops(tree, "f") == ["For:2", "While:4", "comprehension:5"]
+    assert _loops(tree, "g") == []
+
+
+def test_importing_the_package_does_not_load_scipy_sparse():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = "import sys, trajopt; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True).stdout
+    assert "scipy.linalg" in loaded  # the probe sees the oracle's own import
+    assert "scipy.sparse" not in loaded

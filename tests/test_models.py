@@ -139,6 +139,24 @@ def test_quadratic_cost_centered_at_zero():
     assert np.array_equal(lxx, np.eye(2))
 
 
+@pytest.mark.parametrize("method", ["stage_cost", "stage_derivatives"])
+def test_quadratic_cost_rejects_a_column_vector_state(method):
+    # a (n, 1) state would broadcast against the goal into an (n, n) batch
+    _, cost, _, _ = make_benchmark("pendulum")
+    with pytest.raises(DimensionError):
+        getattr(cost, method)([[0.3], [0.1]], np.zeros(1))
+    with pytest.raises(DimensionError):
+        getattr(cost, method)(np.zeros((5, 2, 1)), np.zeros((5, 1)))
+
+
+@pytest.mark.parametrize("method", ["stage_cost", "stage_derivatives"])
+def test_quadratic_cost_rejects_a_wrong_control_width(method):
+    _, cost, _, _ = make_benchmark("cartpole")
+    for u in (np.zeros(2), np.zeros((7, 2)), np.zeros((4, 0)), np.float64(0.0)):
+        with pytest.raises(DimensionError):
+            getattr(cost, method)(np.zeros(u.shape[:-1] + (4,)), u)
+
+
 def test_dimension_and_finiteness_contracts():
     model = PendulumModel()
     with pytest.raises(DimensionError):

@@ -4,7 +4,7 @@ Each example draws a `LinearModel` and a `QuadraticCost` with n in 1..4,
 m in {1, 2, 3} and T in 1..40: PSD Q and Q_terminal of random rank, PD R,
 and dynamics scaled to spectral norm at most 1.1. The batched paths must
 reproduce the per-point and per-stage arithmetic exactly, and every sweep
-must match the dense KKT oracle.
+must match the banded KKT oracle.
 """
 
 import numpy as np
