@@ -15,12 +15,14 @@ definite, so the iLQR step is always a descent direction. Neither property
 survives the Hessian contractions: Newton-LQR and DDP may produce indefinite
 Quu, which is recorded rather than repaired (no regularization anywhere).
 
-The iLQR sweep guards both with batched eigenvalue checks after the recursion:
-the first failure in sweep order raises, as per-stage checks would, naming its stage.
+The per-stage loop holds only the recursion. Finiteness of every sweep, and
+the two iLQR guarantees, are checked in batches after it: the first failure in
+sweep order raises, as per-stage checks would, naming its stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,17 +69,20 @@ class BackwardSolution:
         return self.k.shape[0]
 
 
-def _solve_sym(quu_t, rhs, t):
-    """Solve against the (possibly indefinite) symmetric Quu block."""
+def _solve_sym(quu_t, qu, qux, t):
+    """(k_t, K_t): q_u and Q_ux solved against the (possibly indefinite)
+    symmetric Quu block."""
     if quu_t.shape[0] == 1:
-        pivot = quu_t[0, 0]
-        if pivot == 0.0 or not np.isfinite(pivot):
+        pivot = quu_t.item()
+        if pivot == 0.0 or not math.isfinite(pivot):
             raise BackwardPassError(t, "singular control curvature")
-        return rhs / pivot
+        return qu / pivot, qux / pivot
     try:
-        return scipy.linalg.solve(quu_t, rhs, assume_a="sym")
+        sol = scipy.linalg.solve(quu_t, np.concatenate([qu[:, None], qux], axis=1),
+                                 assume_a="sym")
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise BackwardPassError(t, f"singular control curvature ({exc})") from exc
+    return sol[:, 0], sol[:, 1:]
 
 
 def _sweep(exp, method, lam_bar=None):
@@ -119,18 +124,20 @@ def _sweep(exp, method, lam_bar=None):
             quu_t = 0.5 * (quu_t + quu_t.T)
             quu[t] = quu_t
 
-            sol = _solve_sym(quu_t, np.concatenate([qu[:, None], qux], axis=1), t)
-            k[t] = sol[:, 0]
-            feedback[t] = sol[:, 1:]
-
-            # a non-finite k_t or K_t always reaches v_t or V_t
+            k[t], feedback[t] = _solve_sym(quu_t, qu, qux, t)
+            # the contiguous k[t]: a strided column rounds differently at m >= 2
             v[t] = qx - qux.T @ k[t]
             vt = qxx - qux.T @ feedback[t]
             big_v[t] = 0.5 * (vt + vt.T)
-            if not (np.isfinite(v[t]).all() and np.isfinite(big_v[t]).all()):
-                raise BackwardPassError(t, "backward recursion produced non-finite values")
     except BackwardPassError as exc:
         failed = exc
+    # A non-finite k_t or K_t always reaches v_t or V_t. The loop runs on past
+    # a non-finite stage, but the stages below it (and a solve that raised
+    # there) only read its values: the highest one is the first failure.
+    finite = (np.isfinite(v[:horizon]).all(axis=1)
+              & np.isfinite(big_v[:horizon]).all(axis=(1, 2)))
+    for t in np.flatnonzero(~finite)[-1:]:  # the last, if any
+        failed = BackwardPassError(int(t), "backward recursion produced non-finite values")
     if method == "ilqr":
         # Impossible to violate for valid cost models (R > 0, PSD V propagation).
         # In sweep order each stage checks Quu, then V: the stages done in one

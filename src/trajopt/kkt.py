@@ -168,13 +168,13 @@ def cost_gradient_adjoint(exp) -> np.ndarray:
     R u_t + fu' nu_{t+1}. Matches central finite differences of the rolled-out
     cost and costs one backward pass instead of 2 T m rollouts.
     """
-    horizon, m = exp.horizon, exp.control_dim
-    grad = np.zeros((horizon, m))
-    nu = exp.ct_x.copy()
+    horizon = exp.horizon
+    nu = np.zeros((horizon + 1, exp.state_dim))
+    nu[horizon] = exp.ct_x
     for t in reversed(range(horizon)):
-        grad[t] = exp.ru[t] + exp.fu[t].T @ nu
-        nu = exp.lx[t] + exp.fx[t].T @ nu
-    return grad
+        nu[t] = exp.lx[t] + exp.fx[t].T @ nu[t + 1]
+    # a stack of matrix-vector products rounds as each stage's would
+    return exp.ru + (exp.fu.transpose(0, 2, 1) @ nu[1:, :, None])[..., 0]
 
 
 @dataclass(frozen=True)

@@ -66,13 +66,8 @@ def forward_pass(model, cost, nominal, sol, alpha) -> Trajectory:
         raise ValueError("alpha must be in [0, 1]")
     if sol.horizon != nominal.horizon:
         raise ValueError("gain horizon does not match the nominal")
-
-    def law(t, x):
-        return (nominal.controls[t] - alpha * sol.k[t]
-                - sol.K[t] @ (x - nominal.states[t]))
-
-    return _propagate(model, cost, nominal.states[0],
-                      np.zeros_like(nominal.controls), law)
+    return _propagate(model, cost, nominal.states[0], nominal.controls - alpha * sol.k,
+                      (sol.K, nominal.states))
 
 
 def directional_derivative(exp, sol, grad) -> float:

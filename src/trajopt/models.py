@@ -123,10 +123,10 @@ class PendulumModel(SystemModel):
         self.control_high = np.array([5.0])
 
     def _step(self, x, u):
-        th, w = x
+        th, w = x.tolist()  # Python floats: faster scalar arithmetic, same rounding
         ml2 = self.mass * self.length ** 2
         acc = (-(self.gravity / self.length) * np.sin(th)
-               - self.damping / ml2 * w + u[0] / ml2)
+               - self.damping / ml2 * w + u.tolist()[0] / ml2)
         return np.array([th + self.dt * w, w + self.dt * acc])
 
     def _derivatives(self, x, u):
@@ -188,8 +188,8 @@ class CartPoleModel(SystemModel):
         return a_cart, a_pole
 
     def _step(self, x, u):
-        p, v, th, w = x
-        a_cart, a_pole = self._accel(th, w, u[0])
+        p, v, th, w = x.tolist()  # Python floats: faster scalar arithmetic, same rounding
+        a_cart, a_pole = self._accel(th, w, u.tolist()[0])
         dt = self.dt
         return np.array([p + dt * v, v + dt * a_cart, th + dt * w, w + dt * a_pole])
 

@@ -68,7 +68,8 @@ def rollout(model, cost, x0, controls) -> Trajectory:
     non-finite or beyond STATE_MAGNITUDE_LIMIT.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    u_seq = np.atleast_2d(np.asarray(controls, dtype=float))
+    # a copy: the returned Trajectory must not share the caller's array
+    u_seq = np.atleast_2d(np.array(controls, dtype=float))
     if u_seq.shape[0] == 1 and u_seq.shape[1] != model.control_dim:
         u_seq = u_seq.T
     horizon = u_seq.shape[0]
@@ -80,26 +81,29 @@ def rollout(model, cost, x0, controls) -> Trajectory:
     return _propagate(model, cost, x0, u_seq)
 
 
-def _propagate(model, cost, x0, controls, law=None) -> Trajectory:
+def _propagate(model, cost, x0, controls, feedback=None) -> Trajectory:
     """Step x0 through `model.step` and price the result: the one
     nonlinear propagation behind `rollout` and the line search's forward
     pass.
 
-    With a `law`, control t is law(t, x_t), written into `controls` before
-    step t; without one, `controls` is applied as given. Raises
-    DivergenceError naming the first state that goes non-finite or beyond
-    STATE_MAGNITUDE_LIMIT.
+    Without `feedback`, `controls` is applied as given. With feedback
+    (K, xbar), `controls` holds the feedforward and control t becomes
+    controls[t] - K_t (x_t - xbar_t), written into `controls` before step t.
+    Raises DivergenceError naming the first state that goes non-finite or
+    beyond STATE_MAGNITUDE_LIMIT.
     """
     horizon = controls.shape[0]
     states = np.zeros((horizon + 1, model.state_dim))
     states[0] = x0
+    x = states[0]
+    gains, xbar = (None, None) if feedback is None else feedback
     for t in range(horizon):
-        if law is not None:
-            controls[t] = law(t, states[t])
-        nxt = model.step(states[t], controls[t])
-        if not np.abs(nxt).max() <= STATE_MAGNITUDE_LIMIT:  # NaN fails too
+        if gains is not None:
+            controls[t] -= gains[t] @ (x - xbar[t])
+        x = model.step(x, controls[t])
+        if not np.abs(x).max() <= STATE_MAGNITUDE_LIMIT:  # NaN fails too
             raise DivergenceError(t + 1)
-        states[t + 1] = nxt
+        states[t + 1] = x
     return Trajectory(states, controls, total_cost(cost, states, controls))
 
 
@@ -116,11 +120,11 @@ def linear_rollout(exp, sol, alpha) -> PerturbationPath:
     horizon = sol.k.shape[0]
     if exp.fx.shape[0] != horizon:
         raise DimensionError("gain horizon does not match the expansion")
-    n, m = exp.fx.shape[1], exp.fu.shape[2]
-    dx = np.zeros((horizon + 1, n))
-    du = np.zeros((horizon, m))
+    dx = np.zeros((horizon + 1, exp.fx.shape[1]))
+    du = -alpha * sol.k
+    dx_t = dx[0]
     for t in range(horizon):
-        du[t] = -alpha * sol.k[t] - sol.K[t] @ dx[t]
-        dx[t + 1] = exp.fx[t] @ dx[t] + exp.fu[t] @ du[t]
+        du[t] -= sol.K[t] @ dx_t
+        dx[t + 1] = dx_t = exp.fx[t] @ dx_t + exp.fu[t] @ du[t]
     return PerturbationPath(dx, du)
 

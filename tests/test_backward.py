@@ -311,6 +311,64 @@ def test_overflow_raises_non_finite_values(method, case):
     assert excinfo.value.timestep == 1
 
 
+def _one_state_expansion(m, fu, lx, ct_x, ct_xx, lxx=None):
+    """n = 1, fx = 1, R = I and zero control gradient; stage t's input row
+    is fu[t] on the first of the m inputs, which alone act on the state."""
+    horizon = len(fu)
+    rows = np.zeros((horizon, 1, m))
+    rows[:, 0, 0] = fu
+    return _tiny_expansion(
+        fx=np.ones((horizon, 1, 1)), fu=rows, r=np.eye(m), ru=np.zeros((horizon, m)),
+        ct_x=[ct_x], ct_xx=[[ct_xx]], lx=np.reshape(lx, (horizon, 1)),
+        lxx=None if lxx is None else np.reshape(lxx, (horizon, 1, 1)))
+
+
+def _sweep_error(method, exp):
+    """(timestep, message) of the sweep's BackwardPassError; the zero costates
+    make the Newton sweep iLQR's twin."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BackwardPassError) as excinfo:
+            backward_for(method, exp, np.zeros((exp.horizon + 1, 1)))
+    return excinfo.value.timestep, str(excinfo.value)
+
+
+NON_FINITE = "backward recursion produced non-finite values"
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["m1", "m2"])
+@pytest.mark.parametrize("method", ["ilqr", "newton", "ddp"])
+def test_non_finite_value_hessian_beats_the_singular_curvature_below_it(method, m):
+    # l_xx + C_xx = 1e308 + 8e307 overflows V_2 (v_2 stays 0); Quu_1 then
+    # reads inf and the solve at stage 1 raises, but stage 2 came first
+    exp = _one_state_expansion(m, fu=[1.0, 1.0, 0.0], lx=[0.0] * 3, ct_x=0.0,
+                               ct_xx=8e307, lxx=[0.0, 0.0, 1e308])
+    assert _sweep_error(method, exp) == (2, f"{NON_FINITE} (timestep 2)")
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["m1", "m2"])
+@pytest.mark.parametrize("method", ["ilqr", "newton", "ddp"])
+@pytest.mark.parametrize("stage", [2, 0])
+def test_a_non_finite_value_gradient_alone_is_found(method, m, stage):
+    # with fu = 0 every Quu is R and V_t = 1: l_x + C_x = 1e308 + 1e308
+    # overflows v_t alone. Below stage 2 the NaN it feeds forward runs the
+    # m = 1 loop on to stage 0 and makes the m = 2 solve at stage 1 raise;
+    # at stage 0 the loop ends without a failure.
+    lx = np.zeros(4)
+    lx[stage] = 1e308
+    exp = _one_state_expansion(m, fu=np.zeros(4), lx=lx, ct_x=1e308, ct_xx=1.0)
+    assert _sweep_error(method, exp) == (stage, f"{NON_FINITE} (timestep {stage})")
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["m1", "m2"])
+def test_the_ilqr_quu_guard_beats_non_finite_values_at_its_stage(m):
+    # C_xx = -0.5 pulls Quu_1 = R + fu' C_xx fu below R, and l_x + C_x =
+    # 1e308 + 1e308 overflows v_1: within stage 1 the Quu guard comes first
+    exp = _one_state_expansion(m, fu=[1.0, 1.0], lx=[0.0, 1e308], ct_x=1e308,
+                               ct_xx=-0.5)
+    assert _sweep_error("ilqr", exp) == (
+        1, "iLQR control curvature lost definiteness (timestep 1)")
+
+
 def test_gain_profile_csv(tmp_path):
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 8, seed=0)

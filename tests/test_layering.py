@@ -7,8 +7,9 @@ outside `artifacts.py`, the one place that formats numbers for output. It
 also fails if more than one function reads STATE_MAGNITUDE_LIMIT (the one
 divergence guard of the one nonlinear propagation), if `models.py`
 defines `params` again, or if the per-stage loop of `backward._sweep` (or a
-function of `backward.py` it calls) makes an `np.linalg` call: the sweep's
-guards run batched after the loop, never as an eigendecomposition per stage.
+function of `backward.py` it calls) makes an `np.linalg` or `np.isfinite`
+call: the sweep's guards and its finiteness check run batched after the loop,
+never per stage.
 The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
 arithmetic and no loop over stages, and `import trajopt` leaves `scipy.sparse`
 unloaded, so the library's import time and memory do not carry it.
@@ -126,9 +127,10 @@ def test_the_helper_checks_see_each_reader_and_definition():
     assert not _defines(ast.parse("f(params)\n"), "params")
 
 
-def _linalg_calls_in_loops(tree, function):
-    """`np.linalg` calls made inside the `for` loops of `function`, directly
-    or through the module's own functions they call, as "caller:name"."""
+def _guard_calls_in_loops(tree, function):
+    """`np.linalg` and `np.isfinite` calls made inside the `for` loops of
+    `function`, directly or through the module's own functions they call, as
+    "caller:name"."""
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     found, seen = [], set()
 
@@ -139,7 +141,9 @@ def _linalg_calls_in_loops(tree, function):
             func = sub.func
             if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
                     and func.value.attr == "linalg"
-                    and getattr(func.value.value, "id", None) in ("np", "numpy")):
+                    and getattr(func.value.value, "id", None) in ("np", "numpy")
+                    or isinstance(func, ast.Attribute) and func.attr == "isfinite"
+                    and getattr(func.value, "id", None) in ("np", "numpy")):
                 found.append(f"{owner}:{func.attr}")
             elif isinstance(func, ast.Name) and func.id in defs and func.id not in seen:
                 seen.add(func.id)
@@ -153,15 +157,18 @@ def _linalg_calls_in_loops(tree, function):
 
 def test_the_sweep_loop_makes_no_linalg_call():
     path = PACKAGE / "backward.py"
-    assert _linalg_calls_in_loops(ast.parse(path.read_text(), str(path)), "_sweep") == []
+    assert _guard_calls_in_loops(ast.parse(path.read_text(), str(path)), "_sweep") == []
 
 
 def test_the_loop_check_sees_direct_and_indirect_linalg_calls():
     source = ("def helper(a):\n    return numpy.linalg.solve(a, a)\n"
-              "def f(xs):\n    np.linalg.norm(xs)\n"
+              "def check(a):\n    return np.isfinite(a).all()\n"
+              "def f(xs):\n    np.linalg.norm(xs)\n    np.isfinite(xs)\n"
               "    for x in xs:\n        np.linalg.eigvalsh(x)\n        helper(x)\n"
-              "        scipy.linalg.solve(x, x)\n")
-    assert _linalg_calls_in_loops(ast.parse(source), "f") == ["f:eigvalsh", "helper:solve"]
+              "        scipy.linalg.solve(x, x)\n        np.isfinite(x)\n"
+              "        math.isfinite(x[0])\n        check(x)\n")
+    assert _guard_calls_in_loops(ast.parse(source), "f") == [
+        "f:eigvalsh", "helper:solve", "f:isfinite", "check:isfinite"]
 
 
 def _loops(tree, function):

@@ -1,28 +1,36 @@
-"""Properties over random linear-quadratic problems (hypothesis).
+"""Properties over random problems (hypothesis).
 
-Each example draws a `LinearModel` and a `QuadraticCost` with n in 1..4,
+`lq_problems` draws a `LinearModel` and a `QuadraticCost` with n in 1..4,
 m in {1, 2, 3} and T in 1..40: PSD Q and Q_terminal of random rank, PD R,
 and dynamics scaled to spectral norm at most 1.1. The batched paths must
 reproduce the per-point and per-stage arithmetic exactly, and every sweep
 must match the banded KKT oracle.
+
+`nominals` draws random nominals of pendulums and cart-poles with random
+physical parameters, and of such linear systems with m = 2 and m = 3. On
+them the four per-stage loops (the sweeps, the forward pass, the linearized
+rollout and the adjoint gradient) must equal, bit for bit, the plain
+per-stage references kept below: one concatenated solve and one finiteness
+check per stage, a control law evaluated per step, and models stepped on
+numpy scalars.
 """
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from trajopt import (LinearModel, QuadraticCost, backward_for, expand_along,
-                     expected_reduction, rollout, total_cost, verify_equivalence)
+from trajopt import (CartPoleModel, DivergenceError, LinearModel, PendulumModel,
+                     QuadraticCost, backward_for, cost_gradient_adjoint, expand_along,
+                     expected_reduction, forward_pass, linear_rollout, make_benchmark,
+                     rollout, total_cost, verify_equivalence)
+from trajopt.trajectory import STATE_MAGNITUDE_LIMIT
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                              database=None)
+SWEEPS = st.sampled_from(["ilqr", "newton", "ddp"])
 
 
-@st.composite
-def lq_problems(draw):
-    n = draw(st.integers(1, 4))
-    m = draw(st.sampled_from([1, 2, 3]))
-    horizon = draw(st.integers(1, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _lq(draw, rng, n, m):
     a = np.eye(n) + 0.3 * rng.normal(size=(n, n))
     a /= max(1.0, np.linalg.norm(a, 2) / 1.1)
     model = LinearModel(a, rng.normal(size=(n, m)))
@@ -34,9 +42,128 @@ def lq_problems(draw):
     g = rng.normal(size=(m, m))
     cost = QuadraticCost(psd(draw(st.integers(0, n))), g @ g.T + 0.1 * np.eye(m),
                          psd(draw(st.integers(0, n))), rng.normal(size=n))
+    return model, cost
+
+
+@st.composite
+def lq_problems(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.sampled_from([1, 2, 3]))
+    horizon = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model, cost = _lq(draw, rng, n, m)
     traj = rollout(model, cost, rng.normal(size=n),
                    rng.uniform(-1.0, 1.0, size=(horizon, m)))
     return model, cost, traj, rng
+
+
+@st.composite
+def nominals(draw):
+    system = draw(st.sampled_from(["pendulum", "cartpole", "linear-m2", "linear-m3"]))
+    horizon = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if system == "pendulum":  # mass, length, gravity, damping, dt
+        model = PendulumModel(*rng.uniform([0.5, 0.5, 5.0, 0.0, 0.01],
+                                           [2.0, 2.0, 15.0, 0.5, 0.1]))
+        cost = make_benchmark(system)[1]
+    elif system == "cartpole":  # cart mass, pole mass, pole com, gravity, dt
+        model = CartPoleModel(*rng.uniform([0.5, 0.05, 0.2, 5.0, 0.005],
+                                           [2.0, 0.5, 1.0, 15.0, 0.05]))
+        cost = make_benchmark(system)[1]
+    else:
+        model, cost = _lq(draw, rng, draw(st.integers(1, 4)), int(system[-1]))
+    controls = rng.uniform(model.control_low, model.control_high,
+                           size=(horizon, model.control_dim))
+    traj = rollout(model, cost, rng.uniform(model.state_low, model.state_high), controls)
+    return model, cost, traj, rng
+
+
+def _reference_sweep(exp, method, costates):
+    """(v, V, k, K, Quu) of one sweep, stage by stage."""
+    horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
+    v, big_v = np.zeros((horizon + 1, n)), np.zeros((horizon + 1, n, n))
+    k, gains = np.zeros((horizon, m)), np.zeros((horizon, m, n))
+    quu = np.zeros((horizon, m, m))
+    v[horizon] = exp.ct_x
+    big_v[horizon] = 0.5 * (exp.ct_xx + exp.ct_xx.T)
+    for t in reversed(range(horizon)):
+        fx, fu, vn, big_vn = exp.fx[t], exp.fu[t], v[t + 1], big_v[t + 1]
+        fu_v = fu.T @ big_vn
+        qu = exp.ru[t] + fu.T @ vn
+        qx = exp.lx[t] + fx.T @ vn
+        quu_t = exp.r + fu_v @ fu
+        qux = fu_v @ fx
+        qxx = exp.lxx[t] + fx.T @ big_vn @ fx
+        if method != "ilqr":
+            weight = vn if method == "ddp" else costates[t + 1]
+            qxx = qxx + np.einsum("i,ijk->jk", weight, exp.fxx[t])
+            qux = qux + np.einsum("i,ijk->kj", weight, exp.fxu[t])
+        quu[t] = quu_t = 0.5 * (quu_t + quu_t.T)
+        rhs = np.concatenate([qu[:, None], qux], axis=1)
+        if m == 1:
+            sol = rhs / quu_t[0, 0]
+        else:
+            sol = scipy.linalg.solve(quu_t, rhs, assume_a="sym")
+        k[t], gains[t] = sol[:, 0], sol[:, 1:]
+        v[t] = qx - qux.T @ k[t]
+        vt = qxx - qux.T @ gains[t]
+        big_v[t] = 0.5 * (vt + vt.T)
+        assert np.isfinite(v[t]).all() and np.isfinite(big_v[t]).all()
+    return v, big_v, k, gains, quu
+
+
+def _reference_step(model, x, u):
+    """One Euler step on numpy scalars."""
+    if isinstance(model, PendulumModel):
+        th, w = x
+        ml2 = model.mass * model.length ** 2
+        acc = (-(model.gravity / model.length) * np.sin(th)
+               - model.damping / ml2 * w + u[0] / ml2)
+        return np.array([th + model.dt * w, w + model.dt * acc])
+    if isinstance(model, CartPoleModel):
+        p, v, th, w = x
+        a_cart, a_pole = model._accel(th, w, u[0])
+        dt = model.dt
+        return np.array([p + dt * v, v + dt * a_cart, th + dt * w, w + dt * a_pole])
+    return model.a @ x + model.b @ u
+
+
+def _reference_forward_pass(model, cost, nominal, sol, alpha):
+    """(states, controls, cost) of the closed-loop rollout, or the timestep
+    at which it diverges."""
+    states = np.zeros_like(nominal.states)
+    controls = np.zeros_like(nominal.controls)
+    states[0] = nominal.states[0]
+    for t in range(nominal.horizon):
+        controls[t] = (nominal.controls[t] - alpha * sol.k[t]
+                       - sol.K[t] @ (states[t] - nominal.states[t]))
+        nxt = _reference_step(model, states[t], controls[t])
+        if not np.abs(nxt).max() <= STATE_MAGNITUDE_LIMIT:
+            return t + 1
+        states[t + 1] = nxt
+    return states, controls, total_cost(cost, states, controls)
+
+
+def _reference_linear_rollout(exp, sol, alpha):
+    dx = np.zeros((exp.horizon + 1, exp.state_dim))
+    du = np.zeros((exp.horizon, exp.control_dim))
+    for t in range(exp.horizon):
+        du[t] = -alpha * sol.k[t] - sol.K[t] @ dx[t]
+        dx[t + 1] = exp.fx[t] @ dx[t] + exp.fu[t] @ du[t]
+    return dx, du
+
+
+def _reference_gradient(exp):
+    grad = np.zeros((exp.horizon, exp.control_dim))
+    nu = exp.ct_x.copy()
+    for t in reversed(range(exp.horizon)):
+        grad[t] = exp.ru[t] + exp.fu[t].T @ nu
+        nu = exp.lx[t] + exp.fx[t].T @ nu
+    return grad
+
+
+def _equal(arrays, references):
+    return all(np.array_equal(a, b) for a, b in zip(arrays, references, strict=True))
 
 
 @PROPERTY_SETTINGS
@@ -90,3 +217,49 @@ def test_expected_reduction_equals_the_per_stage_loop(problem):
         total += float(g @ sol.k[t])
     for alpha in (0.0, 0.3, 1.0):
         assert expected_reduction(sol, exp, alpha) == -(alpha - 0.5 * alpha * alpha) * total
+
+
+@PROPERTY_SETTINGS
+@given(nominals())
+def test_every_sweep_equals_the_per_stage_reference(problem):
+    model, cost, traj, rng = problem
+    exp = expand_along(model, cost, traj)
+    costates = rng.normal(size=traj.states.shape)
+    for method in ("ilqr", "newton", "ddp"):
+        sol, _ = backward_for(method, exp, costates)
+        assert _equal((sol.v, sol.V, sol.k, sol.K, sol.quu),
+                      _reference_sweep(exp, method, costates)), method
+
+
+@PROPERTY_SETTINGS
+@given(nominals(), st.floats(0.0, 1.0, exclude_min=True), SWEEPS)
+def test_forward_pass_equals_the_per_step_control_law(problem, alpha, method):
+    model, cost, traj, rng = problem
+    sol, _ = backward_for(method, expand_along(model, cost, traj),
+                          rng.normal(size=traj.states.shape))
+    reference = _reference_forward_pass(model, cost, traj, sol, alpha)
+    try:
+        result = forward_pass(model, cost, traj, sol, alpha)
+    except DivergenceError as exc:
+        assert exc.timestep == reference
+    else:
+        assert _equal((result.states, result.controls), reference[:2])
+        assert result.cost == reference[2]
+
+
+@PROPERTY_SETTINGS
+@given(nominals(), st.floats(0.0, 1.0), SWEEPS)
+def test_linear_rollout_equals_the_per_stage_reference(problem, alpha, method):
+    model, cost, traj, rng = problem
+    exp = expand_along(model, cost, traj)
+    sol, _ = backward_for(method, exp, rng.normal(size=traj.states.shape))
+    path = linear_rollout(exp, sol, alpha)
+    assert _equal((path.dx, path.du), _reference_linear_rollout(exp, sol, alpha))
+
+
+@PROPERTY_SETTINGS
+@given(nominals())
+def test_adjoint_gradient_equals_the_per_stage_reference(problem):
+    model, cost, traj, _ = problem
+    exp = expand_along(model, cost, traj)
+    assert np.array_equal(cost_gradient_adjoint(exp), _reference_gradient(exp))

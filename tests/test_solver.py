@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from trajopt import (IterationRecord, SolverConfig, backward_newton,
-                     converged, expand_along, make_benchmark, quu_spectrum,
-                     rollout, solve)
+from trajopt import (IterationRecord, LineSearchConfig, SolverConfig,
+                     backward_newton, converged, expand_along, make_benchmark,
+                     quu_spectrum, rollout, solve, total_cost)
 from trajopt.artifacts import write_iterations_csv, write_trials_csv
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
 
@@ -160,6 +160,64 @@ def test_step_tolerance_stop():
     assert result.converged
     assert result.reason == "step"
     assert result.iterations == 1
+
+
+def test_solve_returns_a_trajectory_that_does_not_share_the_initial_controls():
+    # a gradient tolerance this loose accepts no step: the result is the rollout
+    model, cost, x0, horizon = make_benchmark("pendulum")
+    u0 = _random_controls(horizon, 1, seed=3)
+    result = solve(model, cost, x0, u0, SolverConfig(grad_tol=1e6))
+    assert result.accepted_iterations == 0
+    assert not np.shares_memory(result.trajectory.controls, u0)
+    before = result.trajectory.controls.copy()
+    u0[:] = 0.0
+    assert np.array_equal(result.trajectory.controls, before)
+    assert result.final_cost == total_cost(cost, result.trajectory.states, before)
+
+
+def _cartpole_40(method, **config):
+    model, cost, x0, horizon = make_benchmark("cartpole", horizon=40)
+    return solve(model, cost, x0, np.zeros((horizon, 1)),
+                 SolverConfig(method=method, **config))
+
+
+def test_solve_stops_on_a_floor_hit():
+    # with alpha_min = 0.6 only the full step is tried; iteration 3 rejects it
+    result = _cartpole_40("ilqr", linesearch=LineSearchConfig(alpha_min=0.6))
+    assert result.reason == "floor_hit" and not result.converged
+    *running, last = result.records
+    assert [r.status for r in running] == ["OK"] * 3
+    assert (last.index, last.status, last.alpha, last.dj_realized) == (3, "FLOOR_HIT", 0.0, 0.0)
+    (_, trials), = [row for row in result.trial_logs if row[0] == 3]
+    assert [alpha for alpha, _, _ in trials] == [1.0]
+    assert trials[0][2] <= 0.1  # the ratio test rejected the only trial
+    assert result.final_cost == last.cost
+
+
+def test_solve_stops_on_non_descent():
+    # DDP's sweep at iteration 5 predicts no decrease, so no forward pass runs
+    result = _cartpole_40("ddp")
+    assert result.reason == "non_descent" and not result.converged
+    *running, last = result.records
+    assert [r.status for r in running] == ["OK"] * 5
+    assert (last.index, last.status, last.alpha) == (5, "NON_DESCENT", 0.0)
+    assert last.linear_pred >= 0.0
+    assert [row[0] for row in result.trial_logs] == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("cause, config, at", [
+    ("NON_DESCENT", {}, 5),
+    ("FLOOR_HIT", {"linesearch": LineSearchConfig(alpha_min=0.3)}, 1),
+], ids=["non_descent", "floor_hit"])
+def test_hybrid_switches_to_ilqr_after_a_ddp_failure(cause, config, at):
+    # a switch threshold below every accepted alpha rules out cooling
+    result = _cartpole_40("hybrid", hybrid_alpha_switch=1e-3, max_iters=at + 3, **config)
+    assert result.reason == "max_iters"
+    assert all(r.alpha >= 1e-3 for r in result.records if r.alpha > 0)
+    assert [r.method_active for r in result.records] == ["ddp"] * (at + 1) + ["ilqr"] * 2
+    assert [r.status for r in result.records] == ["OK"] * at + [cause] + ["OK"] * 2
+    failed, after = result.records[at], result.records[at + 1]
+    assert after.cost == failed.cost  # iLQR restarts from the trajectory DDP left
 
 
 def test_solver_config_validation():

@@ -59,6 +59,16 @@ def test_rollout_divergence_names_timestep():
     assert excinfo.value.timestep == 17
 
 
+def test_rollout_copies_the_controls():
+    model, cost, x0, _ = make_benchmark("pendulum")
+    controls = np.full((10, 1), 0.5)
+    traj = rollout(model, cost, x0, controls)
+    assert not np.shares_memory(traj.controls, controls)
+    controls[:] = 3.0  # mutating the input must not change the frozen result
+    assert np.all(traj.controls == 0.5)
+    assert traj.cost == total_cost(cost, traj.states, traj.controls)
+
+
 def test_rollout_rejects_empty_controls():
     model, cost, x0, _ = make_benchmark("pendulum")
     with pytest.raises(DimensionError):
