@@ -70,6 +70,7 @@ def write_summary_json(path, result, **fields):
         "reason": result.reason,
         "iterations": result.iterations,
         "final_cost": result.final_cost,
+        "model_steps": result.model_steps,
         **fields,
     }
     _write(path, json.dumps(summary, indent=2, sort_keys=True))

@@ -104,33 +104,35 @@ def _sweep(exp, method, lam_bar=None):
     r_min = float(np.linalg.eigvalsh(exp.r)[0])
 
     failed = None
-    try:
-        for t in reversed(range(horizon)):
-            fx, fu = exp.fx[t], exp.fu[t]
-            vn, big_vn = v[t + 1], big_v[t + 1]
+    # an overflow or invalid value is non-finite: the checks below raise for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for t in reversed(range(horizon)):
+                fx, fu = exp.fx[t], exp.fu[t]
+                vn, big_vn = v[t + 1], big_v[t + 1]
 
-            fu_v = fu.T @ big_vn  # `@` is left-associative: fu' V fu == fu_v @ fu
-            qu = exp.ru[t] + fu.T @ vn
-            qx = exp.lx[t] + fx.T @ vn
-            quu_t = exp.r + fu_v @ fu
-            qux = fu_v @ fx
-            qxx = exp.lxx[t] + fx.T @ big_vn @ fx
+                fu_v = fu.T @ big_vn  # `@` is left-associative: fu' V fu == fu_v @ fu
+                qu = exp.ru[t] + fu.T @ vn
+                qx = exp.lx[t] + fx.T @ vn
+                quu_t = exp.r + fu_v @ fu
+                qux = fu_v @ fx
+                qxx = exp.lxx[t] + fx.T @ big_vn @ fx
 
-            if method != "ilqr":
-                weight = vn if use_own_gradient else lam_bar[t + 1]
-                qxx = qxx + np.einsum("i,ijk->jk", weight, exp.fxx[t])
-                qux = qux + np.einsum("i,ijk->kj", weight, exp.fxu[t])
+                if method != "ilqr":
+                    weight = vn if use_own_gradient else lam_bar[t + 1]
+                    qxx = qxx + np.einsum("i,ijk->jk", weight, exp.fxx[t])
+                    qux = qux + np.einsum("i,ijk->kj", weight, exp.fxu[t])
 
-            quu_t = 0.5 * (quu_t + quu_t.T)
-            quu[t] = quu_t
+                quu_t = 0.5 * (quu_t + quu_t.T)
+                quu[t] = quu_t
 
-            k[t], feedback[t] = _solve_sym(quu_t, qu, qux, t)
-            # the contiguous k[t]: a strided column rounds differently at m >= 2
-            v[t] = qx - qux.T @ k[t]
-            vt = qxx - qux.T @ feedback[t]
-            big_v[t] = 0.5 * (vt + vt.T)
-    except BackwardPassError as exc:
-        failed = exc
+                k[t], feedback[t] = _solve_sym(quu_t, qu, qux, t)
+                # the contiguous k[t]: a strided column rounds differently at m >= 2
+                v[t] = qx - qux.T @ k[t]
+                vt = qxx - qux.T @ feedback[t]
+                big_v[t] = 0.5 * (vt + vt.T)
+        except BackwardPassError as exc:
+            failed = exc
     # A non-finite k_t or K_t always reaches v_t or V_t. The loop runs on past
     # a non-finite stage, but the stages below it (and a solve that raised
     # there) only read its values: the highest one is the first failure.

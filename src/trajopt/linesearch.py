@@ -53,6 +53,7 @@ class LineSearchOutcome:
     trials: int
     status: str  # "ACCEPTED" or "FLOOR_HIT"
     trial_log: tuple = field(default_factory=tuple)  # (alpha, cost, ratio) rows
+    steps: int = 0  # model points stepped by the trials
 
 
 def forward_pass(model, cost, nominal, sol, alpha) -> Trajectory:
@@ -89,19 +90,21 @@ def line_search(model, cost, nominal, sol, linear_pred, config) -> LineSearchOut
             f"direction predicts {linear_pred:.3e}; refusing to backtrack")
 
     log = []
-    trials = 0
+    trials = steps = 0
     alpha = config.alpha_init
     while alpha >= config.alpha_min:
         trials += 1
         try:
             candidate = forward_pass(model, cost, nominal, sol, alpha)
-        except DivergenceError:
+        except DivergenceError as exc:
+            steps += exc.timestep  # the points stepped up to the bad state
             log.append((alpha, float("inf"), float("nan")))
             alpha *= config.rho
             continue
+        steps += nominal.horizon
         ratio = (candidate.cost - nominal.cost) / (alpha * linear_pred)
         log.append((alpha, candidate.cost, ratio))
         if ratio > config.sigma:
-            return LineSearchOutcome(candidate, alpha, trials, "ACCEPTED", tuple(log))
+            return LineSearchOutcome(candidate, alpha, trials, "ACCEPTED", tuple(log), steps)
         alpha *= config.rho
-    return LineSearchOutcome(nominal, 0.0, trials, "FLOOR_HIT", tuple(log))
+    return LineSearchOutcome(nominal, 0.0, trials, "FLOOR_HIT", tuple(log), steps)

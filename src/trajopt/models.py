@@ -42,7 +42,8 @@ class SystemModel:
 
     `derivatives` is array-first: it takes a whole batch of points in one
     call, so a subclass's `_derivatives` must broadcast over leading axes.
-    `step` takes one point, because a rollout is sequential.
+    `step` takes one point and checks it. A rollout checks its inputs once and
+    steps the later points through `_step`: a subclass implements `_step`.
     """
 
     state_dim: int = 0
@@ -125,7 +126,7 @@ class PendulumModel(SystemModel):
     def _step(self, x, u):
         th, w = x.tolist()  # Python floats: faster scalar arithmetic, same rounding
         ml2 = self.mass * self.length ** 2
-        acc = (-(self.gravity / self.length) * np.sin(th)
+        acc = (-(self.gravity / self.length) * float(np.sin(th))
                - self.damping / ml2 * w + u.tolist()[0] / ml2)
         return np.array([th + self.dt * w, w + self.dt * acc])
 
@@ -181,7 +182,7 @@ class CartPoleModel(SystemModel):
     def _accel(self, th, w, force):
         M, m = self.cart_mass, self.pole_mass
         L, g = self.pole_com, self.gravity
-        s, c = np.sin(th), np.cos(th)
+        s, c = float(np.sin(th)), float(np.cos(th))  # numpy's rounding, float speed
         den = M + m * s * s
         a_cart = (force + m * s * (L * w * w + g * c)) / den
         a_pole = (-force * c - m * L * w * w * s * c - (M + m) * g * s) / (L * den)

@@ -87,6 +87,7 @@ class SolveResult:
     multipliers: np.ndarray | None = None  # threaded costates (Newton only)
     trial_logs: tuple = ()  # (iteration, ((alpha, J_candidate, ratio), ...)) rows
     first_sweep: object = None  # the BackwardSolution of iteration 0
+    model_steps: int = 0  # model points stepped: the first rollout and every trial
 
     @property
     def iterations(self) -> int:
@@ -143,6 +144,7 @@ def solve(model, cost, x0, init_controls, config):
     """Iterate one method to convergence, a terminal failure, or max_iters."""
     hybrid = config.method == "hybrid"
     traj = rollout(model, cost, x0, init_controls)
+    model_steps = traj.horizon
     records = []
     trial_logs = []
     first_sweep = lam_bar = None
@@ -184,6 +186,7 @@ def solve(model, cost, x0, init_controls, config):
                 status = "NON_DESCENT"
             else:
                 trial_logs.append((index, outcome.trial_log))
+                model_steps += outcome.steps
                 if outcome.status == "ACCEPTED":
                     accepted = outcome
                 else:
@@ -220,4 +223,4 @@ def solve(model, cost, x0, init_controls, config):
         trajectory=traj, records=tuple(records),
         converged=reason in ("gradient", "step"), reason=reason,
         multipliers=lam_bar, trial_logs=tuple(trial_logs),
-        first_sweep=first_sweep)
+        first_sweep=first_sweep, model_steps=model_steps)

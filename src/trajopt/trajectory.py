@@ -72,38 +72,41 @@ def rollout(model, cost, x0, controls) -> Trajectory:
     u_seq = np.atleast_2d(np.array(controls, dtype=float))
     if u_seq.shape[0] == 1 and u_seq.shape[1] != model.control_dim:
         u_seq = u_seq.T
-    horizon = u_seq.shape[0]
-    if horizon < 1:
+    if u_seq.shape[0] < 1:
         raise DimensionError("need at least one control")
-    if u_seq.shape[1] != model.control_dim:
-        raise DimensionError("control width does not match the model")
-
     return _propagate(model, cost, x0, u_seq)
 
 
 def _propagate(model, cost, x0, controls, feedback=None) -> Trajectory:
-    """Step x0 through `model.step` and price the result: the one
-    nonlinear propagation behind `rollout` and the line search's forward
-    pass.
+    """Step x0 through the dynamics and price the result: the one nonlinear
+    propagation behind `rollout` and the line search's forward pass.
 
     Without `feedback`, `controls` is applied as given. With feedback
     (K, xbar), `controls` holds the feedforward and control t becomes
     controls[t] - K_t (x_t - xbar_t), written into `controls` before step t.
-    Raises DivergenceError naming the first state that goes non-finite or
-    beyond STATE_MAGNITUDE_LIMIT.
+    Inputs are validated once per pass: the public `step` checks x0 and u_0
+    (shapes, finite) on the first point, the other controls are checked
+    finite in one call, and the later points go through the unchecked
+    `_step`; a bad input raises DimensionError. The first state x_t that is
+    non-finite or beyond STATE_MAGNITUDE_LIMIT raises DivergenceError(t), so a
+    feedback control that overflows to +-inf at t >= 1 raises at t + 1.
     """
     horizon = controls.shape[0]
+    if not np.isfinite(controls[1:]).all():
+        raise DimensionError("non-finite control input")
     states = np.zeros((horizon + 1, model.state_dim))
-    states[0] = x0
-    x = states[0]
     gains, xbar = (None, None) if feedback is None else feedback
-    for t in range(horizon):
-        if gains is not None:
-            controls[t] -= gains[t] @ (x - xbar[t])
-        x = model.step(x, controls[t])
-        if not np.abs(x).max() <= STATE_MAGNITUDE_LIMIT:  # NaN fails too
-            raise DivergenceError(t + 1)
-        states[t + 1] = x
+    step, x = model.step, x0
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard raises instead
+        for t in range(horizon):
+            if gains is not None:
+                controls[t] -= gains[t] @ (x - xbar[t])
+            states[t + 1] = step(x, controls[t])
+            step, x = model._step, states[t + 1]
+            for c in x.tolist():
+                if not abs(c) <= STATE_MAGNITUDE_LIMIT:  # NaN fails too
+                    raise DivergenceError(t + 1)
+    states[0] = x0  # checked by the first `step`
     return Trajectory(states, controls, total_cost(cost, states, controls))
 
 

@@ -1,5 +1,7 @@
 """The three backward sweeps, multipliers, and the expected-reduction model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -305,7 +307,8 @@ OVERFLOWS = {
 @pytest.mark.parametrize("case", sorted(OVERFLOWS))
 def test_overflow_raises_non_finite_values(method, case):
     exp = _tiny_expansion(fx=[[[1.0]], [[1.0]]], ct_xx=[[1.0]], **OVERFLOWS[case])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the sweep raises for an overflow, never warns
         with pytest.raises(BackwardPassError, match="non-finite values") as excinfo:
             backward_for(method, exp)
     assert excinfo.value.timestep == 1
@@ -324,9 +327,10 @@ def _one_state_expansion(m, fu, lx, ct_x, ct_xx, lxx=None):
 
 
 def _sweep_error(method, exp):
-    """(timestep, message) of the sweep's BackwardPassError; the zero costates
-    make the Newton sweep iLQR's twin."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    """(timestep, message) of the sweep's BackwardPassError, raised with no
+    warning before it; the zero costates make the Newton sweep iLQR's twin."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(BackwardPassError) as excinfo:
             backward_for(method, exp, np.zeros((exp.horizon + 1, 1)))
     return excinfo.value.timestep, str(excinfo.value)

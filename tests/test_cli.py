@@ -1,9 +1,14 @@
 """The experiment runner: config handling, artifacts, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trajopt
 from trajopt.artifacts import prediction_row
 from trajopt.cli import build_config, main, parse_kv_file
 from trajopt.models import PendulumModel
@@ -36,6 +41,10 @@ def test_run_writes_all_artifacts(tmp_path):
     assert summary["reason"] in ("gradient", "step")
     assert summary["final_cost"] >= 0.0
     assert "wall_time" in summary
+    # no trial diverged, so each stepped all 40 points, as the first rollout did
+    trials = (out / "trials.csv").read_text().splitlines()[1:]
+    assert all(row.split(",")[3] != "inf" for row in trials)
+    assert summary["model_steps"] == 40 * (1 + len(trials))
 
 
 def test_run_all_methods_share_initial_guess(tmp_path):
@@ -280,6 +289,23 @@ def test_io_failure_exits_3(tmp_path):
 def test_initial_divergence_exits_1(tmp_path):
     args = _fast_pendulum(tmp_path / "div", ["--set", "x0=1e9,0"])
     assert _run(args) == 1
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(trajopt.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "trajopt", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: trajopt")
+    refused = run("run", "--seed", "-1")
+    assert refused.returncode == 2
+    assert refused.stderr.startswith("configuration error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_config_defaults_and_methods():

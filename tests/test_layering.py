@@ -9,7 +9,10 @@ divergence guard of the one nonlinear propagation), if `models.py`
 defines `params` again, or if the per-stage loop of `backward._sweep` (or a
 function of `backward.py` it calls) makes an `np.linalg` or `np.isfinite`
 call: the sweep's guards and its finiteness check run batched after the loop,
-never per stage.
+never per stage. Likewise the loop of `trajectory._propagate` makes no
+`.step`, `._validate` or `np.isfinite` call: a rollout checks its inputs
+before the loop (its first point through the `step` bound there) and steps
+every later point through the unchecked `_step`.
 The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
 arithmetic and no loop over stages, and `import trajopt` leaves `scipy.sparse`
 unloaded, so the library's import time and memory do not carry it.
@@ -128,7 +131,8 @@ def test_the_helper_checks_see_each_reader_and_definition():
 
 
 def _guard_calls_in_loops(tree, function):
-    """`np.linalg` and `np.isfinite` calls made inside the `for` loops of
+    """`np.linalg` and `np.isfinite` calls, and calls of a model's checked
+    entry points `.step` and `._validate`, made inside the `for` loops of
     `function`, directly or through the module's own functions they call, as
     "caller:name"."""
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -143,7 +147,8 @@ def _guard_calls_in_loops(tree, function):
                     and func.value.attr == "linalg"
                     and getattr(func.value.value, "id", None) in ("np", "numpy")
                     or isinstance(func, ast.Attribute) and func.attr == "isfinite"
-                    and getattr(func.value, "id", None) in ("np", "numpy")):
+                    and getattr(func.value, "id", None) in ("np", "numpy")
+                    or isinstance(func, ast.Attribute) and func.attr in ("step", "_validate")):
                 found.append(f"{owner}:{func.attr}")
             elif isinstance(func, ast.Name) and func.id in defs and func.id not in seen:
                 seen.add(func.id)
@@ -160,15 +165,24 @@ def test_the_sweep_loop_makes_no_linalg_call():
     assert _guard_calls_in_loops(ast.parse(path.read_text(), str(path)), "_sweep") == []
 
 
+def test_the_propagation_loop_steps_unchecked():
+    path = PACKAGE / "trajectory.py"
+    assert _guard_calls_in_loops(ast.parse(path.read_text(), str(path)), "_propagate") == []
+
+
 def test_the_loop_check_sees_direct_and_indirect_linalg_calls():
     source = ("def helper(a):\n    return numpy.linalg.solve(a, a)\n"
               "def check(a):\n    return np.isfinite(a).all()\n"
-              "def f(xs):\n    np.linalg.norm(xs)\n    np.isfinite(xs)\n"
+              "def advance(m, x):\n    return m.step(x, x)\n"
+              "def f(xs, m):\n    np.linalg.norm(xs)\n    np.isfinite(xs)\n"
+              "    m.step(xs, xs)\n    m._validate(xs, xs)\n"
               "    for x in xs:\n        np.linalg.eigvalsh(x)\n        helper(x)\n"
               "        scipy.linalg.solve(x, x)\n        np.isfinite(x)\n"
-              "        math.isfinite(x[0])\n        check(x)\n")
+              "        math.isfinite(x[0])\n        check(x)\n"
+              "        m._step(x, x)\n        m._validate(x, x)\n        advance(m, x)\n")
     assert _guard_calls_in_loops(ast.parse(source), "f") == [
-        "f:eigvalsh", "helper:solve", "f:isfinite", "check:isfinite"]
+        "f:eigvalsh", "helper:solve", "f:isfinite", "check:isfinite", "f:_validate",
+        "advance:step"]
 
 
 def _loops(tree, function):

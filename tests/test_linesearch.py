@@ -1,6 +1,7 @@
 """Forward pass, the ratio acceptance rule, and backtracking."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_accept_hand_ratio_case():
 def test_accept_raises_on_nondescent_prediction():
     model, cost, nominal, sol = _one_step(j_old=1.0, j_new=0.5)
     forward_steps = []
-    model.step = lambda x, u: forward_steps.append((x, u))
+    model._step = lambda x, u: forward_steps.append((x, u))  # every point ends here
     for linear_pred in (0.0, 1.0):
         with pytest.raises(NonDescentError):
             line_search(model, cost, nominal, sol, linear_pred, LineSearchConfig())
@@ -187,7 +188,39 @@ def test_line_search_logs_a_diverged_trial_and_backtracks():
     assert 0.0 < outcome.alpha < 1.0
     assert outcome.alpha == outcome.trial_log[-1][0]
     assert outcome.trials == len(outcome.trial_log)
+    assert outcome.steps == outcome.trials  # T = 1, and the overshoot is x_1
     assert outcome.trajectory.cost < nominal.cost
+
+
+def _overflowing_feedback():
+    """x' = x + u over two steps from x = 0 with k_0 = -2 and K_t = 1e308: at
+    alpha = 1, x_1 = 2 and the feedback control u_1 = -1e308 * 2 overflows."""
+    model = LinearModel([[1.0]], [[1.0]])
+    cost = QuadraticCost(np.eye(1), np.eye(1), np.eye(1), np.zeros(1))
+    nominal = rollout(model, cost, [0.0], np.zeros((2, 1)))
+    return model, cost, nominal, _gains([[-2.0], [0.0]], np.full(2, 1e308), 2, 1, 1)
+
+
+def test_forward_pass_turns_an_overflowing_control_into_divergence():
+    model, cost, nominal, sol = _overflowing_feedback()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as excinfo:
+            forward_pass(model, cost, nominal, sol, 1.0)
+    assert excinfo.value.timestep == 2
+
+
+def test_line_search_logs_an_overflowing_control_as_a_diverged_trial():
+    # at alpha = 0.5, u_1 = -1e308 stays finite and x_2 fails the guard
+    model, cost, nominal, sol = _overflowing_feedback()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = line_search(model, cost, nominal, sol, -1.0,
+                              LineSearchConfig(alpha_min=0.4))
+    assert [row[:2] for row in outcome.trial_log] == [(1.0, math.inf), (0.5, math.inf)]
+    assert all(math.isnan(row[2]) for row in outcome.trial_log)
+    assert (outcome.status, outcome.trajectory) == ("FLOOR_HIT", nominal)
+    assert outcome.steps == 4  # each trial stepped x_1 and x_2
 
 
 def test_line_search_accepts_full_step_on_quadratic(lqr_instance):
@@ -202,6 +235,7 @@ def test_line_search_accepts_full_step_on_quadratic(lqr_instance):
     assert outcome.status == "ACCEPTED"
     assert outcome.alpha == 1.0
     assert outcome.trials == 1
+    assert outcome.steps == horizon
 
 
 def test_line_search_raises_on_nondescent_direction():

@@ -220,6 +220,32 @@ def test_hybrid_switches_to_ilqr_after_a_ddp_failure(cause, config, at):
     assert after.cost == failed.cost  # iLQR restarts from the trajectory DDP left
 
 
+def _counted_solve(system, horizon, controls, **config):
+    """A solve whose model counts the points it steps: `step` and the
+    rollouts all end in the instance's `_step`."""
+    model, cost, x0, _ = make_benchmark(system, horizon=horizon)
+    calls = []
+    raw = model._step
+    model._step = lambda x, u: calls.append(1) or raw(x, u)
+    return solve(model, cost, x0, controls, SolverConfig(**config)), len(calls)
+
+
+@pytest.mark.parametrize("case", ["accepted", "diverged", "non_descent"])
+def test_model_steps_counts_every_point_stepped(case):
+    if case == "accepted":
+        result, calls = _counted_solve("pendulum", 40, _random_controls(40, 1, seed=2),
+                                       max_iters=5)
+        assert all(r.status == "OK" and r.alpha > 0 for r in result.records)
+    elif case == "diverged":  # iteration 12 diverges in its first trial
+        result, calls = _counted_solve("cartpole", 80, np.zeros((80, 1)),
+                                       method="ddp", max_iters=13)
+        assert result.trial_logs[12][1][0][1] == np.inf
+    else:
+        result, calls = _counted_solve("cartpole", 40, np.zeros((40, 1)), method="ddp")
+        assert result.reason == "non_descent"
+    assert result.model_steps == calls
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method="sqp")

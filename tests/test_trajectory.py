@@ -59,6 +59,14 @@ def test_rollout_divergence_names_timestep():
     assert excinfo.value.timestep == 17
 
 
+def test_rollout_divergence_catches_a_nan_behind_a_finite_component():
+    model = LinearModel(np.eye(2), np.eye(2)[:, :1])
+    model._step = lambda x, u: np.array([x[0] + 1.0, np.nan if x[0] >= 2.0 else x[1]])
+    with pytest.raises(DivergenceError) as excinfo:
+        rollout(model, make_benchmark("pendulum")[1], [0.0, 0.0], np.zeros((5, 1)))
+    assert excinfo.value.timestep == 3  # x_3 = (3, nan)
+
+
 def test_rollout_copies_the_controls():
     model, cost, x0, _ = make_benchmark("pendulum")
     controls = np.full((10, 1), 0.5)
@@ -67,6 +75,27 @@ def test_rollout_copies_the_controls():
     controls[:] = 3.0  # mutating the input must not change the frozen result
     assert np.all(traj.controls == 0.5)
     assert traj.cost == total_cost(cost, traj.states, traj.controls)
+
+
+def test_rollout_checks_its_inputs_once():
+    model, cost, x0, _ = make_benchmark("cartpole")
+    calls = {"step": 0, "_step": 0}
+    for name in calls:
+        def counted(x, u, raw=getattr(model, name), name=name):
+            calls[name] += 1
+            return raw(x, u)
+        setattr(model, name, counted)
+    traj = rollout(model, cost, x0, np.full((10, 1), 0.5))
+    assert calls == {"step": 1, "_step": 10}  # the checked first point, then raw
+    assert traj.horizon == 10
+
+    controls = np.zeros((10, 1))
+    controls[7] = np.nan
+    for bad_x0, bad_controls in ((x0, controls), ([0.0, np.inf, 0.0, 0.0], np.zeros((10, 1))),
+                                 (x0[:3], np.zeros((10, 1))), (x0, np.zeros((10, 2)))):
+        with pytest.raises(DimensionError):
+            rollout(model, cost, bad_x0, bad_controls)
+    assert calls == {"step": 4, "_step": 10}  # rejected before a point was stepped
 
 
 def test_rollout_rejects_empty_controls():
