@@ -69,14 +69,16 @@ class BackwardSolution:
         return self.k.shape[0]
 
 
-def _solve_sym(quu_t, qu, qux, t):
-    """(k_t, K_t): q_u and Q_ux solved against the (possibly indefinite)
-    symmetric Quu block."""
+def _solve_sym(quu, t, quu_t, qu, qux):
+    """(k_t, K_t): Quu_t symmetrized into quu[t], then q_u and Q_ux solved
+    against that (possibly indefinite) block."""
     if quu_t.shape[0] == 1:
         pivot = quu_t.item()
+        quu[t] = pivot = 0.5 * (pivot + pivot)  # overflows to inf as the array form does
         if pivot == 0.0 or not math.isfinite(pivot):
             raise BackwardPassError(t, "singular control curvature")
         return qu / pivot, qux / pivot
+    quu[t] = quu_t = 0.5 * (quu_t + quu_t.T)
     try:
         sol = scipy.linalg.solve(quu_t, np.concatenate([qu[:, None], qux], axis=1),
                                  assume_a="sym")
@@ -87,50 +89,56 @@ def _solve_sym(quu_t, qu, qux, t):
 
 def _sweep(exp, method, lam_bar=None):
     horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
-    use_own_gradient = method == "ddp"
+    fx_all, fu_all, fxx, fxu = exp.fx, exp.fu, exp.fxx, exp.fxu
+    lx, lxx, ru, r = exp.lx, exp.lxx, exp.ru, exp.r
     if method == "newton":
         lam_bar = np.asarray(lam_bar, dtype=float)
         if lam_bar.shape != (horizon + 1, n):
             raise ValueError("multiplier sequence must have shape (T+1, n)")
+        # the frozen costates are known: a batched einsum rounds as each stage's
+        fxx_w = np.einsum("ti,tijk->tjk", lam_bar[1:], fxx)
+        fxu_w = np.einsum("ti,tijk->tkj", lam_bar[1:], fxu)
 
     v = np.zeros((horizon + 1, n))
     big_v = np.zeros((horizon + 1, n, n))
     k = np.zeros((horizon, m))
     feedback = np.zeros((horizon, m, n))
     quu = np.zeros((horizon, m, m))
-
-    v[horizon] = exp.ct_x
-    big_v[horizon] = 0.5 * (exp.ct_xx + exp.ct_xx.T)
-    r_min = float(np.linalg.eigvalsh(exp.r)[0])
+    dot = np.dot  # the BLAS kernels of `@`, at less cost per call
 
     failed = None
     # an overflow or invalid value is non-finite: the checks below raise for it
     with np.errstate(over="ignore", invalid="ignore"):
+        v[horizon] = exp.ct_x
+        big_v[horizon] = 0.5 * (exp.ct_xx + exp.ct_xx.T)
+        vn, big_vn = v[horizon], big_v[horizon]
         try:
             for t in reversed(range(horizon)):
-                fx, fu = exp.fx[t], exp.fu[t]
-                vn, big_vn = v[t + 1], big_v[t + 1]
+                fx, fu = fx_all[t], fu_all[t]
+                fx_t, fu_t = fx.T, fu.T
 
-                fu_v = fu.T @ big_vn  # `@` is left-associative: fu' V fu == fu_v @ fu
-                qu = exp.ru[t] + fu.T @ vn
-                qx = exp.lx[t] + fx.T @ vn
-                quu_t = exp.r + fu_v @ fu
-                qux = fu_v @ fx
-                qxx = exp.lxx[t] + fx.T @ big_vn @ fx
+                # nested left to right, as `@` associates: fu' V fu == dot(fu_v,
+                # fu) and fx' V fx == dot(dot(fx', V), fx)
+                fu_v = dot(fu_t, big_vn)
+                qu = ru[t] + dot(fu_t, vn)
+                qx = lx[t] + dot(fx_t, vn)
+                quu_t = r + dot(fu_v, fu)
+                qux = dot(fu_v, fx)
+                qxx = lxx[t] + dot(dot(fx_t, big_vn), fx)
 
-                if method != "ilqr":
-                    weight = vn if use_own_gradient else lam_bar[t + 1]
-                    qxx = qxx + np.einsum("i,ijk->jk", weight, exp.fxx[t])
-                    qux = qux + np.einsum("i,ijk->kj", weight, exp.fxu[t])
+                if method == "ddp":
+                    qxx = qxx + np.einsum("i,ijk->jk", vn, fxx[t])
+                    qux = qux + np.einsum("i,ijk->kj", vn, fxu[t])
+                elif method == "newton":
+                    qxx = qxx + fxx_w[t]
+                    qux = qux + fxu_w[t]
 
-                quu_t = 0.5 * (quu_t + quu_t.T)
-                quu[t] = quu_t
-
-                k[t], feedback[t] = _solve_sym(quu_t, qu, qux, t)
+                k[t], feedback[t] = _solve_sym(quu, t, quu_t, qu, qux)
                 # the contiguous k[t]: a strided column rounds differently at m >= 2
-                v[t] = qx - qux.T @ k[t]
-                vt = qxx - qux.T @ feedback[t]
-                big_v[t] = 0.5 * (vt + vt.T)
+                qux_t = qux.T
+                v[t] = vn = qx - dot(qux_t, k[t])
+                vt = qxx - dot(qux_t, feedback[t])
+                big_v[t] = big_vn = 0.5 * (vt + vt.T)
         except BackwardPassError as exc:
             failed = exc
     # A non-finite k_t or K_t always reaches v_t or V_t. The loop runs on past
@@ -144,6 +152,7 @@ def _sweep(exp, method, lam_bar=None):
         # Impossible to violate for valid cost models (R > 0, PSD V propagation).
         # In sweep order each stage checks Quu, then V: the stages done in one
         # batch, then the Quu (maybe not finite) of the stage that raised.
+        r_min = float(np.linalg.eigvalsh(r)[0])
         done = 0 if failed is None else failed.timestep + 1
         quu_bad = np.linalg.eigvalsh(quu[done:])[:, 0] < r_min - PSD_SLACK
         v_bad = np.linalg.eigvalsh(big_v[done:horizon])[:, 0] < -PSD_SLACK

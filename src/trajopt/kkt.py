@@ -171,8 +171,9 @@ def cost_gradient_adjoint(exp) -> np.ndarray:
     horizon = exp.horizon
     nu = np.zeros((horizon + 1, exp.state_dim))
     nu[horizon] = exp.ct_x
+    lx, fx, dot = exp.lx, exp.fx, np.dot
     for t in reversed(range(horizon)):
-        nu[t] = exp.lx[t] + exp.fx[t].T @ nu[t + 1]
+        nu[t] = lx[t] + dot(fx[t].T, nu[t + 1])
     # a stack of matrix-vector products rounds as each stage's would
     return exp.ru + (exp.fu.transpose(0, 2, 1) @ nu[1:, :, None])[..., 0]
 

@@ -96,11 +96,11 @@ def _propagate(model, cost, x0, controls, feedback=None) -> Trajectory:
         raise DimensionError("non-finite control input")
     states = np.zeros((horizon + 1, model.state_dim))
     gains, xbar = (None, None) if feedback is None else feedback
-    step, x = model.step, x0
+    step, x, dot = model.step, x0, np.dot
     with np.errstate(over="ignore", invalid="ignore"):  # the guard raises instead
         for t in range(horizon):
             if gains is not None:
-                controls[t] -= gains[t] @ (x - xbar[t])
+                controls[t] -= dot(gains[t], x - xbar[t])
             states[t + 1] = step(x, controls[t])
             step, x = model._step, states[t + 1]
             for c in x.tolist():
@@ -125,9 +125,9 @@ def linear_rollout(exp, sol, alpha) -> PerturbationPath:
         raise DimensionError("gain horizon does not match the expansion")
     dx = np.zeros((horizon + 1, exp.fx.shape[1]))
     du = -alpha * sol.k
-    dx_t = dx[0]
+    dx_t, gains, fx, fu, dot = dx[0], sol.K, exp.fx, exp.fu, np.dot
     for t in range(horizon):
-        du[t] -= sol.K[t] @ dx_t
-        dx[t + 1] = dx_t = exp.fx[t] @ dx_t + exp.fu[t] @ du[t]
+        du[t] -= dot(gains[t], dx_t)
+        dx[t + 1] = dx_t = dot(fx[t], dx_t) + dot(fu[t], du[t])
     return PerturbationPath(dx, du)
 

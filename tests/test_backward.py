@@ -373,6 +373,29 @@ def test_the_ilqr_quu_guard_beats_non_finite_values_at_its_stage(m):
         1, "iLQR control curvature lost definiteness (timestep 1)")
 
 
+CURVATURE_OVERFLOWS = {
+    # C_xx + C_xx' = 2e308 overflows V_2 to inf, which Quu_1 = R + fu' V_2 fu
+    # reads: the terminal set-up runs under the sweep's errstate too
+    "terminal": dict(fu=[[[0.0]], [[1.0]]], r=[[1.0]], ct_xx=[[1e308]]),
+    # with fu = 0 every Quu is the finite R, but Quu + Quu' overflows to inf:
+    # the m = 1 pivot, a Python float, must overflow as the m = 2 block does
+    "quu-m1": dict(fu=np.zeros((2, 1, 1)), r=[[1e308]], ct_xx=[[1.0]]),
+    "quu-m2": dict(fu=np.zeros((2, 1, 2)), r=[[1e308, 0.0], [0.0, 1.0]], ct_xx=[[1.0]]),
+}
+
+
+@pytest.mark.parametrize("method", ["ilqr", "newton", "ddp"])
+@pytest.mark.parametrize("case", sorted(CURVATURE_OVERFLOWS))
+def test_an_overflow_into_quu_is_singular_curvature(method, case):
+    spec = CURVATURE_OVERFLOWS[case]
+    m = len(spec["r"])
+    exp = _tiny_expansion(fx=[[[1.0]], [[1.0]]], ru=np.zeros((2, m)), ct_x=[0.0], **spec)
+    timestep, message = _sweep_error(method, exp)
+    assert timestep == 1
+    assert message.startswith("singular control curvature")
+    assert m == 2 or message == "singular control curvature (timestep 1)"
+
+
 def test_gain_profile_csv(tmp_path):
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 8, seed=0)

@@ -12,7 +12,9 @@ call: the sweep's guards and its finiteness check run batched after the loop,
 never per stage. Likewise the loop of `trajectory._propagate` makes no
 `.step`, `._validate` or `np.isfinite` call: a rollout checks its inputs
 before the loop (its first point through the `step` bound there) and steps
-every later point through the unchecked `_step`.
+every later point through the unchecked `_step`. No per-stage loop (the
+sweep, `_propagate`, `linear_rollout` and `cost_gradient_adjoint`) uses `@`,
+directly or through a function of its module: each product is an `np.dot`.
 The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
 arithmetic and no loop over stages, and `import trajopt` leaves `scipy.sparse`
 unloaded, so the library's import time and memory do not carry it.
@@ -23,6 +25,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import trajopt
 
@@ -130,29 +134,22 @@ def test_the_helper_checks_see_each_reader_and_definition():
     assert not _defines(ast.parse("f(params)\n"), "params")
 
 
-def _guard_calls_in_loops(tree, function):
-    """`np.linalg` and `np.isfinite` calls, and calls of a model's checked
-    entry points `.step` and `._validate`, made inside the `for` loops of
-    `function`, directly or through the module's own functions they call, as
-    "caller:name"."""
+def _in_loops(tree, function, finding):
+    """`finding(node)` of each node inside the `for` loops of `function`,
+    directly or through the module's own functions they call, as
+    "caller:finding"; a finding of None is none."""
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     found, seen = [], set()
 
     def scan(node, owner):
         for sub in ast.walk(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
-                    and func.value.attr == "linalg"
-                    and getattr(func.value.value, "id", None) in ("np", "numpy")
-                    or isinstance(func, ast.Attribute) and func.attr == "isfinite"
-                    and getattr(func.value, "id", None) in ("np", "numpy")
-                    or isinstance(func, ast.Attribute) and func.attr in ("step", "_validate")):
-                found.append(f"{owner}:{func.attr}")
-            elif isinstance(func, ast.Name) and func.id in defs and func.id not in seen:
-                seen.add(func.id)
-                scan(defs[func.id], func.id)
+            what = finding(sub)
+            if what is not None:
+                found.append(f"{owner}:{what}")
+            elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                    and sub.func.id in defs and sub.func.id not in seen):
+                seen.add(sub.func.id)
+                scan(defs[sub.func.id], sub.func.id)
 
     for loop in ast.walk(defs[function]):
         if isinstance(loop, ast.For):
@@ -160,14 +157,36 @@ def _guard_calls_in_loops(tree, function):
     return found
 
 
+def _guard_call(node):
+    """The name of an `np.linalg` or `np.isfinite` call, or of a call of a
+    model's checked entry points `.step` and `._validate`."""
+    func = node.func if isinstance(node, ast.Call) else None
+    if not isinstance(func, ast.Attribute):
+        return None
+    if (isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"
+            and getattr(func.value.value, "id", None) in ("np", "numpy")
+            or func.attr == "isfinite" and getattr(func.value, "id", None) in ("np", "numpy")
+            or func.attr in ("step", "_validate")):
+        return func.attr
+    return None
+
+
+def _matmul(node):
+    """"@" for an `a @ b` or an `a @= b`."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    return None
+
+
 def test_the_sweep_loop_makes_no_linalg_call():
     path = PACKAGE / "backward.py"
-    assert _guard_calls_in_loops(ast.parse(path.read_text(), str(path)), "_sweep") == []
+    assert _in_loops(ast.parse(path.read_text(), str(path)), "_sweep", _guard_call) == []
 
 
 def test_the_propagation_loop_steps_unchecked():
     path = PACKAGE / "trajectory.py"
-    assert _guard_calls_in_loops(ast.parse(path.read_text(), str(path)), "_propagate") == []
+    tree = ast.parse(path.read_text(), str(path))
+    assert _in_loops(tree, "_propagate", _guard_call) == []
 
 
 def test_the_loop_check_sees_direct_and_indirect_linalg_calls():
@@ -180,9 +199,30 @@ def test_the_loop_check_sees_direct_and_indirect_linalg_calls():
               "        scipy.linalg.solve(x, x)\n        np.isfinite(x)\n"
               "        math.isfinite(x[0])\n        check(x)\n"
               "        m._step(x, x)\n        m._validate(x, x)\n        advance(m, x)\n")
-    assert _guard_calls_in_loops(ast.parse(source), "f") == [
+    assert _in_loops(ast.parse(source), "f", _guard_call) == [
         "f:eigvalsh", "helper:solve", "f:isfinite", "check:isfinite", "f:_validate",
         "advance:step"]
+
+
+PER_STAGE_LOOPS = [("backward.py", "_sweep"), ("trajectory.py", "_propagate"),
+                   ("trajectory.py", "linear_rollout"), ("kkt.py", "cost_gradient_adjoint")]
+
+
+@pytest.mark.parametrize(("module", "function"), PER_STAGE_LOOPS)
+def test_the_per_stage_loops_call_np_dot_not_matmul(module, function):
+    # a small 2-D product through `@` costs more than the same BLAS call
+    # through `np.dot`; the stacked products outside the loops keep `@`
+    path = PACKAGE / module
+    assert _in_loops(ast.parse(path.read_text(), str(path)), function, _matmul) == []
+
+
+def test_the_matmul_check_sees_direct_and_indirect_products():
+    source = ("def helper(a, b):\n    return a @ b\n"
+              "def scaled(a):\n    return 2.0 * a\n"
+              "def f(xs, a):\n    y = a @ a\n"
+              "    for x in xs:\n        z = np.dot(x, a)\n        z @= a\n"
+              "        helper(x, scaled(a))\n        w = x @ a\n")
+    assert _in_loops(ast.parse(source), "f", _matmul) == ["f:@", "helper:@", "f:@"]
 
 
 def _loops(tree, function):

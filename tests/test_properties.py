@@ -10,9 +10,10 @@ must match the banded KKT oracle.
 physical parameters, and of such linear systems with m = 2 and m = 3. On
 them the four per-stage loops (the sweeps, the forward pass, the linearized
 rollout and the adjoint gradient) must equal, bit for bit, the plain
-per-stage references kept below: one concatenated solve and one finiteness
-check per stage, a control law evaluated per step, and models stepped on
-numpy scalars.
+per-stage references kept below: `@` products, one concatenated solve and
+one finiteness check per stage, per-stage Hessian contractions, a control
+law evaluated per step, and models stepped on numpy scalars. The loops
+themselves call `np.dot`, so the references also pin that it rounds as `@`.
 """
 
 import numpy as np
@@ -58,9 +59,10 @@ def lq_problems(draw):
 
 
 @st.composite
-def nominals(draw):
-    system = draw(st.sampled_from(["pendulum", "cartpole", "linear-m2", "linear-m3"]))
-    horizon = draw(st.integers(1, 40))
+def nominals(draw, systems=("pendulum", "cartpole", "linear-m2", "linear-m3"),
+             max_horizon=40):
+    system = draw(st.sampled_from(systems))
+    horizon = draw(st.integers(1, max_horizon))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if system == "pendulum":  # mass, length, gravity, damping, dt
         model = PendulumModel(*rng.uniform([0.5, 0.5, 5.0, 0.0, 0.01],
@@ -166,6 +168,16 @@ def _equal(arrays, references):
     return all(np.array_equal(a, b) for a, b in zip(arrays, references, strict=True))
 
 
+def _forward_pass_equals_the_reference(model, cost, nominal, sol, alpha):
+    reference = _reference_forward_pass(model, cost, nominal, sol, alpha)
+    try:
+        result = forward_pass(model, cost, nominal, sol, alpha)
+    except DivergenceError as exc:
+        return exc.timestep == reference
+    return (_equal((result.states, result.controls), reference[:2])
+            and result.cost == reference[2])
+
+
 @PROPERTY_SETTINGS
 @given(lq_problems())
 def test_every_sweep_matches_the_kkt_oracle(problem):
@@ -237,14 +249,7 @@ def test_forward_pass_equals_the_per_step_control_law(problem, alpha, method):
     model, cost, traj, rng = problem
     sol, _ = backward_for(method, expand_along(model, cost, traj),
                           rng.normal(size=traj.states.shape))
-    reference = _reference_forward_pass(model, cost, traj, sol, alpha)
-    try:
-        result = forward_pass(model, cost, traj, sol, alpha)
-    except DivergenceError as exc:
-        assert exc.timestep == reference
-    else:
-        assert _equal((result.states, result.controls), reference[:2])
-        assert result.cost == reference[2]
+    assert _forward_pass_equals_the_reference(model, cost, traj, sol, alpha)
 
 
 @PROPERTY_SETTINGS
@@ -263,3 +268,23 @@ def test_adjoint_gradient_equals_the_per_stage_reference(problem):
     model, cost, traj, _ = problem
     exp = expand_along(model, cost, traj)
     assert np.array_equal(cost_gradient_adjoint(exp), _reference_gradient(exp))
+
+
+@PROPERTY_SETTINGS
+@given(nominals(("pendulum", "cartpole"), max_horizon=60),
+       st.floats(0.0, 1.0, exclude_min=True))
+def test_every_loop_equals_its_reference_on_nonlinear_nominals(problem, alpha):
+    # nonzero fxx and fxu: the Newton and DDP contractions and the m = 1
+    # pivot are compared on every draw. Costates as large as real value
+    # gradients keep a contraction's last bit from vanishing into Q_xx.
+    model, cost, traj, rng = problem
+    exp = expand_along(model, cost, traj)
+    costates = rng.normal(size=traj.states.shape) * 10.0 ** rng.uniform(0.0, 4.0)
+    assert np.array_equal(cost_gradient_adjoint(exp), _reference_gradient(exp))
+    for method in ("ilqr", "newton", "ddp"):
+        sol, _ = backward_for(method, exp, costates)
+        assert _equal((sol.v, sol.V, sol.k, sol.K, sol.quu),
+                      _reference_sweep(exp, method, costates)), method
+        path = linear_rollout(exp, sol, alpha)
+        assert _equal((path.dx, path.du), _reference_linear_rollout(exp, sol, alpha)), method
+        assert _forward_pass_equals_the_reference(model, cost, traj, sol, alpha), method
