@@ -32,7 +32,7 @@ from .errors import ConfigError, DimensionError, TrajoptError
 from .expansion import expand_along
 from .kkt import verify_equivalence
 from .linesearch import LineSearchConfig
-from .models import check_derivatives, make_benchmark, random_linear
+from .models import BENCHMARKS, check_derivatives, make_benchmark, random_linear
 from .solver import METHODS, SWEEPS, SolverConfig, backward_for, solve
 from .trajectory import rollout
 
@@ -46,7 +46,7 @@ __all__ = [
     "main",
 ]
 
-SYSTEMS = ("pendulum", "cartpole")
+SYSTEMS = tuple(BENCHMARKS)
 VERIFY_HORIZONS = (1, 2, 5, 20, 100, 200)
 VERIFY_KEYS = ("seed", "out", "init_amplitude")  # verify fixes every other key
 
@@ -55,17 +55,12 @@ VERIFY_KEYS = ("seed", "out", "init_amplitude")  # verify fixes every other key
 class ExperimentConfig:
     """The experiment's settings. The solver and line-search settings live
     in `solver`, so their fields and defaults are those of SolverConfig and
-    LineSearchConfig."""
+    LineSearchConfig. `problem` holds the benchmark keys that were set; the
+    others take the defaults of `models.BENCHMARKS`."""
 
     system: str = "pendulum"
     method: str = "ilqr"
-    horizon: int | None = None       # None -> benchmark default
-    timestep: float | None = None
-    q_diag: tuple | None = None
-    r_scale: float | None = None
-    qt_scale: float | None = None
-    x0: tuple | None = None
-    goal: tuple | None = None
+    problem: dict = field(default_factory=dict, hash=False)  # unhashable, so left out of the hash
     init: str = "zero"
     init_amplitude: float = 1.0
     seed: int = 0
@@ -120,21 +115,19 @@ _TYPE_PARSERS = {str: str, int: int, float: _finite_float, bool: _parse_bool,
 
 def _keys(cls, skip=()):
     """key -> (cls, parser) for each field of `cls`, the parser chosen by
-    the field's type (for an optional type, by its non-None member)."""
+    the field's type."""
     hints = typing.get_type_hints(cls)
-    keys = {}
-    for f in fields(cls):
-        if f.name in skip:
-            continue
-        kind = next((t for t in typing.get_args(hints[f.name]) if t is not type(None)),
-                    hints[f.name])
-        keys[f.name] = (cls, _typed(_TYPE_PARSERS[kind], f.name))
-    return keys
+    return {f.name: (cls, _typed(_TYPE_PARSERS[hints[f.name]], f.name))
+            for f in fields(cls) if f.name not in skip}
 
 
-# Every configuration key, derived from the dataclass field that holds it.
+# Every configuration key, derived from the dataclass field that holds it or,
+# for a problem key, from the type of its benchmark default (the defaults
+# tables share their keys and value types).
 _KEYS = {
-    **_keys(ExperimentConfig, skip=("solver",)),
+    **_keys(ExperimentConfig, skip=("problem", "solver")),
+    **{key: ("problem", _typed(_TYPE_PARSERS[type(value)], key))
+       for key, value in BENCHMARKS[SYSTEMS[0]][1].items()},
     **_keys(SolverConfig, skip=("method", "linesearch")),
     **_keys(LineSearchConfig),
 }
@@ -157,14 +150,14 @@ def parse_kv_file(path):
 
 def build_config(pairs) -> ExperimentConfig:
     """Validate raw string pairs and produce a typed configuration."""
-    values = {ExperimentConfig: {}, SolverConfig: {}, LineSearchConfig: {}}
+    values = {ExperimentConfig: {}, "problem": {}, SolverConfig: {}, LineSearchConfig: {}}
     for key, raw in pairs.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown configuration key '{key}'")
         owner, parse = _KEYS[key]
         values[owner][key] = parse(raw)
 
-    cfg = ExperimentConfig(**values[ExperimentConfig])
+    cfg = ExperimentConfig(problem=values["problem"], **values[ExperimentConfig])
     if cfg.system not in SYSTEMS:
         raise ConfigError(f"unknown system '{cfg.system}'")
     if cfg.method != "all":
@@ -190,10 +183,7 @@ def build_config(pairs) -> ExperimentConfig:
 
 def _setup(cfg):
     try:
-        return make_benchmark(
-            cfg.system, horizon=cfg.horizon, timestep=cfg.timestep,
-            q_diag=cfg.q_diag, r_scale=cfg.r_scale, qt_scale=cfg.qt_scale,
-            x0=cfg.x0, goal=cfg.goal)
+        return make_benchmark(cfg.system, **cfg.problem)
     except (ValueError, DimensionError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -29,7 +29,6 @@ class ExpansionSequence:
     r: np.ndarray     # (m, m)   constant control weight
     ct_x: np.ndarray  # (n,)     terminal gradient
     ct_xx: np.ndarray  # (n, n)  terminal Hessian
-    nominal_cost: float
 
     @property
     def horizon(self) -> int:
@@ -73,5 +72,4 @@ def expand_along(model, cost, traj) -> ExpansionSequence:
     return ExpansionSequence(
         fx=fx, fu=fu, fxx=fxx, fxu=fxu,
         lx=lx, lxx=lxx, ru=ru, r=np.asarray(r, dtype=float),
-        ct_x=np.asarray(ct_x, dtype=float), ct_xx=np.asarray(ct_xx, dtype=float),
-        nominal_cost=traj.cost)
+        ct_x=np.asarray(ct_x, dtype=float), ct_xx=np.asarray(ct_xx, dtype=float))

@@ -32,6 +32,7 @@ __all__ = [
     "check_derivatives",
     "make_benchmark",
     "random_linear",
+    "BENCHMARKS",
     "PENDULUM_DEFAULTS",
     "CARTPOLE_DEFAULTS",
 ]
@@ -48,7 +49,6 @@ class SystemModel:
 
     state_dim: int = 0
     control_dim: int = 0
-    dt: float = 0.0
 
     # sampling box used by the finite-difference verifier and seeded sweeps
     state_low: np.ndarray
@@ -269,7 +269,7 @@ class CartPoleModel(SystemModel):
 class LinearModel(SystemModel):
     """Exactly linear dynamics x' = A x + B u, used for golden-case tests."""
 
-    def __init__(self, a, b, dt=1.0):
+    def __init__(self, a, b):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -280,7 +280,6 @@ class LinearModel(SystemModel):
         self.b = b
         self.state_dim = a.shape[0]
         self.control_dim = b.shape[1]
-        self.dt = float(dt)
         self.state_low = -np.ones(self.state_dim)
         self.state_high = np.ones(self.state_dim)
         self.control_low = -np.ones(self.control_dim)
@@ -351,8 +350,16 @@ class QuadraticCost:
                 + 0.5 * ((u[..., None, :] @ self.control_weight) @ u[..., None])[..., 0, 0])
         return float(cost) if cost.ndim == 0 else cost
 
+    def _terminal_deviation(self, x):
+        """x - goal for one terminal state x of shape (n,)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.goal.shape:
+            raise DimensionError(f"terminal cost takes one state x ({self.goal.shape[0]},), "
+                                 f"not {x.shape}")
+        return x - self.goal
+
     def terminal_cost(self, x) -> float:
-        e = np.asarray(x, dtype=float).reshape(-1) - self.goal
+        e = self._terminal_deviation(x)
         return 0.5 * float(e @ self.q_terminal @ e)
 
     def stage_derivatives(self, x, u):
@@ -366,8 +373,7 @@ class QuadraticCost:
 
     def terminal_derivatives(self, x):
         """Return (C_x, C_xx) at the terminal state x."""
-        return (self.q_terminal @ (np.asarray(x, dtype=float).reshape(-1) - self.goal),
-                self.q_terminal.copy())
+        return self.q_terminal @ self._terminal_deviation(x), self.q_terminal.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -395,33 +401,33 @@ CARTPOLE_DEFAULTS = {
 }
 
 
-def make_benchmark(system, horizon=None, timestep=None, q_diag=None,
-                   r_scale=None, qt_scale=None, x0=None, goal=None):
-    """Build (model, cost, x0, horizon) for a named benchmark.
+BENCHMARKS = {"pendulum": (PendulumModel, PENDULUM_DEFAULTS),
+              "cartpole": (CartPoleModel, CARTPOLE_DEFAULTS)}
 
-    Any keyword left as None falls back to the benchmark defaults above.
+
+def make_benchmark(system, **overrides):
+    """Build (model, cost, x0, horizon) for a benchmark named in BENCHMARKS.
+
+    The keywords are the keys of its defaults table; a key left out or given
+    as None takes its default.
     """
-    if system == "pendulum":
-        defaults = PENDULUM_DEFAULTS
-    elif system == "cartpole":
-        defaults = CARTPOLE_DEFAULTS
-    else:
+    if system not in BENCHMARKS:
         raise ValueError(f"unknown system '{system}'")
+    model_cls, defaults = BENCHMARKS[system]
+    for key in overrides:
+        if key not in defaults:
+            raise TypeError(f"make_benchmark() got an unexpected keyword argument '{key}'")
+    p = {key: value if overrides.get(key) is None else overrides[key]
+         for key, value in defaults.items()}
 
-    horizon = int(defaults["horizon"] if horizon is None else horizon)
-    timestep = float(defaults["timestep"] if timestep is None else timestep)
-    q_diag = np.asarray(defaults["q_diag"] if q_diag is None else q_diag, float)
-    r_scale = float(defaults["r_scale"] if r_scale is None else r_scale)
-    qt_scale = float(defaults["qt_scale"] if qt_scale is None else qt_scale)
-    x0 = np.asarray(defaults["x0"] if x0 is None else x0, float)
-    goal = np.asarray(defaults["goal"] if goal is None else goal, float)
+    horizon = int(p["horizon"])
+    timestep = float(p["timestep"])
+    q_diag, x0, goal = (np.asarray(p[key], float) for key in ("q_diag", "x0", "goal"))
+    r_scale, qt_scale = float(p["r_scale"]), float(p["qt_scale"])
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
 
-    if system == "pendulum":
-        model = PendulumModel(dt=timestep)
-    else:
-        model = CartPoleModel(dt=timestep)
+    model = model_cls(dt=timestep)
     if q_diag.shape != (model.state_dim,):
         raise DimensionError("q_diag length must match the state dimension")
     if x0.shape != (model.state_dim,) or goal.shape != (model.state_dim,):
@@ -455,17 +461,18 @@ def random_linear(rng):
 FD_STEP = 1e-5  # scaled per coordinate by (1 + |value|)
 
 
-def _fd_jacobian(fn, z, out_dim):
-    """Central-difference Jacobian of fn: R^k -> R^out_dim."""
+def _fd_jacobian(fn, z):
+    """Central-difference Jacobian of fn at the vector z, of shape
+    fn(z).shape + z.shape: entry [..., j] differences coordinate j."""
     z = np.asarray(z, dtype=float)
-    jac = np.zeros((out_dim, z.size))
+    columns = []
     for j in range(z.size):
         h = FD_STEP * (1.0 + abs(z[j]))
         zp, zm = z.copy(), z.copy()
         zp[j] += h
         zm[j] -= h
-        jac[:, j] = (np.asarray(fn(zp)) - np.asarray(fn(zm))).reshape(-1) / (2 * h)
-    return jac
+        columns.append((np.asarray(fn(zp)) - np.asarray(fn(zm))) / (2 * h))
+    return np.stack(columns, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -517,49 +524,32 @@ def check_derivatives(model, cost, sample_count=100, tol=1e-5, seed=0):
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     rng = np.random.default_rng(seed)
-    n, m = model.state_dim, model.control_dim
     worst = {}
-
-    def record(name, err, idx):
-        if name not in worst or err > worst[name][0]:
-            worst[name] = (err, idx)
-
     for idx in range(sample_count):
         x = rng.uniform(model.state_low, model.state_high)
         u = rng.uniform(model.control_low, model.control_high)
         fx, fu, fxx, fxu = model.derivatives(x, u)
-
-        fd_fx = _fd_jacobian(lambda z: model.step(z, u), x, n)
-        fd_fu = _fd_jacobian(lambda z: model.step(x, z), u, n)
-        record("fx", _rel_err(fd_fx, fx), idx)
-        record("fu", _rel_err(fd_fu, fu), idx)
-
-        # d(fx)/dx_k -> fxx[:, :, k], d(fx)/du_l -> fxu[:, :, l]
-        fd_fxx = _fd_jacobian(
-            lambda z: model.derivatives(z, u)[0].reshape(-1), x, n * n)
-        fd_fxu = _fd_jacobian(
-            lambda z: model.derivatives(x, z)[0].reshape(-1), u, n * n)
-        fd_fuu = _fd_jacobian(
-            lambda z: model.derivatives(x, z)[1].reshape(-1), u, n * m)
-        record("fxx", _rel_err(fd_fxx.reshape(n, n, n), fxx), idx)
-        record("fxu", _rel_err(fd_fxu.reshape(n, n, m), fxu), idx)
-        record("fuu", _rel_err(fd_fuu, np.zeros_like(fd_fuu)), idx)
-
         lx, lxx, ru, r = cost.stage_derivatives(x, u)
-        fd_lx = _fd_jacobian(lambda z: [cost.stage_cost(z, u)], x, 1)[0]
-        fd_lxx = _fd_jacobian(lambda z: cost.stage_derivatives(z, u)[0], x, n)
-        fd_ru = _fd_jacobian(lambda z: [cost.stage_cost(x, z)], u, 1)[0]
-        fd_r = _fd_jacobian(lambda z: cost.stage_derivatives(x, z)[2], u, m)
-        record("lx", _rel_err(fd_lx, lx), idx)
-        record("lxx", _rel_err(fd_lxx, lxx), idx)
-        record("control_grad", _rel_err(fd_ru, ru), idx)
-        record("control_hess", _rel_err(fd_r, r), idx)
-
         ct_x, ct_xx = cost.terminal_derivatives(x)
-        fd_ct_x = _fd_jacobian(lambda z: [cost.terminal_cost(z)], x, 1)[0]
-        fd_ct_xx = _fd_jacobian(lambda z: cost.terminal_derivatives(z)[0], x, n)
-        record("terminal_grad", _rel_err(fd_ct_x, ct_x), idx)
-        record("terminal_hess", _rel_err(fd_ct_xx, ct_xx), idx)
+        # (name, function differenced, point, analytic derivative); the
+        # derivative of fx wrt x_k is fxx[..., k] and wrt u_l is fxu[..., l]
+        rows = (
+            ("fx", lambda z: model.step(z, u), x, fx),
+            ("fu", lambda z: model.step(x, z), u, fu),
+            ("fxx", lambda z: model.derivatives(z, u)[0], x, fxx),
+            ("fxu", lambda z: model.derivatives(x, z)[0], u, fxu),
+            ("fuu", lambda z: model.derivatives(x, z)[1], u, 0.0),
+            ("lx", lambda z: cost.stage_cost(z, u), x, lx),
+            ("lxx", lambda z: cost.stage_derivatives(z, u)[0], x, lxx),
+            ("control_grad", lambda z: cost.stage_cost(x, z), u, ru),
+            ("control_hess", lambda z: cost.stage_derivatives(x, z)[2], u, r),
+            ("terminal_grad", cost.terminal_cost, x, ct_x),
+            ("terminal_hess", lambda z: cost.terminal_derivatives(z)[0], x, ct_xx),
+        )
+        for name, fn, z, exact in rows:
+            err = _rel_err(_fd_jacobian(fn, z), exact)
+            if name not in worst or err > worst[name][0]:
+                worst[name] = (err, idx)
 
     checks = tuple(
         DerivativeCheck(name, err, idx, err <= tol)

@@ -70,8 +70,6 @@ def rollout(model, cost, x0, controls) -> Trajectory:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     # a copy: the returned Trajectory must not share the caller's array
     u_seq = np.atleast_2d(np.array(controls, dtype=float))
-    if u_seq.shape[0] == 1 and u_seq.shape[1] != model.control_dim:
-        u_seq = u_seq.T
     if u_seq.shape[0] < 1:
         raise DimensionError("need at least one control")
     return _propagate(model, cost, x0, u_seq)

@@ -1,6 +1,7 @@
 """The three backward sweeps, multipliers, and the expected-reduction model."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,8 +155,7 @@ def _tiny_expansion(fx, fu, r, ru, ct_x, ct_xx, lx=None, lxx=None):
         lx=np.zeros((horizon, n)) if lx is None else np.asarray(lx, float),
         lxx=np.zeros((horizon, n, n)) if lxx is None else np.asarray(lxx, float),
         ru=np.asarray(ru, float), r=np.asarray(r, float),
-        ct_x=np.asarray(ct_x, float), ct_xx=np.asarray(ct_xx, float),
-        nominal_cost=0.0)
+        ct_x=np.asarray(ct_x, float), ct_xx=np.asarray(ct_xx, float))
 
 
 def test_expected_reduction_hand_case():
@@ -408,3 +408,22 @@ def test_gain_profile_csv(tmp_path):
     row = lines[1].split(",")
     assert float(row[1]) == pytest.approx(quu_spectrum(sol)[0])
     assert float(row[2]) == pytest.approx(np.linalg.norm(sol.k[0]))
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda exp, sol, path: expected_reduction(sol, exp, 1.5), r"alpha must be in \[0, 1\]"),
+    (lambda exp, sol, path: expected_reduction(sol, exp, -0.5), r"alpha must be in \[0, 1\]"),
+    (lambda exp, sol, path: multipliers_from(sol, replace(path, dx=path.dx[1:])),
+     "path horizon does not match the solution"),
+    (lambda exp, sol, path: backward_newton(exp, sol.v[1:]),
+     r"multiplier sequence must have shape \(T\+1, n\)"),
+    (lambda exp, sol, path: backward_newton(exp, sol.v[:, :1]),
+     r"multiplier sequence must have shape \(T\+1, n\)"),
+], ids=["reduction-alpha-high", "reduction-alpha-low", "multipliers-path",
+        "newton-horizon", "newton-width"])
+def test_backward_rejects_bad_inputs(call, message):
+    model, cost, x0, _ = make_benchmark("pendulum")
+    exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=5))
+    sol = backward_ilqr(exp)
+    with pytest.raises(ValueError, match=message):
+        call(exp, sol, linear_rollout(exp, sol, 1.0))

@@ -316,3 +316,36 @@ def test_build_config_defaults_and_methods():
     assert cfg.methods() == ["ilqr", "newton", "ddp", "hybrid"]
     cfg = build_config({"method": "ilqr,newton"})
     assert cfg.methods() == ["ilqr", "newton"]
+
+
+def test_build_config_parses_booleans_and_keeps_the_problem_keys_set():
+    for text, value in (("false", False), ("No", False), ("0", False),
+                        ("true", True), (" YES ", True), ("1", True)):
+        assert build_config({"warm_start": text}).warm_start is value
+    assert build_config({}).problem == {}
+    cfg = build_config({"horizon": "60", "q_diag": "2,0.5", "qt_scale": "50"})
+    assert cfg.problem == {"horizon": 60, "q_diag": (2.0, 0.5), "qt_scale": 50.0}
+    assert cfg != build_config({}) and hash(cfg) == hash(build_config({"horizon": "60"}))
+
+
+@pytest.mark.parametrize(("args", "message"), [
+    (["--set", "horizon"], "--set expects key=value, got 'horizon'"),
+    (["--set", "init_amplitude=-0.5"], "init_amplitude must be nonnegative"),
+    (["--set", "warm_start=maybe"], "expected a boolean, got 'maybe'"),
+    (["--set", "horizon=5.5"], "bad value for horizon: '5.5'"),
+    (["--set", "q_diag=1,2,x"], "expected comma-separated floats, got '1,2,x'"),
+    (["--system", "acrobot"], "unknown system 'acrobot'"),
+    # accepted by the parser, rejected by the benchmark when the run sets up
+    (["--set", "q_diag=1,2,3"], "q_diag length must match the state dimension"),
+    (["--system", "cartpole", "--set", "x0=0,0"],
+     "x0 and goal length must match the state dimension"),
+    (["--set", "horizon=0"], "horizon must be at least 1"),
+    (["--set", "timestep=0"], "timestep must be positive"),
+], ids=["set-without-equals", "negative-amplitude", "malformed-boolean", "fractional-horizon",
+        "bad-float-list", "unknown-system", "q-diag-width", "x0-width", "horizon-0",
+        "timestep-0"])
+def test_configuration_errors_exit_2_with_their_message(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert _run(["run", "--out", str(out), *args]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()

@@ -56,7 +56,6 @@ def test_expansion_matches_pointwise_model_calls(instance):
     model, cost, x0 = instance()
     traj = random_nominal(model, cost, x0, 20, seed=8)
     exp = expand_along(model, cost, traj)
-    assert exp.nominal_cost == traj.cost
     for t in range(20):
         fx, fu, fxx, fxu = model.derivatives(traj.states[t], traj.controls[t])
         assert np.array_equal(exp.fx[t], fx)
@@ -86,6 +85,21 @@ def test_expansion_rejects_non_finite_derivatives():
     _, cost, x0, _ = make_benchmark("pendulum")
     traj = rollout(model, cost, x0, np.zeros((5, 1)))
     with pytest.raises(TrajoptError, match="non-finite derivative at timestep 2$"):
+        expand_along(model, cost, traj)
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_expansion_rejects_a_non_finite_terminal_derivative(block):
+    class _BrokenTerminal(QuadraticCost):
+        def terminal_derivatives(self, x):
+            derivs = list(super().terminal_derivatives(x))
+            derivs[block] = np.full_like(derivs[block], np.nan)
+            return tuple(derivs)
+
+    model, bench, x0, _ = make_benchmark("pendulum")
+    cost = _BrokenTerminal(bench.q, bench.control_weight, bench.q_terminal, bench.goal)
+    traj = rollout(model, cost, x0, np.zeros((5, 1)))
+    with pytest.raises(TrajoptError, match="non-finite terminal derivative at timestep 5$"):
         expand_along(model, cost, traj)
 
 

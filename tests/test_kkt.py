@@ -2,6 +2,7 @@
 equivalence."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,3 +282,22 @@ def test_verification_json_schema(tmp_path):
         "err_lam": report.err_lam, "worst_timestep": report.worst_timestep,
         "tol": 1e-8,
     }]
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda exp, sol: assemble_qp(exp, "ddp"), "unknown variant 'ddp'"),
+    (lambda exp, sol: assemble_qp(exp, "newton", sol.v[1:]),
+     r"multiplier sequence must have shape \(T\+1, n\)"),
+    (lambda exp, sol: assemble_qp(exp, "newton"),
+     r"multiplier sequence must have shape \(T\+1, n\)"),
+    (lambda exp, sol: verify_equivalence(replace(sol, method="newton"), exp),
+     "newton verification needs the multiplier sequence"),
+    (lambda exp, sol: verify_equivalence(replace(sol, method="sqp"), exp, sol.v),
+     "unknown method 'sqp'"),
+], ids=["assemble-variant", "assemble-costates", "assemble-no-costates",
+        "verify-newton-no-costates", "verify-method"])
+def test_oracle_rejects_bad_inputs(call, message):
+    model, cost, x0, _ = make_benchmark("pendulum")
+    exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=6))
+    with pytest.raises(ValueError, match=message):
+        call(exp, backward_ilqr(exp))

@@ -17,11 +17,14 @@ sweep, `_propagate`, `linear_rollout` and `cost_gradient_adjoint`) uses `@`,
 directly or through a function of its module: each product is an `np.dot`.
 The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
 arithmetic and no loop over stages, and `import trajopt` leaves `scipy.sparse`
-unloaded, so the library's import time and memory do not carry it.
+unloaded, so the library's import time and memory do not carry it. The
+benchmark problem schema is written once, in `models.py`: no other module
+names its cost keys.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -257,3 +260,27 @@ def test_importing_the_package_does_not_load_scipy_sparse():
                             capture_output=True, text=True).stdout
     assert "scipy.linalg" in loaded  # the probe sees the oracle's own import
     assert "scipy.sparse" not in loaded
+
+
+BENCHMARK_KEYS = ("q_diag", "r_scale", "qt_scale")
+
+
+def _mentions(source, names):
+    """The members of `names` that `source` spells out as whole words."""
+    return [name for name in names if re.search(rf"\b{name}\b", source)]
+
+
+def test_only_models_names_the_benchmark_keys():
+    # the CLI and every other module take the problem keys from models.BENCHMARKS
+    found = {path.name: _mentions(path.read_text(), BENCHMARK_KEYS)
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "models.py"}
+    assert "cli.py" in found
+    assert {name: keys for name, keys in found.items() if keys} == {}
+    assert _mentions((PACKAGE / "models.py").read_text(), BENCHMARK_KEYS) == list(BENCHMARK_KEYS)
+
+
+def test_the_key_check_sees_each_spelling():
+    source = ("def f(cfg, q_diag=None):\n    return cfg.r_scale\n"
+              "KEY = 'qt_scale'  # not q_diagonal, nor my_r_scale\n")
+    assert _mentions(source, BENCHMARK_KEYS) == ["q_diag", "r_scale", "qt_scale"]
+    assert _mentions("q_diagonal = my_r_scale = qt_scales\n", BENCHMARK_KEYS) == []

@@ -283,3 +283,16 @@ def test_config_validation():
         LineSearchConfig(rho=1.0)
     with pytest.raises(ValueError):
         LineSearchConfig(alpha_min=0.5, alpha_init=0.25)
+
+
+@pytest.mark.parametrize(("alpha", "gain_horizon", "message"), [
+    (-0.1, 8, r"alpha must be in \[0, 1\]"),
+    (1.5, 8, r"alpha must be in \[0, 1\]"),
+    (1.0, 7, "gain horizon does not match the nominal"),
+])
+def test_forward_pass_rejects_bad_inputs(alpha, gain_horizon, message):
+    model, cost, x0, _ = make_benchmark("pendulum")
+    nominal = random_nominal(model, cost, x0, 8, seed=4)
+    sol = _gains(np.zeros(gain_horizon), np.zeros((gain_horizon, 2)), gain_horizon, 2, 1)
+    with pytest.raises(ValueError, match=message):
+        forward_pass(model, cost, nominal, sol, alpha)

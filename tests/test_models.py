@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from trajopt import (DimensionError, LinearModel, PendulumModel,
+from trajopt import (CartPoleModel, DimensionError, LinearModel, PendulumModel,
                      QuadraticCost, check_derivatives, make_benchmark)
+from trajopt.models import BENCHMARKS, CARTPOLE_DEFAULTS, PENDULUM_DEFAULTS
 
 
 def test_pendulum_downward_equilibrium_is_fixed_point():
@@ -149,6 +150,15 @@ def test_quadratic_cost_rejects_a_column_vector_state(method):
         getattr(cost, method)(np.zeros((5, 2, 1)), np.zeros((5, 1)))
 
 
+@pytest.mark.parametrize("method", ["terminal_cost", "terminal_derivatives"])
+def test_quadratic_cost_rejects_a_terminal_state_of_the_wrong_shape(method):
+    # one state of shape (n,), as the stage methods check their trailing width
+    _, cost, _, _ = make_benchmark("pendulum")
+    for x in (np.zeros(1), np.zeros(3), [[0.3], [0.1]], np.zeros((5, 2)), 0.0):
+        with pytest.raises(DimensionError, match="terminal cost takes one state"):
+            getattr(cost, method)(x)
+
+
 @pytest.mark.parametrize("method", ["stage_cost", "stage_derivatives"])
 def test_quadratic_cost_rejects_a_wrong_control_width(method):
     _, cost, _, _ = make_benchmark("cartpole")
@@ -209,3 +219,66 @@ def test_make_benchmark_rejects_mismatched_vectors():
         make_benchmark("cartpole", x0=(0.0, 0.0))
     with pytest.raises(ValueError):
         make_benchmark("spring")
+
+
+def test_both_defaults_tables_declare_the_same_typed_keys():
+    # the CLI parses each problem key by the type of its default
+    assert [BENCHMARKS[name][1] for name in ("pendulum", "cartpole")] == [
+        PENDULUM_DEFAULTS, CARTPOLE_DEFAULTS]
+    assert list(PENDULUM_DEFAULTS) == list(CARTPOLE_DEFAULTS)
+    for key, value in PENDULUM_DEFAULTS.items():
+        assert type(value) is type(CARTPOLE_DEFAULTS[key]), key
+        if isinstance(value, tuple):
+            assert {type(v) for v in value + CARTPOLE_DEFAULTS[key]} == {float}, key
+
+
+@pytest.mark.parametrize("system", ["pendulum", "cartpole"])
+def test_make_benchmark_overrides_each_key_and_fills_the_rest(system):
+    model_cls, defaults = BENCHMARKS[system]
+    model, cost, x0, horizon = make_benchmark(system, horizon=40, r_scale=None)
+    assert type(model) is model_cls and model.dt == defaults["timestep"]
+    assert horizon == 40 and type(horizon) is int
+    assert np.array_equal(x0, defaults["x0"]) and np.array_equal(cost.goal, defaults["goal"])
+    q = np.diag(defaults["q_diag"])
+    assert np.array_equal(cost.q, q)
+    assert np.array_equal(cost.q_terminal, defaults["qt_scale"] * q)
+    assert np.array_equal(cost.control_weight, defaults["r_scale"] * np.eye(1))
+    n = model.state_dim
+    model, cost, x0, horizon = make_benchmark(
+        system, horizon=7, timestep=0.01, q_diag=np.arange(1.0, n + 1), r_scale=2.0,
+        qt_scale=3.0, x0=np.full(n, 0.5), goal=np.ones(n))
+    assert (horizon, model.dt) == (7, 0.01)
+    assert np.array_equal(cost.q, np.diag(np.arange(1.0, n + 1)))
+    assert np.array_equal(cost.q_terminal, 3.0 * cost.q)
+    assert np.array_equal(cost.control_weight, 2.0 * np.eye(1))
+    assert np.array_equal(x0, np.full(n, 0.5)) and np.array_equal(cost.goal, np.ones(n))
+
+
+@pytest.mark.parametrize(("build", "error", "message"), [
+    (lambda: PendulumModel(dt=0.0), ValueError, "timestep must be positive"),
+    (lambda: CartPoleModel(dt=-0.02), ValueError, "timestep must be positive"),
+    (lambda: LinearModel(np.zeros((2, 3)), np.zeros((2, 1))), DimensionError,
+     "A must be square"),
+    (lambda: LinearModel(np.eye(2), np.zeros((3, 1))), DimensionError, r"B must be \(n, m\)"),
+    (lambda: LinearModel(np.eye(2), np.zeros(2)), DimensionError, r"B must be \(n, m\)"),
+    (lambda: QuadraticCost(np.eye(3), np.eye(1), np.eye(2), np.zeros(2)), DimensionError,
+     r"Q and Q_terminal must be \(n, n\)"),
+    (lambda: QuadraticCost(np.eye(2), np.eye(2), np.eye(3), np.zeros(2)), DimensionError,
+     r"Q and Q_terminal must be \(n, n\)"),
+    (lambda: QuadraticCost(np.eye(2), np.ones((1, 2)), np.eye(2), np.zeros(2)),
+     DimensionError, "R must be square"),
+    (lambda: make_benchmark("pendulum", horizon=0), ValueError,
+     "horizon must be at least 1"),
+    (lambda: make_benchmark("cartpole", timestep=0.0), ValueError,
+     "timestep must be positive"),
+    (lambda: make_benchmark("spring"), ValueError, "unknown system 'spring'"),
+    (lambda: make_benchmark("pendulum", dt=0.1), TypeError,
+     "unexpected keyword argument 'dt'"),
+    (lambda: check_derivatives(*make_benchmark("pendulum")[:2], tol=0.0), ValueError,
+     "tol must be positive"),
+], ids=["pendulum-dt", "cartpole-dt", "a-not-square", "b-rows", "b-1d", "q-shape",
+        "qt-shape", "r-not-square", "horizon-0", "benchmark-dt", "unknown-system",
+        "unknown-key", "tol-0"])
+def test_models_reject_bad_arguments(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -80,6 +80,13 @@ def nominals(draw, systems=("pendulum", "cartpole", "linear-m2", "linear-m3"),
     return model, cost, traj, rng
 
 
+def _costates(rng, traj):
+    """Newton costates, one per state, at a scale drawn over four decades:
+    as large as real value gradients, so a contraction's last bit does not
+    vanish into Q_xx."""
+    return rng.normal(size=traj.states.shape) * 10.0 ** rng.uniform(0.0, 4.0)
+
+
 def _reference_sweep(exp, method, costates):
     """(v, V, k, K, Quu) of one sweep, stage by stage."""
     horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
@@ -236,7 +243,7 @@ def test_expected_reduction_equals_the_per_stage_loop(problem):
 def test_every_sweep_equals_the_per_stage_reference(problem):
     model, cost, traj, rng = problem
     exp = expand_along(model, cost, traj)
-    costates = rng.normal(size=traj.states.shape)
+    costates = _costates(rng, traj)
     for method in ("ilqr", "newton", "ddp"):
         sol, _ = backward_for(method, exp, costates)
         assert _equal((sol.v, sol.V, sol.k, sol.K, sol.quu),
@@ -247,8 +254,7 @@ def test_every_sweep_equals_the_per_stage_reference(problem):
 @given(nominals(), st.floats(0.0, 1.0, exclude_min=True), SWEEPS)
 def test_forward_pass_equals_the_per_step_control_law(problem, alpha, method):
     model, cost, traj, rng = problem
-    sol, _ = backward_for(method, expand_along(model, cost, traj),
-                          rng.normal(size=traj.states.shape))
+    sol, _ = backward_for(method, expand_along(model, cost, traj), _costates(rng, traj))
     assert _forward_pass_equals_the_reference(model, cost, traj, sol, alpha)
 
 
@@ -257,7 +263,7 @@ def test_forward_pass_equals_the_per_step_control_law(problem, alpha, method):
 def test_linear_rollout_equals_the_per_stage_reference(problem, alpha, method):
     model, cost, traj, rng = problem
     exp = expand_along(model, cost, traj)
-    sol, _ = backward_for(method, exp, rng.normal(size=traj.states.shape))
+    sol, _ = backward_for(method, exp, _costates(rng, traj))
     path = linear_rollout(exp, sol, alpha)
     assert _equal((path.dx, path.du), _reference_linear_rollout(exp, sol, alpha))
 
@@ -275,11 +281,10 @@ def test_adjoint_gradient_equals_the_per_stage_reference(problem):
        st.floats(0.0, 1.0, exclude_min=True))
 def test_every_loop_equals_its_reference_on_nonlinear_nominals(problem, alpha):
     # nonzero fxx and fxu: the Newton and DDP contractions and the m = 1
-    # pivot are compared on every draw. Costates as large as real value
-    # gradients keep a contraction's last bit from vanishing into Q_xx.
+    # pivot are compared on every draw
     model, cost, traj, rng = problem
     exp = expand_along(model, cost, traj)
-    costates = rng.normal(size=traj.states.shape) * 10.0 ** rng.uniform(0.0, 4.0)
+    costates = _costates(rng, traj)
     assert np.array_equal(cost_gradient_adjoint(exp), _reference_gradient(exp))
     for method in ("ilqr", "newton", "ddp"):
         sol, _ = backward_for(method, exp, costates)

@@ -255,6 +255,13 @@ def test_solver_config_validation():
         SolverConfig(hybrid_patience=0)
 
 
+@pytest.mark.parametrize("settings", [{"grad_tol": 0.0}, {"step_tol": -1e-9},
+                                      {"grad_tol": -1.0, "step_tol": 0.0}])
+def test_solver_config_rejects_non_positive_tolerances(settings):
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        SolverConfig(**settings)
+
+
 def test_iteration_csv_round_trip(tmp_path):
     model, cost, x0, horizon = make_benchmark("pendulum")
     result = solve(model, cost, x0, _random_controls(horizon, 1, seed=0),

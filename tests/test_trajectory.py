@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from trajopt import (BackwardSolution, DimensionError, DivergenceError,
-                     LinearModel, PendulumModel, QuadraticCost, expand_along,
-                     linear_rollout, make_benchmark, rollout, total_cost)
+                     LinearModel, PendulumModel, QuadraticCost, backward_ilqr,
+                     expand_along, linear_rollout, make_benchmark, rollout,
+                     total_cost)
 from trajopt.artifacts import write_trajectory_csv
 
 from conftest import random_nominal
@@ -104,6 +105,15 @@ def test_rollout_rejects_empty_controls():
         rollout(model, cost, x0, np.zeros((0, 1)))
 
 
+@pytest.mark.parametrize("controls", [[0.1, 0.2, 0.3], [0.0, 0.0]])
+def test_rollout_takes_a_flat_control_list_as_one_control(controls):
+    # a list of scalars is one control of width len(controls), not a column
+    model, cost, x0, _ = make_benchmark("pendulum")
+    with pytest.raises(DimensionError, match=rf"shapes \(2,\) and \({len(controls)},\)"):
+        rollout(model, cost, x0, controls)
+    assert rollout(model, cost, x0, [0.5]).horizon == 1
+
+
 def test_total_cost_zero_at_goal():
     _, cost, _, _ = make_benchmark("pendulum")
     states = np.tile(cost.goal, (5, 1))
@@ -151,7 +161,6 @@ def test_linear_rollout_alpha_zero_is_zero_path():
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 15, seed=2)
     exp = expand_along(model, cost, traj)
-    from trajopt import backward_ilqr
     sol = backward_ilqr(exp)
     path = linear_rollout(exp, sol, 0.0)
     assert not path.dx.any()
@@ -163,7 +172,6 @@ def test_linear_rollout_feedback_identity_and_dynamics():
     model, cost, x0, _ = make_benchmark("cartpole")
     traj = random_nominal(model, cost, x0, 25, seed=7)
     exp = expand_along(model, cost, traj)
-    from trajopt import backward_ilqr
     sol = backward_ilqr(exp)
     for alpha in (0.25, 1.0):
         path = linear_rollout(exp, sol, alpha)
@@ -179,7 +187,6 @@ def test_linear_rollout_scales_linearly_in_alpha_without_feedback():
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 10, seed=6)
     exp = expand_along(model, cost, traj)
-    from trajopt import backward_ilqr
     sol = backward_ilqr(exp)
     open_loop = _zero_gains(10, 2, 1)
     open_loop = type(sol)(v=sol.v, V=sol.V, k=sol.k,
@@ -215,3 +222,22 @@ def test_trajectory_csv_round_trip(tmp_path):
     last = lines[-1].split(",")
     assert last[3] == ""  # no control on the terminal row
     assert float(last[4]) == pytest.approx(cost.terminal_cost(traj.states[-1]))
+
+
+def _pendulum_sweep(horizon):
+    model, cost, x0, _ = make_benchmark("pendulum")
+    exp = expand_along(model, cost, random_nominal(model, cost, x0, horizon, seed=3))
+    return exp, backward_ilqr(exp)
+
+
+@pytest.mark.parametrize(("alpha", "gain_horizon", "error", "message"), [
+    (-0.1, 6, ValueError, r"alpha must be in \[0, 1\]"),
+    (1.5, 6, ValueError, r"alpha must be in \[0, 1\]"),
+    (math.nan, 6, ValueError, r"alpha must be in \[0, 1\]"),
+    (1.0, 5, DimensionError, "gain horizon does not match the expansion"),
+])
+def test_linear_rollout_rejects_bad_inputs(alpha, gain_horizon, error, message):
+    exp, _ = _pendulum_sweep(6)
+    _, sol = _pendulum_sweep(gain_horizon)
+    with pytest.raises(error, match=message):
+        linear_rollout(exp, sol, alpha)
