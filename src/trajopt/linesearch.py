@@ -5,11 +5,13 @@ sigma-fraction of its first-order prediction:
 
     (J_new - J_old) / (alpha * d'grad) > sigma,
 
-where d is the full-step direction from the linearized rollout and grad the
-exact cost gradient. The denominator is negative for a descent direction, so
-acceptance implies a strict cost decrease. If the direction fails to predict
-descent at all (possible for the Newton and DDP sweeps), shrinking alpha
-cannot fix the sign and the search refuses to run instead of backtracking.
+with d'grad the full step's slope along the exact cost gradient. The step z*
+minimizes the sweep's subproblem g'z + 1/2 z'Hz subject to the linearized
+dynamics Az = 0, so g'z* = -z*'Hz*: the slope is -sum_t g_t'k_t, twice
+`expected_reduction` at alpha = 1, read off the sweep. It is negative for a
+descent direction, so acceptance implies a strict cost decrease. If it is not
+(possible for the Newton and DDP sweeps), shrinking alpha cannot fix the sign
+and the search refuses to run instead of backtracking.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ class LineSearchConfig:
 class LineSearchOutcome:
     trajectory: Trajectory
     alpha: float
-    trials: int
     status: str  # "ACCEPTED" or "FLOOR_HIT"
     trial_log: tuple = field(default_factory=tuple)  # (alpha, cost, ratio) rows
     steps: int = 0  # model points stepped by the trials
@@ -72,7 +73,7 @@ def forward_pass(model, cost, nominal, sol, alpha) -> Trajectory:
 
 
 def directional_derivative(exp, sol, grad) -> float:
-    """d'grad for the full step d = du from the alpha = 1 linearized rollout."""
+    """d'grad of the alpha = 1 linearized rollout's du: checks the sweep's slope."""
     path = linear_rollout(exp, sol, 1.0)
     return float(np.sum(path.du * grad))
 
@@ -80,20 +81,18 @@ def directional_derivative(exp, sol, grad) -> float:
 def line_search(model, cost, nominal, sol, linear_pred, config) -> LineSearchOutcome:
     """Backtrack on alpha until the ratio test accepts or the floor is hit.
 
-    `linear_pred` is the full step's first-order prediction d'grad, as
-    returned by `directional_derivative`. Raises NonDescentError, before any
-    forward pass, if it predicts no decrease. A FLOOR_HIT outcome returns the
-    nominal unchanged.
+    `linear_pred` is the full step's slope d'grad: `solve` passes the sweep's
+    -sum_t g_t'k_t. Raises NonDescentError, before any forward pass, if it
+    predicts no decrease. A FLOOR_HIT outcome returns the nominal unchanged.
     """
     if linear_pred >= 0.0:
         raise NonDescentError(
             f"direction predicts {linear_pred:.3e}; refusing to backtrack")
 
     log = []
-    trials = steps = 0
+    steps = 0
     alpha = config.alpha_init
     while alpha >= config.alpha_min:
-        trials += 1
         try:
             candidate = forward_pass(model, cost, nominal, sol, alpha)
         except DivergenceError as exc:
@@ -105,6 +104,6 @@ def line_search(model, cost, nominal, sol, linear_pred, config) -> LineSearchOut
         ratio = (candidate.cost - nominal.cost) / (alpha * linear_pred)
         log.append((alpha, candidate.cost, ratio))
         if ratio > config.sigma:
-            return LineSearchOutcome(candidate, alpha, trials, "ACCEPTED", tuple(log), steps)
+            return LineSearchOutcome(candidate, alpha, "ACCEPTED", tuple(log), steps)
         alpha *= config.rho
-    return LineSearchOutcome(nominal, 0.0, trials, "FLOOR_HIT", tuple(log), steps)
+    return LineSearchOutcome(nominal, 0.0, "FLOOR_HIT", tuple(log), steps)

@@ -286,7 +286,7 @@ class LinearModel(SystemModel):
         self.control_high = np.ones(self.control_dim)
 
     def _step(self, x, u):
-        return self.a @ x + self.b @ u
+        return np.dot(self.a, x) + np.dot(self.b, u)
 
     def _derivatives(self, x, u):
         batch, n, m = x.shape[:-1], self.state_dim, self.control_dim
@@ -420,14 +420,15 @@ def make_benchmark(system, **overrides):
     p = {key: value if overrides.get(key) is None else overrides[key]
          for key, value in defaults.items()}
 
-    horizon = int(p["horizon"])
-    timestep = float(p["timestep"])
-    q_diag, x0, goal = (np.asarray(p[key], float) for key in ("q_diag", "x0", "goal"))
-    r_scale, qt_scale = float(p["r_scale"]), float(p["qt_scale"])
+    horizon = p["horizon"]
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
+        raise ValueError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    q_diag, x0, goal = (np.asarray(p[key], float) for key in ("q_diag", "x0", "goal"))
+    r_scale, qt_scale = float(p["r_scale"]), float(p["qt_scale"])
 
-    model = model_cls(dt=timestep)
+    model = model_cls(dt=float(p["timestep"]))
     if q_diag.shape != (model.state_dim,):
         raise DimensionError("q_diag length must match the state dimension")
     if x0.shape != (model.state_dim,) or goal.shape != (model.state_dim,):
@@ -436,7 +437,7 @@ def make_benchmark(system, **overrides):
     q = np.diag(q_diag)
     r = r_scale * np.eye(model.control_dim)
     cost = QuadraticCost(q, r, qt_scale * q, goal)
-    return model, cost, x0, horizon
+    return model, cost, x0, int(horizon)
 
 
 def random_linear(rng):

@@ -24,7 +24,7 @@ from .backward import (backward_ddp, backward_ilqr, backward_newton, expected_re
 from .errors import NonDescentError
 from .expansion import expand_along
 from .kkt import cost_gradient_adjoint
-from .linesearch import LineSearchConfig, directional_derivative, line_search
+from .linesearch import LineSearchConfig, line_search
 from .trajectory import PerturbationPath, rollout
 
 __all__ = [
@@ -73,7 +73,7 @@ class IterationRecord:
     alpha: float         # accepted step, 0 when no step was taken
     min_quu: float       # min over stages of the smallest Quu eigenvalue
     grad_norm: float     # inf-norm of the exact cost gradient at the nominal
-    linear_pred: float   # d'grad of the full step direction
+    linear_pred: float   # full step's slope d'grad = -sum_t g_t'k_t = 2 dj_pred
     method_active: str
     status: str          # "OK", "NON_DESCENT", or "FLOOR_HIT"
 
@@ -162,8 +162,7 @@ def solve(model, cost, x0, init_controls, config):
             active = "ilqr"
 
         exp = expand_along(model, cost, traj)
-        grad = cost_gradient_adjoint(exp)
-        grad_norm = float(np.max(np.abs(grad)))
+        grad_norm = float(np.max(np.abs(cost_gradient_adjoint(exp))))
         sol, lam_bar = backward_for(active, exp, lam_bar)
         if index == 0:
             first_sweep = sol
@@ -174,7 +173,7 @@ def solve(model, cost, x0, init_controls, config):
         # accepts one or ends the iteration in NON_DESCENT or FLOOR_HIT.
         status, linear_pred, accepted = "OK", 0.0, None
         if grad_norm > config.grad_tol:
-            linear_pred = directional_derivative(exp, sol, grad)
+            linear_pred = 2.0 * dj_pred
             try:
                 outcome = line_search(model, cost, traj, sol, linear_pred,
                                       config.linesearch)

@@ -83,7 +83,7 @@ def test_accept_perfectly_linear_decrease():
     assert ratio == pytest.approx(1.0, rel=1e-12)
     assert outcome.status == "ACCEPTED"
     assert outcome.alpha == 1.0
-    assert outcome.trials == 1
+    assert len(outcome.trial_log) == 1
 
 
 def test_accept_rejects_cost_increase():
@@ -155,7 +155,7 @@ def test_line_search_backtracks_twice_on_stiff_curvature():
                           LineSearchConfig())
     assert outcome.status == "ACCEPTED"
     assert outcome.alpha == pytest.approx(0.25)
-    assert outcome.trials == 3
+    assert len(outcome.trial_log) == 3
     alphas = [row[0] for row in outcome.trial_log]
     assert alphas == sorted(alphas, reverse=True)
 
@@ -187,8 +187,8 @@ def test_line_search_logs_a_diverged_trial_and_backtracks():
     assert outcome.status == "ACCEPTED"
     assert 0.0 < outcome.alpha < 1.0
     assert outcome.alpha == outcome.trial_log[-1][0]
-    assert outcome.trials == len(outcome.trial_log)
-    assert outcome.steps == outcome.trials  # T = 1, and the overshoot is x_1
+    assert outcome.alpha == 0.5 ** (len(outcome.trial_log) - 1)  # one trial per halving
+    assert outcome.steps == len(outcome.trial_log)  # T = 1, and the overshoot is x_1
     assert outcome.trajectory.cost < nominal.cost
 
 
@@ -234,7 +234,7 @@ def test_line_search_accepts_full_step_on_quadratic(lqr_instance):
                           LineSearchConfig())
     assert outcome.status == "ACCEPTED"
     assert outcome.alpha == 1.0
-    assert outcome.trials == 1
+    assert len(outcome.trial_log) == 1
     assert outcome.steps == horizon
 
 
@@ -259,7 +259,8 @@ def test_line_search_floor_hit_returns_nominal_unchanged():
     assert outcome.status == "FLOOR_HIT"
     assert outcome.alpha == 0.0
     assert outcome.trajectory is nominal
-    assert outcome.trials == len(outcome.trial_log)
+    # every alpha = 0.5^j >= alpha_min = 1e-8 was tried: j = 0..26
+    assert [row[0] for row in outcome.trial_log] == [0.5 ** j for j in range(27)]
 
 
 def test_accepted_outcomes_strictly_decrease_cost():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trajopt import (CartPoleModel, DimensionError, LinearModel, PendulumModel,
-                     QuadraticCost, check_derivatives, make_benchmark)
+                     QuadraticCost, check_derivatives, make_benchmark, rollout)
 from trajopt.models import BENCHMARKS, CARTPOLE_DEFAULTS, PENDULUM_DEFAULTS
 
 
@@ -45,6 +45,20 @@ def test_linear_model_derivatives_are_the_matrices():
     assert np.array_equal(fu, b)
     assert not fxx.any()
     assert not fxu.any()
+
+
+def test_linear_model_rollout_equals_the_matrix_products():
+    # `_step` calls np.dot; the states round as A @ x + B @ u does, point by point
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=(4, 4)) / 2.0, rng.normal(size=(4, 2))
+    model = LinearModel(a, b)
+    x0, controls = rng.normal(size=4), rng.normal(size=(30, 2))
+    states = [x0]
+    for u in controls:
+        states.append(a @ states[-1] + b @ u)
+    traj = rollout(model, QuadraticCost(np.eye(4), np.eye(2), np.eye(4), np.zeros(4)),
+                   x0, controls)
+    assert np.array_equal(traj.states, np.array(states))
 
 
 @pytest.mark.parametrize("system", ["pendulum", "cartpole"])
@@ -252,6 +266,21 @@ def test_make_benchmark_overrides_each_key_and_fills_the_rest(system):
     assert np.array_equal(cost.q_terminal, 3.0 * cost.q)
     assert np.array_equal(cost.control_weight, 2.0 * np.eye(1))
     assert np.array_equal(x0, np.full(n, 0.5)) and np.array_equal(cost.goal, np.ones(n))
+
+
+@pytest.mark.parametrize("horizon", [5.5, 5.0, True, np.bool_(True), "5"],
+                         ids=["fraction", "whole-float", "bool", "numpy-bool", "string"])
+def test_make_benchmark_rejects_a_horizon_that_is_not_an_integer(horizon):
+    # int() would truncate 5.5 to 5 and turn True into 1
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        make_benchmark("pendulum", horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon", [7, np.int64(7), np.int32(7), np.uint8(7)],
+                         ids=["int", "int64", "int32", "uint8"])
+def test_make_benchmark_takes_python_and_numpy_integer_horizons(horizon):
+    *_, built = make_benchmark("cartpole", horizon=horizon)
+    assert built == 7 and type(built) is int
 
 
 @pytest.mark.parametrize(("build", "error", "message"), [

@@ -14,16 +14,21 @@ per-stage references kept below: `@` products, one concatenated solve and
 one finiteness check per stage, per-stage Hessian contractions, a control
 law evaluated per step, and models stepped on numpy scalars. The loops
 themselves call `np.dot`, so the references also pin that it rounds as `@`.
+On the pendulum and cart-pole nominals, the slope that `solve` gives the line
+search, -sum_t g_t'k_t from the sweep, must equal the directional derivative
+of the linearized rollout along the adjoint gradient to 1e-9.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from trajopt import (CartPoleModel, DivergenceError, LinearModel, PendulumModel,
-                     QuadraticCost, backward_for, cost_gradient_adjoint, expand_along,
-                     expected_reduction, forward_pass, linear_rollout, make_benchmark,
-                     rollout, total_cost, verify_equivalence)
+                     QuadraticCost, backward_for, cost_gradient_adjoint,
+                     directional_derivative, expand_along, expected_reduction,
+                     forward_pass, linear_rollout, make_benchmark, rollout, total_cost,
+                     verify_equivalence)
 from trajopt.trajectory import STATE_MAGNITUDE_LIMIT
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -236,6 +241,23 @@ def test_expected_reduction_equals_the_per_stage_loop(problem):
         total += float(g @ sol.k[t])
     for alpha in (0.0, 0.3, 1.0):
         assert expected_reduction(sol, exp, alpha) == -(alpha - 0.5 * alpha * alpha) * total
+
+
+@PROPERTY_SETTINGS
+@given(nominals(("pendulum", "cartpole"), max_horizon=60))
+def test_the_sweeps_slope_is_the_linearized_rollouts(problem):
+    # The step z* solves min g'z + 1/2 z'Hz s.t. Az = 0, so g'z* = -z*'Hz*:
+    # the slope `solve` hands the line search, -sum_t g_t'k_t, must be the
+    # directional derivative measured independently, by the alpha = 1
+    # linearized rollout along the adjoint gradient. Newton gets the seeded
+    # costates of `initial_multiplier_estimate`.
+    model, cost, traj, _ = problem
+    exp = expand_along(model, cost, traj)
+    grad = cost_gradient_adjoint(exp)
+    for method in ("ilqr", "newton", "ddp"):
+        sol, _ = backward_for(method, exp)
+        assert directional_derivative(exp, sol, grad) == pytest.approx(
+            2.0 * expected_reduction(sol, exp, 1.0), rel=1e-9, abs=0.0), method
 
 
 @PROPERTY_SETTINGS

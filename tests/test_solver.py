@@ -205,6 +205,21 @@ def test_solve_stops_on_non_descent():
     assert [row[0] for row in result.trial_logs] == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("method", ["ilqr", "newton", "ddp", "hybrid"])
+def test_the_line_search_takes_its_slope_from_the_sweep(method):
+    # a record that ran a line search carries -sum_t g_t'k_t = 2 dj_pred, and
+    # its trials are judged against it; a converged record takes no step
+    result = _cartpole_40(method)
+    searched = [r for r in result.records if r.grad_norm > 1e-4]
+    assert searched and all(r.linear_pred == 2.0 * r.dj_pred for r in searched)
+    assert all(r.linear_pred == 0.0 for r in result.records if r.grad_norm <= 1e-4)
+    for index, trials in result.trial_logs:
+        record = result.records[index]
+        for alpha, cost, ratio in trials:
+            if cost != np.inf:
+                assert ratio == (cost - record.cost) / (alpha * record.linear_pred)
+
+
 @pytest.mark.parametrize("cause, config, at", [
     ("NON_DESCENT", {}, 5),
     ("FLOOR_HIT", {"linesearch": LineSearchConfig(alpha_min=0.3)}, 1),
