@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BackwardPassError
+from .errors import BackwardPassError, DimensionError
 
 __all__ = [
     "BackwardSolution",
@@ -214,10 +214,13 @@ def expected_reduction(sol, exp, alpha) -> float:
     control gradient R u_t + fu' v_{t+1}; since k_t = Quu_t^{-1} g_t the sum is
     accumulated as g_t . k_t. Nonpositive whenever every Quu is positive
     definite; an indefinite sweep (Newton/DDP) can make it positive, which is
-    reported as-is.
+    reported as-is. A sweep of another horizon than `exp` raises
+    DimensionError.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
+    if sol.horizon != exp.horizon:
+        raise DimensionError("gain horizon does not match the expansion")
     # stacks of matrix-vector and dot products round as each stage's would
     g = exp.ru + (exp.fu.transpose(0, 2, 1) @ sol.v[1:, :, None])[..., 0]
     total = 0.0

@@ -56,12 +56,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        for name in ("max_iters", "hybrid_patience"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            if count < 1:
+                raise ValueError(f"{name} must be positive")
         if self.grad_tol <= 0 or self.step_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.hybrid_patience < 1:
-            raise ValueError("hybrid_patience must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per release criterion, with a printed verdict.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
-per criterion. The seeded sweeps are shared between criteria through session
-fixtures, so the whole suite stays in the minutes range.
+per criterion. The seeded sweeps are session fixtures that solve each start
+once: criteria 03, 04 and 09 and the feasibility sweep read `seed_sweeps`
+from conftest.py, criteria 05 and 10 read `ddp_cartpole_sweep`.
 """
 
 import math
@@ -19,7 +20,8 @@ from trajopt.cli import main as cli_main
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
 from trajopt.solver import initial_multiplier_estimate
 
-SEEDS = range(20)
+from conftest import SEEDS, random_controls
+
 DEFAULT_SEED = 0
 
 
@@ -29,30 +31,9 @@ def _report(number, name, ok, detail=""):
     assert ok, f"criterion {number} ({name}) failed: {detail}"
 
 
-def _random_controls(horizon, m, seed, amplitude=1.0):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-amplitude, amplitude, size=(horizon, m))
-
-
 # ---------------------------------------------------------------------------
 # shared sweeps
 # ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="session")
-def ilqr_sweeps():
-    """20 seeded iLQR runs per benchmark from uniform random controls."""
-    budgets = {"pendulum": 200, "cartpole": 500}
-    sweeps = {}
-    for system, budget in budgets.items():
-        model, cost, x0, horizon = make_benchmark(system)
-        runs = []
-        for seed in SEEDS:
-            u0 = _random_controls(horizon, model.control_dim, seed)
-            runs.append(solve(model, cost, x0, u0,
-                              SolverConfig(method="ilqr", max_iters=budget)))
-        sweeps[system] = runs
-    return sweeps
-
 
 @pytest.fixture(scope="session")
 def ddp_cartpole_sweep():
@@ -60,7 +41,7 @@ def ddp_cartpole_sweep():
     model, cost, x0, horizon = make_benchmark("cartpole")
     runs = []
     for seed in SEEDS:
-        u0 = _random_controls(horizon, model.control_dim, seed, amplitude=5.0)
+        u0 = random_controls(horizon, model.control_dim, seed, amplitude=5.0)
         runs.append((seed, u0,
                      solve(model, cost, x0, u0,
                            SolverConfig(method="ddp", max_iters=200))))
@@ -77,7 +58,7 @@ def test_criterion_01_oracle_equivalence():
     for system in ("pendulum", "cartpole"):
         model, cost, x0, _ = make_benchmark(system)
         for horizon in (1, 2, 5, 20):
-            u0 = _random_controls(horizon, model.control_dim, seed=horizon)
+            u0 = random_controls(horizon, model.control_dim, seed=horizon)
             exp = expand_along(model, cost, rollout(model, cost, x0, u0))
             lam = initial_multiplier_estimate(exp)
             reports = [
@@ -92,14 +73,9 @@ def test_criterion_01_oracle_equivalence():
             f"worst rel err {worst:.2e}")
 
 
-def test_criterion_02_lqr_golden_case():
-    a = np.array([[1.0, 0.1], [-0.05, 0.98]])
-    b = np.array([[0.0], [0.1]])
-    from trajopt import LinearModel, QuadraticCost
-    model = LinearModel(a, b)
-    cost = QuadraticCost(np.eye(2), 0.1 * np.eye(1), 10.0 * np.eye(2), np.zeros(2))
-    x0 = np.array([1.0, -0.5])
-    u0 = _random_controls(20, 1, seed=7)
+def test_criterion_02_lqr_golden_case(lqr_instance):
+    model, cost, x0, horizon = lqr_instance
+    u0 = random_controls(horizon, 1, seed=7)
 
     exp = expand_along(model, cost, rollout(model, cost, x0, u0))
     qp = assemble_qp(exp, "ilqr")
@@ -119,10 +95,11 @@ def test_criterion_02_lqr_golden_case():
             "; ".join(details))
 
 
-def test_criterion_03_ilqr_descent_and_monotonicity(ilqr_sweeps):
+def test_criterion_03_ilqr_descent_and_monotonicity(seed_sweeps):
     violations = []
-    for system, runs in ilqr_sweeps.items():
-        for seed, result in zip(SEEDS, runs):
+    for system, runs in seed_sweeps.items():
+        for run in runs:
+            seed, result = run.seed, run.ilqr
             ok_costs = [r.cost for r in result.records if r.status == "OK"]
             if not all(b < a for a, b in zip(ok_costs, ok_costs[1:])):
                 violations.append(f"{system}/{seed}: non-monotone")
@@ -137,10 +114,10 @@ def test_criterion_03_ilqr_descent_and_monotonicity(ilqr_sweeps):
             not violations, "; ".join(violations) or "40/40 clean runs")
 
 
-def test_criterion_04_ilqr_quu_positive(ilqr_sweeps):
+def test_criterion_04_ilqr_quu_positive(seed_sweeps):
     floor = 0.1 - 1e-10  # smallest eigenvalue of R under the defaults
-    worst = min(r.min_quu for runs in ilqr_sweeps.values()
-                for result in runs for r in result.records)
+    worst = min(r.min_quu for runs in seed_sweeps.values()
+                for run in runs for r in run.ilqr.records)
     _report(4, "iLQR control curvature never drops below min eig R",
             worst >= floor, f"worst min eig {worst:.6f} vs floor {floor:.6f}")
 
@@ -238,40 +215,19 @@ def test_criterion_08_benchmark_convergence_speed():
     _report(8, "zero-init swing-ups converge within budget", ok, "; ".join(details))
 
 
-@pytest.fixture(scope="session")
-def warm_start_runs():
-    """Restart every method from an iLQR trajectory refined to grad 1e-2."""
-    outcomes = {}
-    for system in ("pendulum", "cartpole"):
-        model, cost, x0, horizon = make_benchmark(system)
-        per_seed = []
-        for seed in SEEDS:
-            u0 = _random_controls(horizon, model.control_dim, seed)
-            warm = solve(model, cost, x0, u0,
-                         SolverConfig(method="ilqr", grad_tol=1e-2, max_iters=500))
-            if not warm.converged:
-                per_seed.append(None)
-                continue
-            u_warm = warm.trajectory.controls
-            ddp = solve(model, cost, x0, u_warm, SolverConfig(method="ddp"))
-            ilqr = solve(model, cost, x0, u_warm, SolverConfig(method="ilqr"))
-            per_seed.append((ddp, ilqr))
-        outcomes[system] = per_seed
-    return outcomes
-
-
-def test_criterion_09_near_optimum_ordering(warm_start_runs):
+def test_criterion_09_near_optimum_ordering(seed_sweeps):
+    # DDP and iLQR restarted from an iLQR trajectory refined to grad 1e-2
     ok = True
     details = []
-    for system, per_seed in warm_start_runs.items():
+    for system, runs in seed_sweeps.items():
         holds = 0
         total = 0
         misses = []
-        for seed, pair in zip(SEEDS, per_seed):
-            if pair is None:
+        for run in runs:
+            seed, ddp, ilqr = run.seed, run.ddp, run.tail
+            if ilqr is None:
                 misses.append(f"{seed}:no-warm-start")
                 continue
-            ddp, ilqr = pair
             total += 1
             satisfied = (ddp.converged and ilqr.converged
                          and ddp.accepted_iterations <= ilqr.accepted_iterations)
@@ -301,11 +257,11 @@ def test_criterion_10_hybrid_dominance(ddp_cartpole_sweep):
             f"{len(cooling)} cooling seeds, losses on {losses or 'none'}")
 
 
-def test_ilqr_prediction_feasibility_sweep(ilqr_sweeps):
+def test_ilqr_prediction_feasibility_sweep(seed_sweeps):
     """Supporting sweep check: the iLQR quadratic model never predicts a cost
     below the attainable minimum of zero, on any record of any seeded run."""
-    worst = min(r.cost + r.dj_pred for runs in ilqr_sweeps.values()
-                for result in runs for r in result.records)
+    worst = min(r.cost + r.dj_pred for runs in seed_sweeps.values()
+                for run in runs for r in run.ilqr.records)
     ok = worst >= -1e-8 * max(1.0, abs(worst))
     print(f"[sweep check] iLQR predictions stay feasible: "
           f"{'PASS' if ok else 'FAIL'}  (min predicted cost {worst:.6e})")

@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trajopt import (BackwardPassError, LinearModel, QuadraticCost,
-                     SolverConfig, backward_ddp, backward_for, backward_ilqr,
-                     backward_newton, expand_along, expected_reduction,
-                     linear_rollout, make_benchmark, multipliers_from,
-                     quu_spectrum, rollout, solve)
+from trajopt import (BackwardPassError, DimensionError, LinearModel,
+                     QuadraticCost, SolverConfig, backward_ddp, backward_for,
+                     backward_ilqr, backward_newton, expand_along,
+                     expected_reduction, linear_rollout, make_benchmark,
+                     multipliers_from, quu_spectrum, rollout, solve)
 from trajopt.artifacts import write_gain_profile_csv
 from trajopt.expansion import ExpansionSequence
 from trajopt.kkt import assemble_qp, solve_kkt
@@ -410,20 +410,32 @@ def test_gain_profile_csv(tmp_path):
     assert float(row[2]) == pytest.approx(np.linalg.norm(sol.k[0]))
 
 
-@pytest.mark.parametrize(("call", "message"), [
-    (lambda exp, sol, path: expected_reduction(sol, exp, 1.5), r"alpha must be in \[0, 1\]"),
-    (lambda exp, sol, path: expected_reduction(sol, exp, -0.5), r"alpha must be in \[0, 1\]"),
+def _first_stages(exp, count):
+    per_stage = ("fx", "fu", "fxx", "fxu", "lx", "lxx", "ru")
+    return replace(exp, **{name: getattr(exp, name)[:count] for name in per_stage})
+
+
+@pytest.mark.parametrize(("call", "error", "message"), [
+    (lambda exp, sol, path: expected_reduction(sol, exp, 1.5), ValueError,
+     r"alpha must be in \[0, 1\]"),
+    (lambda exp, sol, path: expected_reduction(sol, exp, -0.5), ValueError,
+     r"alpha must be in \[0, 1\]"),
+    # one stage broadcasts against six, three do not: both are the same fault
+    (lambda exp, sol, path: expected_reduction(sol, _first_stages(exp, 1), 1.0),
+     DimensionError, "gain horizon does not match the expansion"),
+    (lambda exp, sol, path: expected_reduction(sol, _first_stages(exp, 3), 1.0),
+     DimensionError, "gain horizon does not match the expansion"),
     (lambda exp, sol, path: multipliers_from(sol, replace(path, dx=path.dx[1:])),
-     "path horizon does not match the solution"),
-    (lambda exp, sol, path: backward_newton(exp, sol.v[1:]),
+     ValueError, "path horizon does not match the solution"),
+    (lambda exp, sol, path: backward_newton(exp, sol.v[1:]), ValueError,
      r"multiplier sequence must have shape \(T\+1, n\)"),
-    (lambda exp, sol, path: backward_newton(exp, sol.v[:, :1]),
+    (lambda exp, sol, path: backward_newton(exp, sol.v[:, :1]), ValueError,
      r"multiplier sequence must have shape \(T\+1, n\)"),
-], ids=["reduction-alpha-high", "reduction-alpha-low", "multipliers-path",
-        "newton-horizon", "newton-width"])
-def test_backward_rejects_bad_inputs(call, message):
+], ids=["reduction-alpha-high", "reduction-alpha-low", "reduction-one-stage",
+        "reduction-horizon", "multipliers-path", "newton-horizon", "newton-width"])
+def test_backward_rejects_bad_inputs(call, error, message):
     model, cost, x0, _ = make_benchmark("pendulum")
     exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=5))
     sol = backward_ilqr(exp)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         call(exp, sol, linear_rollout(exp, sol, 1.0))

@@ -5,48 +5,17 @@ import pytest
 
 from trajopt import (IterationRecord, LineSearchConfig, SolverConfig,
                      backward_newton, converged, expand_along, make_benchmark,
-                     quu_spectrum, rollout, solve, total_cost)
+                     quu_spectrum, solve, total_cost)
 from trajopt.artifacts import write_iterations_csv, write_trials_csv
-from trajopt.kkt import assemble_qp, solve_kkt, split_primal
+
+from conftest import SWEEP_BUDGETS, random_controls
 
 
-def _random_controls(horizon, m, seed, amplitude=1.0):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-amplitude, amplitude, size=(horizon, m))
-
-
-def test_lqr_golden_case_single_newton_step(lqr_instance):
-    model, cost, x0, horizon = lqr_instance
-    u0 = _random_controls(horizon, 1, seed=7)
-    nominal = rollout(model, cost, x0, u0)
-    exp = expand_along(model, cost, nominal)
-    qp = assemble_qp(exp, "ilqr")
-    _, du = split_primal(qp, solve_kkt(qp).dz)
-    optimal_cost = rollout(model, cost, x0, u0 + du).cost
-
-    for method in ("ilqr", "newton", "ddp"):
-        result = solve(model, cost, x0, u0, SolverConfig(method=method))
-        assert result.converged
-        assert result.accepted_iterations == 1
-        assert result.records[0].alpha == 1.0
-        rel = abs(result.final_cost - optimal_cost) / max(1.0, abs(optimal_cost))
-        assert rel <= 1e-8
-
-
-def test_pendulum_swingup_converges_within_budget():
-    model, cost, x0, horizon = make_benchmark("pendulum")
-    result = solve(model, cost, x0, np.zeros((horizon, 1)),
-                   SolverConfig(method="ilqr", max_iters=200))
-    assert result.converged
-    assert result.records[-1].grad_norm <= 1e-4
-    assert result.iterations <= 200
-
-
-def test_ilqr_descent_and_monotonicity_over_seeds():
-    model, cost, x0, horizon = make_benchmark("pendulum")
-    for seed in range(20):
-        u0 = _random_controls(horizon, 1, seed=seed)
-        result = solve(model, cost, x0, u0, SolverConfig(method="ilqr"))
+def test_ilqr_descent_and_monotonicity_over_seeds(seed_sweeps):
+    # the pendulum's sweep budget is the default max_iters
+    assert SWEEP_BUDGETS["pendulum"] == SolverConfig().max_iters
+    for run in seed_sweeps["pendulum"]:
+        result = run.ilqr
         ok_costs = [r.cost for r in result.records if r.status == "OK"]
         assert all(b < a for a, b in zip(ok_costs, ok_costs[1:]))
         for r in result.records:
@@ -57,11 +26,31 @@ def test_ilqr_descent_and_monotonicity_over_seeds():
         assert result.reason in ("gradient", "step", "max_iters")
 
 
+@pytest.mark.parametrize("system", sorted(SWEEP_BUDGETS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_an_ilqr_run_restarted_from_its_warm_controls_is_the_direct_run(
+        seed_sweeps, system, seed):
+    # iLQR carries nothing across iterations but the trajectory, so the sweep
+    # runs joined at grad 1e-2 must be the direct solves, bit for bit
+    run = seed_sweeps[system][seed]
+    assert run.warm.reason == "gradient"  # joined, not solved directly
+    model, cost, x0, horizon = make_benchmark(system)
+    direct = solve(model, cost, x0, random_controls(horizon, model.control_dim, seed),
+                   SolverConfig(method="ilqr", max_iters=SWEEP_BUDGETS[system]))
+    joined = run.ilqr
+    assert joined.records == direct.records
+    assert joined.trial_logs == direct.trial_logs
+    assert (joined.reason, joined.model_steps) == (direct.reason, direct.model_steps)
+    assert np.array_equal(joined.trajectory.states, direct.trajectory.states)
+    assert np.array_equal(joined.trajectory.controls, direct.trajectory.controls)
+    assert np.array_equal(joined.first_sweep.k, direct.first_sweep.k)
+
+
 def test_ddp_pendulum_failure_mode_exists_over_seeds():
     model, cost, x0, horizon = make_benchmark("pendulum")
     failures = 0
     for seed in range(20):
-        u0 = _random_controls(horizon, 1, seed=seed, amplitude=2.0)
+        u0 = random_controls(horizon, 1, seed=seed, amplitude=2.0)
         result = solve(model, cost, x0, u0, SolverConfig(method="ddp"))
         increases = any(b.cost > a.cost for a, b in
                         zip(result.records, result.records[1:]))
@@ -122,7 +111,7 @@ def test_converged_predicate_thresholds():
 
 def test_solve_stops_at_the_first_converged_record():
     model, cost, x0, horizon = make_benchmark("pendulum")
-    u0 = _random_controls(horizon, 1, seed=2)
+    u0 = random_controls(horizon, 1, seed=2)
     for config in (SolverConfig(), SolverConfig(grad_tol=1e-2),
                    SolverConfig(step_tol=1e-3), SolverConfig(method="newton")):
         result = solve(model, cost, x0, u0, config)
@@ -136,7 +125,7 @@ def test_solve_stops_at_the_first_converged_record():
 
 def test_identical_seeds_are_bit_identical():
     model, cost, x0, horizon = make_benchmark("pendulum")
-    u0 = _random_controls(horizon, 1, seed=11)
+    u0 = random_controls(horizon, 1, seed=11)
     first = solve(model, cost, x0, u0, SolverConfig(method="ilqr"))
     second = solve(model, cost, x0, u0, SolverConfig(method="ilqr"))
     assert first.records == second.records
@@ -165,7 +154,7 @@ def test_step_tolerance_stop():
 def test_solve_returns_a_trajectory_that_does_not_share_the_initial_controls():
     # a gradient tolerance this loose accepts no step: the result is the rollout
     model, cost, x0, horizon = make_benchmark("pendulum")
-    u0 = _random_controls(horizon, 1, seed=3)
+    u0 = random_controls(horizon, 1, seed=3)
     result = solve(model, cost, x0, u0, SolverConfig(grad_tol=1e6))
     assert result.accepted_iterations == 0
     assert not np.shares_memory(result.trajectory.controls, u0)
@@ -248,7 +237,7 @@ def _counted_solve(system, horizon, controls, **config):
 @pytest.mark.parametrize("case", ["accepted", "diverged", "non_descent"])
 def test_model_steps_counts_every_point_stepped(case):
     if case == "accepted":
-        result, calls = _counted_solve("pendulum", 40, _random_controls(40, 1, seed=2),
+        result, calls = _counted_solve("pendulum", 40, random_controls(40, 1, seed=2),
                                        max_iters=5)
         assert all(r.status == "OK" and r.alpha > 0 for r in result.records)
     elif case == "diverged":  # iteration 12 diverges in its first trial
@@ -262,12 +251,15 @@ def test_model_steps_counts_every_point_stepped(case):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(method="sqp")
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(hybrid_patience=0)
+    for settings in ({"method": "sqp"}, {"max_iters": 0}, {"hybrid_patience": 0},
+                     {"max_iters": 2.5}, {"max_iters": True}, {"max_iters": 200.0},
+                     {"hybrid_patience": 1.5}, {"hybrid_patience": False},
+                     {"hybrid_patience": "2"}):
+        with pytest.raises(ValueError):
+            SolverConfig(**settings)
+    # a numpy integer is a count too
+    config = SolverConfig(max_iters=np.int64(3), hybrid_patience=np.int32(1))
+    assert (config.max_iters, config.hybrid_patience) == (3, 1)
 
 
 @pytest.mark.parametrize("settings", [{"grad_tol": 0.0}, {"step_tol": -1e-9},
@@ -279,7 +271,7 @@ def test_solver_config_rejects_non_positive_tolerances(settings):
 
 def test_iteration_csv_round_trip(tmp_path):
     model, cost, x0, horizon = make_benchmark("pendulum")
-    result = solve(model, cost, x0, _random_controls(horizon, 1, seed=0),
+    result = solve(model, cost, x0, random_controls(horizon, 1, seed=0),
                    SolverConfig(method="ilqr", max_iters=5))
     iter_path = tmp_path / "iterations.csv"
     write_iterations_csv(iter_path, result.records)
