@@ -15,8 +15,8 @@ from .errors import (BackwardPassError, ConfigError, DimensionError,
 from .expansion import ExpansionSequence, expand_along
 from .kkt import (KktSolution, StackedQP, assemble_qp, cost_gradient_adjoint,
                   solve_kkt, split_primal, verify_equivalence)
-from .linesearch import (LineSearchConfig, LineSearchOutcome,
-                         directional_derivative, forward_pass, line_search)
+from .linesearch import (LineSearchOutcome, directional_derivative,
+                         forward_pass, line_search)
 from .models import (CartPoleModel, LinearModel, PendulumModel,
                      QuadraticCost, check_derivatives, make_benchmark)
 from .solver import (IterationRecord, SolveResult, SolverConfig,
@@ -35,8 +35,7 @@ __all__ = [
     "ExpansionSequence", "expand_along",
     "KktSolution", "StackedQP", "assemble_qp", "cost_gradient_adjoint",
     "solve_kkt", "split_primal", "verify_equivalence",
-    "LineSearchConfig", "LineSearchOutcome",
-    "directional_derivative", "forward_pass", "line_search",
+    "LineSearchOutcome", "directional_derivative", "forward_pass", "line_search",
     "CartPoleModel", "LinearModel", "PendulumModel", "QuadraticCost",
     "check_derivatives", "make_benchmark",
     "IterationRecord", "SolveResult", "SolverConfig", "backward_for",

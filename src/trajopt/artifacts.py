@@ -40,18 +40,19 @@ def _write_csv(path, header, rows):
     _write(path, "\n".join([header, *rows]))
 
 
-def prediction_row(j, dj_pred, j_min=0.0):
-    """Model-predicted next cost and whether it is physically attainable."""
+def prediction_row(j, dj_pred):
+    """Model-predicted next cost and whether it is attainable: the benchmark
+    costs are bounded below by zero."""
     j_pred = j + dj_pred
-    return j_pred, j_pred >= j_min
+    return j_pred, j_pred >= 0.0
 
 
 def write_iterations_csv(path, records):
     _write_csv(
         path,
-        "index,J,dJ_pred,dJ_realized,alpha,min_quu,grad_norm,linear_pred,method,status",
+        "index,J,dJ_pred,dJ_realized,alpha,min_quu,grad_norm,method,status",
         (_row(r.index, r.cost, r.dj_pred, r.dj_realized, r.alpha, r.min_quu,
-              r.grad_norm, r.linear_pred, r.method_active, r.status)
+              r.grad_norm, r.method_active, r.status)
          for r in records))
 
 

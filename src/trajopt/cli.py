@@ -9,10 +9,11 @@ Three subcommands:
 
 Configuration comes from a plain key=value file (--config), overridable with
 repeated --set key=value flags and the direct --system/--method/--seed/--out
-flags. Unknown keys are rejected. The TRAJOPT_OUT environment variable, when
-set, overrides the output root. All CSV output uses 17 significant digits so
-doubles round-trip losslessly; identical configuration and seed reproduce
-byte-identical CSV files.
+flags; nothing else, the environment included, sets a key. The keys are the
+fields of ExperimentConfig, the benchmark problem keys and the fields of the
+flat SolverConfig. Unknown keys are rejected. All CSV output uses 17
+significant digits so doubles round-trip losslessly; identical configuration
+and seed reproduce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from . import artifacts
 from .errors import ConfigError, DimensionError, TrajoptError
 from .expansion import expand_along
 from .kkt import verify_equivalence
-from .linesearch import LineSearchConfig
 from .models import BENCHMARKS, check_derivatives, make_benchmark, random_linear
 from .solver import METHODS, SWEEPS, SolverConfig, backward_for, solve
 from .trajectory import rollout
@@ -53,9 +53,9 @@ VERIFY_KEYS = ("seed", "out", "init_amplitude")  # verify fixes every other key
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The experiment's settings. The solver and line-search settings live
-    in `solver`, so their fields and defaults are those of SolverConfig and
-    LineSearchConfig. `problem` holds the benchmark keys that were set; the
+    """The experiment's settings. The solver settings, line search's
+    included, live in `solver`, so their fields and defaults are those of
+    SolverConfig. `problem` holds the benchmark keys that were set; the
     others take the defaults of `models.BENCHMARKS`."""
 
     system: str = "pendulum"
@@ -128,8 +128,7 @@ _KEYS = {
     **_keys(ExperimentConfig, skip=("problem", "solver")),
     **{key: ("problem", _typed(_TYPE_PARSERS[type(value)], key))
        for key, value in BENCHMARKS[SYSTEMS[0]][1].items()},
-    **_keys(SolverConfig, skip=("method", "linesearch")),
-    **_keys(LineSearchConfig),
+    **_keys(SolverConfig, skip=("method",)),
 }
 
 
@@ -150,7 +149,7 @@ def parse_kv_file(path):
 
 def build_config(pairs) -> ExperimentConfig:
     """Validate raw string pairs and produce a typed configuration."""
-    values = {ExperimentConfig: {}, "problem": {}, SolverConfig: {}, LineSearchConfig: {}}
+    values = {ExperimentConfig: {}, "problem": {}, SolverConfig: {}}
     for key, raw in pairs.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown configuration key '{key}'")
@@ -174,8 +173,7 @@ def build_config(pairs) -> ExperimentConfig:
         raise ConfigError("seed must be nonnegative")
     try:
         # Surface bad numeric settings now rather than mid-run.
-        solver = SolverConfig(linesearch=LineSearchConfig(**values[LineSearchConfig]),
-                              **values[SolverConfig])
+        solver = SolverConfig(**values[SolverConfig])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return replace(cfg, solver=solver)
@@ -197,10 +195,6 @@ def initial_controls(cfg, horizon, control_dim):
                        size=(horizon, control_dim))
 
 
-def output_root(cfg):
-    return os.environ.get("TRAJOPT_OUT", cfg.out)
-
-
 def _run_single(cfg, method, model, cost, x0, outdir, controls0):
     os.makedirs(outdir, exist_ok=True)
     start = time.perf_counter()
@@ -219,9 +213,10 @@ def _run_single(cfg, method, model, cost, x0, outdir, controls0):
     return result
 
 
-def _run_methods(cfg, root, subdirs):
+def _run_methods(cfg, subdirs):
     """Solve each configured method from one shared initial guess, writing
-    each run's artifacts to `root` or, with `subdirs`, to root/<method>.
+    each run's artifacts to `cfg.out` or, with `subdirs`, to its <method>
+    subdirectory.
 
     With `warm_start` the shared guess is a near-solution: plain iLQR down
     to a loose gradient tolerance, from whose controls every method restarts.
@@ -235,7 +230,7 @@ def _run_methods(cfg, root, subdirs):
 
     results = []
     for method in cfg.methods():
-        outdir = os.path.join(root, method) if subdirs else root
+        outdir = os.path.join(cfg.out, method) if subdirs else cfg.out
         result = _run_single(cfg, method, model, cost, x0, outdir, controls0)
         results.append((method, result))
         print(f"{cfg.system}/{method}: converged={result.converged} "
@@ -245,21 +240,19 @@ def _run_methods(cfg, root, subdirs):
 
 
 def cmd_run(cfg) -> int:
-    _run_methods(cfg, output_root(cfg), subdirs=len(cfg.methods()) > 1)
+    _run_methods(cfg, subdirs=len(cfg.methods()) > 1)
     return 0
 
 
 def cmd_compare(cfg) -> int:
-    root = output_root(cfg)
-    results = _run_methods(cfg, root, subdirs=True)
-    artifacts.write_merged_csv(os.path.join(root, "merged.csv"), results)
-    artifacts.write_prediction_csv(os.path.join(root, "prediction_table.csv"), results)
+    results = _run_methods(cfg, subdirs=True)
+    artifacts.write_merged_csv(os.path.join(cfg.out, "merged.csv"), results)
+    artifacts.write_prediction_csv(os.path.join(cfg.out, "prediction_table.csv"), results)
     return 0
 
 
 def cmd_verify(cfg) -> int:
-    root = output_root(cfg)
-    os.makedirs(root, exist_ok=True)
+    os.makedirs(cfg.out, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     all_ok = True
     reports = []
@@ -286,7 +279,7 @@ def cmd_verify(cfg) -> int:
                 print(f"[{system}] {label:6s} {report.summary()}")
                 all_ok = all_ok and report.passed
 
-    artifacts.write_verification_json(os.path.join(root, "verify_report.json"), reports)
+    artifacts.write_verification_json(os.path.join(cfg.out, "verify_report.json"), reports)
     print("verification:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 

@@ -1,7 +1,8 @@
 """Forward pass on the nonlinear system with backtracking step acceptance.
 
-A candidate step is accepted when the realized cost change is at least a
-sigma-fraction of its first-order prediction:
+Every search starts at alpha = 1 and multiplies alpha by rho after each
+rejected trial. A candidate step is accepted when the realized cost change is
+at least a sigma-fraction of its first-order prediction:
 
     (J_new - J_old) / (alpha * d'grad) > sigma,
 
@@ -24,28 +25,11 @@ from .errors import DivergenceError, NonDescentError
 from .trajectory import Trajectory, _propagate, linear_rollout
 
 __all__ = [
-    "LineSearchConfig",
     "LineSearchOutcome",
     "forward_pass",
     "directional_derivative",
     "line_search",
 ]
-
-
-@dataclass(frozen=True)
-class LineSearchConfig:
-    sigma: float = 0.1       # acceptance threshold on the realized/predicted ratio
-    rho: float = 0.5         # backtracking factor
-    alpha_min: float = 1e-8  # smallest step tried before giving up
-    alpha_init: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must be in (0, 1)")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
-        if not 0.0 < self.alpha_min < self.alpha_init <= 1.0:
-            raise ValueError("need 0 < alpha_min < alpha_init <= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,20 +62,22 @@ def directional_derivative(exp, sol, grad) -> float:
     return float(np.sum(path.du * grad))
 
 
-def line_search(model, cost, nominal, sol, linear_pred, config) -> LineSearchOutcome:
-    """Backtrack on alpha until the ratio test accepts or the floor is hit.
+def line_search(model, cost, nominal, sol, slope, config) -> LineSearchOutcome:
+    """Backtrack on alpha from 1 until the ratio test accepts or the floor is hit.
 
-    `linear_pred` is the full step's slope d'grad: `solve` passes the sweep's
-    -sum_t g_t'k_t. Raises NonDescentError, before any forward pass, if it
-    predicts no decrease. A FLOOR_HIT outcome returns the nominal unchanged.
+    `slope` is the full step's d'grad: `solve` passes the sweep's
+    -sum_t g_t'k_t. `config` is the SolverConfig; its sigma, rho and
+    alpha_min steer the search. Raises NonDescentError, before any forward
+    pass, if the slope predicts no decrease. A FLOOR_HIT outcome returns the
+    nominal unchanged.
     """
-    if linear_pred >= 0.0:
+    if slope >= 0.0:
         raise NonDescentError(
-            f"direction predicts {linear_pred:.3e}; refusing to backtrack")
+            f"direction predicts {slope:.3e}; refusing to backtrack")
 
     log = []
     steps = 0
-    alpha = config.alpha_init
+    alpha = 1.0
     while alpha >= config.alpha_min:
         try:
             candidate = forward_pass(model, cost, nominal, sol, alpha)
@@ -101,7 +87,7 @@ def line_search(model, cost, nominal, sol, linear_pred, config) -> LineSearchOut
             alpha *= config.rho
             continue
         steps += nominal.horizon
-        ratio = (candidate.cost - nominal.cost) / (alpha * linear_pred)
+        ratio = (candidate.cost - nominal.cost) / (alpha * slope)
         log.append((alpha, candidate.cost, ratio))
         if ratio > config.sigma:
             return LineSearchOutcome(candidate, alpha, "ACCEPTED", tuple(log), steps)

@@ -10,12 +10,15 @@ Newton step.
 The hybrid method runs DDP until its accepted steps cool below a threshold
 for a configurable number of consecutive iterations (or a DDP iteration ends
 in NON_DESCENT or FLOOR_HIT), then switches permanently to iLQR from the
-current trajectory.
+current trajectory. Its first sweep is always DDP's.
+
+One flat SolverConfig holds every setting of the loop, the line search's
+sigma, rho and alpha_min included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .backward import (backward_ddp, backward_ilqr, backward_newton, expected_re
 from .errors import NonDescentError
 from .expansion import expand_along
 from .kkt import cost_gradient_adjoint
-from .linesearch import LineSearchConfig, line_search
+from .linesearch import line_search
 from .trajectory import PerturbationPath, rollout
 
 __all__ = [
@@ -49,8 +52,10 @@ class SolverConfig:
     max_iters: int = 200
     grad_tol: float = 1e-4   # inf-norm of the cost gradient
     step_tol: float = 1e-9   # |realized cost change|
-    linesearch: LineSearchConfig = field(default_factory=LineSearchConfig)
-    hybrid_alpha_switch: float = 1e-2
+    sigma: float = 0.1       # line search: threshold on the realized/predicted ratio
+    rho: float = 0.5         # line search: backtracking factor
+    alpha_min: float = 1e-8  # line search: smallest step tried before giving up
+    hybrid_alpha_switch: float = 1e-2  # hybrid: accepted steps below it are cool
     hybrid_patience: int = 2
 
     def __post_init__(self):
@@ -62,8 +67,17 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {count!r}")
             if count < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.grad_tol <= 0 or self.step_tol <= 0:
+        # written so that a NaN fails each check
+        if not (self.grad_tol > 0 and self.step_tol > 0):
             raise ValueError("tolerances must be positive")
+        if not 0.0 < self.sigma < 1.0:
+            raise ValueError("sigma must be in (0, 1)")
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError("rho must be in (0, 1)")
+        if not 0.0 < self.alpha_min < 1.0:
+            raise ValueError("alpha_min must be in (0, 1)")
+        if not 0.0 < self.hybrid_alpha_switch <= 1.0:
+            raise ValueError("hybrid_alpha_switch must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,6 @@ class IterationRecord:
     alpha: float         # accepted step, 0 when no step was taken
     min_quu: float       # min over stages of the smallest Quu eigenvalue
     grad_norm: float     # inf-norm of the exact cost gradient at the nominal
-    linear_pred: float   # full step's slope d'grad = -sum_t g_t'k_t = 2 dj_pred
     method_active: str
     status: str          # "OK", "NON_DESCENT", or "FLOOR_HIT"
 
@@ -151,12 +164,7 @@ def solve(model, cost, x0, init_controls, config):
     trial_logs = []
     first_sweep = lam_bar = None
     active = "ddp" if hybrid else config.method
-    # Seed the cooling streak as if alpha_init had already been accepted
-    # `patience` times: a switch threshold above alpha_init can then never be
-    # outrun, and the run degenerates to pure iLQR from the first iteration.
     streak = 0
-    if hybrid and config.linesearch.alpha_init < config.hybrid_alpha_switch:
-        streak = config.hybrid_patience
     reason = "max_iters"
 
     for index in range(config.max_iters):
@@ -173,12 +181,11 @@ def solve(model, cost, x0, init_controls, config):
 
         # A converged gradient takes no step; otherwise the line search
         # accepts one or ends the iteration in NON_DESCENT or FLOOR_HIT.
-        status, linear_pred, accepted = "OK", 0.0, None
+        status, accepted = "OK", None
         if grad_norm > config.grad_tol:
-            linear_pred = 2.0 * dj_pred
             try:
-                outcome = line_search(model, cost, traj, sol, linear_pred,
-                                      config.linesearch)
+                # the full step's slope -sum_t g_t'k_t is twice dj_pred
+                outcome = line_search(model, cost, traj, sol, 2.0 * dj_pred, config)
             except NonDescentError:
                 if active == "ilqr":
                     # The cost-only sweep provably yields a descent direction;
@@ -196,7 +203,7 @@ def solve(model, cost, x0, init_controls, config):
         step, alpha = (accepted.trajectory, accepted.alpha) if accepted else (traj, 0.0)
         record = IterationRecord(
             index, traj.cost, dj_pred, step.cost - traj.cost, alpha, min_quu,
-            grad_norm, linear_pred, active, status)
+            grad_norm, active, status)
         records.append(record)
 
         if status != "OK":

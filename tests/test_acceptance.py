@@ -106,7 +106,7 @@ def test_criterion_03_ilqr_descent_and_monotonicity(seed_sweeps):
             for r in result.records:
                 if r.status != "OK":
                     violations.append(f"{system}/{seed}: {r.status}")
-                if r.alpha > 0 and r.linear_pred >= 0:
+                if r.alpha > 0 and r.dj_pred >= 0:
                     violations.append(f"{system}/{seed}: non-descent slope")
                 if r.alpha > 0 and r.dj_realized >= 0:
                     violations.append(f"{system}/{seed}: accepted increase")

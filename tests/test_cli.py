@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import trajopt
 from trajopt.artifacts import prediction_row
-from trajopt.cli import build_config, main, parse_kv_file
-from trajopt.models import PendulumModel
+from trajopt.cli import _KEYS, ExperimentConfig, build_config, main, parse_kv_file
+from trajopt.models import BENCHMARKS, PendulumModel
+from trajopt.solver import SolverConfig
 
 
 def _run(args):
@@ -146,14 +148,6 @@ def test_malformed_config_file_exits_2(tmp_path, capsys):
     assert "expected key=value" in capsys.readouterr().err
 
 
-def test_env_var_overrides_output_root(tmp_path, monkeypatch):
-    env_root = tmp_path / "env_root"
-    monkeypatch.setenv("TRAJOPT_OUT", str(env_root))
-    assert _run(_fast_pendulum(tmp_path / "ignored")) == 0
-    assert (env_root / "summary.json").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
 def test_byte_identical_reruns(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -176,19 +170,18 @@ def test_quu_profile_nonnegative_for_ilqr(tmp_path):
 
 
 def test_quu_profile_is_the_solvers_first_sweep(tmp_path):
-    # alpha_init below hybrid_alpha_switch makes hybrid run iLQR from
-    # iteration 0, so its profile is the iLQR sweep, not a DDP one.
+    # hybrid starts on DDP, so its profile is the DDP sweep, not an iLQR one
     common = ["--seed", "4", "--set", "init=random", "--set", "horizon=30",
-              "--set", "alpha_init=0.005", "--set", "max_iters=3"]
+              "--set", "max_iters=3"]
     profiles = {}
     for method in ("hybrid", "ilqr", "ddp"):
         out = tmp_path / method
         assert _run(["run", "--method", method, "--out", str(out), *common]) == 0
         profiles[method] = (out / "quu_profile.csv").read_bytes()
     first = (tmp_path / "hybrid" / "iterations.csv").read_text().splitlines()[1]
-    assert first.split(",")[8] == "ilqr"
-    assert profiles["hybrid"] == profiles["ilqr"]
-    assert profiles["hybrid"] != profiles["ddp"]
+    assert first.split(",")[7] == "ddp"
+    assert profiles["hybrid"] == profiles["ddp"]
+    assert profiles["hybrid"] != profiles["ilqr"]
 
 
 def test_compare_writes_merged_tables(tmp_path):
@@ -318,6 +311,18 @@ def test_build_config_defaults_and_methods():
     assert cfg.methods() == ["ilqr", "newton"]
 
 
+def test_the_keys_are_the_flat_fields_of_each_source_once():
+    sources = [
+        {f.name for f in fields(ExperimentConfig)} - {"problem", "solver"},
+        {key for defaults in BENCHMARKS.values() for key in defaults[1]},
+        {f.name for f in fields(SolverConfig)} - {"method"},
+    ]
+    assert set(_KEYS) == set.union(*sources)
+    assert len(_KEYS) == sum(map(len, sources))  # no key in two sources
+    cfg = build_config({"sigma": "0.2", "alpha_min": "1e-6", "max_iters": "7"})
+    assert (cfg.solver.sigma, cfg.solver.alpha_min, cfg.solver.max_iters) == (0.2, 1e-6, 7)
+
+
 def test_build_config_parses_booleans_and_keeps_the_problem_keys_set():
     for text, value in (("false", False), ("No", False), ("0", False),
                         ("true", True), (" YES ", True), ("1", True)):
@@ -341,9 +346,12 @@ def test_build_config_parses_booleans_and_keeps_the_problem_keys_set():
      "x0 and goal length must match the state dimension"),
     (["--set", "horizon=0"], "horizon must be at least 1"),
     (["--set", "timestep=0"], "timestep must be positive"),
+    (["--set", "hybrid_alpha_switch=1.5"], "hybrid_alpha_switch must be in (0, 1]"),
+    # every line search starts at alpha = 1; there is no key to move it
+    (["--set", "alpha_init=0.5"], "unknown configuration key 'alpha_init'"),
 ], ids=["set-without-equals", "negative-amplitude", "malformed-boolean", "fractional-horizon",
         "bad-float-list", "unknown-system", "q-diag-width", "x0-width", "horizon-0",
-        "timestep-0"])
+        "timestep-0", "switch-above-1", "alpha-init"])
 def test_configuration_errors_exit_2_with_their_message(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert _run(["run", "--out", str(out), *args]) == 2

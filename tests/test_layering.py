@@ -19,7 +19,8 @@ The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
 arithmetic and no loop over stages, and `import trajopt` leaves `scipy.sparse`
 unloaded, so the library's import time and memory do not carry it. The
 benchmark problem schema is written once, in `models.py`: no other module
-names its cost keys.
+names its cost keys. No module reads the environment, so the configuration a
+run reports is all that set it.
 """
 
 import ast
@@ -284,3 +285,28 @@ def test_the_key_check_sees_each_spelling():
               "KEY = 'qt_scale'  # not q_diagonal, nor my_r_scale\n")
     assert _mentions(source, BENCHMARK_KEYS) == ["q_diag", "r_scale", "qt_scale"]
     assert _mentions("q_diagonal = my_r_scale = qt_scales\n", BENCHMARK_KEYS) == []
+
+
+def _environment_reads(tree):
+    """The line of each `os.environ` / `os.getenv` use and of each import of
+    `environ` or `getenv` from `os`."""
+    names = ("environ", "getenv")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in names
+                and getattr(node.value, "id", None) == "os"):
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(alias.name in names for alias in node.names)):
+            yield node.lineno
+
+
+def test_no_module_reads_the_environment():
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in _environment_reads(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_environment_check_sees_each_spelling():
+    source = ("import os\nfrom os import environ\nfrom os import path, getenv\n"
+              "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path.join('a')\n")
+    assert sorted(_environment_reads(ast.parse(source))) == [2, 3, 4, 5]

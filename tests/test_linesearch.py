@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from trajopt import (BackwardSolution, DivergenceError, LinearModel,
-                     LineSearchConfig, NonDescentError, QuadraticCost,
+                     NonDescentError, QuadraticCost, SolverConfig,
                      backward_ilqr, cost_gradient_adjoint,
                      directional_derivative, expand_along, forward_pass,
                      line_search, make_benchmark, rollout)
@@ -68,10 +68,9 @@ def _one_step(j_old, j_new):
     return model, cost, nominal, _gains([[u_old - u_new]], [[0.0]], 1, 1, 1)
 
 
-def _first_trial(j_old, j_new, linear_pred):
+def _first_trial(j_old, j_new, slope):
     model, cost, nominal, sol = _one_step(j_old, j_new)
-    outcome = line_search(model, cost, nominal, sol, linear_pred,
-                          LineSearchConfig(sigma=0.1))
+    outcome = line_search(model, cost, nominal, sol, slope, SolverConfig(sigma=0.1))
     alpha, j_candidate, ratio = outcome.trial_log[0]
     assert alpha == 1.0
     assert j_candidate == pytest.approx(j_new, rel=1e-14)
@@ -79,7 +78,7 @@ def _first_trial(j_old, j_new, linear_pred):
 
 
 def test_accept_perfectly_linear_decrease():
-    outcome, ratio = _first_trial(j_old=10.0, j_new=9.0, linear_pred=-1.0)
+    outcome, ratio = _first_trial(j_old=10.0, j_new=9.0, slope=-1.0)
     assert ratio == pytest.approx(1.0, rel=1e-12)
     assert outcome.status == "ACCEPTED"
     assert outcome.alpha == 1.0
@@ -87,14 +86,14 @@ def test_accept_perfectly_linear_decrease():
 
 
 def test_accept_rejects_cost_increase():
-    outcome, ratio = _first_trial(j_old=10.0, j_new=11.0, linear_pred=-1.0)
+    outcome, ratio = _first_trial(j_old=10.0, j_new=11.0, slope=-1.0)
     assert ratio < 0.0
     assert outcome.alpha != 1.0
 
 
 def test_accept_hand_ratio_case():
     # realized -0.5 against predicted -10 at alpha 1: ratio 0.05 < sigma
-    outcome, ratio = _first_trial(j_old=1.0, j_new=0.5, linear_pred=-10.0)
+    outcome, ratio = _first_trial(j_old=1.0, j_new=0.5, slope=-10.0)
     assert ratio == pytest.approx(0.05, rel=1e-12)
     assert outcome.alpha != 1.0
 
@@ -103,13 +102,13 @@ def test_accept_raises_on_nondescent_prediction():
     model, cost, nominal, sol = _one_step(j_old=1.0, j_new=0.5)
     forward_steps = []
     model._step = lambda x, u: forward_steps.append((x, u))  # every point ends here
-    for linear_pred in (0.0, 1.0):
+    for slope in (0.0, 1.0):
         with pytest.raises(NonDescentError):
-            line_search(model, cost, nominal, sol, linear_pred, LineSearchConfig())
+            line_search(model, cost, nominal, sol, slope, SolverConfig())
     assert forward_steps == []  # refused before any forward pass
     # no configuration lets the ratio test divide by a zero step
     with pytest.raises(ValueError):
-        LineSearchConfig(alpha_min=0.0)
+        SolverConfig(alpha_min=0.0)
 
 
 class _StiffScalarModel(SystemModel):
@@ -152,7 +151,7 @@ def test_line_search_backtracks_twice_on_stiff_curvature():
     sol = _gains([[1.0]], [[0.0]], 1, 1, 1)
     outcome = line_search(model, cost, nominal, sol,
                           directional_derivative(exp, sol, grad),
-                          LineSearchConfig())
+                          SolverConfig())
     assert outcome.status == "ACCEPTED"
     assert outcome.alpha == pytest.approx(0.25)
     assert len(outcome.trial_log) == 3
@@ -178,7 +177,7 @@ def test_line_search_logs_a_diverged_trial_and_backtracks():
     sol = _gains([[1e4]], [[0.0]], 1, 1, 1)
     outcome = line_search(model, cost, nominal, sol,
                           directional_derivative(exp, sol, grad),
-                          LineSearchConfig())
+                          SolverConfig())
     alpha, j_candidate, ratio = outcome.trial_log[0]
     assert alpha == 1.0
     assert j_candidate == math.inf
@@ -216,7 +215,7 @@ def test_line_search_logs_an_overflowing_control_as_a_diverged_trial():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         outcome = line_search(model, cost, nominal, sol, -1.0,
-                              LineSearchConfig(alpha_min=0.4))
+                              SolverConfig(alpha_min=0.4))
     assert [row[:2] for row in outcome.trial_log] == [(1.0, math.inf), (0.5, math.inf)]
     assert all(math.isnan(row[2]) for row in outcome.trial_log)
     assert (outcome.status, outcome.trajectory) == ("FLOOR_HIT", nominal)
@@ -231,7 +230,7 @@ def test_line_search_accepts_full_step_on_quadratic(lqr_instance):
     grad = cost_gradient_adjoint(exp)
     outcome = line_search(model, cost, nominal, sol,
                           directional_derivative(exp, sol, grad),
-                          LineSearchConfig())
+                          SolverConfig())
     assert outcome.status == "ACCEPTED"
     assert outcome.alpha == 1.0
     assert len(outcome.trial_log) == 1
@@ -244,7 +243,7 @@ def test_line_search_raises_on_nondescent_direction():
     grad = cost_gradient_adjoint(exp)
     with pytest.raises(NonDescentError):
         line_search(model, cost, nominal, sol,
-                    directional_derivative(exp, sol, grad), LineSearchConfig())
+                    directional_derivative(exp, sol, grad), SolverConfig())
 
 
 def test_line_search_floor_hit_returns_nominal_unchanged():
@@ -255,7 +254,7 @@ def test_line_search_floor_hit_returns_nominal_unchanged():
     fake_grad = np.array([[-1.0]])  # claims descent along the uphill direction
     outcome = line_search(model, cost, nominal, sol,
                           directional_derivative(exp, sol, fake_grad),
-                          LineSearchConfig())
+                          SolverConfig())
     assert outcome.status == "FLOOR_HIT"
     assert outcome.alpha == 0.0
     assert outcome.trajectory is nominal
@@ -272,18 +271,18 @@ def test_accepted_outcomes_strictly_decrease_cost():
         grad = cost_gradient_adjoint(exp)
         outcome = line_search(model, cost, nominal, sol,
                               directional_derivative(exp, sol, grad),
-                              LineSearchConfig())
+                              SolverConfig())
         assert outcome.status == "ACCEPTED"
         assert outcome.trajectory.cost < nominal.cost
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LineSearchConfig(sigma=0.0)
-    with pytest.raises(ValueError):
-        LineSearchConfig(rho=1.0)
-    with pytest.raises(ValueError):
-        LineSearchConfig(alpha_min=0.5, alpha_init=0.25)
+    # every search starts at alpha = 1, so the floor must lie below it
+    for name, values in (("sigma", (0.0, 1.0)), ("rho", (0.0, 1.0)),
+                         ("alpha_min", (-1e-8, 1.0))):
+        for value in (*values, float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be in"):
+                SolverConfig(**{name: value})
 
 
 @pytest.mark.parametrize(("alpha", "gain_horizon", "message"), [

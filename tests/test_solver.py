@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from trajopt import (IterationRecord, LineSearchConfig, SolverConfig,
-                     backward_newton, converged, expand_along, make_benchmark,
-                     quu_spectrum, solve, total_cost)
+from trajopt import (IterationRecord, SolverConfig, backward_newton, converged,
+                     expand_along, make_benchmark, quu_spectrum, solve, total_cost)
 from trajopt.artifacts import write_iterations_csv, write_trials_csv
 
-from conftest import SWEEP_BUDGETS, random_controls
+from conftest import SWEEP_BUDGETS, join_runs, random_controls
 
 
 def test_ilqr_descent_and_monotonicity_over_seeds(seed_sweeps):
@@ -21,9 +20,18 @@ def test_ilqr_descent_and_monotonicity_over_seeds(seed_sweeps):
         for r in result.records:
             assert r.status == "OK"
             if r.alpha > 0:
-                assert r.linear_pred < 0.0
+                assert r.dj_pred < 0.0
                 assert r.dj_realized < 0.0
         assert result.reason in ("gradient", "step", "max_iters")
+
+
+def _assert_is_the_direct_run(joined, direct):
+    assert joined.records == direct.records
+    assert joined.trial_logs == direct.trial_logs
+    assert (joined.reason, joined.model_steps) == (direct.reason, direct.model_steps)
+    assert np.array_equal(joined.trajectory.states, direct.trajectory.states)
+    assert np.array_equal(joined.trajectory.controls, direct.trajectory.controls)
+    assert np.array_equal(joined.first_sweep.k, direct.first_sweep.k)
 
 
 @pytest.mark.parametrize("system", sorted(SWEEP_BUDGETS))
@@ -37,13 +45,21 @@ def test_an_ilqr_run_restarted_from_its_warm_controls_is_the_direct_run(
     model, cost, x0, horizon = make_benchmark(system)
     direct = solve(model, cost, x0, random_controls(horizon, model.control_dim, seed),
                    SolverConfig(method="ilqr", max_iters=SWEEP_BUDGETS[system]))
-    joined = run.ilqr
-    assert joined.records == direct.records
-    assert joined.trial_logs == direct.trial_logs
-    assert (joined.reason, joined.model_steps) == (direct.reason, direct.model_steps)
-    assert np.array_equal(joined.trajectory.states, direct.trajectory.states)
-    assert np.array_equal(joined.trajectory.controls, direct.trajectory.controls)
-    assert np.array_equal(joined.first_sweep.k, direct.first_sweep.k)
+    _assert_is_the_direct_run(run.ilqr, direct)
+
+
+def test_an_ilqr_run_restarted_after_a_partial_step_is_the_direct_run():
+    # every step of the pendulum sweep runs is a full one; from this start the
+    # warm run accepts alpha = 0.5, so a line search that began where the last
+    # one ended would start the direct run's next search below the tail's 1
+    model, cost, x0, horizon = make_benchmark("pendulum", x0=(1.5, 2.0))
+    u0 = random_controls(horizon, 1, seed=2)
+    warm = solve(model, cost, x0, u0, SolverConfig(method="ilqr", grad_tol=1e-2))
+    assert warm.reason == "gradient"
+    assert any(0.0 < r.alpha < 1.0 for r in warm.records)
+    tail = solve(model, cost, x0, warm.trajectory.controls, SolverConfig(method="ilqr"))
+    direct = solve(model, cost, x0, u0, SolverConfig(method="ilqr"))
+    _assert_is_the_direct_run(join_runs(warm, tail), direct)
 
 
 def test_ddp_pendulum_failure_mode_exists_over_seeds():
@@ -71,16 +87,6 @@ def test_hybrid_without_cooling_is_identical_to_ddp():
     assert [r.alpha for r in hybrid.records] == [r.alpha for r in ddp.records]
 
 
-def test_hybrid_with_unreachable_threshold_is_identical_to_ilqr():
-    model, cost, x0, horizon = make_benchmark("pendulum")
-    u0 = np.zeros((horizon, 1))
-    ilqr = solve(model, cost, x0, u0, SolverConfig(method="ilqr"))
-    hybrid = solve(model, cost, x0, u0,
-                   SolverConfig(method="hybrid", hybrid_alpha_switch=1.5))
-    assert all(r.method_active == "ilqr" for r in hybrid.records)
-    assert [r.cost for r in hybrid.records] == [r.cost for r in ilqr.records]
-
-
 def test_newton_multiplier_consistency_at_convergence():
     model, cost, x0, horizon = make_benchmark("pendulum")
     warm = solve(model, cost, x0, np.zeros((horizon, 1)),
@@ -100,7 +106,7 @@ def test_converged_predicate_thresholds():
 
     def record(grad_norm, dj_realized, status="OK"):
         return IterationRecord(0, 1.0, -1.0, dj_realized, 1.0, 0.1,
-                               grad_norm, -1.0, "ilqr", status)
+                               grad_norm, "ilqr", status)
 
     assert converged(record(0.0, -1.0), config) == "gradient"
     assert converged(record(1e-4, -1.0), config) == "gradient"  # closed threshold
@@ -172,7 +178,7 @@ def _cartpole_40(method, **config):
 
 def test_solve_stops_on_a_floor_hit():
     # with alpha_min = 0.6 only the full step is tried; iteration 3 rejects it
-    result = _cartpole_40("ilqr", linesearch=LineSearchConfig(alpha_min=0.6))
+    result = _cartpole_40("ilqr", alpha_min=0.6)
     assert result.reason == "floor_hit" and not result.converged
     *running, last = result.records
     assert [r.status for r in running] == ["OK"] * 3
@@ -190,28 +196,27 @@ def test_solve_stops_on_non_descent():
     *running, last = result.records
     assert [r.status for r in running] == ["OK"] * 5
     assert (last.index, last.status, last.alpha) == (5, "NON_DESCENT", 0.0)
-    assert last.linear_pred >= 0.0
+    assert last.dj_pred >= 0.0
     assert [row[0] for row in result.trial_logs] == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("method", ["ilqr", "newton", "ddp", "hybrid"])
 def test_the_line_search_takes_its_slope_from_the_sweep(method):
-    # a record that ran a line search carries -sum_t g_t'k_t = 2 dj_pred, and
-    # its trials are judged against it; a converged record takes no step
+    # the trials of a record's line search are judged against the slope
+    # -sum_t g_t'k_t = 2 dj_pred; a converged record runs no search
     result = _cartpole_40(method)
-    searched = [r for r in result.records if r.grad_norm > 1e-4]
-    assert searched and all(r.linear_pred == 2.0 * r.dj_pred for r in searched)
-    assert all(r.linear_pred == 0.0 for r in result.records if r.grad_norm <= 1e-4)
+    searched = {r.index for r in result.records if r.grad_norm > 1e-4}
+    assert searched and {index for index, _ in result.trial_logs} <= searched
     for index, trials in result.trial_logs:
         record = result.records[index]
         for alpha, cost, ratio in trials:
             if cost != np.inf:
-                assert ratio == (cost - record.cost) / (alpha * record.linear_pred)
+                assert ratio == (cost - record.cost) / (alpha * (2.0 * record.dj_pred))
 
 
 @pytest.mark.parametrize("cause, config, at", [
     ("NON_DESCENT", {}, 5),
-    ("FLOOR_HIT", {"linesearch": LineSearchConfig(alpha_min=0.3)}, 1),
+    ("FLOOR_HIT", {"alpha_min": 0.3}, 1),
 ], ids=["non_descent", "floor_hit"])
 def test_hybrid_switches_to_ilqr_after_a_ddp_failure(cause, config, at):
     # a switch threshold below every accepted alpha rules out cooling
@@ -254,16 +259,22 @@ def test_solver_config_validation():
     for settings in ({"method": "sqp"}, {"max_iters": 0}, {"hybrid_patience": 0},
                      {"max_iters": 2.5}, {"max_iters": True}, {"max_iters": 200.0},
                      {"hybrid_patience": 1.5}, {"hybrid_patience": False},
-                     {"hybrid_patience": "2"}):
+                     {"hybrid_patience": "2"}, {"hybrid_alpha_switch": 0.0},
+                     {"hybrid_alpha_switch": -1e-2}, {"hybrid_alpha_switch": 1.5},
+                     {"hybrid_alpha_switch": float("nan")}):
         with pytest.raises(ValueError):
             SolverConfig(**settings)
     # a numpy integer is a count too
     config = SolverConfig(max_iters=np.int64(3), hybrid_patience=np.int32(1))
     assert (config.max_iters, config.hybrid_patience) == (3, 1)
+    # every accepted step is at most the first trial's alpha = 1
+    assert SolverConfig(hybrid_alpha_switch=1.0).hybrid_alpha_switch == 1.0
 
 
 @pytest.mark.parametrize("settings", [{"grad_tol": 0.0}, {"step_tol": -1e-9},
-                                      {"grad_tol": -1.0, "step_tol": 0.0}])
+                                      {"grad_tol": -1.0, "step_tol": 0.0},
+                                      {"grad_tol": float("nan")},
+                                      {"step_tol": float("nan")}])
 def test_solver_config_rejects_non_positive_tolerances(settings):
     with pytest.raises(ValueError, match="tolerances must be positive"):
         SolverConfig(**settings)
@@ -276,12 +287,12 @@ def test_iteration_csv_round_trip(tmp_path):
     iter_path = tmp_path / "iterations.csv"
     write_iterations_csv(iter_path, result.records)
     lines = iter_path.read_text().splitlines()
-    assert lines[0].startswith("index,J,dJ_pred,dJ_realized,alpha,")
+    assert lines[0] == "index,J,dJ_pred,dJ_realized,alpha,min_quu,grad_norm,method,status"
     assert len(lines) == 1 + len(result.records)
     row = lines[1].split(",")
     assert float(row[1]) == result.records[0].cost
-    assert row[8] == "ilqr"
-    assert row[9] == "OK"
+    assert row[7] == "ilqr"
+    assert row[8] == "OK"
 
     trials_path = tmp_path / "trials.csv"
     write_trials_csv(trials_path, result.trial_logs)
