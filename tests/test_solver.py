@@ -260,14 +260,20 @@ def test_solver_config_validation():
                      {"max_iters": 2.5}, {"max_iters": True}, {"max_iters": 200.0},
                      {"hybrid_patience": 1.5}, {"hybrid_patience": False},
                      {"hybrid_patience": "2"}, {"hybrid_alpha_switch": 0.0},
-                     {"hybrid_alpha_switch": -1e-2}, {"hybrid_alpha_switch": 1.5},
+                     {"hybrid_alpha_switch": -1e-2},
                      {"hybrid_alpha_switch": float("nan")}):
         with pytest.raises(ValueError):
             SolverConfig(**settings)
     # a numpy integer is a count too
     config = SolverConfig(max_iters=np.int64(3), hybrid_patience=np.int32(1))
     assert (config.max_iters, config.hybrid_patience) == (3, 1)
-    # every accepted step is at most the first trial's alpha = 1
+
+
+def test_hybrid_with_unreachable_threshold_is_rejected():
+    # Every accepted step is at most the first trial's alpha = 1, so a switch
+    # threshold above 1 could never cool DDP; plain method="ilqr" is that run.
+    with pytest.raises(ValueError, match="hybrid_alpha_switch"):
+        SolverConfig(method="hybrid", hybrid_alpha_switch=1.5)
     assert SolverConfig(hybrid_alpha_switch=1.0).hybrid_alpha_switch == 1.0
 
 
