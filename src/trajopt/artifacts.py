@@ -1,8 +1,10 @@
 """Every file a run writes: the CSV tables and the JSON reports.
 
 Numbers go through one formatter with 17 significant digits, so doubles
-round-trip losslessly and identical inputs give byte-identical files. The
-numerical modules compute; only this module and the CLI touch the disk.
+round-trip losslessly and identical inputs give byte-identical files. A value
+that does not exist (a terminal control, the prediction of an iteration that
+formed no sweep) is None and writes an empty cell. The numerical modules
+compute; only this module and the CLI touch the disk.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ __all__ = [
 
 
 def _row(*cells) -> str:
-    """One CSV line: strings verbatim, numbers with 17 significant digits."""
-    return ",".join(c if isinstance(c, str) else f"{c:.17g}" for c in cells)
+    """One CSV line: strings verbatim, None empty, numbers with 17
+    significant digits."""
+    return ",".join(c if isinstance(c, str) else "" if c is None else f"{c:.17g}"
+                    for c in cells)
 
 
 def _write(path, text):
@@ -78,12 +82,17 @@ def write_summary_json(path, result, **fields):
 
 
 def write_gain_profile_csv(path, sol):
-    """Per-stage curvature and gain magnitudes: t, min eig Quu, |k|, ||K||_F."""
-    spectrum = quu_spectrum(sol)
-    _write_csv(
-        path, "t,min_eig_quu,k_norm,K_norm",
-        (_row(t, spectrum[t], np.linalg.norm(sol.k[t]), np.linalg.norm(sol.K[t]))
-         for t in range(sol.horizon)))
+    """Per-stage curvature and gain magnitudes: t, min eig Quu, |k|, ||K||_F.
+
+    With no sweep (`sol` None: the run's first gradient had converged) the
+    file is the header alone.
+    """
+    rows = []
+    if sol is not None:
+        spectrum = quu_spectrum(sol)
+        rows = (_row(t, spectrum[t], np.linalg.norm(sol.k[t]), np.linalg.norm(sol.K[t]))
+                for t in range(sol.horizon))
+    _write_csv(path, "t,min_eig_quu,k_norm,K_norm", rows)
 
 
 def write_trajectory_csv(path, traj, cost):
@@ -99,7 +108,7 @@ def write_trajectory_csv(path, traj, cost):
     stage = cost.stage_cost(traj.states[:-1], traj.controls).tolist()
     rows = [_row(t, *traj.states[t], *traj.controls[t], stage[t])
             for t in range(traj.horizon)]
-    rows.append(_row(traj.horizon, *traj.states[-1], *([""] * m),
+    rows.append(_row(traj.horizon, *traj.states[-1], *([None] * m),
                      cost.terminal_cost(traj.states[-1])))
     _write_csv(path, header, rows)
 
@@ -122,11 +131,14 @@ def write_merged_csv(path, results):
 
 
 def write_prediction_csv(path, results):
-    """compare's prediction table: J + dJ_pred and whether it is attainable."""
+    """compare's prediction table: J + dJ_pred and whether it is attainable;
+    the three cells are empty on a record that formed no sweep."""
     rows = []
     for method, result in results:
         for r in result.records:
-            j_pred, feasible = prediction_row(r.cost, r.dj_pred)
-            rows.append(_row(method, r.index, r.cost, r.dj_pred, j_pred,
-                             "true" if feasible else "false"))
+            j_pred = feasible = None
+            if r.dj_pred is not None:
+                j_pred, attainable = prediction_row(r.cost, r.dj_pred)
+                feasible = "true" if attainable else "false"
+            rows.append(_row(method, r.index, r.cost, r.dj_pred, j_pred, feasible))
     _write_csv(path, "method,iteration,J,dJ_pred,J_pred,feasible", rows)

@@ -12,6 +12,10 @@ for a configurable number of consecutive iterations (or a DDP iteration ends
 in NON_DESCENT or FLOOR_HIT), then switches permanently to iLQR from the
 current trajectory. Its first sweep is always DDP's.
 
+Each iteration tests the adjoint gradient before it forms a subproblem: an
+iteration whose gradient has converged runs no sweep (and so no Newton seed),
+records no prediction and stops the solve.
+
 One flat SolverConfig holds every setting of the loop, the line search's
 sigma, rho and alpha_min included.
 """
@@ -84,13 +88,15 @@ class SolverConfig:
 class IterationRecord:
     index: int
     cost: float          # nominal cost at the start of the iteration
-    dj_pred: float       # quadratic-model prediction at alpha = 1
+    dj_pred: float | None  # quadratic-model prediction at alpha = 1
     dj_realized: float   # realized change after the accepted step
     alpha: float         # accepted step, 0 when no step was taken
-    min_quu: float       # min over stages of the smallest Quu eigenvalue
+    min_quu: float | None  # min over stages of the smallest Quu eigenvalue
     grad_norm: float     # inf-norm of the exact cost gradient at the nominal
     method_active: str
     status: str          # "OK", "NON_DESCENT", or "FLOOR_HIT"
+    # dj_pred and min_quu are None exactly on the record of an iteration
+    # whose gradient had converged: it formed no sweep.
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +105,11 @@ class SolveResult:
     records: tuple
     converged: bool
     reason: str
-    multipliers: np.ndarray | None = None  # threaded costates (Newton only)
+    multipliers: np.ndarray | None = None  # threaded costates (Newton, once seeded)
     trial_logs: tuple = ()  # (iteration, ((alpha, J_candidate, ratio), ...)) rows
-    first_sweep: object = None  # the BackwardSolution of iteration 0
+    # the BackwardSolution of iteration 0; None when its gradient had
+    # converged, since such an iteration forms no sweep
+    first_sweep: object = None
     model_steps: int = 0  # model points stepped: the first rollout and every trial
 
     @property
@@ -173,16 +181,17 @@ def solve(model, cost, x0, init_controls, config):
 
         exp = expand_along(model, cost, traj)
         grad_norm = float(np.max(np.abs(cost_gradient_adjoint(exp))))
-        sol, lam_bar = backward_for(active, exp, lam_bar)
-        if index == 0:
-            first_sweep = sol
-        dj_pred = expected_reduction(sol, exp, 1.0)
-        min_quu = float(quu_spectrum(sol).min())
 
-        # A converged gradient takes no step; otherwise the line search
-        # accepts one or ends the iteration in NON_DESCENT or FLOOR_HIT.
-        status, accepted = "OK", None
+        # A converged gradient forms no sweep and takes no step; otherwise the
+        # line search accepts one or ends the iteration in NON_DESCENT or
+        # FLOOR_HIT.
+        status, accepted, dj_pred, min_quu = "OK", None, None, None
         if grad_norm > config.grad_tol:
+            sol, lam_bar = backward_for(active, exp, lam_bar)
+            if index == 0:
+                first_sweep = sol
+            dj_pred = expected_reduction(sol, exp, 1.0)
+            min_quu = float(quu_spectrum(sol).min())
             try:
                 # the full step's slope -sum_t g_t'k_t is twice dj_pred
                 outcome = line_search(model, cost, traj, sol, 2.0 * dj_pred, config)

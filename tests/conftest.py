@@ -37,6 +37,21 @@ def random_nominal(model, cost, x0, horizon, seed, amplitude=1.0):
                    random_controls(horizon, model.control_dim, seed, amplitude))
 
 
+def swept_records(result):
+    """The records of `result` whose iteration ran a backward sweep.
+
+    Only an iteration whose gradient had converged forms none, so the one
+    record left out must be the last of a run stopped by "gradient"; a
+    record of any other iteration that lacked its sweep fields fails here.
+    """
+    swept = [r for r in result.records if r.dj_pred is not None]
+    sweepless = [r for r in result.records if r.dj_pred is None]
+    assert all(r.min_quu is not None for r in swept)
+    assert all(r.min_quu is None for r in sweepless)
+    assert sweepless == ([result.records[-1]] if result.reason == "gradient" else [])
+    return swept
+
+
 def join_runs(warm, tail) -> SolveResult:
     """The iLQR run made of `warm`, stopped on its gradient, and `tail`, an
     iLQR solve restarted from warm's controls. Warm's last record, which took

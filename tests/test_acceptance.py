@@ -20,7 +20,7 @@ from trajopt.cli import main as cli_main
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
 from trajopt.solver import initial_multiplier_estimate
 
-from conftest import SEEDS, random_controls
+from conftest import SEEDS, random_controls, swept_records
 
 DEFAULT_SEED = 0
 
@@ -106,10 +106,11 @@ def test_criterion_03_ilqr_descent_and_monotonicity(seed_sweeps):
             for r in result.records:
                 if r.status != "OK":
                     violations.append(f"{system}/{seed}: {r.status}")
-                if r.alpha > 0 and r.dj_pred >= 0:
-                    violations.append(f"{system}/{seed}: non-descent slope")
                 if r.alpha > 0 and r.dj_realized >= 0:
                     violations.append(f"{system}/{seed}: accepted increase")
+            for r in swept_records(result):
+                if r.alpha > 0 and r.dj_pred >= 0:
+                    violations.append(f"{system}/{seed}: non-descent slope")
     _report(3, "iLQR always descends, decreases, and never hits the floor",
             not violations, "; ".join(violations) or "40/40 clean runs")
 
@@ -117,17 +118,18 @@ def test_criterion_03_ilqr_descent_and_monotonicity(seed_sweeps):
 def test_criterion_04_ilqr_quu_positive(seed_sweeps):
     floor = 0.1 - 1e-10  # smallest eigenvalue of R under the defaults
     worst = min(r.min_quu for runs in seed_sweeps.values()
-                for run in runs for r in run.ilqr.records)
+                for run in runs for r in swept_records(run.ilqr))
     _report(4, "iLQR control curvature never drops below min eig R",
             worst >= floor, f"worst min eig {worst:.6f} vs floor {floor:.6f}")
 
 
 def test_criterion_05_ddp_failure_modes_exist(ddp_cartpole_sweep):
     indefinite_first = [seed for seed, _, r in ddp_cartpole_sweep
-                        if r.records[0].min_quu < 0]
+                        if any(rec.index == 0 and rec.min_quu < 0
+                               for rec in swept_records(r))]
     bad_prediction = [seed for seed, _, r in ddp_cartpole_sweep
-                      if any(rec.dj_pred > 0 for rec in r.records)
-                      or any(rec.cost + rec.dj_pred < 0 for rec in r.records)]
+                      if any(rec.dj_pred > 0 or rec.cost + rec.dj_pred < 0
+                             for rec in swept_records(r))]
     ok = bool(indefinite_first) and bool(bad_prediction)
     _report(5, "unregularized DDP exhibits indefinite Quu and bogus predictions",
             ok, f"first-sweep indefinite on seeds {indefinite_first}; "
@@ -259,9 +261,10 @@ def test_criterion_10_hybrid_dominance(ddp_cartpole_sweep):
 
 def test_ilqr_prediction_feasibility_sweep(seed_sweeps):
     """Supporting sweep check: the iLQR quadratic model never predicts a cost
-    below the attainable minimum of zero, on any record of any seeded run."""
+    below the attainable minimum of zero, on any swept record of any seeded
+    run."""
     worst = min(r.cost + r.dj_pred for runs in seed_sweeps.values()
-                for run in runs for r in run.ilqr.records)
+                for run in runs for r in swept_records(run.ilqr))
     ok = worst >= -1e-8 * max(1.0, abs(worst))
     print(f"[sweep check] iLQR predictions stay feasible: "
           f"{'PASS' if ok else 'FAIL'}  (min predicted cost {worst:.6e})")

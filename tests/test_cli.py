@@ -184,6 +184,20 @@ def test_quu_profile_is_the_solvers_first_sweep(tmp_path):
     assert profiles["hybrid"] != profiles["ilqr"]
 
 
+def test_a_converged_start_writes_no_sweep(tmp_path, capsys):
+    # the start already meets the gradient tolerance: its one record forms no
+    # sweep, not even Newton's iLQR seed, so its sweep cells are empty
+    out = tmp_path / "newton"
+    assert _run(["run", "--system", "pendulum", "--method", "newton",
+                 "--out", str(out), "--set", "grad_tol=1e9"]) == 0
+    assert "reason=gradient iterations=1 " in capsys.readouterr().out
+    header, row = (out / "iterations.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["dJ_pred"] == cells["min_quu"] == ""
+    assert (cells["dJ_realized"], cells["alpha"], cells["status"]) == ("0", "0", "OK")
+    assert (out / "quu_profile.csv").read_text() == "t,min_eig_quu,k_norm,K_norm\n"
+
+
 def test_compare_writes_merged_tables(tmp_path):
     out = tmp_path / "cmp"
     args = ["compare", "--system", "pendulum", "--method", "ilqr,ddp",
@@ -197,8 +211,14 @@ def test_compare_writes_merged_tables(tmp_path):
     assert methods == {"ilqr", "ddp"}
     table = (out / "prediction_table.csv").read_text().splitlines()
     assert table[0] == "method,iteration,J,dJ_pred,J_pred,feasible"
-    for line in table[1:]:
-        cells = line.split(",")
+    # both runs stop on their gradient; that last record forms no sweep, so
+    # its prediction cells are empty in both tables
+    rows = [line.split(",") for line in table[1:]]
+    last = {cells[0]: i for i, cells in enumerate(rows)}.values()
+    for i, (cells, trace) in enumerate(zip(rows, (line.split(",") for line in merged[1:]))):
+        if i in last:
+            assert cells[3:] == ["", "", ""] and trace[4] == trace[6] == ""
+            continue
         assert cells[5] in ("true", "false")
         assert float(cells[4]) == pytest.approx(
             float(cells[2]) + float(cells[3]), rel=1e-12)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from trajopt import (IterationRecord, SolverConfig, backward_newton, converged,
-                     expand_along, make_benchmark, quu_spectrum, solve, total_cost)
+from trajopt import (IterationRecord, SolverConfig, backward, backward_newton,
+                     converged, expand_along, make_benchmark, quu_spectrum, solve,
+                     total_cost)
 from trajopt.artifacts import write_iterations_csv, write_trials_csv
 
 from conftest import SWEEP_BUDGETS, join_runs, random_controls
@@ -127,6 +128,46 @@ def test_solve_stops_at_the_first_converged_record():
         assert result.converged
         assert result.first_sweep.method == result.records[0].method_active
         assert float(quu_spectrum(result.first_sweep).min()) == result.records[0].min_quu
+
+
+@pytest.mark.parametrize("method", ["ilqr", "newton", "ddp", "hybrid"])
+def test_a_converged_gradient_forms_no_sweep(monkeypatch, method):
+    # every sweep runs through backward._sweep, Newton's iLQR seed included
+    calls = []
+    sweep = backward._sweep
+    monkeypatch.setattr(backward, "_sweep",
+                        lambda *args, **kw: calls.append(1) or sweep(*args, **kw))
+    model, cost, x0, horizon = make_benchmark("pendulum", horizon=40)
+    config = SolverConfig(method=method)
+    first = solve(model, cost, x0, random_controls(horizon, 1, seed=2), config)
+    assert first.reason == "gradient"
+    swept = sum(r.dj_pred is not None for r in first.records)
+    assert swept == first.iterations - 1
+    assert len(calls) == swept + (method == "newton")
+
+    calls.clear()
+    again = solve(model, cost, x0, first.trajectory.controls, config)
+    assert len(calls) == 0
+    assert again.reason == "gradient"
+    (record,) = again.records
+    assert record.dj_pred is None and record.min_quu is None
+    assert (record.alpha, record.dj_realized, record.status) == (0.0, 0.0, "OK")
+    assert again.first_sweep is None and again.multipliers is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_newton_fails_far_from_an_optimum(seed):
+    # From controls uniform in [-3, 3] the unregularized Newton sweep soon
+    # predicts no decrease, far above iLQR's 1345.7 from the same starts: the
+    # method carries no guarantee away from a minimum.
+    model, cost, x0, horizon = make_benchmark("cartpole")
+    result = solve(model, cost, x0, random_controls(horizon, 1, seed, amplitude=3.0),
+                   SolverConfig(method="newton"))
+    assert result.reason == "non_descent" and not result.converged
+    assert result.iterations <= 8
+    statuses = [r.status for r in result.records]
+    assert statuses == ["OK"] * (result.iterations - 1) + ["NON_DESCENT"]
+    assert result.final_cost > 5 * 1345.708565
 
 
 def test_identical_seeds_are_bit_identical():
