@@ -115,7 +115,7 @@ def write_trajectory_csv(path, traj, cost):
 
 def write_verification_json(path, reports):
     """One entry per certified sweep, with its per-block errors (dx, du, lam)."""
-    payload = [{"variant": r.variant, "T": r.horizon, "max_rel_err": r.max_rel_err,
+    payload = [{"method": r.method, "T": r.horizon, "max_rel_err": r.max_rel_err,
                 "pass": r.passed, "err_dx": r.err_dx, "err_du": r.err_du,
                 "err_lam": r.err_lam, "worst_timestep": r.worst_timestep, "tol": r.tol}
                for r in reports]

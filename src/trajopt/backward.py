@@ -9,6 +9,11 @@ on the dynamics Hessian tensors:
     step on the constrained problem,
   * DDP contracts them with its own value gradient as it is computed.
 
+Each sweep carries the costates it contracted in `costates` (None for iLQR),
+with one sign throughout: the costates are value gradients, lam_t = v_t +
+V_t dx_t (`multipliers_from`), and they are also the stacked QP's equality
+multipliers (see `kkt`).
+
 With positive semidefinite state cost Hessians and R positive definite, the
 iLQR value Hessians stay positive semidefinite and every Quu is positive
 definite, so the iLQR step is always a descent direction. Neither property
@@ -55,6 +60,8 @@ class BackwardSolution:
     K:   (T, m, n) feedback gains.
     quu: (T, m, m) control curvature R + fu' V_{t+1} fu at each stage.
     method: one of "ilqr", "newton", "ddp".
+    costates: (T+1, n) costates that weighted the dynamics Hessians: None for
+        iLQR, the frozen sequence for Newton, v itself for DDP.
     """
 
     v: np.ndarray
@@ -63,6 +70,7 @@ class BackwardSolution:
     K: np.ndarray
     quu: np.ndarray
     method: str
+    costates: np.ndarray | None = None
 
     @property
     def horizon(self) -> int:
@@ -163,7 +171,8 @@ def _sweep(exp, method, lam_bar=None):
     if failed is not None:
         raise failed
 
-    return BackwardSolution(v=v, V=big_v, k=k, K=feedback, quu=quu, method=method)
+    return BackwardSolution(v=v, V=big_v, k=k, K=feedback, quu=quu, method=method,
+                            costates=v if method == "ddp" else lam_bar)
 
 
 def backward_ilqr(exp) -> BackwardSolution:
@@ -192,19 +201,19 @@ def backward_ddp(exp) -> BackwardSolution:
     return _sweep(exp, "ddp")
 
 
-def multipliers_from(sol, path=None) -> np.ndarray:
-    """Dynamics-constraint multipliers along a perturbation path.
+def multipliers_from(sol, dx=None) -> np.ndarray:
+    """Costates at the state deviations dx from the sweep's nominal.
 
-    lam_t = -v_t - V_t dx_t, the sign convention of the stacked QP's equality
-    multipliers (so lam_T = -C_x - C_xx dx_T at the terminal stage). With no
-    path the multipliers are evaluated on the nominal, lam_t = -v_t.
+    lam_t = v_t + V_t dx_t, which are also the stacked QP's equality
+    multipliers (so lam_T = C_x + C_xx dx_T at the terminal stage). With no
+    dx the costates are evaluated on the nominal, lam_t = v_t.
     """
-    if path is None:
-        return -sol.v.copy()
-    dx = np.asarray(path.dx, dtype=float)
+    if dx is None:
+        return sol.v.copy()
+    dx = np.asarray(dx, dtype=float)
     if dx.shape != sol.v.shape:
         raise ValueError("path horizon does not match the solution")
-    return -sol.v - np.einsum("tij,tj->ti", sol.V, dx)
+    return sol.v + np.einsum("tij,tj->ti", sol.V, dx)
 
 
 def expected_reduction(sol, exp, alpha) -> float:

@@ -10,8 +10,9 @@ oracle factors it independently, by LAPACK's banded LU with partial pivoting.
 The matrix is kept as (row, col, value) triplets, and every check reads them.
 
 dx_0 is fixed at zero and is not an unknown. Constraint t enforces
-dx_{t+1} - fx_t dx_t - fu_t du_t = 0, so the equality multipliers returned by
-the KKT solve line up with lam_1 .. lam_T of `multipliers_from` directly.
+fx_t dx_t + fu_t du_t - dx_{t+1} = 0, so the equality multipliers returned by
+the KKT solve are the costates lam_1 .. lam_T of `multipliers_from`, with the
+sweep's own sign.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class StackedQP:
     horizon: int
     state_dim: int
     control_dim: int
-    variant: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,26 +54,24 @@ class KktSolution:
     residual: float          # inf-norm of the KKT equations at the solution
 
 
-def assemble_qp(exp, variant, multipliers=None) -> StackedQP:
+def assemble_qp(exp, costates=None) -> StackedQP:
     """Stack the quadratic subproblem matching one backward pass.
 
-    variant "ilqr": block-diagonal Hessian from the cost expansion only.
-    variant "newton": adds, per stage, the dynamics Hessian tensors contracted
-    with the supplied (T+1, n) multiplier sequence, including the cross blocks
-    between dx_t and du_t. Stage 0 contributes no such blocks because dx_0 is
-    pinned to zero.
+    With no costates (iLQR) the Hessian is block-diagonal, from the cost
+    expansion only. Given a (T+1, n) costate sequence (a sweep's `costates`)
+    it adds, per stage, the dynamics Hessian tensors contracted with it,
+    including the cross blocks between dx_t and du_t. Stage 0 contributes no
+    such blocks because dx_0 is pinned to zero.
 
     Stage t fills one dense window of the matrix, over the unknowns
     (dx_t, du_t, lam_{t+1}, dx_{t+1}), which are contiguous; all T windows
     are filled at once and their structurally nonzero entries kept.
     """
     horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
-    if variant not in ("ilqr", "newton"):
-        raise ValueError(f"unknown variant '{variant}'")
-    newton = variant == "newton"
-    if newton:
-        multipliers = np.asarray(multipliers, dtype=float)
-        if multipliers.shape != (horizon + 1, n):
+    weighted = costates is not None
+    if weighted:
+        costates = np.asarray(costates, dtype=float)
+        if costates.shape != (horizon + 1, n):
             raise ValueError("multiplier sequence must have shape (T+1, n)")
 
     xt, ut, lam, xn = (slice(0, n), slice(n, n + m),
@@ -81,20 +79,20 @@ def assemble_qp(exp, variant, multipliers=None) -> StackedQP:
     width, stride = 3 * n + m, 2 * n + m
     window = np.zeros((horizon, width, width))
     window[:, ut, ut] = exp.r
-    window[:, lam, xt] = -exp.fx
-    window[:, xt, lam] = -exp.fx.transpose(0, 2, 1)
-    window[:, lam, ut] = -exp.fu
-    window[:, ut, lam] = -exp.fu.transpose(0, 2, 1)
-    window[:, lam, xn] = window[:, xn, lam] = np.eye(n)
+    window[:, lam, xt] = exp.fx
+    window[:, xt, lam] = exp.fx.transpose(0, 2, 1)
+    window[:, lam, ut] = exp.fu
+    window[:, ut, lam] = exp.fu.transpose(0, 2, 1)
+    window[:, lam, xn] = window[:, xn, lam] = -np.eye(n)
     window[:, xn, xn] = np.concatenate([exp.lxx[1:], exp.ct_xx[None]])
-    if newton:
-        w = multipliers[2:]  # lam_{t+1} for the stages t = 1 .. T-1
+    if weighted:
+        w = costates[2:]  # lam_{t+1} for the stages t = 1 .. T-1
         window[:-1, xn, xn] += np.einsum("ti,tijk->tjk", w, exp.fxx[1:])
         cross = np.einsum("ti,tijk->tjk", w, exp.fxu[1:])
         window[1:, xt, ut] = cross
         window[1:, ut, xt] = cross.transpose(0, 2, 1)
 
-    blocks = np.array([[0, newton, 1, 0], [newton, 1, 1, 0],
+    blocks = np.array([[0, weighted, 1, 0], [weighted, 1, 1, 0],
                        [1, 1, 0, 1], [0, 0, 1, 1]], dtype=bool)
     sizes = (n, m, n, n)
     keep = np.tile(np.repeat(np.repeat(blocks, sizes, 0), sizes, 1), (horizon, 1, 1))
@@ -112,7 +110,7 @@ def assemble_qp(exp, variant, multipliers=None) -> StackedQP:
     primal[:, m:m + n] = False
     return StackedQP(rows=rows, cols=cols, values=window[keep],
                      gradient=grad.reshape(-1), primal=primal.reshape(-1),
-                     horizon=horizon, state_dim=n, control_dim=m, variant=variant)
+                     horizon=horizon, state_dim=n, control_dim=m)
 
 
 def _matvec(qp, x):
@@ -180,7 +178,7 @@ def cost_gradient_adjoint(exp) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    variant: str
+    method: str  # the certified sweep's
     horizon: int
     err_dx: float
     err_du: float
@@ -195,7 +193,7 @@ class VerificationReport:
 
     def summary(self) -> str:
         status = "ok" if self.passed else f"FAIL at t={self.worst_timestep}"
-        return (f"{self.variant:6s} T={self.horizon:<3d} "
+        return (f"{self.method:6s} T={self.horizon:<3d} "
                 f"rel err dx={self.err_dx:.3e} du={self.err_du:.3e} "
                 f"lam={self.err_lam:.3e}  {status}")
 
@@ -208,39 +206,31 @@ def _block_err(candidate, reference, t_offset=0):
     return err / scale, worst + t_offset
 
 
-def verify_equivalence(sol, exp, multipliers=None, tol=1e-8) -> VerificationReport:
+def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
     """Compare one backward sweep against the direct banded KKT solve.
 
-    The sweep's full step (alpha = 1 linear rollout) and its multiplier
-    sequence must reproduce the QP minimizer and equality multipliers. iLQR
-    is checked against the cost-only Hessian; Newton against the stacked
-    problem carrying its own multiplier sequence; DDP against the stacked
-    problem carrying the value gradients it contracted with, since the DDP
-    sweep is exactly the Newton sweep under that substitution.
+    The sweep's full step (alpha = 1 linear rollout) and its costates must
+    reproduce the QP minimizer and equality multipliers of the stacked
+    problem weighted by the costates the sweep contracted: none for iLQR,
+    the frozen sequence for Newton, the value gradients for DDP (the Newton
+    sweep under that substitution). `costates`, when given, must be exactly
+    the sweep's own; otherwise ValueError.
     """
-    if sol.method == "ilqr":
-        qp = assemble_qp(exp, "ilqr")
-    elif sol.method == "newton":
-        if multipliers is None:
-            raise ValueError("newton verification needs the multiplier sequence")
-        qp = assemble_qp(exp, "newton", multipliers)
-    elif sol.method == "ddp":
-        qp = assemble_qp(exp, "newton", sol.v)
-    else:
-        raise ValueError(f"unknown method '{sol.method}'")
-
+    if costates is not None and not np.array_equal(costates, sol.costates):
+        raise ValueError("costates differ from those the sweep contracted")
+    qp = assemble_qp(exp, sol.costates)
     ksol = solve_kkt(qp)
     dx_qp, du_qp = split_primal(qp, ksol.dz)
     lam_qp = ksol.multipliers.reshape(qp.horizon, qp.state_dim)
 
     path = linear_rollout(exp, sol, 1.0)
-    lam_sweep = multipliers_from(sol, path)
+    lam_sweep = multipliers_from(sol, path.dx)
 
     err_dx, t_dx = _block_err(path.dx[1:], dx_qp[1:], t_offset=1)
     err_du, t_du = _block_err(path.du, du_qp)
     err_lam, t_lam = _block_err(lam_sweep[1:], lam_qp, t_offset=1)
 
-    if sol.method == "ilqr":
+    if sol.costates is None:
         # Descent certificate of the cost-only subproblem: on the constraint
         # kernel the step satisfies dz'g = -dz'H dz < 0 unless it is zero.
         # With its multiplier entries zeroed, z'Kz is exactly dz'H dz.
@@ -257,7 +247,7 @@ def verify_equivalence(sol, exp, multipliers=None, tol=1e-8) -> VerificationRepo
     errs = {"dx": (err_dx, t_dx), "du": (err_du, t_du), "lam": (err_lam, t_lam)}
     worst_block = max(errs, key=lambda k: errs[k][0])
     return VerificationReport(
-        variant=qp.variant, horizon=qp.horizon,
+        method=sol.method, horizon=qp.horizon,
         err_dx=err_dx, err_du=err_du, err_lam=err_lam,
         worst_timestep=errs[worst_block][1], tol=tol,
         passed=max(err_dx, err_du, err_lam) <= tol)

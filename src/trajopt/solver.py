@@ -3,9 +3,9 @@
 The loop is the same for every method; only the backward sweep changes. The
 Newton sweep threads a costate sequence across iterations: it is seeded from
 an iLQR sweep on the first nominal and afterwards re-evaluated on each
-accepted path as v_t + V_t dx_t, so that near a solution the frozen costates
-agree with the sweep's own value gradients and the step becomes the exact
-Newton step.
+accepted path by `multipliers_from` (v_t + V_t dx_t), so that near a solution
+the frozen costates agree with the sweep's own value gradients and the step
+becomes the exact Newton step.
 
 The hybrid method runs DDP until its accepted steps cool below a threshold
 for a configurable number of consecutive iterations (or a DDP iteration ends
@@ -32,7 +32,7 @@ from .errors import NonDescentError
 from .expansion import expand_along
 from .kkt import cost_gradient_adjoint
 from .linesearch import line_search
-from .trajectory import PerturbationPath, rollout
+from .trajectory import rollout
 
 __all__ = [
     "SWEEPS",
@@ -144,23 +144,23 @@ def initial_multiplier_estimate(exp) -> np.ndarray:
     """Costate seed for the first Newton sweep: value gradients of an iLQR
     sweep on the same expansion, the stacked subproblem's multiplier estimate
     at zero deviation."""
-    return backward_ilqr(exp).v.copy()
+    return multipliers_from(backward_ilqr(exp))
 
 
-def backward_for(method, exp, multipliers=None):
+def backward_for(method, exp, costates=None):
     """The backward sweep of one method in SWEEPS on `exp`.
 
-    Returns (sweep, costates): Newton contracts the given costates, seeded by
-    `initial_multiplier_estimate` when there are none yet; the other sweeps
-    pass them through unchanged.
+    Newton contracts the given costates, seeded by `initial_multiplier_estimate`
+    when there are none yet; the other sweeps ignore them. The sweep carries
+    what it contracted in `costates`.
     """
     if method == "ilqr":
-        return backward_ilqr(exp), multipliers
+        return backward_ilqr(exp)
     if method == "ddp":
-        return backward_ddp(exp), multipliers
-    if multipliers is None:
-        multipliers = initial_multiplier_estimate(exp)
-    return backward_newton(exp, multipliers), multipliers
+        return backward_ddp(exp)
+    if costates is None:
+        costates = initial_multiplier_estimate(exp)
+    return backward_newton(exp, costates)
 
 
 def solve(model, cost, x0, init_controls, config):
@@ -187,7 +187,9 @@ def solve(model, cost, x0, init_controls, config):
         # FLOOR_HIT.
         status, accepted, dj_pred, min_quu = "OK", None, None, None
         if grad_norm > config.grad_tol:
-            sol, lam_bar = backward_for(active, exp, lam_bar)
+            sol = backward_for(active, exp, lam_bar)
+            if active == "newton":
+                lam_bar = sol.costates
             if index == 0:
                 first_sweep = sol
             dj_pred = expected_reduction(sol, exp, 1.0)
@@ -224,9 +226,7 @@ def solve(model, cost, x0, init_controls, config):
 
         if accepted:
             if active == "newton":
-                path = PerturbationPath(step.states - traj.states,
-                                        step.controls - traj.controls)
-                lam_bar = -multipliers_from(sol, path)
+                lam_bar = multipliers_from(sol, step.states - traj.states)
             if hybrid and active == "ddp":
                 streak = streak + 1 if alpha < config.hybrid_alpha_switch else 0
             traj = step

@@ -78,7 +78,7 @@ def test_criterion_02_lqr_golden_case(lqr_instance):
     u0 = random_controls(horizon, 1, seed=7)
 
     exp = expand_along(model, cost, rollout(model, cost, x0, u0))
-    qp = assemble_qp(exp, "ilqr")
+    qp = assemble_qp(exp)
     _, du = split_primal(qp, solve_kkt(qp).dz)
     optimum = rollout(model, cost, x0, u0 + du).cost
 

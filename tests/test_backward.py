@@ -71,6 +71,21 @@ def test_newton_with_zero_multipliers_equals_ilqr_exactly():
     assert np.array_equal(ilqr.quu, newton.quu)
 
 
+def test_each_sweep_carries_the_costates_it_contracted():
+    model, cost, x0, _ = make_benchmark("cartpole")
+    exp = expand_along(model, cost, random_nominal(model, cost, x0, 12, seed=7))
+    lam = np.random.default_rng(8).normal(size=(13, 4))
+    assert backward_ilqr(exp).costates is None
+    newton = backward_newton(exp, lam)
+    assert np.array_equal(newton.costates, lam)
+    ddp = backward_ddp(exp)
+    assert ddp.costates is ddp.v
+    # Newton fed DDP's costates is DDP, bit for bit
+    twin = backward_newton(exp, ddp.costates)
+    for name in ("v", "V", "k", "K", "quu"):
+        assert np.array_equal(getattr(twin, name), getattr(ddp, name)), name
+
+
 def test_all_methods_coincide_on_linear_dynamics(lqr_instance):
     model, cost, x0, horizon = lqr_instance
     traj = random_nominal(model, cost, x0, horizon, seed=12)
@@ -114,12 +129,13 @@ def test_ddp_first_sweep_goes_indefinite_on_cartpole_somewhere():
     assert found, "no seed produced an indefinite DDP control curvature"
 
 
-def test_multipliers_on_zero_path_are_negated_value_gradients():
+def test_multipliers_on_zero_path_are_the_value_gradients():
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 10, seed=1)
     sol = backward_ilqr(expand_along(model, cost, traj))
     lam = multipliers_from(sol)
-    assert np.array_equal(lam, -sol.v)
+    assert np.array_equal(lam, sol.v)
+    assert lam is not sol.v
 
 
 def test_multiplier_terminal_identity():
@@ -128,8 +144,8 @@ def test_multiplier_terminal_identity():
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
     path = linear_rollout(exp, sol, 1.0)
-    lam = multipliers_from(sol, path)
-    expected_terminal = -exp.ct_x - exp.ct_xx @ path.dx[-1]
+    lam = multipliers_from(sol, path.dx)
+    expected_terminal = exp.ct_x + exp.ct_xx @ path.dx[-1]
     assert np.allclose(lam[-1], expected_terminal, atol=1e-12)
 
 
@@ -139,8 +155,8 @@ def test_multipliers_match_kkt_equality_multipliers(lqr_instance):
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
     path = linear_rollout(exp, sol, 1.0)
-    lam = multipliers_from(sol, path)
-    ksol = solve_kkt(assemble_qp(exp, "ilqr"))
+    lam = multipliers_from(sol, path.dx)
+    ksol = solve_kkt(assemble_qp(exp))
     lam_qp = ksol.multipliers.reshape(horizon, 2)
     assert np.max(np.abs(lam[1:] - lam_qp)) <= 1e-8 * max(1, np.max(np.abs(lam_qp)))
 
@@ -190,11 +206,11 @@ def test_expected_reduction_matches_dense_quadratic_model(variant):
     exp = expand_along(model, cost, traj)
     if variant == "ilqr":
         sol = backward_ilqr(exp)
-        qp = assemble_qp(exp, "ilqr")
+        qp = assemble_qp(exp)
     else:
         lam = 0.1 * np.ones((7, 2))
         sol = backward_newton(exp, lam)
-        qp = assemble_qp(exp, "newton", lam)
+        qp = assemble_qp(exp, lam)
     hessian, gradient, _ = dense_qp(qp)
     for alpha in (0.25, 0.5, 1.0):
         z = _stack_path(linear_rollout(exp, sol, alpha))
@@ -236,7 +252,7 @@ def test_quu_spectrum_equals_the_per_stage_loop(method):
                  _two_input_linear()]
     for model, cost, x0 in instances:
         traj = random_nominal(model, cost, x0, 15, seed=6)
-        sol, _ = backward_for(method, expand_along(model, cost, traj))
+        sol = backward_for(method, expand_along(model, cost, traj))
         loop = np.array([np.linalg.eigvalsh(quu_t)[0] for quu_t in sol.quu])
         assert np.array_equal(quu_spectrum(sol), loop)
 
@@ -425,7 +441,7 @@ def _first_stages(exp, count):
      DimensionError, "gain horizon does not match the expansion"),
     (lambda exp, sol, path: expected_reduction(sol, _first_stages(exp, 3), 1.0),
      DimensionError, "gain horizon does not match the expansion"),
-    (lambda exp, sol, path: multipliers_from(sol, replace(path, dx=path.dx[1:])),
+    (lambda exp, sol, path: multipliers_from(sol, path.dx[1:]),
      ValueError, "path horizon does not match the solution"),
     (lambda exp, sol, path: backward_newton(exp, sol.v[1:]), ValueError,
      r"multiplier sequence must have shape \(T\+1, n\)"),

@@ -267,8 +267,8 @@ def test_verify_passes_by_default(tmp_path, capsys):
     assert {entry["T"] for entry in payload} == {1, 2, 5, 20, 100, 200}
     # the horizons the benchmarks run at are certified for every sweep,
     # on both benchmarks and on the two-input linear system
-    at_200 = [entry["variant"] for entry in payload if entry["T"] == 200]
-    assert at_200 == ["ilqr", "newton", "newton"] * 3
+    at_200 = [entry["method"] for entry in payload if entry["T"] == 200]
+    assert at_200 == ["ilqr", "newton", "ddp"] * 3
     certified = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
                  if "T=200" in line and line.endswith(" ok")]
     assert certified == [[f"[{system}]", sweep]

@@ -2,7 +2,6 @@
 equivalence."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ def test_assemble_single_stage_scalar_transcription():
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 1, seed=0)
     exp = expand_along(model, cost, traj)
-    hessian, gradient, constraints = dense_qp(assemble_qp(exp, "ilqr"))
+    hessian, gradient, constraints = dense_qp(assemble_qp(exp))
     # variables: (dx_1 (2), du_0 (1))
     expected_h = np.zeros((3, 3))
     expected_h[:2, :2] = exp.ct_xx
@@ -30,12 +29,12 @@ def test_assemble_single_stage_scalar_transcription():
     assert np.array_equal(hessian, expected_h)
     assert np.array_equal(gradient, np.concatenate([exp.ct_x, exp.ru[0]]))
     expected_a = np.zeros((2, 3))
-    expected_a[:, :2] = np.eye(2)
-    expected_a[:, 2:] = -exp.fu[0]
+    expected_a[:, :2] = -np.eye(2)
+    expected_a[:, 2:] = exp.fu[0]
     assert np.array_equal(constraints, expected_a)
     # single stage: dx_0 = 0 removes every dynamics-Hessian block
     lam = np.ones((2, 2))
-    assert np.array_equal(dense_qp(assemble_qp(exp, "newton", lam))[0], hessian)
+    assert np.array_equal(dense_qp(assemble_qp(exp, lam))[0], hessian)
 
 
 def test_assemble_newton_adds_symmetric_hessian_blocks():
@@ -44,7 +43,7 @@ def test_assemble_newton_adds_symmetric_hessian_blocks():
     exp = expand_along(model, cost, traj)
     rng = np.random.default_rng(2)
     lam = rng.normal(size=(4, 4))
-    hessian = dense_qp(assemble_qp(exp, "newton", lam))[0]
+    hessian = dense_qp(assemble_qp(exp, lam))[0]
     assert np.array_equal(hessian, hessian.T)
     n, m = 4, 1
     nx = 3 * n
@@ -61,7 +60,7 @@ def test_assemble_pendulum_entrywise_recomputation():
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 3, seed=4)
     exp = expand_along(model, cost, traj)
-    hessian, gradient, constraints = dense_qp(assemble_qp(exp, "ilqr"))
+    hessian, gradient, constraints = dense_qp(assemble_qp(exp))
     n, m, horizon = 2, 1, 3
     size = (n + m) * horizon
 
@@ -79,10 +78,10 @@ def test_assemble_pendulum_entrywise_recomputation():
         hess[iu, iu] = exp.r
         grad[iu] = exp.ru[t]
         rows = slice(t * n, (t + 1) * n)
-        cons[rows, t * n:(t + 1) * n] = np.eye(n)
+        cons[rows, t * n:(t + 1) * n] = -np.eye(n)
         if t >= 1:
-            cons[rows, (t - 1) * n:t * n] = -exp.fx[t]
-        cons[rows, iu] = -exp.fu[t]
+            cons[rows, (t - 1) * n:t * n] = exp.fx[t]
+        cons[rows, iu] = exp.fu[t]
 
     assert np.array_equal(hessian, hess)
     assert np.array_equal(gradient, grad)
@@ -94,30 +93,31 @@ def test_solve_unconstrained_identity_hessian():
     diagonal = np.arange(3)
     qp = StackedQP(rows=diagonal, cols=diagonal, values=np.ones(3), gradient=g,
                    primal=np.ones(3, dtype=bool),
-                   horizon=1, state_dim=2, control_dim=1, variant="ilqr")
+                   horizon=1, state_dim=2, control_dim=1)
     sol = solve_kkt(qp)
     assert np.allclose(sol.dz, -g, atol=1e-14)
     assert sol.multipliers.size == 0
 
 
 def test_solve_scalar_constrained_by_hand():
-    # min 4 z + z^2 subject to z = 0: dz = 0 and the multiplier balances
-    # the gradient, lam = -4. Unknowns (z, lam): KKT matrix [[2, 1], [1, 0]].
+    # min 4 z + z^2 subject to -z = 0, the sign of the stacked constraints
+    # (fx dx + fu du - dx' = 0): dz = 0 and the multiplier balances the
+    # gradient, lam = 4. Unknowns (z, lam): KKT matrix [[2, -1], [-1, 0]].
     qp = StackedQP(rows=np.array([0, 0, 1]), cols=np.array([0, 1, 0]),
-                   values=np.array([2.0, 1.0, 1.0]), gradient=np.array([4.0, 0.0]),
+                   values=np.array([2.0, -1.0, -1.0]), gradient=np.array([4.0, 0.0]),
                    primal=np.array([True, False]),
-                   horizon=1, state_dim=1, control_dim=0, variant="ilqr")
+                   horizon=1, state_dim=1, control_dim=0)
     sol = solve_kkt(qp)
     assert sol.dz[0] == pytest.approx(0.0, abs=1e-14)
-    assert sol.multipliers[0] == pytest.approx(-4.0, abs=1e-14)
+    assert sol.multipliers[0] == pytest.approx(4.0, abs=1e-14)
 
 
 def test_kkt_reproduces_classical_lqr_solution(lqr_instance):
     model, cost, x0, horizon = lqr_instance
     nominal = rollout(model, cost, x0, np.zeros((horizon, 1)))
     exp = expand_along(model, cost, nominal)
-    ksol = solve_kkt(assemble_qp(exp, "ilqr"))
-    _, du = split_primal(assemble_qp(exp, "ilqr"), ksol.dz)
+    ksol = solve_kkt(assemble_qp(exp))
+    _, du = split_primal(assemble_qp(exp), ksol.dz)
 
     # independent reference: textbook Riccati gains rolled out from x0 (the
     # problem is exactly quadratic, so the one-shot QP step is the optimum)
@@ -144,7 +144,7 @@ def test_solver_invariants_on_random_problems():
     for horizon in (2, 5, 20):
         traj = random_nominal(model, cost, x0, horizon, seed=horizon)
         exp = expand_along(model, cost, traj)
-        qp = assemble_qp(exp, "ilqr")
+        qp = assemble_qp(exp)
         sol = solve_kkt(qp)
         hessian, gradient, constraints = dense_qp(qp)
         dx, du = split_primal(qp, sol.dz)
@@ -194,8 +194,8 @@ def test_adjoint_gradient_vanishes_at_kkt_optimum(lqr_instance):
     model, cost, x0, horizon = lqr_instance
     nominal = random_nominal(model, cost, x0, horizon, seed=1)
     exp = expand_along(model, cost, nominal)
-    ksol = solve_kkt(assemble_qp(exp, "ilqr"))
-    _, du = split_primal(assemble_qp(exp, "ilqr"), ksol.dz)
+    ksol = solve_kkt(assemble_qp(exp))
+    _, du = split_primal(assemble_qp(exp), ksol.dz)
     optimum = rollout(model, cost, x0, nominal.controls + du)
     grad = cost_gradient_adjoint(expand_along(model, cost, optimum))
     assert np.max(np.abs(grad)) <= 1e-9
@@ -235,6 +235,7 @@ def test_verify_equivalence_localizes_injected_fault():
     bad = type(sol)(v=sol.v, V=sol.V, k=corrupted_k, K=sol.K, quu=sol.quu,
                     method="ilqr")
     report = verify_equivalence(bad, exp, tol=1e-8)
+    assert report.method == "ilqr"
     assert not report.passed
     assert report.max_rel_err > 1e-4
     assert report.worst_timestep >= 4  # corruption propagates from stage 4 on
@@ -245,7 +246,7 @@ def test_solve_kkt_rejects_singular_systems():
     rows, cols = np.divmod(np.arange(4), 2)
     qp = StackedQP(rows=rows, cols=cols, values=np.zeros(4),
                    gradient=np.array([1.0, 0.0]), primal=np.ones(2, dtype=bool),
-                   horizon=1, state_dim=1, control_dim=1, variant="ilqr")
+                   horizon=1, state_dim=1, control_dim=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # LU of an exactly singular matrix
         with pytest.raises(KktError):
@@ -261,9 +262,8 @@ def test_oracle_certifies_every_sweep_at_benchmark_horizons():
             traj = random_nominal(model, cost, x0, horizon, seed=horizon)
             exp = expand_along(model, cost, traj)
             for method in ("ilqr", "newton", "ddp"):
-                sol, multipliers = backward_for(method, exp)
-                report = verify_equivalence(sol, exp, multipliers, tol=1e-8)
-                assert report.horizon == horizon
+                report = verify_equivalence(backward_for(method, exp), exp, tol=1e-8)
+                assert (report.method, report.horizon) == (method, horizon)
                 assert report.passed, report.summary()
 
 
@@ -276,7 +276,7 @@ def test_verification_json_schema(tmp_path):
     write_verification_json(out, [report])
     payload = json.loads(out.read_text())
     assert payload == [{
-        "variant": "ilqr", "T": 5,
+        "method": "ilqr", "T": 5,
         "max_rel_err": report.max_rel_err, "pass": True,
         "err_dx": report.err_dx, "err_du": report.err_du,
         "err_lam": report.err_lam, "worst_timestep": report.worst_timestep,
@@ -284,20 +284,19 @@ def test_verification_json_schema(tmp_path):
     }]
 
 
+_FOREIGN_COSTATES = "costates differ from those the sweep contracted"
+
+
 @pytest.mark.parametrize(("call", "message"), [
-    (lambda exp, sol: assemble_qp(exp, "ddp"), "unknown variant 'ddp'"),
-    (lambda exp, sol: assemble_qp(exp, "newton", sol.v[1:]),
+    (lambda exp, sol, lam: assemble_qp(exp, sol.v[1:]),
      r"multiplier sequence must have shape \(T\+1, n\)"),
-    (lambda exp, sol: assemble_qp(exp, "newton"),
-     r"multiplier sequence must have shape \(T\+1, n\)"),
-    (lambda exp, sol: verify_equivalence(replace(sol, method="newton"), exp),
-     "newton verification needs the multiplier sequence"),
-    (lambda exp, sol: verify_equivalence(replace(sol, method="sqp"), exp, sol.v),
-     "unknown method 'sqp'"),
-], ids=["assemble-variant", "assemble-costates", "assemble-no-costates",
-        "verify-newton-no-costates", "verify-method"])
+    # a caller's costates must be the ones the sweep contracted
+    (lambda exp, sol, lam: verify_equivalence(backward_newton(exp, lam), exp, 2 * lam),
+     _FOREIGN_COSTATES),
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, lam), _FOREIGN_COSTATES),
+], ids=["assemble-costates", "verify-newton-other-costates", "verify-ilqr-costates"])
 def test_oracle_rejects_bad_inputs(call, message):
     model, cost, x0, _ = make_benchmark("pendulum")
     exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=6))
     with pytest.raises(ValueError, match=message):
-        call(exp, backward_ilqr(exp))
+        call(exp, backward_ilqr(exp), initial_multiplier_estimate(exp))

@@ -20,7 +20,9 @@ arithmetic and no loop over stages, and `import trajopt` leaves `scipy.sparse`
 unloaded, so the library's import time and memory do not carry it. The
 benchmark problem schema is written once, in `models.py`: no other module
 names its cost keys. No module reads the environment, so the configuration a
-run reports is all that set it.
+run reports is all that set it. Only `backward.py` reads a sweep's value
+gradients `.v`: every other module takes costates from the sweep's `costates`
+or from `multipliers_from`, so their sign is decided in one place.
 """
 
 import ast
@@ -310,3 +312,24 @@ def test_the_environment_check_sees_each_spelling():
     source = ("import os\nfrom os import environ\nfrom os import path, getenv\n"
               "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path.join('a')\n")
     assert sorted(_environment_reads(ast.parse(source))) == [2, 3, 4, 5]
+
+
+def _attribute_reads(tree, name):
+    """The line of each read of an attribute called `name`."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.ctx, ast.Load)):
+            yield node.lineno
+
+
+def test_only_backward_reads_a_sweeps_value_gradients():
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "backward.py"
+             for line in _attribute_reads(ast.parse(path.read_text(), str(path)), "v")]
+    assert found == []
+
+
+def test_the_value_gradient_check_sees_each_read():
+    source = ("lam = sol.v.copy()\nw = -sol.v[1:]\nf(sweep.v)\n"
+              "v = sol.V\nsol.vv = v\nout.v = lam\n")
+    assert sorted(_attribute_reads(ast.parse(source), "v")) == [1, 2, 3]

@@ -51,8 +51,8 @@ def test_forward_pass_full_step_solves_lqr(lqr_instance):
     exp = expand_along(model, cost, nominal)
     sol = backward_ilqr(exp)
     out = forward_pass(model, cost, nominal, sol, 1.0)
-    ksol = solve_kkt(assemble_qp(exp, "ilqr"))
-    _, du = split_primal(assemble_qp(exp, "ilqr"), ksol.dz)
+    ksol = solve_kkt(assemble_qp(exp))
+    _, du = split_primal(assemble_qp(exp), ksol.dz)
     optimum = rollout(model, cost, x0, nominal.controls + du)
     assert out.cost == pytest.approx(optimum.cost, rel=1e-12)
 

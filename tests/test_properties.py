@@ -197,8 +197,7 @@ def test_every_sweep_matches_the_kkt_oracle(problem):
     exp = expand_along(model, cost, traj)
     costates = rng.normal(size=traj.states.shape)
     for method in ("ilqr", "newton", "ddp"):
-        sol, _ = backward_for(method, exp, costates)
-        report = verify_equivalence(sol, exp, costates, tol=1e-8)
+        report = verify_equivalence(backward_for(method, exp, costates), exp, tol=1e-8)
         assert report.passed, report.summary()
 
 
@@ -234,7 +233,7 @@ def test_total_cost_is_the_left_to_right_sum(problem):
 def test_expected_reduction_equals_the_per_stage_loop(problem):
     model, cost, traj, rng = problem
     exp = expand_along(model, cost, traj)
-    sol, _ = backward_for("newton", exp, rng.normal(size=traj.states.shape))
+    sol = backward_for("newton", exp, rng.normal(size=traj.states.shape))
     total = 0.0
     for t in range(sol.horizon):
         g = exp.ru[t] + exp.fu[t].T @ sol.v[t + 1]
@@ -255,7 +254,7 @@ def test_the_sweeps_slope_is_the_linearized_rollouts(problem):
     exp = expand_along(model, cost, traj)
     grad = cost_gradient_adjoint(exp)
     for method in ("ilqr", "newton", "ddp"):
-        sol, _ = backward_for(method, exp)
+        sol = backward_for(method, exp)
         assert directional_derivative(exp, sol, grad) == pytest.approx(
             2.0 * expected_reduction(sol, exp, 1.0), rel=1e-9, abs=0.0), method
 
@@ -269,7 +268,7 @@ def test_every_sweep_equals_the_per_stage_reference(problem, cartpole):
         exp = expand_along(model, cost, traj)
         costates = _costates(rng, traj)
         for method in ("ilqr", "newton", "ddp"):
-            sol, _ = backward_for(method, exp, costates)
+            sol = backward_for(method, exp, costates)
             assert _equal((sol.v, sol.V, sol.k, sol.K, sol.quu),
                           _reference_sweep(exp, method, costates)), method
 
@@ -278,7 +277,7 @@ def test_every_sweep_equals_the_per_stage_reference(problem, cartpole):
 @given(nominals(), st.floats(0.0, 1.0, exclude_min=True), SWEEPS)
 def test_forward_pass_equals_the_per_step_control_law(problem, alpha, method):
     model, cost, traj, rng = problem
-    sol, _ = backward_for(method, expand_along(model, cost, traj), _costates(rng, traj))
+    sol = backward_for(method, expand_along(model, cost, traj), _costates(rng, traj))
     assert _forward_pass_equals_the_reference(model, cost, traj, sol, alpha)
 
 
@@ -287,7 +286,7 @@ def test_forward_pass_equals_the_per_step_control_law(problem, alpha, method):
 def test_linear_rollout_equals_the_per_stage_reference(problem, alpha, method):
     model, cost, traj, rng = problem
     exp = expand_along(model, cost, traj)
-    sol, _ = backward_for(method, exp, _costates(rng, traj))
+    sol = backward_for(method, exp, _costates(rng, traj))
     path = linear_rollout(exp, sol, alpha)
     assert _equal((path.dx, path.du), _reference_linear_rollout(exp, sol, alpha))
 
@@ -311,7 +310,7 @@ def test_every_loop_equals_its_reference_on_nonlinear_nominals(problem, alpha):
     costates = _costates(rng, traj)
     assert np.array_equal(cost_gradient_adjoint(exp), _reference_gradient(exp))
     for method in ("ilqr", "newton", "ddp"):
-        sol, _ = backward_for(method, exp, costates)
+        sol = backward_for(method, exp, costates)
         assert _equal((sol.v, sol.V, sol.k, sol.K, sol.quu),
                       _reference_sweep(exp, method, costates)), method
         path = linear_rollout(exp, sol, alpha)

@@ -1,5 +1,7 @@
 """Outer loop behavior: convergence, records, threading, hybrid switching."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,31 @@ def test_hybrid_switches_to_ilqr_after_a_ddp_failure(cause, config, at):
     assert [r.status for r in result.records] == ["OK"] * at + [cause] + ["OK"] * 2
     failed, after = result.records[at], result.records[at + 1]
     assert after.cost == failed.cost  # iLQR restarts from the trajectory DDP left
+
+
+def test_hybrid_after_a_ddp_failure_is_ilqr_from_the_controls_ddp_left():
+    # Cart-pole T = 200 from a seeded amplitude-3 start: DDP ends NON_DESCENT
+    # at iteration 13, and from iteration 14 on hybrid is an iLQR solve from
+    # DDP's final controls, record for record. Its slow descent from there
+    # is iLQR's, not the switch's.
+    model, cost, x0, horizon = make_benchmark("cartpole")
+    u0 = np.random.default_rng(105).uniform(-3.0, 3.0, (horizon, 1))
+    budget = 40
+    ddp = solve(model, cost, x0, u0, SolverConfig(method="ddp", max_iters=budget))
+    assert (ddp.reason, ddp.iterations) == ("non_descent", 14)
+    hybrid = solve(model, cost, x0, u0, SolverConfig(method="hybrid", max_iters=budget))
+    ilqr = solve(model, cost, x0, ddp.trajectory.controls,
+                 SolverConfig(method="ilqr", max_iters=budget - ddp.iterations))
+    assert hybrid.reason == ilqr.reason == "max_iters"
+    assert hybrid.records[:14] == ddp.records
+    assert hybrid.records[14:] == tuple(replace(r, index=r.index + 14) for r in ilqr.records)
+    assert repr(hybrid.trial_logs) == repr(
+        ddp.trial_logs + tuple((index + 14, trials) for index, trials in ilqr.trial_logs))
+    assert hybrid.trajectory.controls.tobytes() == ilqr.trajectory.controls.tobytes()
+    # the iLQR solve's first rollout re-steps the trajectory DDP ended on
+    assert hybrid.model_steps == ddp.model_steps + ilqr.model_steps - horizon
+    tail = [r.cost for r in ilqr.records]
+    assert all(b < a for a, b in zip(tail, tail[1:]))
 
 
 def _counted_solve(system, horizon, controls, **config):
