@@ -20,6 +20,10 @@ definite, so the iLQR step is always a descent direction. Neither property
 survives the Hessian contractions: Newton-LQR and DDP may produce indefinite
 Quu, which is recorded rather than repaired (no regularization anywhere).
 
+On the stage unknowns z = (du, 1, dx), one block product Q = H_t + J_t' W J_t
+gives q_u, q_x, Quu, Qux and Qxx, with W = [[0, v'], [v, V]] the value at t+1,
+J_t = [[0, 1, 0], [fu, 0, fx]], and the costates weighting one Hessian tensor.
+
 The per-stage loop holds only the recursion. Finiteness of every sweep, and
 the two iLQR guarantees, are checked in batches after it: the first failure in
 sweep order raises, as per-stage checks would, naming its stage.
@@ -31,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dsysv as sysv
 
 from .errors import BackwardPassError, DimensionError
 
@@ -77,78 +81,74 @@ class BackwardSolution:
         return self.k.shape[0]
 
 
-def _solve_sym(quu, t, quu_t, qu, qux):
-    """(k_t, K_t): Quu_t symmetrized into quu[t], then q_u and Q_ux solved
-    against that (possibly indefinite) block."""
-    if quu_t.shape[0] == 1:
-        pivot = quu_t.item()
-        quu[t] = pivot = 0.5 * (pivot + pivot)  # overflows to inf as the array form does
-        if pivot == 0.0 or not math.isfinite(pivot):
-            raise BackwardPassError(t, "singular control curvature")
-        return qu / pivot, qux / pivot
-    quu[t] = quu_t = 0.5 * (quu_t + quu_t.T)
-    try:
-        sol = scipy.linalg.solve(quu_t, np.concatenate([qu[:, None], qux], axis=1),
-                                 assume_a="sym")
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise BackwardPassError(t, f"singular control curvature ({exc})") from exc
-    return sol[:, 0], sol[:, 1:]
-
-
 def _sweep(exp, method, lam_bar=None):
     horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
-    fx_all, fu_all, fxx, fxu = exp.fx, exp.fu, exp.fxx, exp.fxu
-    lx, lxx, ru, r = exp.lx, exp.lxx, exp.ru, exp.r
     if method == "newton":
         lam_bar = np.asarray(lam_bar, dtype=float)
         if lam_bar.shape != (horizon + 1, n):
             raise ValueError("multiplier sequence must have shape (T+1, n)")
-        # the frozen costates are known: a batched einsum rounds as each stage's
-        fxx_w = np.einsum("ti,tijk->tjk", lam_bar[1:], fxx)
-        fxu_w = np.einsum("ti,tijk->tkj", lam_bar[1:], fxu)
 
-    v = np.zeros((horizon + 1, n))
-    big_v = np.zeros((horizon + 1, n, n))
-    k = np.zeros((horizon, m))
-    feedback = np.zeros((horizon, m, n))
+    # J_t maps z = (du, 1, dx) to (1, dx_{t+1}); W = [[0, v'], [v, V]] acts on that
+    size = m + 1 + n
+    u, x = slice(0, m), slice(m + 1, size)
+    jac = np.zeros((horizon, n + 1, size))
+    jac[:, 0, m] = 1.0
+    jac[:, 1:, u], jac[:, 1:, x] = exp.fu, exp.fx
+    jac_t = jac.transpose(0, 2, 1)
+    hess = np.zeros((horizon, size, size))  # H_t, the cost expansion
+    hess[:, u, u], hess[:, x, x] = exp.r, exp.lxx
+    hess[:, u, m] = hess[:, m, u] = exp.ru
+    hess[:, x, m] = hess[:, m, x] = exp.lx
+    if method != "ilqr":  # costates c weight the dynamics Hessians as c @ tensor_t
+        tensor = np.zeros((horizon, n, size, size))
+        tensor[:, :, x, x] = exp.fxx
+        tensor[:, :, x, u], tensor[:, :, u, x] = exp.fxu, exp.fxu.transpose(0, 1, 3, 2)
+        tensor = tensor.reshape(horizon, n, size * size)
+    if method == "newton":  # the stacked product rounds as each stage's
+        hess += (lam_bar[1:, None, :] @ tensor).reshape(horizon, size, size)
+
+    aug = np.zeros((horizon + 1, n + 1, n + 1))  # W_t; W_t[0, 0] feeds no gain: left 0
+    gains = np.zeros((horizon, m, n + 1))         # [k_t | K_t]
     quu = np.zeros((horizon, m, m))
     dot = np.dot  # the BLAS kernels of `@`, at less cost per call
 
     failed = None
     # an overflow or invalid value is non-finite: the checks below raise for it
     with np.errstate(over="ignore", invalid="ignore"):
-        v[horizon] = exp.ct_x
-        big_v[horizon] = 0.5 * (exp.ct_xx + exp.ct_xx.T)
-        vn, big_vn = v[horizon], big_v[horizon]
+        w = aug[horizon]
+        w[0, 1:] = w[1:, 0] = exp.ct_x
+        w[1:, 1:] = 0.5 * (exp.ct_xx + exp.ct_xx.T)
         try:
             for t in reversed(range(horizon)):
-                fx, fu = fx_all[t], fu_all[t]
-                fx_t, fu_t = fx.T, fu.T
-
-                # nested left to right, as `@` associates: fu' V fu == dot(fu_v,
-                # fu) and fx' V fx == dot(dot(fx', V), fx)
-                fu_v = dot(fu_t, big_vn)
-                qu = ru[t] + dot(fu_t, vn)
-                qx = lx[t] + dot(fx_t, vn)
-                quu_t = r + dot(fu_v, fu)
-                qux = dot(fu_v, fx)
-                qxx = lxx[t] + dot(dot(fx_t, big_vn), fx)
-
+                h = hess[t]
                 if method == "ddp":
-                    qxx = qxx + np.einsum("i,ijk->jk", vn, fxx[t])
-                    qux = qux + np.einsum("i,ijk->kj", vn, fxu[t])
-                elif method == "newton":
-                    qxx = qxx + fxx_w[t]
-                    qux = qux + fxu_w[t]
-
-                k[t], feedback[t] = _solve_sym(quu, t, quu_t, qu, qux)
-                # the contiguous k[t]: a strided column rounds differently at m >= 2
-                qux_t = qux.T
-                v[t] = vn = qx - dot(qux_t, k[t])
-                vt = qxx - dot(qux_t, feedback[t])
-                big_v[t] = big_vn = 0.5 * (vt + vt.T)
+                    h = h + dot(w[0, 1:], tensor[t]).reshape(size, size)
+                # nested left to right, as `@` associates
+                q = h + dot(dot(jac_t[t], w), jac[t])
+                rows = q[u, m:]  # [q_u | Q_ux]
+                if m == 1:  # the pivot overflows to inf as the array form does
+                    quu[t] = pivot = 0.5 * (q.item(0) + q.item(0))
+                    if pivot == 0.0 or not math.isfinite(pivot):
+                        raise BackwardPassError(t, "singular control curvature")
+                    gain = rows / pivot
+                else:
+                    quu_t = q[u, u]
+                    quu[t] = quu_t = 0.5 * (quu_t + quu_t.T)
+                    # LAPACK never warns of ill-conditioning and sets info for a
+                    # zero pivot; it would divide by an infinite one, so test that
+                    *_, gain, info = sysv(quu_t, rows)
+                    if info > 0 or not all(map(math.isfinite, quu_t.flat)):
+                        raise BackwardPassError(t, "singular control curvature")
+                gains[t] = gain
+                nxt = q[m:, m:] - dot(rows.T, gain)
+                # only V is symmetrized: v + v would overflow a gradient of 1e308
+                w = aug[t]
+                w[0, 1:] = w[1:, 0] = nxt[1:, 0]
+                vt = nxt[1:, 1:]
+                w[1:, 1:] = 0.5 * (vt + vt.T)
         except BackwardPassError as exc:
             failed = exc
+    v, big_v = aug[:, 1:, 0].copy(), aug[:, 1:, 1:].copy()
     # A non-finite k_t or K_t always reaches v_t or V_t. The loop runs on past
     # a non-finite stage, but the stages below it (and a solve that raised
     # there) only read its values: the highest one is the first failure.
@@ -160,7 +160,7 @@ def _sweep(exp, method, lam_bar=None):
         # Impossible to violate for valid cost models (R > 0, PSD V propagation).
         # In sweep order each stage checks Quu, then V: the stages done in one
         # batch, then the Quu (maybe not finite) of the stage that raised.
-        r_min = float(np.linalg.eigvalsh(r)[0])
+        r_min = float(np.linalg.eigvalsh(exp.r)[0])
         done = 0 if failed is None else failed.timestep + 1
         quu_bad = np.linalg.eigvalsh(quu[done:])[:, 0] < r_min - PSD_SLACK
         v_bad = np.linalg.eigvalsh(big_v[done:horizon])[:, 0] < -PSD_SLACK
@@ -171,8 +171,8 @@ def _sweep(exp, method, lam_bar=None):
     if failed is not None:
         raise failed
 
-    return BackwardSolution(v=v, V=big_v, k=k, K=feedback, quu=quu, method=method,
-                            costates=v if method == "ddp" else lam_bar)
+    return BackwardSolution(v=v, V=big_v, k=gains[:, :, 0].copy(), K=gains[:, :, 1:].copy(),
+                            quu=quu, method=method, costates=v if method == "ddp" else lam_bar)
 
 
 def backward_ilqr(exp) -> BackwardSolution:

@@ -312,8 +312,9 @@ OVERFLOWS = {
     # k_1 = 1e300 / 1e-300 overflows and reaches v_1 as 0 * inf, through fu = 0
     "gain": dict(fu=[[[0.0]], [[0.0]]], r=[[1e-300]], ru=[[0.0], [1e300]],
                  ct_x=[1.0], lx=None),
-    # q_x = 1e308 + 1e308 overflows at R = 1, where the unreached stage 0
-    # (its Quu still zero) must not trip the Quu guard
+    # q_x = 1e308 + 1e308 overflows at R = 1, where stage 0 (its Quu the NaN
+    # of 0 * inf in the block product, so its solve raises) must not trip
+    # the Quu guard
     "gradient": dict(fu=[[[1.0]], [[1.0]]], r=[[1.0]], ru=[[0.0], [0.0]],
                      ct_x=[1e308], lx=[[0.0], [1e308]]),
 }
@@ -370,9 +371,9 @@ def test_non_finite_value_hessian_beats_the_singular_curvature_below_it(method, 
 @pytest.mark.parametrize("stage", [2, 0])
 def test_a_non_finite_value_gradient_alone_is_found(method, m, stage):
     # with fu = 0 every Quu is R and V_t = 1: l_x + C_x = 1e308 + 1e308
-    # overflows v_t alone. Below stage 2 the NaN it feeds forward runs the
-    # m = 1 loop on to stage 0 and makes the m = 2 solve at stage 1 raise;
-    # at stage 0 the loop ends without a failure.
+    # overflows v_t alone. Below stage 2 the block product reads it into
+    # Quu_1 as 0 * inf, and the solve at stage 1 raises at m = 1 and m = 2
+    # alike; at stage 0 the loop ends without a failure.
     lx = np.zeros(4)
     lx[stage] = 1e308
     exp = _one_state_expansion(m, fu=np.zeros(4), lx=lx, ct_x=1e308, ct_xx=1.0)
@@ -410,6 +411,22 @@ def test_an_overflow_into_quu_is_singular_curvature(method, case):
     assert timestep == 1
     assert message.startswith("singular control curvature")
     assert m == 2 or message == "singular control curvature (timestep 1)"
+
+
+@pytest.mark.parametrize("method", ["newton", "ddp"])
+def test_an_ill_conditioned_quu_at_two_inputs_is_solved_without_a_warning(method):
+    # R is one rounding step from singular: the m = 2 solve stays quiet, as
+    # the m = 1 pivot only divides, and the spectrum records the conditioning
+    r = [[1.0, 1.0], [1.0, 1.0 + 2e-16]]
+    exp = _tiny_expansion(fx=np.ones((3, 1, 1)), fu=np.zeros((3, 1, 2)), r=r,
+                          ru=np.zeros((3, 2)), ct_x=[1.0], ct_xx=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = backward_for(method, exp, np.zeros((4, 1)))
+    assert np.all(np.abs(quu_spectrum(sol)) < 1e-15)
+    # an exactly singular block still raises, at the stage the sweep reaches first
+    singular = replace(exp, r=np.ones((2, 2)))
+    assert _sweep_error(method, singular) == (2, "singular control curvature (timestep 2)")
 
 
 def test_gain_profile_csv(tmp_path):

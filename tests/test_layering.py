@@ -9,12 +9,14 @@ divergence guard of the one nonlinear propagation), if `models.py`
 defines `params` again, or if the per-stage loop of `backward._sweep` (or a
 function of `backward.py` it calls) makes an `np.linalg` or `np.isfinite`
 call: the sweep's guards and its finiteness check run batched after the loop,
-never per stage. Likewise the loop of `trajectory._propagate` makes no
-`.step`, `._validate` or `np.isfinite` call: a rollout checks its inputs
-before the loop (its first point through the `step` bound there) and steps
-every later point through the unchecked `_step`. No per-stage loop (the
-sweep, `_propagate`, `linear_rollout` and `cost_gradient_adjoint`) uses `@`,
-directly or through a function of its module: each product is an `np.dot`.
+never per stage. Nor does that loop make an `np.einsum` or `np.concatenate`
+call: the Hessian tensor is laid out before it. Likewise the loop of
+`trajectory._propagate` makes no `.step`, `._validate` or `np.isfinite`
+call: a rollout checks its inputs before the loop (its first point through
+the `step` bound there) and steps every later point through the unchecked
+`_step`. No per-stage loop (the sweep, `_propagate`, `linear_rollout` and
+`cost_gradient_adjoint`) uses `@`, directly or through a function of its
+module: each product is an `np.dot`.
 The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
 arithmetic and no loop over stages, and `import trajopt` leaves `scipy.sparse`
 unloaded, so the library's import time and memory do not carry it. The
@@ -187,6 +189,32 @@ def _matmul(node):
 def test_the_sweep_loop_makes_no_linalg_call():
     path = PACKAGE / "backward.py"
     assert _in_loops(ast.parse(path.read_text(), str(path)), "_sweep", _guard_call) == []
+
+
+def _stacking_call(node):
+    """The name of an `np.einsum` or `np.concatenate` (or `np.concat`) call."""
+    func = node.func if isinstance(node, ast.Call) else None
+    if (isinstance(func, ast.Attribute) and func.attr in ("einsum", "concatenate", "concat")
+            and getattr(func.value, "id", None) in ("np", "numpy")):
+        return func.attr
+    return None
+
+
+def test_the_sweep_loop_makes_no_einsum_or_concatenate_call():
+    # the dynamics Hessians enter as one tensor prepared before the loop, and
+    # the solve reads [q_u | Q_ux] as one slice of Q
+    path = PACKAGE / "backward.py"
+    assert _in_loops(ast.parse(path.read_text(), str(path)), "_sweep", _stacking_call) == []
+
+
+def test_the_stacking_check_sees_direct_and_indirect_calls():
+    source = ("def solve(a, b, c):\n    return numpy.concatenate([b, c], axis=1)\n"
+              "def f(xs, t):\n    w = np.einsum('ti,tij->tj', xs, t)\n"
+              "    for x in xs:\n        np.einsum('i,ijk->jk', x, t)\n"
+              "        solve(x, x, x)\n        np.dot(x, t)\n"
+              "        ops.einsum(x)\n        np.concat([x, x])\n")
+    assert _in_loops(ast.parse(source), "f", _stacking_call) == [
+        "f:einsum", "solve:concatenate", "f:concat"]
 
 
 def test_the_propagation_loop_steps_unchecked():

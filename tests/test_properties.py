@@ -4,16 +4,21 @@
 m in {1, 2, 3} and T in 1..40: PSD Q and Q_terminal of random rank, PD R,
 and dynamics scaled to spectral norm at most 1.1. The batched paths must
 reproduce the per-point and per-stage arithmetic exactly, and every sweep
-must match the banded KKT oracle.
+must match the banded KKT oracle. `expansions` draws local models with no
+system behind them, n in 2..5, m in 1..3 and T in 1..60, with nonzero fxx
+and fxu; there too every sweep must match the oracle, which makes it the
+check of the sweeps' control cross terms at m >= 2.
 
 `nominals` draws random nominals of pendulums and cart-poles with random
 physical parameters, and of such linear systems with m = 2 and m = 3. On
 them the four per-stage loops (the sweeps, the forward pass, the linearized
 rollout and the adjoint gradient) must equal, bit for bit, the plain
-per-stage references kept below: `@` products, one concatenated solve and
-one finiteness check per stage, per-stage Hessian contractions, a control
-law evaluated per step, and models stepped on numpy scalars. The loops
-themselves call `np.dot`, so the references also pin that it rounds as `@`.
+per-stage references kept below. The sweep's reference is the same
+recursion in (du, 1, dx) coordinates: `@` products, a per-stage contraction
+of the Hessian tensor with the weight, one solve of the u-rows and one
+finiteness check per stage. The other references evaluate a control law per
+step and step the models on numpy scalars. The loops themselves call
+`np.dot`, so the references also pin that it rounds as `@`.
 On the pendulum and cart-pole nominals, the slope that `solve` gives the line
 search, -sum_t g_t'k_t from the sweep, must equal the directional derivative
 of the linearized rollout along the adjoint gradient to 1e-9.
@@ -21,14 +26,15 @@ of the linearized rollout along the adjoint gradient to 1e-9.
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dsysv
 
 from trajopt import (CartPoleModel, DivergenceError, LinearModel, PendulumModel,
                      QuadraticCost, backward_for, cost_gradient_adjoint,
                      directional_derivative, expand_along, expected_reduction,
                      forward_pass, linear_rollout, make_benchmark, rollout, total_cost,
                      verify_equivalence)
+from trajopt.expansion import ExpansionSequence
 from trajopt.trajectory import STATE_MAGNITUDE_LIMIT
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -85,6 +91,33 @@ def nominals(draw, systems=("pendulum", "cartpole", "linear-m2", "linear-m3"),
     return model, cost, traj, rng
 
 
+@st.composite
+def expansions(draw):
+    """(exp, costates): a local model with no system behind it, n in 2..5,
+    m in 1..3 and T in 1..60, with nonzero fxx and fxu at every stage, and
+    Newton costates whose stage scales spread over two decades."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fx = np.eye(n) + 0.3 * rng.normal(size=(horizon, n, n))
+    fx /= np.maximum(1.0, np.linalg.norm(fx, 2, axis=(1, 2)) / 1.1)[:, None, None]
+    f = rng.normal(size=(horizon, n, n, n))
+
+    def psd(*shape):
+        g = rng.normal(size=shape)
+        return g @ np.swapaxes(g, -1, -2)
+
+    exp = ExpansionSequence(
+        fx=fx, fu=rng.normal(size=(horizon, n, m)),
+        fxx=0.1 * (f + f.transpose(0, 1, 3, 2)),
+        fxu=0.1 * rng.normal(size=(horizon, n, n, m)),
+        lx=rng.normal(size=(horizon, n)), lxx=psd(horizon, n, n),
+        ru=rng.normal(size=(horizon, m)), r=psd(m, m) + 0.1 * np.eye(m),
+        ct_x=rng.normal(size=n), ct_xx=psd(n, n))
+    scales = 10.0 ** rng.uniform(-1.0, 1.0, size=(horizon + 1, 1))
+    return exp, rng.normal(size=(horizon + 1, n)) * scales
+
+
 def _costates(rng, traj):
     """Newton costates, one per state, at a scale drawn over four decades:
     as large as real value gradients, so a contraction's last bit does not
@@ -93,35 +126,43 @@ def _costates(rng, traj):
 
 
 def _reference_sweep(exp, method, costates):
-    """(v, V, k, K, Quu) of one sweep, stage by stage."""
+    """(v, V, k, K, Quu) of one sweep, stage by stage: Q = H + J'WJ over the
+    stage unknowns z = (du, 1, dx), W = [[0, v'], [v, V]] the value at t+1."""
     horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
+    size = m + 1 + n
+    u, x = slice(0, m), slice(m + 1, size)
     v, big_v = np.zeros((horizon + 1, n)), np.zeros((horizon + 1, n, n))
     k, gains = np.zeros((horizon, m)), np.zeros((horizon, m, n))
     quu = np.zeros((horizon, m, m))
     v[horizon] = exp.ct_x
     big_v[horizon] = 0.5 * (exp.ct_xx + exp.ct_xx.T)
     for t in reversed(range(horizon)):
-        fx, fu, vn, big_vn = exp.fx[t], exp.fu[t], v[t + 1], big_v[t + 1]
-        fu_v = fu.T @ big_vn
-        qu = exp.ru[t] + fu.T @ vn
-        qx = exp.lx[t] + fx.T @ vn
-        quu_t = exp.r + fu_v @ fu
-        qux = fu_v @ fx
-        qxx = exp.lxx[t] + fx.T @ big_vn @ fx
+        w = np.zeros((n + 1, n + 1))
+        w[0, 1:] = w[1:, 0] = v[t + 1]
+        w[1:, 1:] = big_v[t + 1]
+        jac = np.zeros((n + 1, size))
+        jac[0, m] = 1.0
+        jac[1:, u], jac[1:, x] = exp.fu[t], exp.fx[t]
+        h = np.zeros((size, size))
+        h[u, u] = exp.r
+        h[u, m] = h[m, u] = exp.ru[t]
+        h[x, m] = h[m, x] = exp.lx[t]
+        h[x, x] = exp.lxx[t]
         if method != "ilqr":
-            weight = vn if method == "ddp" else costates[t + 1]
-            qxx = qxx + np.einsum("i,ijk->jk", weight, exp.fxx[t])
-            qux = qux + np.einsum("i,ijk->kj", weight, exp.fxu[t])
-        quu[t] = quu_t = 0.5 * (quu_t + quu_t.T)
-        rhs = np.concatenate([qu[:, None], qux], axis=1)
-        if m == 1:
-            sol = rhs / quu_t[0, 0]
-        else:
-            sol = scipy.linalg.solve(quu_t, rhs, assume_a="sym")
+            tensor = np.zeros((n, size, size))
+            tensor[:, x, x] = exp.fxx[t]
+            tensor[:, x, u] = exp.fxu[t]
+            tensor[:, u, x] = exp.fxu[t].transpose(0, 2, 1)
+            weight = v[t + 1] if method == "ddp" else costates[t + 1]
+            h = h + (weight @ tensor.reshape(n, -1)).reshape(size, size)
+        q = h + jac.T @ w @ jac
+        quu[t] = quu_t = 0.5 * (q[u, u] + q[u, u].T)
+        rows = q[u, m:]
+        sol = rows / quu_t[0, 0] if m == 1 else dsysv(quu_t, rows)[2]
         k[t], gains[t] = sol[:, 0], sol[:, 1:]
-        v[t] = qx - qux.T @ k[t]
-        vt = qxx - qux.T @ gains[t]
-        big_v[t] = 0.5 * (vt + vt.T)
+        nxt = q[m:, m:] - rows.T @ sol
+        v[t] = nxt[1:, 0]
+        big_v[t] = 0.5 * (nxt[1:, 1:] + nxt[1:, 1:].T)
         assert np.isfinite(v[t]).all() and np.isfinite(big_v[t]).all()
     return v, big_v, k, gains, quu
 
@@ -196,6 +237,17 @@ def test_every_sweep_matches_the_kkt_oracle(problem):
     model, cost, traj, rng = problem
     exp = expand_along(model, cost, traj)
     costates = rng.normal(size=traj.states.shape)
+    for method in ("ilqr", "newton", "ddp"):
+        report = verify_equivalence(backward_for(method, exp, costates), exp, tol=1e-8)
+        assert report.passed, report.summary()
+
+
+@PROPERTY_SETTINGS
+@given(expansions())
+def test_every_sweep_matches_the_kkt_oracle_on_random_expansions(drawn):
+    # the only draws with m >= 2 and a nonzero fxu: the oracle certifies the
+    # sweep's control cross terms, which no model with m >= 2 exercises
+    exp, costates = drawn
     for method in ("ilqr", "newton", "ddp"):
         report = verify_equivalence(backward_for(method, exp, costates), exp, tol=1e-8)
         assert report.passed, report.summary()
