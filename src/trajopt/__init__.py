@@ -22,8 +22,7 @@ from .models import (CartPoleModel, LinearModel, PendulumModel,
 from .solver import (IterationRecord, SolveResult, SolverConfig,
                      backward_for, converged, initial_multiplier_estimate,
                      solve)
-from .trajectory import (PerturbationPath, Trajectory, linear_rollout,
-                         rollout, total_cost)
+from .trajectory import Trajectory, linear_rollout, rollout, total_cost
 
 __version__ = "0.1.0"
 
@@ -40,6 +39,5 @@ __all__ = [
     "check_derivatives", "make_benchmark",
     "IterationRecord", "SolveResult", "SolverConfig", "backward_for",
     "converged", "initial_multiplier_estimate", "solve",
-    "PerturbationPath", "Trajectory", "linear_rollout", "rollout",
-    "total_cost",
+    "Trajectory", "linear_rollout", "rollout", "total_cost",
 ]

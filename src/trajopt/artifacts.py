@@ -123,7 +123,7 @@ def write_verification_json(path, reports):
 
 
 def write_merged_csv(path, results):
-    """compare's merged trace: one row per (method, iteration)."""
+    """A multi-method run's merged trace: one row per (method, iteration)."""
     _write_csv(
         path, "method,iteration,J,alpha,min_quu,grad_norm,dJ_pred",
         (_row(method, r.index, r.cost, r.alpha, r.min_quu, r.grad_norm, r.dj_pred)
@@ -131,7 +131,7 @@ def write_merged_csv(path, results):
 
 
 def write_prediction_csv(path, results):
-    """compare's prediction table: J + dJ_pred and whether it is attainable;
+    """A multi-method run's prediction table: J + dJ_pred and whether it is attainable;
     the three cells are empty on a record that formed no sweep."""
     rows = []
     for method, result in results:

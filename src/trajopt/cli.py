@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
-Three subcommands:
+Two subcommands:
 
-  run      execute one solve (or one per method) and write its artifacts
-  compare  run several methods from the same initial guess and merge their
+  run      solve once per configured method, all from one initial guess, and
+           write each run's artifacts; with several methods, also merge their
            iteration traces into plot-ready CSV tables
   verify   run the derivative checks and the KKT-oracle equivalence suite
 
@@ -41,7 +41,6 @@ __all__ = [
     "build_config",
     "parse_kv_file",
     "cmd_run",
-    "cmd_compare",
     "cmd_verify",
     "main",
 ]
@@ -186,68 +185,50 @@ def _setup(cfg):
         raise ConfigError(str(exc)) from exc
 
 
-def initial_controls(cfg, horizon, control_dim):
-    """Zero controls, or seeded uniform draws in [-a, a] per entry."""
-    if cfg.init == "zero":
-        return np.zeros((horizon, control_dim))
-    rng = np.random.default_rng(cfg.seed)
-    return rng.uniform(-cfg.init_amplitude, cfg.init_amplitude,
-                       size=(horizon, control_dim))
-
-
-def _run_single(cfg, method, model, cost, x0, outdir, controls0):
-    os.makedirs(outdir, exist_ok=True)
-    start = time.perf_counter()
-    result = solve(model, cost, x0, controls0, cfg.solver_config(method))
-    wall = time.perf_counter() - start
-
-    artifacts.write_gain_profile_csv(os.path.join(outdir, "quu_profile.csv"),
-                                     result.first_sweep)
-    artifacts.write_iterations_csv(os.path.join(outdir, "iterations.csv"), result.records)
-    artifacts.write_trials_csv(os.path.join(outdir, "trials.csv"), result.trial_logs)
-    artifacts.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
-                                   result.trajectory, cost)
-    artifacts.write_summary_json(os.path.join(outdir, "summary.json"), result,
-                                 method=method, wall_time=wall,
-                                 system=cfg.system, seed=cfg.seed)
-    return result
-
-
-def _run_methods(cfg, subdirs):
-    """Solve each configured method from one shared initial guess, writing
-    each run's artifacts to `cfg.out` or, with `subdirs`, to its <method>
-    subdirectory.
+def cmd_run(cfg) -> int:
+    """Solve each configured method from one shared initial guess and write
+    its artifacts: to `cfg.out` for one method, else to its <method>
+    subdirectory, with the merged tables of all the runs in `cfg.out`.
 
     With `warm_start` the shared guess is a near-solution: plain iLQR down
     to a loose gradient tolerance, from whose controls every method restarts.
     """
     model, cost, x0, horizon = _setup(cfg)
-    controls0 = initial_controls(cfg, horizon, model.control_dim)
+    controls0 = np.zeros((horizon, model.control_dim))
+    if cfg.init == "random":  # seeded uniform draws in [-a, a] per entry
+        controls0 = np.random.default_rng(cfg.seed).uniform(
+            -cfg.init_amplitude, cfg.init_amplitude, size=controls0.shape)
     if cfg.warm_start:
         warm = solve(model, cost, x0, controls0,
                      replace(cfg.solver_config("ilqr"), grad_tol=1e-2))
         controls0 = warm.trajectory.controls
 
+    methods = cfg.methods()
     results = []
-    for method in cfg.methods():
-        outdir = os.path.join(cfg.out, method) if subdirs else cfg.out
-        result = _run_single(cfg, method, model, cost, x0, outdir, controls0)
+    for method in methods:
+        outdir = os.path.join(cfg.out, method) if len(methods) > 1 else cfg.out
+        os.makedirs(outdir, exist_ok=True)
+        start = time.perf_counter()
+        result = solve(model, cost, x0, controls0, cfg.solver_config(method))
+        wall = time.perf_counter() - start
         results.append((method, result))
+
+        artifacts.write_gain_profile_csv(os.path.join(outdir, "quu_profile.csv"),
+                                         result.first_sweep)
+        artifacts.write_iterations_csv(os.path.join(outdir, "iterations.csv"), result.records)
+        artifacts.write_trials_csv(os.path.join(outdir, "trials.csv"), result.trial_logs)
+        artifacts.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
+                                       result.trajectory, cost)
+        artifacts.write_summary_json(os.path.join(outdir, "summary.json"), result,
+                                     method=method, wall_time=wall,
+                                     system=cfg.system, seed=cfg.seed)
         print(f"{cfg.system}/{method}: converged={result.converged} "
               f"reason={result.reason} iterations={result.iterations} "
               f"final_cost={result.final_cost:.6g}")
-    return results
 
-
-def cmd_run(cfg) -> int:
-    _run_methods(cfg, subdirs=len(cfg.methods()) > 1)
-    return 0
-
-
-def cmd_compare(cfg) -> int:
-    results = _run_methods(cfg, subdirs=True)
-    artifacts.write_merged_csv(os.path.join(cfg.out, "merged.csv"), results)
-    artifacts.write_prediction_csv(os.path.join(cfg.out, "prediction_table.csv"), results)
+    if len(methods) > 1:
+        artifacts.write_merged_csv(os.path.join(cfg.out, "merged.csv"), results)
+        artifacts.write_prediction_csv(os.path.join(cfg.out, "prediction_table.csv"), results)
     return 0
 
 
@@ -313,7 +294,7 @@ def main(argv=None) -> int:
         prog="trajopt",
         description="Trajectory optimization benchmark runner")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "compare", "verify"):
+    for name in ("run", "verify"):
         _add_common_flags(subparsers.add_parser(name))
 
     args = parser.parse_args(argv)
@@ -328,7 +309,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    dispatch = {"run": cmd_run, "compare": cmd_compare, "verify": cmd_verify}
+    dispatch = {"run": cmd_run, "verify": cmd_verify}
     try:
         return dispatch[args.command](cfg)
     except ConfigError as exc:

@@ -223,11 +223,11 @@ def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
     dx_qp, du_qp = split_primal(qp, ksol.dz)
     lam_qp = ksol.multipliers.reshape(qp.horizon, qp.state_dim)
 
-    path = linear_rollout(exp, sol, 1.0)
-    lam_sweep = multipliers_from(sol, path.dx)
+    dx, du = linear_rollout(exp, sol, 1.0)
+    lam_sweep = multipliers_from(sol, dx)
 
-    err_dx, t_dx = _block_err(path.dx[1:], dx_qp[1:], t_offset=1)
-    err_du, t_du = _block_err(path.du, du_qp)
+    err_dx, t_dx = _block_err(dx[1:], dx_qp[1:], t_offset=1)
+    err_du, t_du = _block_err(du, du_qp)
     err_lam, t_lam = _block_err(lam_sweep[1:], lam_qp, t_offset=1)
 
     if sol.costates is None:

@@ -58,8 +58,8 @@ def forward_pass(model, cost, nominal, sol, alpha) -> Trajectory:
 
 def directional_derivative(exp, sol, grad) -> float:
     """d'grad of the alpha = 1 linearized rollout's du: checks the sweep's slope."""
-    path = linear_rollout(exp, sol, 1.0)
-    return float(np.sum(path.du * grad))
+    _, du = linear_rollout(exp, sol, 1.0)
+    return float(np.sum(du * grad))
 
 
 def line_search(model, cost, nominal, sol, slope, config) -> LineSearchOutcome:

@@ -90,6 +90,15 @@ class SystemModel:
         x, u = self._validate(x, u)
         return self._derivatives(x, u)
 
+    @staticmethod
+    def _timestep(dt) -> float:
+        """The Euler step length as a float, checked finite and positive."""
+        if not np.isfinite(dt):
+            raise ValueError(f"timestep must be finite, got {dt}")
+        if dt <= 0:
+            raise ValueError("timestep must be positive")
+        return float(dt)
+
     def _step(self, x, u):
         raise NotImplementedError
 
@@ -111,13 +120,11 @@ class PendulumModel(SystemModel):
     control_dim = 1
 
     def __init__(self, mass=1.0, length=1.0, gravity=9.81, damping=0.1, dt=0.05):
-        if dt <= 0:
-            raise ValueError("timestep must be positive")
+        self.dt = self._timestep(dt)
         self.mass = float(mass)
         self.length = float(length)
         self.gravity = float(gravity)
         self.damping = float(damping)
-        self.dt = float(dt)
         self.state_low = np.array([-2 * np.pi, -8.0])
         self.state_high = np.array([2 * np.pi, 8.0])
         self.control_low = np.array([-5.0])
@@ -167,13 +174,11 @@ class CartPoleModel(SystemModel):
 
     def __init__(self, cart_mass=1.0, pole_mass=0.1, pole_com=0.5,
                  gravity=9.81, dt=0.02):
-        if dt <= 0:
-            raise ValueError("timestep must be positive")
+        self.dt = self._timestep(dt)
         self.cart_mass = float(cart_mass)
         self.pole_mass = float(pole_mass)
         self.pole_com = float(pole_com)
         self.gravity = float(gravity)
-        self.dt = float(dt)
         self.state_low = np.array([-2.0, -3.0, -2 * np.pi, -6.0])
         self.state_high = np.array([2.0, 3.0, 2 * np.pi, 6.0])
         self.control_low = np.array([-10.0])
@@ -320,7 +325,7 @@ class QuadraticCost:
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionError("R must be square")
         for name, mat in (("Q", q), ("R", r), ("Q_terminal", qt)):
-            if not np.allclose(mat, mat.T, atol=1e-12):
+            if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
         if np.linalg.eigvalsh(r)[0] <= 0:
             raise ValueError("R must be positive definite")
@@ -520,7 +525,7 @@ def check_derivatives(model, cost, sample_count=100, tol=1e-5, seed=0):
     derivative gets the maximum relative error over all seeded samples drawn
     from the model's sampling box.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")

@@ -176,9 +176,6 @@ def solve(model, cost, x0, init_controls, config):
     reason = "max_iters"
 
     for index in range(config.max_iters):
-        if hybrid and active == "ddp" and streak >= config.hybrid_patience:
-            active = "ilqr"
-
         exp = expand_along(model, cost, traj)
         grad_norm = float(np.max(np.abs(cost_gradient_adjoint(exp))))
 
@@ -219,7 +216,7 @@ def solve(model, cost, x0, init_controls, config):
 
         if status != "OK":
             if hybrid and active == "ddp":
-                streak = config.hybrid_patience  # switch to iLQR next iteration
+                active = "ilqr"  # for good, from the unchanged nominal
                 continue
             reason = status.lower()
             break
@@ -229,6 +226,8 @@ def solve(model, cost, x0, init_controls, config):
                 lam_bar = multipliers_from(sol, step.states - traj.states)
             if hybrid and active == "ddp":
                 streak = streak + 1 if alpha < config.hybrid_alpha_switch else 0
+                if streak == config.hybrid_patience:
+                    active = "ilqr"
             traj = step
 
         stop = converged(record, config)

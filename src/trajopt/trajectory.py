@@ -10,7 +10,6 @@ from .errors import DimensionError, DivergenceError
 
 __all__ = [
     "Trajectory",
-    "PerturbationPath",
     "STATE_MAGNITUDE_LIMIT",
     "total_cost",
     "rollout",
@@ -35,14 +34,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return self.controls.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class PerturbationPath:
-    """State/control deviations from a nominal, dx_0 = 0 by construction."""
-
-    dx: np.ndarray  # (T+1, n)
-    du: np.ndarray  # (T, m)
 
 
 def total_cost(cost, states, controls) -> float:
@@ -108,8 +99,9 @@ def _propagate(model, cost, x0, controls, feedback=None) -> Trajectory:
     return Trajectory(states, controls, total_cost(cost, states, controls))
 
 
-def linear_rollout(exp, sol, alpha) -> PerturbationPath:
-    """Propagate the gains through the linearized dynamics.
+def linear_rollout(exp, sol, alpha):
+    """Propagate the gains through the linearized dynamics: the deviations
+    (dx, du) from the nominal, (T+1, n) and (T, m), as `kkt.split_primal`.
 
     du_t = -alpha k_t - K_t dx_t with dx_0 = 0; only the feedforward term is
     scaled by alpha, the feedback stays at full strength. At alpha = 1 this
@@ -127,5 +119,5 @@ def linear_rollout(exp, sol, alpha) -> PerturbationPath:
     for t in range(horizon):
         du[t] -= dot(gains[t], dx_t)
         dx[t + 1] = dx_t = dot(fx[t], dx_t) + dot(fu[t], du[t])
-    return PerturbationPath(dx, du)
+    return dx, du
 

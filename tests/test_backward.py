@@ -30,8 +30,8 @@ def _riccati_reference(a, b, q, r, qt, horizon):
     return list(reversed(gains))
 
 
-def _stack_path(path):
-    return np.concatenate([path.dx[1:].reshape(-1), path.du.reshape(-1)])
+def _stack_path(dx, du):
+    return np.concatenate([dx[1:].reshape(-1), du.reshape(-1)])
 
 
 def test_lqr_stationary_nominal_gives_classical_riccati_gains(lqr_instance):
@@ -143,9 +143,9 @@ def test_multiplier_terminal_identity():
     traj = random_nominal(model, cost, x0, 10, seed=1)
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
-    path = linear_rollout(exp, sol, 1.0)
-    lam = multipliers_from(sol, path.dx)
-    expected_terminal = exp.ct_x + exp.ct_xx @ path.dx[-1]
+    dx, _ = linear_rollout(exp, sol, 1.0)
+    lam = multipliers_from(sol, dx)
+    expected_terminal = exp.ct_x + exp.ct_xx @ dx[-1]
     assert np.allclose(lam[-1], expected_terminal, atol=1e-12)
 
 
@@ -154,8 +154,8 @@ def test_multipliers_match_kkt_equality_multipliers(lqr_instance):
     traj = random_nominal(model, cost, x0, horizon, seed=2)
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
-    path = linear_rollout(exp, sol, 1.0)
-    lam = multipliers_from(sol, path.dx)
+    dx, _ = linear_rollout(exp, sol, 1.0)
+    lam = multipliers_from(sol, dx)
     ksol = solve_kkt(assemble_qp(exp))
     lam_qp = ksol.multipliers.reshape(horizon, 2)
     assert np.max(np.abs(lam[1:] - lam_qp)) <= 1e-8 * max(1, np.max(np.abs(lam_qp)))
@@ -213,7 +213,7 @@ def test_expected_reduction_matches_dense_quadratic_model(variant):
         qp = assemble_qp(exp, lam)
     hessian, gradient, _ = dense_qp(qp)
     for alpha in (0.25, 0.5, 1.0):
-        z = _stack_path(linear_rollout(exp, sol, alpha))
+        z = _stack_path(*linear_rollout(exp, sol, alpha))
         model_change = float(gradient @ z + 0.5 * z @ hessian @ z)
         assert model_change == pytest.approx(
             expected_reduction(sol, exp, alpha), abs=1e-10)
@@ -458,7 +458,7 @@ def _first_stages(exp, count):
      DimensionError, "gain horizon does not match the expansion"),
     (lambda exp, sol, path: expected_reduction(sol, _first_stages(exp, 3), 1.0),
      DimensionError, "gain horizon does not match the expansion"),
-    (lambda exp, sol, path: multipliers_from(sol, path.dx[1:]),
+    (lambda exp, sol, path: multipliers_from(sol, path[0][1:]),
      ValueError, "path horizon does not match the solution"),
     (lambda exp, sol, path: backward_newton(exp, sol.v[1:]), ValueError,
      r"multiplier sequence must have shape \(T\+1, n\)"),

@@ -198,13 +198,16 @@ def test_a_converged_start_writes_no_sweep(tmp_path, capsys):
     assert (out / "quu_profile.csv").read_text() == "t,min_eig_quu,k_norm,K_norm\n"
 
 
-def test_compare_writes_merged_tables(tmp_path):
-    out = tmp_path / "cmp"
-    args = ["compare", "--system", "pendulum", "--method", "ilqr,ddp",
+def _two_method_run(out):
+    return ["run", "--system", "pendulum", "--method", "ilqr,ddp",
             "--out", str(out), "--set", "horizon=30",
             "--set", "init=random", "--seed", "2",
             "--set", "max_iters=15"]
-    assert _run(args) == 0
+
+
+def test_run_with_several_methods_writes_merged_tables(tmp_path):
+    out = tmp_path / "cmp"
+    assert _run(_two_method_run(out)) == 0
     merged = (out / "merged.csv").read_text().splitlines()
     assert merged[0] == "method,iteration,J,alpha,min_quu,grad_norm,dJ_pred"
     methods = {line.split(",")[0] for line in merged[1:]}
@@ -224,9 +227,28 @@ def test_compare_writes_merged_tables(tmp_path):
             float(cells[2]) + float(cells[3]), rel=1e-12)
 
 
-def test_compare_warm_start_runs(tmp_path):
+def test_merged_rows_are_the_cells_of_each_methods_iterations(tmp_path):
+    out = tmp_path / "cmp"
+    assert _run(_two_method_run(out)) == 0
+    columns = ("J", "alpha", "min_quu", "grad_norm", "dJ_pred")
+    expected = []
+    for method in ("ilqr", "ddp"):
+        header, *rows = (out / method / "iterations.csv").read_text().splitlines()
+        for row in rows:
+            cells = dict(zip(header.split(","), row.split(",")))
+            expected.append(",".join([method, cells["index"], *map(cells.get, columns)]))
+    assert (out / "merged.csv").read_text().splitlines()[1:] == expected
+
+
+def test_one_method_run_writes_no_merged_tables(tmp_path):
+    out = tmp_path / "one"
+    assert _run(_fast_pendulum(out)) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(RUN_FILES)
+
+
+def test_multi_method_warm_start_runs(tmp_path):
     out = tmp_path / "warm"
-    args = ["compare", "--system", "pendulum", "--method", "ilqr,ddp",
+    args = ["run", "--system", "pendulum", "--method", "ilqr,ddp",
             "--out", str(out), "--set", "warm_start=true",
             "--set", "horizon=40"]
     assert _run(args) == 0
@@ -234,12 +256,12 @@ def test_compare_warm_start_runs(tmp_path):
     assert summary["converged"] is True
 
 
-def test_run_warm_starts_like_compare(tmp_path):
-    cold = ["--system", "pendulum", "--method", "ilqr", "--set", "horizon=20"]
+def test_one_method_warm_run_starts_like_a_multi_method_one(tmp_path):
+    cold = ["--system", "pendulum", "--set", "horizon=20"]
     warm = [*cold, "--set", "warm_start=true"]
-    assert _run(["run", "--out", str(tmp_path / "run"), *warm]) == 0
-    assert _run(["compare", "--out", str(tmp_path / "cmp"), *warm]) == 0
-    assert _run(["run", "--out", str(tmp_path / "cold"), *cold]) == 0
+    assert _run(["run", "--out", str(tmp_path / "run"), "--method", "ilqr", *warm]) == 0
+    assert _run(["run", "--out", str(tmp_path / "cmp"), "--method", "ilqr,ddp", *warm]) == 0
+    assert _run(["run", "--out", str(tmp_path / "cold"), "--method", "ilqr", *cold]) == 0
 
     def first_cost(path):
         return (path / "iterations.csv").read_text().splitlines()[1].split(",")[1]
@@ -315,6 +337,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
     shown = run("--help")
     assert shown.returncode == 0 and shown.stdout.startswith("usage: trajopt")
+    assert "{run,verify}" in shown.stdout  # the only subcommands
     refused = run("run", "--seed", "-1")
     assert refused.returncode == 2
     assert refused.stderr.startswith("configuration error:")

@@ -283,9 +283,16 @@ def test_make_benchmark_takes_python_and_numpy_integer_horizons(horizon):
     assert built == 7 and type(built) is int
 
 
+# 4e-6 off symmetric: np.allclose's default rtol of 1e-5 would pass it, and the
+# gradient R u would then miss that of 0.5 u'Ru by 4e-6 at u = (1, -2)
+_SKEW = np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])
+
+
 @pytest.mark.parametrize(("build", "error", "message"), [
     (lambda: PendulumModel(dt=0.0), ValueError, "timestep must be positive"),
     (lambda: CartPoleModel(dt=-0.02), ValueError, "timestep must be positive"),
+    (lambda: PendulumModel(dt=float("nan")), ValueError, "timestep must be finite, got nan"),
+    (lambda: CartPoleModel(dt=float("inf")), ValueError, "timestep must be finite, got inf"),
     (lambda: LinearModel(np.zeros((2, 3)), np.zeros((2, 1))), DimensionError,
      "A must be square"),
     (lambda: LinearModel(np.eye(2), np.zeros((3, 1))), DimensionError, r"B must be \(n, m\)"),
@@ -296,18 +303,31 @@ def test_make_benchmark_takes_python_and_numpy_integer_horizons(horizon):
      r"Q and Q_terminal must be \(n, n\)"),
     (lambda: QuadraticCost(np.eye(2), np.ones((1, 2)), np.eye(2), np.zeros(2)),
      DimensionError, "R must be square"),
+    (lambda: QuadraticCost(np.eye(2), _SKEW, np.eye(2), np.zeros(2)), ValueError,
+     "^R must be symmetric$"),
+    (lambda: QuadraticCost(_SKEW, np.eye(1), np.eye(2), np.zeros(2)), ValueError,
+     "^Q must be symmetric$"),
+    (lambda: QuadraticCost(np.eye(2), np.eye(1), _SKEW, np.zeros(2)), ValueError,
+     "^Q_terminal must be symmetric$"),
     (lambda: make_benchmark("pendulum", horizon=0), ValueError,
      "horizon must be at least 1"),
     (lambda: make_benchmark("cartpole", timestep=0.0), ValueError,
      "timestep must be positive"),
+    (lambda: make_benchmark("pendulum", timestep=float("nan")), ValueError,
+     "timestep must be finite"),
+    (lambda: make_benchmark("cartpole", timestep=float("inf")), ValueError,
+     "timestep must be finite"),
     (lambda: make_benchmark("spring"), ValueError, "unknown system 'spring'"),
     (lambda: make_benchmark("pendulum", dt=0.1), TypeError,
      "unexpected keyword argument 'dt'"),
     (lambda: check_derivatives(*make_benchmark("pendulum")[:2], tol=0.0), ValueError,
      "tol must be positive"),
-], ids=["pendulum-dt", "cartpole-dt", "a-not-square", "b-rows", "b-1d", "q-shape",
-        "qt-shape", "r-not-square", "horizon-0", "benchmark-dt", "unknown-system",
-        "unknown-key", "tol-0"])
+    (lambda: check_derivatives(*make_benchmark("pendulum")[:2], tol=float("nan")),
+     ValueError, "tol must be positive"),
+], ids=["pendulum-dt", "cartpole-dt", "pendulum-dt-nan", "cartpole-dt-inf", "a-not-square",
+        "b-rows", "b-1d", "q-shape", "qt-shape", "r-not-square", "r-skew", "q-skew",
+        "qt-skew", "horizon-0", "benchmark-dt", "benchmark-dt-nan", "benchmark-dt-inf",
+        "unknown-system", "unknown-key", "tol-0", "tol-nan"])
 def test_models_reject_bad_arguments(build, error, message):
     with pytest.raises(error, match=message):
         build()

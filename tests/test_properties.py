@@ -339,8 +339,7 @@ def test_linear_rollout_equals_the_per_stage_reference(problem, alpha, method):
     model, cost, traj, rng = problem
     exp = expand_along(model, cost, traj)
     sol = backward_for(method, exp, _costates(rng, traj))
-    path = linear_rollout(exp, sol, alpha)
-    assert _equal((path.dx, path.du), _reference_linear_rollout(exp, sol, alpha))
+    assert _equal(linear_rollout(exp, sol, alpha), _reference_linear_rollout(exp, sol, alpha))
 
 
 @PROPERTY_SETTINGS
@@ -365,6 +364,6 @@ def test_every_loop_equals_its_reference_on_nonlinear_nominals(problem, alpha):
         sol = backward_for(method, exp, costates)
         assert _equal((sol.v, sol.V, sol.k, sol.K, sol.quu),
                       _reference_sweep(exp, method, costates)), method
-        path = linear_rollout(exp, sol, alpha)
-        assert _equal((path.dx, path.du), _reference_linear_rollout(exp, sol, alpha)), method
+        assert _equal(linear_rollout(exp, sol, alpha),
+                      _reference_linear_rollout(exp, sol, alpha)), method
         assert _forward_pass_equals_the_reference(model, cost, traj, sol, alpha), method

@@ -152,9 +152,9 @@ def test_linear_rollout_zero_feedforward_is_zero_path():
     exp = expand_along(model, cost, traj)
     rng = np.random.default_rng(0)
     sol = _zero_gains(15, 2, 1, K=rng.normal(size=(15, 1, 2)))
-    path = linear_rollout(exp, sol, 1.0)
-    assert not path.dx.any()
-    assert not path.du.any()
+    dx, du = linear_rollout(exp, sol, 1.0)
+    assert not dx.any()
+    assert not du.any()
 
 
 def test_linear_rollout_alpha_zero_is_zero_path():
@@ -162,9 +162,9 @@ def test_linear_rollout_alpha_zero_is_zero_path():
     traj = random_nominal(model, cost, x0, 15, seed=2)
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
-    path = linear_rollout(exp, sol, 0.0)
-    assert not path.dx.any()
-    assert not path.du.any()
+    dx, du = linear_rollout(exp, sol, 0.0)
+    assert not dx.any()
+    assert not du.any()
 
 
 def test_linear_rollout_feedback_identity_and_dynamics():
@@ -174,13 +174,13 @@ def test_linear_rollout_feedback_identity_and_dynamics():
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
     for alpha in (0.25, 1.0):
-        path = linear_rollout(exp, sol, alpha)
-        assert path.dx[0].max() == 0.0
+        dx, du = linear_rollout(exp, sol, alpha)
+        assert dx[0].max() == 0.0
         for t in range(25):
-            residual = path.du[t] + alpha * sol.k[t] + sol.K[t] @ path.dx[t]
+            residual = du[t] + alpha * sol.k[t] + sol.K[t] @ dx[t]
             assert np.max(np.abs(residual)) < 1e-12
-            propagated = exp.fx[t] @ path.dx[t] + exp.fu[t] @ path.du[t]
-            assert np.max(np.abs(path.dx[t + 1] - propagated)) < 1e-10
+            propagated = exp.fx[t] @ dx[t] + exp.fu[t] @ du[t]
+            assert np.max(np.abs(dx[t + 1] - propagated)) < 1e-10
 
 
 def test_linear_rollout_scales_linearly_in_alpha_without_feedback():
@@ -191,11 +191,11 @@ def test_linear_rollout_scales_linearly_in_alpha_without_feedback():
     open_loop = _zero_gains(10, 2, 1)
     open_loop = type(sol)(v=sol.v, V=sol.V, k=sol.k,
                           K=np.zeros_like(sol.K), quu=sol.quu, method="ilqr")
-    full = linear_rollout(exp, open_loop, 1.0)
+    full_dx, full_du = linear_rollout(exp, open_loop, 1.0)
     for alpha in (0.25, 0.5, 0.75):
-        path = linear_rollout(exp, open_loop, alpha)
-        assert np.allclose(path.du, alpha * full.du, atol=1e-14)
-        assert np.allclose(path.dx, alpha * full.dx, atol=1e-12)
+        dx, du = linear_rollout(exp, open_loop, alpha)
+        assert np.allclose(du, alpha * full_du, atol=1e-14)
+        assert np.allclose(dx, alpha * full_dx, atol=1e-12)
 
 
 def test_rollout_is_dynamically_feasible():
