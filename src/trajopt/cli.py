@@ -321,7 +321,3 @@ def main(argv=None) -> int:
     except TrajoptError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,10 +1,11 @@
 """Forward pass on the nonlinear system with backtracking step acceptance.
 
-Every search starts at alpha = 1 and multiplies alpha by rho after each
-rejected trial. A candidate step is accepted when the realized cost change is
-at least a sigma-fraction of its first-order prediction:
+Every search starts at alpha = 1 and multiplies alpha by RHO = 0.5 after
+each rejected trial, down to the SolverConfig's alpha_min. A candidate step is
+accepted when the realized cost change is more than a SIGMA = 0.1 fraction of
+its first-order prediction:
 
-    (J_new - J_old) / (alpha * d'grad) > sigma,
+    (J_new - J_old) / (alpha * d'grad) > SIGMA,
 
 with d'grad the full step's slope along the exact cost gradient. The step z*
 minimizes the sweep's subproblem g'z + 1/2 z'Hz subject to the linearized
@@ -30,6 +31,9 @@ __all__ = [
     "directional_derivative",
     "line_search",
 ]
+
+SIGMA = 0.1  # threshold on the realized/predicted ratio
+RHO = 0.5    # backtracking factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +70,8 @@ def line_search(model, cost, nominal, sol, slope, config) -> LineSearchOutcome:
     """Backtrack on alpha from 1 until the ratio test accepts or the floor is hit.
 
     `slope` is the full step's d'grad: `solve` passes the sweep's
-    -sum_t g_t'k_t. `config` is the SolverConfig; its sigma, rho and
-    alpha_min steer the search. Raises NonDescentError, before any forward
+    -sum_t g_t'k_t. `config` is the SolverConfig; its alpha_min is the
+    floor of the search. Raises NonDescentError, before any forward
     pass, if the slope predicts no decrease. A FLOOR_HIT outcome returns the
     nominal unchanged.
     """
@@ -84,12 +88,12 @@ def line_search(model, cost, nominal, sol, slope, config) -> LineSearchOutcome:
         except DivergenceError as exc:
             steps += exc.timestep  # the points stepped up to the bad state
             log.append((alpha, float("inf"), float("nan")))
-            alpha *= config.rho
+            alpha *= RHO
             continue
         steps += nominal.horizon
         ratio = (candidate.cost - nominal.cost) / (alpha * slope)
         log.append((alpha, candidate.cost, ratio))
-        if ratio > config.sigma:
+        if ratio > SIGMA:
             return LineSearchOutcome(candidate, alpha, "ACCEPTED", tuple(log), steps)
-        alpha *= config.rho
+        alpha *= RHO
     return LineSearchOutcome(nominal, 0.0, "FLOOR_HIT", tuple(log), steps)

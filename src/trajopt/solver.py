@@ -7,17 +7,18 @@ accepted path by `multipliers_from` (v_t + V_t dx_t), so that near a solution
 the frozen costates agree with the sweep's own value gradients and the step
 becomes the exact Newton step.
 
-The hybrid method runs DDP until its accepted steps cool below a threshold
-for a configurable number of consecutive iterations (or a DDP iteration ends
-in NON_DESCENT or FLOOR_HIT), then switches permanently to iLQR from the
-current trajectory. Its first sweep is always DDP's.
+The hybrid method runs DDP until a DDP iteration fails, in NON_DESCENT or
+FLOOR_HIT, then switches for good to iLQR from the unchanged nominal: iLQR
+always yields a descent direction, while DDP can fail far from an optimum.
+Its first sweep is always DDP's, and the record of the failed DDP iteration,
+the last one whose method is "ddp", gives the switch's iteration and cause.
 
 Each iteration tests the adjoint gradient before it forms a subproblem: an
 iteration whose gradient has converged runs no sweep (and so no Newton seed),
 records no prediction and stops the solve.
 
 One flat SolverConfig holds every setting of the loop, the line search's
-sigma, rho and alpha_min included.
+alpha_min included; its SIGMA and RHO are constants of linesearch.py.
 """
 
 from __future__ import annotations
@@ -56,32 +57,21 @@ class SolverConfig:
     max_iters: int = 200
     grad_tol: float = 1e-4   # inf-norm of the cost gradient
     step_tol: float = 1e-9   # |realized cost change|
-    sigma: float = 0.1       # line search: threshold on the realized/predicted ratio
-    rho: float = 0.5         # line search: backtracking factor
     alpha_min: float = 1e-8  # line search: smallest step tried before giving up
-    hybrid_alpha_switch: float = 1e-2  # hybrid: accepted steps below it are cool
-    hybrid_patience: int = 2
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'")
-        for name in ("max_iters", "hybrid_patience"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
-            if count < 1:
-                raise ValueError(f"{name} must be positive")
+        count = self.max_iters
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError("max_iters must be positive")
         # written so that a NaN fails each check
         if not (self.grad_tol > 0 and self.step_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must be in (0, 1)")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must be in (0, 1)")
         if not 0.0 < self.alpha_min < 1.0:
             raise ValueError("alpha_min must be in (0, 1)")
-        if not 0.0 < self.hybrid_alpha_switch <= 1.0:
-            raise ValueError("hybrid_alpha_switch must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -172,7 +162,6 @@ def solve(model, cost, x0, init_controls, config):
     trial_logs = []
     first_sweep = lam_bar = None
     active = "ddp" if hybrid else config.method
-    streak = 0
     reason = "max_iters"
 
     for index in range(config.max_iters):
@@ -224,10 +213,6 @@ def solve(model, cost, x0, init_controls, config):
         if accepted:
             if active == "newton":
                 lam_bar = multipliers_from(sol, step.states - traj.states)
-            if hybrid and active == "ddp":
-                streak = streak + 1 if alpha < config.hybrid_alpha_switch else 0
-                if streak == config.hybrid_patience:
-                    active = "ilqr"
             traj = step
 
         stop = converged(record, config)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -76,7 +77,7 @@ def test_bad_values_exit_2(tmp_path):
     assert _run(["run", "--system", "spring", "--out", str(tmp_path)]) == 2
     assert _run(["run", "--method", "sqp", "--out", str(tmp_path)]) == 2
     assert _run(["run", "--out", str(tmp_path), "--set", "init=warm"]) == 2
-    assert _run(["run", "--out", str(tmp_path), "--set", "sigma=2.0"]) == 2
+    assert _run(["run", "--out", str(tmp_path), "--set", "alpha_min=2.0"]) == 2
 
 
 @pytest.mark.parametrize("setting", ["grad_tol=nan", "init_amplitude=nan",
@@ -362,8 +363,15 @@ def test_the_keys_are_the_flat_fields_of_each_source_once():
     ]
     assert set(_KEYS) == set.union(*sources)
     assert len(_KEYS) == sum(map(len, sources))  # no key in two sources
-    cfg = build_config({"sigma": "0.2", "alpha_min": "1e-6", "max_iters": "7"})
-    assert (cfg.solver.sigma, cfg.solver.alpha_min, cfg.solver.max_iters) == (0.2, 1e-6, 7)
+    cfg = build_config({"step_tol": "1e-7", "alpha_min": "1e-6", "max_iters": "7"})
+    assert (cfg.solver.step_tol, cfg.solver.alpha_min, cfg.solver.max_iters) == (1e-7, 1e-6, 7)
+
+
+def test_the_readme_lists_each_configuration_key_once():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration keys\n\n", 1)[1]
+    listed = re.findall(r"`([^`]+)`", section.split("\n\n", 1)[0])
+    assert sorted(listed) == sorted(_KEYS) and len(_KEYS) == 18
 
 
 def test_build_config_parses_booleans_and_keeps_the_problem_keys_set():
@@ -389,12 +397,17 @@ def test_build_config_parses_booleans_and_keeps_the_problem_keys_set():
      "x0 and goal length must match the state dimension"),
     (["--set", "horizon=0"], "horizon must be at least 1"),
     (["--set", "timestep=0"], "timestep must be positive"),
-    (["--set", "hybrid_alpha_switch=1.5"], "hybrid_alpha_switch must be in (0, 1]"),
     # every line search starts at alpha = 1; there is no key to move it
     (["--set", "alpha_init=0.5"], "unknown configuration key 'alpha_init'"),
+    # the line search's ratio threshold and backtracking factor are constants
+    (["--set", "sigma=0.2"], "unknown configuration key 'sigma'"),
+    (["--set", "rho=0.5"], "unknown configuration key 'rho'"),
+    # hybrid leaves DDP on a failed DDP iteration only
+    (["--set", "hybrid_alpha_switch=0.1"], "unknown configuration key 'hybrid_alpha_switch'"),
+    (["--set", "hybrid_patience=2"], "unknown configuration key 'hybrid_patience'"),
 ], ids=["set-without-equals", "negative-amplitude", "malformed-boolean", "fractional-horizon",
         "bad-float-list", "unknown-system", "q-diag-width", "x0-width", "horizon-0",
-        "timestep-0", "switch-above-1", "alpha-init"])
+        "timestep-0", "alpha-init", "sigma", "rho", "hybrid-alpha-switch", "hybrid-patience"])
 def test_configuration_errors_exit_2_with_their_message(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert _run(["run", "--out", str(out), *args]) == 2

@@ -5,12 +5,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from trajopt import (KktError, backward_ddp, backward_for, backward_ilqr,
                      backward_newton, cost_gradient_adjoint, expand_along,
                      make_benchmark, rollout, verify_equivalence)
 from trajopt.artifacts import write_verification_json
-from trajopt.kkt import StackedQP, assemble_qp, solve_kkt, split_primal
+from trajopt.kkt import RESIDUAL_SCALE, StackedQP, assemble_qp, solve_kkt, split_primal
 from trajopt.models import random_linear
 from trajopt.solver import initial_multiplier_estimate
 
@@ -251,6 +252,27 @@ def test_solve_kkt_rejects_singular_systems():
         warnings.simplefilter("ignore")  # LU of an exactly singular matrix
         with pytest.raises(KktError):
             solve_kkt(qp)
+
+
+@pytest.mark.parametrize(("change", "message"), [(1e-6, "KKT residual"),
+                                                (np.nan, "non-finite values")])
+def test_solve_kkt_rejects_a_bad_banded_solution(monkeypatch, change, message):
+    # the guards after the banded solve, fed the true solution with one dx
+    # entry nudged (or made NaN); stage 0's unknowns are (du_0, lam_1, dx_1)
+    model, cost, x0, _ = make_benchmark("pendulum")
+    qp = assemble_qp(expand_along(model, cost, random_nominal(model, cost, x0, 5, seed=3)))
+    entry = qp.control_dim + qp.state_dim
+    assert qp.primal[entry] and RESIDUAL_SCALE * (1.0 + np.abs(qp.gradient).max()) < 1e-6
+    solve_banded = scipy.linalg.solve_banded
+
+    def nudged(*args, **kwargs):
+        solution = solve_banded(*args, **kwargs)
+        solution[entry] += change
+        return solution
+
+    monkeypatch.setattr("trajopt.kkt.scipy.linalg.solve_banded", nudged)
+    with pytest.raises(KktError, match=message):
+        solve_kkt(qp)
 
 
 def test_oracle_certifies_every_sweep_at_benchmark_horizons():

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trajopt import (IterationRecord, SolverConfig, backward, backward_newton,
-                     converged, expand_along, make_benchmark, quu_spectrum, solve,
-                     total_cost)
+from trajopt import (IterationRecord, NonDescentError, SolverConfig, backward,
+                     backward_newton, converged, expand_along, make_benchmark,
+                     quu_spectrum, solve, total_cost)
 from trajopt.artifacts import write_iterations_csv, write_trials_csv
 
 from conftest import SWEEP_BUDGETS, join_runs, random_controls
@@ -79,6 +79,7 @@ def test_ddp_pendulum_failure_mode_exists_over_seeds():
 
 
 def test_hybrid_without_cooling_is_identical_to_ddp():
+    # no DDP iteration fails near the optimum, so hybrid never leaves DDP
     model, cost, x0, horizon = make_benchmark("pendulum")
     warm = solve(model, cost, x0, np.zeros((horizon, 1)),
                  SolverConfig(method="ilqr", grad_tol=1e-2))
@@ -262,14 +263,27 @@ def test_the_line_search_takes_its_slope_from_the_sweep(method):
     ("FLOOR_HIT", {"alpha_min": 0.3}, 1),
 ], ids=["non_descent", "floor_hit"])
 def test_hybrid_switches_to_ilqr_after_a_ddp_failure(cause, config, at):
-    # a switch threshold below every accepted alpha rules out cooling
-    result = _cartpole_40("hybrid", hybrid_alpha_switch=1e-3, max_iters=at + 3, **config)
+    result = _cartpole_40("hybrid", max_iters=at + 3, **config)
     assert result.reason == "max_iters"
     assert all(r.alpha >= 1e-3 for r in result.records if r.alpha > 0)
     assert [r.method_active for r in result.records] == ["ddp"] * (at + 1) + ["ilqr"] * 2
     assert [r.status for r in result.records] == ["OK"] * at + [cause] + ["OK"] * 2
     failed, after = result.records[at], result.records[at + 1]
     assert after.cost == failed.cost  # iLQR restarts from the trajectory DDP left
+
+
+def test_a_sweep_predicting_an_increase_is_an_ilqr_bug_and_a_ddp_failure(monkeypatch):
+    # The line search refuses a direction that predicts no decrease. iLQR's
+    # sweep provably descends, so there the refusal is a bug and propagates;
+    # DDP's can fail far from an optimum, so there it ends the solve.
+    monkeypatch.setattr("trajopt.solver.expected_reduction", lambda sol, exp, alpha: 1.0)
+    model, cost, x0, horizon = make_benchmark("pendulum")
+    u0 = np.zeros((horizon, 1))
+    with pytest.raises(NonDescentError):
+        solve(model, cost, x0, u0, SolverConfig(method="ilqr"))
+    result = solve(model, cost, x0, u0, SolverConfig(method="ddp"))
+    assert (result.reason, result.iterations, result.trial_logs) == ("non_descent", 1, ())
+    assert (result.records[0].status, result.records[0].dj_pred) == ("NON_DESCENT", 1.0)
 
 
 def test_hybrid_after_a_ddp_failure_is_ilqr_from_the_controls_ddp_left():
@@ -324,25 +338,13 @@ def test_model_steps_counts_every_point_stepped(case):
 
 
 def test_solver_config_validation():
-    for settings in ({"method": "sqp"}, {"max_iters": 0}, {"hybrid_patience": 0},
-                     {"max_iters": 2.5}, {"max_iters": True}, {"max_iters": 200.0},
-                     {"hybrid_patience": 1.5}, {"hybrid_patience": False},
-                     {"hybrid_patience": "2"}, {"hybrid_alpha_switch": 0.0},
-                     {"hybrid_alpha_switch": -1e-2},
-                     {"hybrid_alpha_switch": float("nan")}):
+    for settings in ({"method": "sqp"}, {"max_iters": 0}, {"max_iters": 2.5},
+                     {"max_iters": True}, {"max_iters": 200.0}, {"max_iters": "2"}):
         with pytest.raises(ValueError):
             SolverConfig(**settings)
     # a numpy integer is a count too
-    config = SolverConfig(max_iters=np.int64(3), hybrid_patience=np.int32(1))
-    assert (config.max_iters, config.hybrid_patience) == (3, 1)
-
-
-def test_hybrid_with_unreachable_threshold_is_rejected():
-    # Every accepted step is at most the first trial's alpha = 1, so a switch
-    # threshold above 1 could never cool DDP; plain method="ilqr" is that run.
-    with pytest.raises(ValueError, match="hybrid_alpha_switch"):
-        SolverConfig(method="hybrid", hybrid_alpha_switch=1.5)
-    assert SolverConfig(hybrid_alpha_switch=1.0).hybrid_alpha_switch == 1.0
+    for count in (np.int64(3), np.int32(1)):
+        assert SolverConfig(max_iters=count).max_iters == count
 
 
 @pytest.mark.parametrize("settings", [{"grad_tol": 0.0}, {"step_tol": -1e-9},
