@@ -108,8 +108,7 @@ def _sweep(exp, method, lam_bar=None):
         hess += (lam_bar[1:, None, :] @ tensor).reshape(horizon, size, size)
 
     aug = np.zeros((horizon + 1, n + 1, n + 1))  # W_t; W_t[0, 0] feeds no gain: left 0
-    gains = np.zeros((horizon, m, n + 1))         # [k_t | K_t]
-    quu = np.zeros((horizon, m, m))
+    gain_rows, curvatures = [], []  # [k_t | K_t] and Quu_t, from t = T - 1 down
     dot = np.dot  # the BLAS kernels of `@`, at less cost per call
 
     failed = None
@@ -127,19 +126,20 @@ def _sweep(exp, method, lam_bar=None):
                 q = h + dot(dot(jac_t[t], w), jac[t])
                 rows = q[u, m:]  # [q_u | Q_ux]
                 if m == 1:  # the pivot overflows to inf as the array form does
-                    quu[t] = pivot = 0.5 * (q.item(0) + q.item(0))
+                    pivot = 0.5 * (q.item(0) + q.item(0))
+                    curvatures.append(pivot)
                     if pivot == 0.0 or not math.isfinite(pivot):
                         raise BackwardPassError(t, "singular control curvature")
                     gain = rows / pivot
                 else:
-                    quu_t = q[u, u]
-                    quu[t] = quu_t = 0.5 * (quu_t + quu_t.T)
+                    quu_t = 0.5 * (q[u, u] + q[u, u].T)
+                    curvatures.append(quu_t)
                     # LAPACK never warns of ill-conditioning and sets info for a
                     # zero pivot; it would divide by an infinite one, so test that
                     *_, gain, info = sysv(quu_t, rows)
                     if info > 0 or not all(map(math.isfinite, quu_t.flat)):
                         raise BackwardPassError(t, "singular control curvature")
-                gains[t] = gain
+                gain_rows.append(gain)
                 nxt = q[m:, m:] - dot(rows.T, gain)
                 # only V is symmetrized: v + v would overflow a gradient of 1e308
                 w = aug[t]
@@ -148,6 +148,10 @@ def _sweep(exp, method, lam_bar=None):
                 w[1:, 1:] = 0.5 * (vt + vt.T)
         except BackwardPassError as exc:
             failed = exc
+    # the stages the loop reached, stored at once; those below a failure stay 0
+    quu, gains = np.zeros((horizon, m, m)), np.zeros((horizon, m, n + 1))
+    quu[horizon - len(curvatures):] = np.reshape(curvatures[::-1], (-1, m, m))
+    gains[horizon - len(gain_rows):] = np.reshape(gain_rows[::-1], (-1, m, n + 1))
     v, big_v = aug[:, 1:, 0].copy(), aug[:, 1:, 1:].copy()
     # A non-finite k_t or K_t always reaches v_t or V_t. The loop runs on past
     # a non-finite stage, but the stages below it (and a solve that raised

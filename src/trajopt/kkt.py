@@ -163,14 +163,13 @@ def cost_gradient_adjoint(exp) -> np.ndarray:
     R u_t + fu' nu_{t+1}. Matches central finite differences of the rolled-out
     cost and costs one backward pass instead of 2 T m rollouts.
     """
-    horizon = exp.horizon
-    nu = np.zeros((horizon + 1, exp.state_dim))
-    nu[horizon] = exp.ct_x
-    lx, fx, dot = exp.lx, exp.fx, np.dot
-    for t in reversed(range(horizon)):
-        nu[t] = lx[t] + dot(fx[t].T, nu[t + 1])
-    # a stack of matrix-vector products rounds as each stage's would
-    return exp.ru + (exp.fu.transpose(0, 2, 1) @ nu[1:, :, None])[..., 0]
+    nu_t = exp.ct_x
+    nu, lx, fx_t, dot = [nu_t], exp.lx, exp.fx.transpose(0, 2, 1), np.dot
+    for t in range(exp.horizon - 1, 0, -1):  # nu_0 feeds no gradient
+        nu_t = lx[t] + dot(fx_t[t], nu_t)
+        nu.append(nu_t)
+    # nu_1..nu_T; a stack of matrix-vector products rounds as each stage's would
+    return exp.ru + (exp.fu.transpose(0, 2, 1) @ np.array(nu[::-1])[:, :, None])[..., 0]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ certifies them against central differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,9 @@ class SystemModel:
 
     `derivatives` is array-first: it takes a whole batch of points in one
     call, so a subclass's `_derivatives` must broadcast over leading axes.
-    `step` takes one point and checks it. A rollout checks its inputs once and
-    steps the later points through `_step`: a subclass implements `_step`.
+    `_step` maps one state and one control, lists of floats, to the next
+    state's list of floats, and `step` is its checked wrapper on arrays. A
+    rollout checks once and steps through `_step`: a subclass implements it.
     """
 
     state_dim: int = 0
@@ -71,11 +73,11 @@ class SystemModel:
         return x, u
 
     def step(self, x, u) -> np.ndarray:
-        """One discrete dynamics step from one state (n,) under one control (m,)."""
+        """One checked step from one state (n,) under one control (m,), as an (n,) array."""
         x, u = self._validate(x, u)
         if x.ndim != 1:
             raise DimensionError(f"step takes one point, not a batch of {x.shape[:-1]}")
-        return self._step(x, u)
+        return np.array(self._step(x.tolist(), u.tolist()))
 
     def derivatives(self, x, u):
         """Analytic derivatives of the discrete map at a batch of points.
@@ -131,11 +133,11 @@ class PendulumModel(SystemModel):
         self.control_high = np.array([5.0])
 
     def _step(self, x, u):
-        th, w = x.tolist()  # Python floats: faster scalar arithmetic, same rounding
+        th, w = x
         ml2 = self.mass * self.length ** 2
-        acc = (-(self.gravity / self.length) * float(np.sin(th))
-               - self.damping / ml2 * w + u.tolist()[0] / ml2)
-        return np.array([th + self.dt * w, w + self.dt * acc])
+        acc = (-(self.gravity / self.length) * math.sin(th)
+               - self.damping / ml2 * w + u[0] / ml2)
+        return [th + self.dt * w, w + self.dt * acc]
 
     def _derivatives(self, x, u):
         th = x[..., 0]
@@ -187,17 +189,17 @@ class CartPoleModel(SystemModel):
     def _accel(self, th, w, force):
         M, m = self.cart_mass, self.pole_mass
         L, g = self.pole_com, self.gravity
-        s, c = float(np.sin(th)), float(np.cos(th))  # numpy's rounding, float speed
+        s, c = math.sin(th), math.cos(th)  # round as numpy's float64 sin and cos
         den = M + m * s * s
         a_cart = (force + m * s * (L * w * w + g * c)) / den
         a_pole = (-force * c - m * L * w * w * s * c - (M + m) * g * s) / (L * den)
         return a_cart, a_pole
 
     def _step(self, x, u):
-        p, v, th, w = x.tolist()  # Python floats: faster scalar arithmetic, same rounding
-        a_cart, a_pole = self._accel(th, w, u.tolist()[0])
+        p, v, th, w = x
+        a_cart, a_pole = self._accel(th, w, u[0])
         dt = self.dt
-        return np.array([p + dt * v, v + dt * a_cart, th + dt * w, w + dt * a_pole])
+        return [p + dt * v, v + dt * a_cart, th + dt * w, w + dt * a_pole]
 
     def _derivatives(self, x, u):
         M, m = self.cart_mass, self.pole_mass
@@ -291,7 +293,7 @@ class LinearModel(SystemModel):
         self.control_high = np.ones(self.control_dim)
 
     def _step(self, x, u):
-        return np.dot(self.a, x) + np.dot(self.b, u)
+        return (np.dot(self.a, x) + np.dot(self.b, u)).tolist()
 
     def _derivatives(self, x, u):
         batch, n, m = x.shape[:-1], self.state_dim, self.control_dim

@@ -72,30 +72,37 @@ def _propagate(model, cost, x0, controls, feedback=None) -> Trajectory:
 
     Without `feedback`, `controls` is applied as given. With feedback
     (K, xbar), `controls` holds the feedforward and control t becomes
-    controls[t] - K_t (x_t - xbar_t), written into `controls` before step t.
-    Inputs are validated once per pass: the public `step` checks x0 and u_0
-    (shapes, finite) on the first point, the other controls are checked
-    finite in one call, and the later points go through the unchecked
-    `_step`; a bad input raises DimensionError. The first state x_t that is
-    non-finite or beyond STATE_MAGNITUDE_LIMIT raises DivergenceError(t), so a
-    feedback control that overflows to +-inf at t >= 1 raises at t + 1.
+    controls[t] - K_t (x_t - xbar_t). Inputs are validated once per pass: the
+    public `step` checks x0 and u_0 (shapes, finite) before the loop, the
+    other controls are checked finite in one call, and the loop steps lists
+    of floats through the unchecked `_step`; a bad input raises
+    DimensionError. The first state x_t that is non-finite or beyond
+    STATE_MAGNITUDE_LIMIT raises DivergenceError(t), so a feedback control
+    that overflows to +-inf at t >= 1 raises at t + 1.
     """
     horizon = controls.shape[0]
     if not np.isfinite(controls[1:]).all():
         raise DimensionError("non-finite control input")
-    states = np.zeros((horizon + 1, model.state_dim))
-    gains, xbar = (None, None) if feedback is None else feedback
-    step, x, dot = model.step, x0, np.dot
+    gains, xbar = (None, None) if feedback is None else map(list, feedback)
+    rows = controls.tolist() if gains is None else list(controls)  # split once
+    step, dot = model._step, np.dot
     with np.errstate(over="ignore", invalid="ignore"):  # the guard raises instead
-        for t in range(horizon):
-            if gains is not None:
-                controls[t] -= dot(gains[t], x - xbar[t])
-            states[t + 1] = step(x, controls[t])
-            step, x = model._step, states[t + 1]
-            for c in x.tolist():
+        u = rows[0] if gains is None else (rows[0] - dot(gains[0], x0 - xbar[0])).tolist()
+        x = model.step(x0, u).tolist()
+        states, applied = [x0.tolist(), x], [u]
+        for t in range(1, horizon + 1):
+            for c in x:
                 if not abs(c) <= STATE_MAGNITUDE_LIMIT:  # NaN fails too
-                    raise DivergenceError(t + 1)
-    states[0] = x0  # checked by the first `step`
+                    raise DivergenceError(t)
+            if t == horizon:
+                break
+            u = rows[t] if gains is None else (rows[t] - dot(gains[t], x - xbar[t])).tolist()
+            x = step(x, u)
+            states.append(x)
+            applied.append(u)
+    states = np.array(states)
+    if gains is not None:
+        controls = np.array(applied)
     return Trajectory(states, controls, total_cost(cost, states, controls))
 
 
@@ -113,11 +120,12 @@ def linear_rollout(exp, sol, alpha):
     horizon = sol.k.shape[0]
     if exp.fx.shape[0] != horizon:
         raise DimensionError("gain horizon does not match the expansion")
-    dx = np.zeros((horizon + 1, exp.fx.shape[1]))
-    du = -alpha * sol.k
-    dx_t, gains, fx, fu, dot = dx[0], sol.K, exp.fx, exp.fu, np.dot
+    dx, du = [np.zeros(exp.fx.shape[1])], []
+    dx_t, feedforward, gains, fx, fu, dot = dx[0], -alpha * sol.k, sol.K, exp.fx, exp.fu, np.dot
     for t in range(horizon):
-        du[t] -= dot(gains[t], dx_t)
-        dx[t + 1] = dx_t = dot(fx[t], dx_t) + dot(fu[t], du[t])
-    return dx, du
+        du_t = feedforward[t] - dot(gains[t], dx_t)
+        dx_t = dot(fx[t], dx_t) + dot(fu[t], du_t)
+        dx.append(dx_t)
+        du.append(du_t)
+    return np.array(dx), np.array(du)
 

@@ -13,8 +13,11 @@ never per stage. Nor does that loop make an `np.einsum` or `np.concatenate`
 call: the Hessian tensor is laid out before it. Likewise the loop of
 `trajectory._propagate` makes no `.step`, `._validate` or `np.isfinite`
 call: a rollout checks its inputs before the loop (its first point through
-the `step` bound there) and steps every later point through the unchecked
-`_step`. No per-stage loop (the sweep, `_propagate`, `linear_rollout` and
+the public `step`) and steps every later point through the unchecked
+`_step`. Nor does that loop make an `np.array`, `np.zeros`, `np.empty` or
+`np.asarray` call or assign into a subscript: it carries each state and
+control as Python values, and the arrays are stacked once after it. No
+per-stage loop (the sweep, `_propagate`, `linear_rollout` and
 `cost_gradient_adjoint`) uses `@`, directly or through a function of its
 module: each product is an `np.dot`.
 The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
@@ -221,6 +224,37 @@ def test_the_propagation_loop_steps_unchecked():
     path = PACKAGE / "trajectory.py"
     tree = ast.parse(path.read_text(), str(path))
     assert _in_loops(tree, "_propagate", _guard_call) == []
+
+
+def _array_store(node):
+    """The name of an `np.array`, `np.zeros`, `np.empty` or `np.asarray` call,
+    or "[]=" for an assignment into a subscript."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        return "[]="
+    func = node.func if isinstance(node, ast.Call) else None
+    if (isinstance(func, ast.Attribute) and func.attr in ("array", "zeros", "empty", "asarray")
+            and getattr(func.value, "id", None) in ("np", "numpy")):
+        return func.attr
+    return None
+
+
+def test_the_propagation_loop_builds_no_array():
+    # the loop carries x_t and u_t as Python values; states and controls are
+    # stacked once, after it
+    path = PACKAGE / "trajectory.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert _in_loops(tree, "_propagate", _array_store) == []
+
+
+def test_the_array_check_sees_each_build_and_store():
+    source = ("def grow(xs, x):\n    xs[len(xs) - 1] += x\n"
+              "def f(xs, m):\n    out = np.zeros((3, 2))\n    out[0] = 1.0\n"
+              "    for t, x in enumerate(xs):\n        np.array(x)\n        numpy.empty(2)\n"
+              "        np.asarray(x)\n        out[t] = x\n        a[0], b = x, x\n"
+              "        grow(xs, x)\n        xs.append(np.dot(x, x))\n        y = x[0]\n"
+              "        np.zeros_like(x)\n")
+    assert _in_loops(ast.parse(source), "f", _array_store) == [
+        "f:array", "f:empty", "f:asarray", "f:[]=", "grow:[]=", "f:[]="]
 
 
 def test_the_loop_check_sees_direct_and_indirect_linalg_calls():

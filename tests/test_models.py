@@ -1,5 +1,7 @@
 """Model dynamics, analytic derivatives, and the finite-difference verifier."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,54 @@ def test_linear_model_rollout_equals_the_matrix_products():
     traj = rollout(model, QuadraticCost(np.eye(4), np.eye(2), np.eye(4), np.zeros(4)),
                    x0, controls)
     assert np.array_equal(traj.states, np.array(states))
+
+
+def _contract_model(name):
+    if name == "pendulum":
+        return PendulumModel()
+    if name == "cartpole":
+        return CartPoleModel()
+    m = int(name[-1])  # "linear-m1" .. "linear-m3"
+    rng = np.random.default_rng(m)
+    return LinearModel(np.eye(3) + 0.2 * rng.normal(size=(3, 3)), rng.normal(size=(3, m)))
+
+
+CONTRACT_MODELS = ["pendulum", "cartpole", "linear-m1", "linear-m2", "linear-m3"]
+
+
+@pytest.mark.parametrize("name", CONTRACT_MODELS)
+def test_raw_step_takes_and_returns_lists_of_floats(name):
+    model = _contract_model(name)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = rng.uniform(model.state_low, model.state_high).tolist()
+        u = rng.uniform(model.control_low, model.control_high).tolist()
+        nxt = model._step(x, u)
+        assert type(nxt) is list and len(nxt) == model.state_dim
+        assert all(type(c) is float for c in nxt)
+
+
+@pytest.mark.parametrize("name", CONTRACT_MODELS)
+def test_step_is_the_checked_array_form_of_the_raw_step(name):
+    model = _contract_model(name)
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        x = rng.uniform(model.state_low, model.state_high)
+        u = rng.uniform(model.control_low, model.control_high)
+        nxt = model.step(x, u)
+        assert nxt.shape == (model.state_dim,) and nxt.dtype == np.float64
+        assert nxt.tobytes() == np.array(model._step(x.tolist(), u.tolist())).tobytes()
+
+
+def test_math_sin_and_cos_round_as_numpy_float64():
+    # the models step on Python floats through `math`; the derivatives and the
+    # property tests' reference step use numpy: the two must agree bit for bit
+    rng = np.random.default_rng(13)
+    angles = np.concatenate([rng.uniform(-scale, scale, size=20_000)
+                             for scale in (1.0, 1e2, 1e4, 1e6, 1e8)])
+    values = angles.tolist()
+    assert np.array([math.sin(a) for a in values]).tobytes() == np.sin(angles).tobytes()
+    assert np.array([math.cos(a) for a in values]).tobytes() == np.cos(angles).tobytes()
 
 
 @pytest.mark.parametrize("system", ["pendulum", "cartpole"])

@@ -79,7 +79,8 @@ def test_ddp_pendulum_failure_mode_exists_over_seeds():
 
 
 def test_hybrid_without_cooling_is_identical_to_ddp():
-    # no DDP iteration fails near the optimum, so hybrid never leaves DDP
+    # hybrid leaves DDP only after a failed DDP iteration; near the optimum
+    # none fails, so hybrid is the DDP solve, record for record
     model, cost, x0, horizon = make_benchmark("pendulum")
     warm = solve(model, cost, x0, np.zeros((horizon, 1)),
                  SolverConfig(method="ilqr", grad_tol=1e-2))
@@ -265,6 +266,8 @@ def test_the_line_search_takes_its_slope_from_the_sweep(method):
 def test_hybrid_switches_to_ilqr_after_a_ddp_failure(cause, config, at):
     result = _cartpole_40("hybrid", max_iters=at + 3, **config)
     assert result.reason == "max_iters"
+    # every accepted step is long, so no step length explains the switch:
+    # the failed iteration alone moves hybrid to iLQR
     assert all(r.alpha >= 1e-3 for r in result.records if r.alpha > 0)
     assert [r.method_active for r in result.records] == ["ddp"] * (at + 1) + ["ilqr"] * 2
     assert [r.status for r in result.records] == ["OK"] * at + [cause] + ["OK"] * 2
