@@ -24,14 +24,15 @@ On the stage unknowns z = (du, 1, dx), one block product Q = H_t + J_t' W J_t
 gives q_u, q_x, Quu, Qux and Qxx, with W = [[0, v'], [v, V]] the value at t+1,
 J_t = [[0, 1, 0], [fu, 0, fx]], and the costates weighting one Hessian tensor.
 
-The per-stage loop holds only the recursion. Finiteness of every sweep, and
-the two iLQR guarantees, are checked in batches after it: the first failure in
-sweep order raises, as per-stage checks would, naming its stage.
+The per-stage loop holds only the recursion and runs through every stage.
+One ordered scan after it makes the checks of each stage, in the order a
+stage makes them (`_FAILURES`), and raises for the highest failing stage with
+the first check it fails: the first failure in sweep order, as per-stage
+checks would raise it, since a stage reads only the stages above it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,10 @@ __all__ = [
 ]
 
 PSD_SLACK = 1e-10  # tolerated eigenvalue undershoot from rounding
-_QUU_LOST = "iLQR control curvature lost definiteness"
-_V_LOST = "iLQR value Hessian lost semidefiniteness"
+_FAILURES = (  # the checks of one stage, in the order it makes them
+    "iLQR control curvature lost definiteness", "singular control curvature",
+    "backward recursion produced non-finite values",
+    "iLQR value Hessian lost semidefiniteness")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,72 +111,61 @@ def _sweep(exp, method, lam_bar=None):
         hess += (lam_bar[1:, None, :] @ tensor).reshape(horizon, size, size)
 
     aug = np.zeros((horizon + 1, n + 1, n + 1))  # W_t; W_t[0, 0] feeds no gain: left 0
-    gain_rows, curvatures = [], []  # [k_t | K_t] and Quu_t, from t = T - 1 down
+    gain_rows, curvatures, infos = [], [], []  # [k_t | K_t], Quu_t, sysv's info
     dot = np.dot  # the BLAS kernels of `@`, at less cost per call
 
-    failed = None
-    # an overflow or invalid value is non-finite: the checks below raise for it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a zero pivot, an overflow or an invalid value is found by the scan below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w = aug[horizon]
         w[0, 1:] = w[1:, 0] = exp.ct_x
         w[1:, 1:] = 0.5 * (exp.ct_xx + exp.ct_xx.T)
-        try:
-            for t in reversed(range(horizon)):
-                h = hess[t]
-                if method == "ddp":
-                    h = h + dot(w[0, 1:], tensor[t]).reshape(size, size)
-                # nested left to right, as `@` associates
-                q = h + dot(dot(jac_t[t], w), jac[t])
-                rows = q[u, m:]  # [q_u | Q_ux]
-                if m == 1:  # the pivot overflows to inf as the array form does
-                    pivot = 0.5 * (q.item(0) + q.item(0))
-                    curvatures.append(pivot)
-                    if pivot == 0.0 or not math.isfinite(pivot):
-                        raise BackwardPassError(t, "singular control curvature")
-                    gain = rows / pivot
-                else:
-                    quu_t = 0.5 * (q[u, u] + q[u, u].T)
-                    curvatures.append(quu_t)
-                    # LAPACK never warns of ill-conditioning and sets info for a
-                    # zero pivot; it would divide by an infinite one, so test that
-                    *_, gain, info = sysv(quu_t, rows)
-                    if info > 0 or not all(map(math.isfinite, quu_t.flat)):
-                        raise BackwardPassError(t, "singular control curvature")
-                gain_rows.append(gain)
-                nxt = q[m:, m:] - dot(rows.T, gain)
-                # only V is symmetrized: v + v would overflow a gradient of 1e308
-                w = aug[t]
-                w[0, 1:] = w[1:, 0] = nxt[1:, 0]
-                vt = nxt[1:, 1:]
-                w[1:, 1:] = 0.5 * (vt + vt.T)
-        except BackwardPassError as exc:
-            failed = exc
-    # the stages the loop reached, stored at once; those below a failure stay 0
-    quu, gains = np.zeros((horizon, m, m)), np.zeros((horizon, m, n + 1))
-    quu[horizon - len(curvatures):] = np.reshape(curvatures[::-1], (-1, m, m))
-    gains[horizon - len(gain_rows):] = np.reshape(gain_rows[::-1], (-1, m, n + 1))
+        for t in reversed(range(horizon)):
+            h = hess[t]
+            if method == "ddp":
+                h = h + dot(w[0, 1:], tensor[t]).reshape(size, size)
+            # nested left to right, as `@` associates
+            q = h + dot(dot(jac_t[t], w), jac[t])
+            rows = q[u, m:]  # [q_u | Q_ux]
+            if m == 1:  # the pivot overflows to inf as the array form does
+                pivot = 0.5 * (q.item(0) + q.item(0))
+                curvatures.append(pivot)
+                gain = rows / pivot
+            else:
+                quu_t = 0.5 * (q[u, u] + q[u, u].T)
+                curvatures.append(quu_t)
+                # LAPACK never warns of ill-conditioning; info > 0 is a zero pivot
+                *_, gain, info = sysv(quu_t, rows)
+                infos.append(info)
+            gain_rows.append(gain)
+            nxt = q[m:, m:] - dot(rows.T, gain)
+            # only V is symmetrized: v + v would overflow a gradient of 1e308
+            w = aug[t]
+            w[0, 1:] = w[1:, 0] = nxt[1:, 0]
+            vt = nxt[1:, 1:]
+            w[1:, 1:] = 0.5 * (vt + vt.T)
+    quu = np.reshape(curvatures[::-1], (horizon, m, m))
+    gains = np.reshape(gain_rows[::-1], (horizon, m, n + 1))
     v, big_v = aug[:, 1:, 0].copy(), aug[:, 1:, 1:].copy()
-    # A non-finite k_t or K_t always reaches v_t or V_t. The loop runs on past
-    # a non-finite stage, but the stages below it (and a solve that raised
-    # there) only read its values: the highest one is the first failure.
-    finite = (np.isfinite(v[:horizon]).all(axis=1)
-              & np.isfinite(big_v[:horizon]).all(axis=(1, 2)))
-    for t in np.flatnonzero(~finite)[-1:]:  # the last, if any
-        failed = BackwardPassError(int(t), "backward recursion produced non-finite values")
+
+    # one row per check of `_FAILURES`, one column per stage
+    checks = np.zeros((len(_FAILURES), horizon), dtype=bool)
+    quu_ok = np.isfinite(quu).all(axis=(1, 2))
+    zero_pivot = quu[:, 0, 0] == 0.0 if m == 1 else np.greater(infos[::-1], 0)
+    checks[1] = ~quu_ok | zero_pivot
+    v_ok = np.isfinite(v[:horizon]).all(axis=1) & np.isfinite(big_v[:horizon]).all(axis=(1, 2))
+    checks[2] = ~v_ok
     if method == "ilqr":
         # Impossible to violate for valid cost models (R > 0, PSD V propagation).
-        # In sweep order each stage checks Quu, then V: the stages done in one
-        # batch, then the Quu (maybe not finite) of the stage that raised.
+        # eigvalsh sees only finite blocks: a non-finite one has no spectrum.
         r_min = float(np.linalg.eigvalsh(exp.r)[0])
-        done = 0 if failed is None else failed.timestep + 1
-        quu_bad = np.linalg.eigvalsh(quu[done:])[:, 0] < r_min - PSD_SLACK
-        v_bad = np.linalg.eigvalsh(big_v[done:horizon])[:, 0] < -PSD_SLACK
-        for i in np.flatnonzero(quu_bad | v_bad)[-1:]:  # the last, if any
-            raise BackwardPassError(done + int(i), _QUU_LOST if quu_bad[i] else _V_LOST)
-        if failed is not None and np.linalg.eigvalsh(quu[done - 1])[0] < r_min - PSD_SLACK:
-            raise BackwardPassError(done - 1, _QUU_LOST)
-    if failed is not None:
-        raise failed
+        quu_min = np.linalg.eigvalsh(np.where(quu_ok[:, None, None], quu, 0.0))[:, 0]
+        checks[0] = quu_ok & (quu_min < r_min - PSD_SLACK)
+        v_min = np.linalg.eigvalsh(np.where(v_ok[:, None, None], big_v[:horizon], 0.0))[:, 0]
+        checks[3] = v_min < -PSD_SLACK
+    failing = np.flatnonzero(checks.any(axis=0))
+    if failing.size:
+        t = int(failing[-1])
+        raise BackwardPassError(t, _FAILURES[int(np.argmax(checks[:, t]))])
 
     return BackwardSolution(v=v, V=big_v, k=gains[:, :, 0].copy(), K=gains[:, :, 1:].copy(),
                             quu=quu, method=method, costates=v if method == "ddp" else lam_bar)

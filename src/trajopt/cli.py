@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import time
-import typing
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -114,15 +113,14 @@ _TYPE_PARSERS = {str: str, int: int, float: _finite_float, bool: _parse_bool,
 
 def _keys(cls, skip=()):
     """key -> (cls, parser) for each field of `cls`, the parser chosen by
-    the field's type."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: (cls, _typed(_TYPE_PARSERS[hints[f.name]], f.name))
+    the type of the field's default."""
+    return {f.name: (cls, _typed(_TYPE_PARSERS[type(f.default)], f.name))
             for f in fields(cls) if f.name not in skip}
 
 
-# Every configuration key, derived from the dataclass field that holds it or,
-# for a problem key, from the type of its benchmark default (the defaults
-# tables share their keys and value types).
+# Every configuration key, from the dataclass field that holds it or the
+# benchmark defaults table, its parser chosen by the type of its default (the
+# defaults tables share their keys and value types).
 _KEYS = {
     **_keys(ExperimentConfig, skip=("problem", "solver")),
     **{key: ("problem", _typed(_TYPE_PARSERS[type(value)], key))

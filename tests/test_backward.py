@@ -297,7 +297,7 @@ def test_ilqr_quu_guard_fires_at_the_last_stage(fu, ct_xx):
 @pytest.mark.parametrize("lxx_2", [-10.0, -1.5], ids=["indefinite", "singular"])
 def test_ilqr_value_guard_raises_before_a_later_quu_failure(lxx_2):
     # lxx[2] = -10 makes V_2 = -9.5, and with it Quu_1 = R + V_2 < R; -1.5
-    # makes V_2 = -1 and Quu_1 = 0, so the solve at stage 1 raises. Either
+    # makes V_2 = -1 and Quu_1 = 0, so stage 1 is singular. Either
     # way the value check at stage 2 comes first in sweep order and must win.
     exp = _tiny_expansion(
         fx=[[[1.0]]] * 3, fu=[[[1.0]]] * 3, r=[[1.0]], ru=[[0.5]] * 3,
@@ -313,7 +313,7 @@ OVERFLOWS = {
     "gain": dict(fu=[[[0.0]], [[0.0]]], r=[[1e-300]], ru=[[0.0], [1e300]],
                  ct_x=[1.0], lx=None),
     # q_x = 1e308 + 1e308 overflows at R = 1, where stage 0 (its Quu the NaN
-    # of 0 * inf in the block product, so its solve raises) must not trip
+    # of 0 * inf in the block product, so it is singular) must not trip
     # the Quu guard
     "gradient": dict(fu=[[[1.0]], [[1.0]]], r=[[1.0]], ru=[[0.0], [0.0]],
                      ct_x=[1e308], lx=[[0.0], [1e308]]),
@@ -360,7 +360,7 @@ NON_FINITE = "backward recursion produced non-finite values"
 @pytest.mark.parametrize("method", ["ilqr", "newton", "ddp"])
 def test_non_finite_value_hessian_beats_the_singular_curvature_below_it(method, m):
     # l_xx + C_xx = 1e308 + 8e307 overflows V_2 (v_2 stays 0); Quu_1 then
-    # reads inf and the solve at stage 1 raises, but stage 2 came first
+    # reads inf and stage 1 is singular, but stage 2 came first
     exp = _one_state_expansion(m, fu=[1.0, 1.0, 0.0], lx=[0.0] * 3, ct_x=0.0,
                                ct_xx=8e307, lxx=[0.0, 0.0, 1e308])
     assert _sweep_error(method, exp) == (2, f"{NON_FINITE} (timestep 2)")
@@ -372,7 +372,7 @@ def test_non_finite_value_hessian_beats_the_singular_curvature_below_it(method, 
 def test_a_non_finite_value_gradient_alone_is_found(method, m, stage):
     # with fu = 0 every Quu is R and V_t = 1: l_x + C_x = 1e308 + 1e308
     # overflows v_t alone. Below stage 2 the block product reads it into
-    # Quu_1 as 0 * inf, and the solve at stage 1 raises at m = 1 and m = 2
+    # Quu_1 as 0 * inf, and stage 1 is singular at m = 1 and m = 2
     # alike; at stage 0 the loop ends without a failure.
     lx = np.zeros(4)
     lx[stage] = 1e308
@@ -394,6 +394,9 @@ CURVATURE_OVERFLOWS = {
     # C_xx + C_xx' = 2e308 overflows V_2 to inf, which Quu_1 = R + fu' V_2 fu
     # reads: the terminal set-up runs under the sweep's errstate too
     "terminal": dict(fu=[[[0.0]], [[1.0]]], r=[[1.0]], ct_xx=[[1e308]]),
+    # the same overflow fills a 3 x 3 Quu with inf, on which LAPACK's
+    # eigenvalue solver fails to converge: the iLQR guard must not see it
+    "terminal-m3": dict(fu=np.ones((2, 1, 3)), r=np.eye(3), ct_xx=[[1e308]]),
     # with fu = 0 every Quu is the finite R, but Quu + Quu' overflows to inf:
     # the m = 1 pivot, a Python float, must overflow as the m = 2 block does
     "quu-m1": dict(fu=np.zeros((2, 1, 1)), r=[[1e308]], ct_xx=[[1.0]]),
@@ -424,7 +427,7 @@ def test_an_ill_conditioned_quu_at_two_inputs_is_solved_without_a_warning(method
         warnings.simplefilter("error")
         sol = backward_for(method, exp, np.zeros((4, 1)))
     assert np.all(np.abs(quu_spectrum(sol)) < 1e-15)
-    # an exactly singular block still raises, at the stage the sweep reaches first
+    # an exactly singular block still raises, at the first stage in sweep order
     singular = replace(exp, r=np.ones((2, 2)))
     assert _sweep_error(method, singular) == (2, "singular control curvature (timestep 2)")
 

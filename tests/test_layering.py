@@ -9,7 +9,9 @@ divergence guard of the one nonlinear propagation), if `models.py`
 defines `params` again, or if the per-stage loop of `backward._sweep` (or a
 function of `backward.py` it calls) makes an `np.linalg` or `np.isfinite`
 call: the sweep's guards and its finiteness check run batched after the loop,
-never per stage. Nor does that loop make an `np.einsum` or `np.concatenate`
+never per stage. That loop holds no `raise`, `break` or `try` and no
+`math.isfinite`: it runs through every stage, and one ordered scan after it
+finds the first failure. Nor does it make an `np.einsum` or `np.concatenate`
 call: the Hessian tensor is laid out before it. Likewise the loop of
 `trajectory._propagate` makes no `.step`, `._validate` or `np.isfinite`
 call: a rollout checks its inputs before the loop (its first point through
@@ -201,6 +203,34 @@ def _stacking_call(node):
             and getattr(func.value, "id", None) in ("np", "numpy")):
         return func.attr
     return None
+
+
+def _failure_exit(node):
+    """The kind of a `raise`, `break` or `try`, or "isfinite" for a use of
+    `math.isfinite`."""
+    if isinstance(node, (ast.Raise, ast.Break, ast.Try)):
+        return type(node).__name__.lower()
+    if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+            and getattr(node.value, "id", None) == "math"):
+        return "isfinite"
+    return None
+
+
+def test_the_sweep_loop_neither_raises_nor_exits():
+    # the loop runs through every stage; one ordered scan after it finds the
+    # first failure, so no stage decides one inside it
+    path = PACKAGE / "backward.py"
+    assert _in_loops(ast.parse(path.read_text(), str(path)), "_sweep", _failure_exit) == []
+
+
+def test_the_exit_check_sees_each_kind():
+    source = ("def stop(x):\n    raise ValueError(x)\n"
+              "def f(xs):\n    try:\n        pass\n    except ValueError:\n        raise\n"
+              "    for x in xs:\n        if not math.isfinite(x):\n            break\n"
+              "        try:\n            stop(x)\n        finally:\n            pass\n"
+              "        all(map(math.isfinite, xs))\n        np.isfinite(x)\n")
+    assert _in_loops(ast.parse(source), "f", _failure_exit) == [
+        "f:try", "f:break", "stop:raise", "f:isfinite", "f:isfinite"]
 
 
 def test_the_sweep_loop_makes_no_einsum_or_concatenate_call():

@@ -22,15 +22,23 @@ step and step the models on numpy scalars. The loops themselves call
 On the pendulum and cart-pole nominals, the slope that `solve` gives the line
 search, -sum_t g_t'k_t from the sweep, must equal the directional derivative
 of the linearized rollout along the adjoint gradient to 1e-9.
+
+With one or two faults injected into random expansions (an indefinite stage
+or terminal Hessian, a zero m = 1 pivot, a gradient of 1e308), every sweep
+must raise the error of a reference that checks each stage as it goes, from
+t = T - 1 down: the first failure in sweep order, with the first check that
+stage fails.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dsysv
 
-from trajopt import (CartPoleModel, DivergenceError, LinearModel, PendulumModel,
-                     QuadraticCost, backward_for, cost_gradient_adjoint,
+from trajopt import (BackwardPassError, CartPoleModel, DivergenceError, LinearModel,
+                     PendulumModel, QuadraticCost, backward_for, cost_gradient_adjoint,
                      directional_derivative, expand_along, expected_reduction,
                      forward_pass, linear_rollout, make_benchmark, rollout, total_cost,
                      verify_equivalence)
@@ -125,39 +133,45 @@ def _costates(rng, traj):
     return rng.normal(size=traj.states.shape) * 10.0 ** rng.uniform(0.0, 4.0)
 
 
-def _reference_sweep(exp, method, costates):
-    """(v, V, k, K, Quu) of one sweep, stage by stage: Q = H + J'WJ over the
-    stage unknowns z = (du, 1, dx), W = [[0, v'], [v, V]] the value at t+1."""
-    horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
+def _reference_q(exp, method, costates, t, v_next, big_v_next):
+    """Q = H_t + J_t'WJ_t over the stage unknowns z = (du, 1, dx), W = [[0, v'],
+    [v, V]] the value at t+1."""
+    n, m = exp.state_dim, exp.control_dim
     size = m + 1 + n
     u, x = slice(0, m), slice(m + 1, size)
+    w = np.zeros((n + 1, n + 1))
+    w[0, 1:] = w[1:, 0] = v_next
+    w[1:, 1:] = big_v_next
+    jac = np.zeros((n + 1, size))
+    jac[0, m] = 1.0
+    jac[1:, u], jac[1:, x] = exp.fu[t], exp.fx[t]
+    h = np.zeros((size, size))
+    h[u, u] = exp.r
+    h[u, m] = h[m, u] = exp.ru[t]
+    h[x, m] = h[m, x] = exp.lx[t]
+    h[x, x] = exp.lxx[t]
+    if method != "ilqr":
+        tensor = np.zeros((n, size, size))
+        tensor[:, x, x] = exp.fxx[t]
+        tensor[:, x, u] = exp.fxu[t]
+        tensor[:, u, x] = exp.fxu[t].transpose(0, 2, 1)
+        weight = v_next if method == "ddp" else costates[t + 1]
+        h = h + (weight @ tensor.reshape(n, -1)).reshape(size, size)
+    return h + jac.T @ w @ jac
+
+
+def _reference_sweep(exp, method, costates):
+    """(v, V, k, K, Quu) of one sweep, stage by stage."""
+    horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
     v, big_v = np.zeros((horizon + 1, n)), np.zeros((horizon + 1, n, n))
     k, gains = np.zeros((horizon, m)), np.zeros((horizon, m, n))
     quu = np.zeros((horizon, m, m))
     v[horizon] = exp.ct_x
     big_v[horizon] = 0.5 * (exp.ct_xx + exp.ct_xx.T)
     for t in reversed(range(horizon)):
-        w = np.zeros((n + 1, n + 1))
-        w[0, 1:] = w[1:, 0] = v[t + 1]
-        w[1:, 1:] = big_v[t + 1]
-        jac = np.zeros((n + 1, size))
-        jac[0, m] = 1.0
-        jac[1:, u], jac[1:, x] = exp.fu[t], exp.fx[t]
-        h = np.zeros((size, size))
-        h[u, u] = exp.r
-        h[u, m] = h[m, u] = exp.ru[t]
-        h[x, m] = h[m, x] = exp.lx[t]
-        h[x, x] = exp.lxx[t]
-        if method != "ilqr":
-            tensor = np.zeros((n, size, size))
-            tensor[:, x, x] = exp.fxx[t]
-            tensor[:, x, u] = exp.fxu[t]
-            tensor[:, u, x] = exp.fxu[t].transpose(0, 2, 1)
-            weight = v[t + 1] if method == "ddp" else costates[t + 1]
-            h = h + (weight @ tensor.reshape(n, -1)).reshape(size, size)
-        q = h + jac.T @ w @ jac
-        quu[t] = quu_t = 0.5 * (q[u, u] + q[u, u].T)
-        rows = q[u, m:]
+        q = _reference_q(exp, method, costates, t, v[t + 1], big_v[t + 1])
+        quu[t] = quu_t = 0.5 * (q[:m, :m] + q[:m, :m].T)
+        rows = q[:m, m:]
         sol = rows / quu_t[0, 0] if m == 1 else dsysv(quu_t, rows)[2]
         k[t], gains[t] = sol[:, 0], sol[:, 1:]
         nxt = q[m:, m:] - rows.T @ sol
@@ -165,6 +179,56 @@ def _reference_sweep(exp, method, costates):
         big_v[t] = 0.5 * (nxt[1:, 1:] + nxt[1:, 1:].T)
         assert np.isfinite(v[t]).all() and np.isfinite(big_v[t]).all()
     return v, big_v, k, gains, quu
+
+
+def _reference_failure(exp, method, costates):
+    """(timestep, message) of the first failure of a sweep that checks each
+    stage as it goes, from t = T - 1 down, or None. A stage checks, in turn:
+    the iLQR Quu guard (min eig Quu >= min eig R - 1e-10, on a finite Quu),
+    singular curvature (a non-finite Quu, a zero m = 1 pivot, sysv's info >
+    0), finite v_t and V_t, and the iLQR V guard (min eig V_t >= -1e-10)."""
+    m = exp.control_dim
+    r_min = np.linalg.eigvalsh(exp.r)[0]
+    v, big_v = exp.ct_x, 0.5 * (exp.ct_xx + exp.ct_xx.T)
+    for t in reversed(range(exp.horizon)):
+        q = _reference_q(exp, method, costates, t, v, big_v)
+        quu, rows = 0.5 * (q[:m, :m] + q[:m, :m].T), q[:m, m:]
+        finite = np.isfinite(quu).all()
+        if method == "ilqr" and finite and np.linalg.eigvalsh(quu)[0] < r_min - 1e-10:
+            return t, f"iLQR control curvature lost definiteness (timestep {t})"
+        if not finite or (quu[0, 0] == 0.0 if m == 1 else dsysv(quu, rows)[3] > 0):
+            return t, f"singular control curvature (timestep {t})"
+        nxt = q[m:, m:] - rows.T @ (rows / quu[0, 0] if m == 1 else dsysv(quu, rows)[2])
+        v, big_v = nxt[1:, 0], 0.5 * (nxt[1:, 1:] + nxt[1:, 1:].T)
+        if not (np.isfinite(v).all() and np.isfinite(big_v).all()):
+            return t, f"backward recursion produced non-finite values (timestep {t})"
+        if method == "ilqr" and np.linalg.eigvalsh(big_v)[0] < -1e-10:
+            return t, f"iLQR value Hessian lost semidefiniteness (timestep {t})"
+    return None
+
+
+FAULTS = ["lxx", "ct_xx", "pivot", "gradient"]
+
+
+def _inject(exp, fault, stage, scale):
+    """`exp` with one fault, at stage `stage` where it has one; `scale` sizes
+    the indefinite Hessians."""
+    n = exp.state_dim
+    if fault == "lxx":  # an indefinite stage cost Hessian
+        lxx = exp.lxx.copy()
+        lxx[stage] -= scale * np.eye(n)
+        return replace(exp, lxx=lxx)
+    if fault == "ct_xx":  # an indefinite terminal Hessian
+        return replace(exp, ct_xx=exp.ct_xx - scale * np.eye(n))
+    if fault == "pivot":  # Quu_{T-1} = R + fu' C_xx fu with a zero (0, 0) entry
+        fu, ct_xx = exp.fu.copy(), np.zeros((n, n))
+        fu[-1] = 0.0
+        fu[-1, 0, 0] = 1.0
+        ct_xx[0, 0] = -exp.r[0, 0]
+        return replace(exp, fu=fu, ct_xx=ct_xx)
+    lx = exp.lx.copy()  # a gradient of 1e308, which may overflow in the stages below
+    lx[stage] = np.where(lx[stage] < 0.0, -1e308, 1e308)
+    return replace(exp, lx=lx)
 
 
 def _reference_step(model, x, u):
@@ -367,3 +431,23 @@ def test_every_loop_equals_its_reference_on_nonlinear_nominals(problem, alpha):
         assert _equal(linear_rollout(exp, sol, alpha),
                       _reference_linear_rollout(exp, sol, alpha)), method
         assert _forward_pass_equals_the_reference(model, cost, traj, sol, alpha), method
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(expansions(), st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 59),
+                                        st.floats(0.0, 2.0)), min_size=1, max_size=2))
+def test_every_sweep_raises_for_the_first_failure_a_per_stage_sweep_meets(drawn, faults):
+    # one or two faults at random stages; the sweep must raise (never warn) for
+    # the first failure in sweep order, with the first check that stage fails
+    exp, costates = drawn
+    for fault, stage, exponent in faults:
+        exp = _inject(exp, fault, stage % exp.horizon, 10.0 ** exponent)
+    for method in ("ilqr", "newton", "ddp"):
+        with np.errstate(all="ignore"):
+            expected = _reference_failure(exp, method, costates)
+        try:
+            backward_for(method, exp, costates)
+            found = None
+        except BackwardPassError as exc:
+            found = exc.timestep, str(exc)
+        assert found == expected, method
