@@ -26,7 +26,7 @@ class BackwardPassError(TrajoptError):
 
 
 class NonDescentError(TrajoptError):
-    """The proposed search direction does not predict a cost decrease."""
+    """An iLQR direction predicts no cost decrease, which its sweep rules out."""
 
 
 class KktError(TrajoptError):

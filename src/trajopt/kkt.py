@@ -4,10 +4,11 @@ Stacks the local quadratic subproblem min g'z + 0.5 z'Hz s.t. A z = 0 over
 the full horizon and certifies the Riccati sweeps against a direct solve of
 its KKT system [H A'; A 0] [dz; lam] = [-g; 0]. Ordered stage by stage,
 (du_t, lam_{t+1}, dx_{t+1}) for t = 0 .. T-1, the matrix is banded with
-half-bandwidth 2n + m - 1 at any horizon. The Riccati sweep is a block
-factorization of this same matrix (Rao, Wright & Rawlings, JOTA 1998); the
-oracle factors it independently, by LAPACK's banded LU with partial pivoting.
-The matrix is kept as (row, col, value) triplets, and every check reads them.
+half-bandwidth at most 2n + m - 1 at any horizon. The Riccati sweep is a
+block factorization of this same matrix (Rao, Wright & Rawlings, JOTA 1998);
+the oracle factors it independently, by LAPACK's banded LU with partial
+pivoting. Its nonzero entries are kept as (row, col, value) triplets, and
+every check reads them.
 
 dx_0 is fixed at zero and is not an unknown. Constraint t enforces
 fx_t dx_t + fu_t du_t - dx_{t+1} = 0, so the equality multipliers returned by
@@ -65,7 +66,7 @@ def assemble_qp(exp, costates=None) -> StackedQP:
 
     Stage t fills one dense window of the matrix, over the unknowns
     (dx_t, du_t, lam_{t+1}, dx_{t+1}), which are contiguous; all T windows
-    are filled at once and their structurally nonzero entries kept.
+    are filled at once and their nonzero entries kept.
     """
     horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
     weighted = costates is not None
@@ -92,10 +93,7 @@ def assemble_qp(exp, costates=None) -> StackedQP:
         window[1:, xt, ut] = cross
         window[1:, ut, xt] = cross.transpose(0, 2, 1)
 
-    blocks = np.array([[0, weighted, 1, 0], [weighted, 1, 1, 0],
-                       [1, 1, 0, 1], [0, 0, 1, 1]], dtype=bool)
-    sizes = (n, m, n, n)
-    keep = np.tile(np.repeat(np.repeat(blocks, sizes, 0), sizes, 1), (horizon, 1, 1))
+    keep = window != 0.0
     keep[0, :n] = keep[0, :, :n] = False  # dx_0 is not an unknown
     # the window of stage t starts n before the stage's own unknowns
     first = np.arange(horizon)[:, None, None] * stride - n

@@ -12,8 +12,9 @@ minimizes the sweep's subproblem g'z + 1/2 z'Hz subject to the linearized
 dynamics Az = 0, so g'z* = -z*'Hz*: the slope is -sum_t g_t'k_t, twice
 `expected_reduction` at alpha = 1, read off the sweep. It is negative for a
 descent direction, so acceptance implies a strict cost decrease. If it is not
-(possible for the Newton and DDP sweeps), shrinking alpha cannot fix the sign
-and the search refuses to run instead of backtracking.
+(possible for the Newton and DDP sweeps), shrinking alpha cannot fix the sign:
+the search runs no trial and returns NON_DESCENT. Its statuses are those of
+`IterationRecord`: "OK", "FLOOR_HIT" or "NON_DESCENT".
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, NonDescentError
+from .errors import DivergenceError
 from .trajectory import Trajectory, _propagate, linear_rollout
 
 __all__ = [
@@ -40,7 +41,7 @@ RHO = 0.5    # backtracking factor
 class LineSearchOutcome:
     trajectory: Trajectory
     alpha: float
-    status: str  # "ACCEPTED" or "FLOOR_HIT"
+    status: str  # "OK", "FLOOR_HIT" or "NON_DESCENT"
     trial_log: tuple = field(default_factory=tuple)  # (alpha, cost, ratio) rows
     steps: int = 0  # model points stepped by the trials
 
@@ -71,14 +72,12 @@ def line_search(model, cost, nominal, sol, slope, config) -> LineSearchOutcome:
 
     `slope` is the full step's d'grad: `solve` passes the sweep's
     -sum_t g_t'k_t. `config` is the SolverConfig; its alpha_min is the
-    floor of the search. Raises NonDescentError, before any forward
-    pass, if the slope predicts no decrease. A FLOOR_HIT outcome returns the
-    nominal unchanged.
+    floor of the search. A slope that predicts no decrease, NaN included,
+    returns NON_DESCENT before any forward pass. NON_DESCENT and FLOOR_HIT
+    outcomes return the nominal unchanged, at alpha = 0.
     """
-    if slope >= 0.0:
-        raise NonDescentError(
-            f"direction predicts {slope:.3e}; refusing to backtrack")
-
+    if not slope < 0.0:
+        return LineSearchOutcome(nominal, 0.0, "NON_DESCENT")
     log = []
     steps = 0
     alpha = 1.0
@@ -94,6 +93,6 @@ def line_search(model, cost, nominal, sol, slope, config) -> LineSearchOutcome:
         ratio = (candidate.cost - nominal.cost) / (alpha * slope)
         log.append((alpha, candidate.cost, ratio))
         if ratio > SIGMA:
-            return LineSearchOutcome(candidate, alpha, "ACCEPTED", tuple(log), steps)
+            return LineSearchOutcome(candidate, alpha, "OK", tuple(log), steps)
         alpha *= RHO
     return LineSearchOutcome(nominal, 0.0, "FLOOR_HIT", tuple(log), steps)

@@ -311,9 +311,10 @@ class QuadraticCost:
 
     Purely quadratic with no state-control coupling, so the total cost of any
     trajectory is bounded below by zero: the physically attainable minimum.
-    The control weight R must be symmetric positive definite so control
-    updates are always well posed, and the state Hessians Q and Q_terminal
-    positive semidefinite; the constructor rejects anything else.
+    The weights and the goal must be finite, the control weight R symmetric
+    positive definite so control updates are always well posed, and the state
+    Hessians Q and Q_terminal positive semidefinite; the constructor rejects
+    anything else.
     """
 
     def __init__(self, q, r, q_terminal, goal):
@@ -326,6 +327,8 @@ class QuadraticCost:
             raise DimensionError("Q and Q_terminal must be (n, n)")
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionError("R must be square")
+        if not all(np.isfinite(a).all() for a in (q, r, qt, goal)):
+            raise ValueError("Q, R, Q_terminal and goal must be finite")
         for name, mat in (("Q", q), ("R", r), ("Q_terminal", qt)):
             if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
@@ -440,6 +443,8 @@ def make_benchmark(system, **overrides):
         raise DimensionError("q_diag length must match the state dimension")
     if x0.shape != (model.state_dim,) or goal.shape != (model.state_dim,):
         raise DimensionError("x0 and goal length must match the state dimension")
+    if not all(np.isfinite(v).all() for v in (q_diag, r_scale, qt_scale, x0, goal)):
+        raise ValueError("q_diag, r_scale, qt_scale, x0 and goal must be finite")
 
     q = np.diag(q_diag)
     r = r_scale * np.eye(model.control_dim)

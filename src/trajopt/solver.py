@@ -15,7 +15,9 @@ the last one whose method is "ddp", gives the switch's iteration and cause.
 
 Each iteration tests the adjoint gradient before it forms a subproblem: an
 iteration whose gradient has converged runs no sweep (and so no Newton seed),
-records no prediction and stops the solve.
+records no prediction and stops the solve. Otherwise it takes its step, alpha
+and status straight from the line search's outcome. Only an iLQR NON_DESCENT
+raises, as NonDescentError: the cost-only sweep provably descends.
 
 One flat SolverConfig holds every setting of the loop, the line search's
 alpha_min included; its SIGMA and RHO are constants of linesearch.py.
@@ -170,8 +172,8 @@ def solve(model, cost, x0, init_controls, config):
 
         # A converged gradient forms no sweep and takes no step; otherwise the
         # line search accepts one or ends the iteration in NON_DESCENT or
-        # FLOOR_HIT.
-        status, accepted, dj_pred, min_quu = "OK", None, None, None
+        # FLOOR_HIT, at alpha = 0 on the unchanged nominal.
+        status, step, alpha, dj_pred, min_quu = "OK", traj, 0.0, None, None
         if grad_norm > config.grad_tol:
             sol = backward_for(active, exp, lam_bar)
             if active == "newton":
@@ -180,24 +182,17 @@ def solve(model, cost, x0, init_controls, config):
                 first_sweep = sol
             dj_pred = expected_reduction(sol, exp, 1.0)
             min_quu = float(quu_spectrum(sol).min())
-            try:
-                # the full step's slope -sum_t g_t'k_t is twice dj_pred
-                outcome = line_search(model, cost, traj, sol, 2.0 * dj_pred, config)
-            except NonDescentError:
-                if active == "ilqr":
-                    # The cost-only sweep provably yields a descent direction;
-                    # reaching this line means a bug, not a method failure.
-                    raise
-                status = "NON_DESCENT"
-            else:
+            # the full step's slope -sum_t g_t'k_t is twice dj_pred
+            outcome = line_search(model, cost, traj, sol, 2.0 * dj_pred, config)
+            step, alpha, status = outcome.trajectory, outcome.alpha, outcome.status
+            if status == "NON_DESCENT" and active == "ilqr":
+                # The cost-only sweep provably yields a descent direction;
+                # reaching this line means a bug, not a method failure.
+                raise NonDescentError(f"iLQR direction predicts {dj_pred:.3e}")
+            if outcome.trial_log:  # a NON_DESCENT search runs no trial
                 trial_logs.append((index, outcome.trial_log))
-                model_steps += outcome.steps
-                if outcome.status == "ACCEPTED":
-                    accepted = outcome
-                else:
-                    status = "FLOOR_HIT"
+            model_steps += outcome.steps
 
-        step, alpha = (accepted.trajectory, accepted.alpha) if accepted else (traj, 0.0)
         record = IterationRecord(
             index, traj.cost, dj_pred, step.cost - traj.cost, alpha, min_quu,
             grad_norm, active, status)
@@ -210,7 +205,7 @@ def solve(model, cost, x0, init_controls, config):
             reason = status.lower()
             break
 
-        if accepted:
+        if alpha > 0:
             if active == "newton":
                 lam_bar = multipliers_from(sol, step.states - traj.states)
             traj = step

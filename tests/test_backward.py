@@ -294,6 +294,20 @@ def test_ilqr_quu_guard_fires_at_the_last_stage(fu, ct_xx):
     assert excinfo.value.timestep == 1
 
 
+def test_ilqr_quu_guard_tolerates_rounding_and_no_more():
+    # C_xx pulls Quu_1 = R + fu' C_xx fu below min eig R = 1: 1e-11 is within
+    # the rounding slack PSD_SLACK = 1e-10, and 1e-9 is not
+    def expansion(ct_xx):
+        return _tiny_expansion(fx=[[[1.0]], [[1.0]]], fu=[[[1.0]], [[1.0]]], r=[[1.0]],
+                               ru=[[0.5], [0.5]], ct_x=[1.0], ct_xx=[[ct_xx]])
+
+    assert backward_ilqr(expansion(-1e-11)).quu[1, 0, 0] == 1.0 - 1e-11
+    with pytest.raises(BackwardPassError,
+                       match="control curvature lost definiteness") as excinfo:
+        backward_ilqr(expansion(-1e-9))
+    assert excinfo.value.timestep == 1
+
+
 @pytest.mark.parametrize("lxx_2", [-10.0, -1.5], ids=["indefinite", "singular"])
 def test_ilqr_value_guard_raises_before_a_later_quu_failure(lxx_2):
     # lxx[2] = -10 makes V_2 = -9.5, and with it Quu_1 = R + V_2 < R; -1.5

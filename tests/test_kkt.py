@@ -2,6 +2,7 @@
 equivalence."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.linalg
 from trajopt import (KktError, backward_ddp, backward_for, backward_ilqr,
                      backward_newton, cost_gradient_adjoint, expand_along,
                      make_benchmark, rollout, verify_equivalence)
+from trajopt import kkt
 from trajopt.artifacts import write_verification_json
 from trajopt.kkt import RESIDUAL_SCALE, StackedQP, assemble_qp, solve_kkt, split_primal
 from trajopt.models import random_linear
@@ -240,6 +242,24 @@ def test_verify_equivalence_localizes_injected_fault():
     assert not report.passed
     assert report.max_rel_err > 1e-4
     assert report.worst_timestep >= 4  # corruption propagates from stage 4 on
+
+
+@pytest.mark.parametrize(("scale", "sign", "message"), [
+    (2.0, 1.0, "descent certificate identity violated"),
+    (-1.0, -1.0, "stacked QP step failed to be a descent direction"),
+], ids=["identity", "ascent"])
+def test_the_descent_certificate_rejects_a_bad_oracle_step(monkeypatch, scale, sign, message):
+    # iLQR's oracle step dz has g'dz = -dz'H dz < 0. Doubled, it breaks that
+    # identity; negated, with dz'H dz read negated too, it keeps the identity
+    # and ascends
+    model, cost, x0, _ = make_benchmark("pendulum")
+    exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=6))
+    ksol = solve_kkt(assemble_qp(exp))
+    matvec = kkt._matvec
+    monkeypatch.setattr(kkt, "solve_kkt", lambda qp: replace(ksol, dz=scale * ksol.dz))
+    monkeypatch.setattr(kkt, "_matvec", lambda qp, x: sign * matvec(qp, x))
+    with pytest.raises(KktError, match=message):
+        verify_equivalence(backward_ilqr(exp), exp, tol=1e-8)
 
 
 def test_solve_kkt_rejects_singular_systems():

@@ -23,7 +23,10 @@ per-stage loop (the sweep, `_propagate`, `linear_rollout` and
 `cost_gradient_adjoint`) uses `@`, directly or through a function of its
 module: each product is an `np.dot`.
 The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
-arithmetic and no loop over stages, and `import trajopt` leaves `scipy.sparse`
+arithmetic and no loop over stages, and keeps the nonzeros it assembled: it
+builds no block mask by `np.tile` or `np.repeat`. `solver.solve` holds no
+`try`: a line search returns each finding as an outcome, and only
+`solver.py` raises `NonDescentError`. `import trajopt` leaves `scipy.sparse`
 unloaded, so the library's import time and memory do not carry it. The
 benchmark problem schema is written once, in `models.py`: no other module
 names its cost keys. No module reads the environment, so the configuration a
@@ -323,15 +326,19 @@ def test_the_matmul_check_sees_direct_and_indirect_products():
     assert _in_loops(ast.parse(source), "f", _matmul) == ["f:@", "helper:@", "f:@"]
 
 
+def _function(tree, name):
+    """The module-level function `name` of `tree`."""
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def _loops(tree, function):
     """The loops of the module-level `function`, comprehensions included,
     as "kind:line"."""
     kinds = (ast.For, ast.AsyncFor, ast.While, ast.comprehension)
-    fn = next(node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == function)
     # a comprehension carries no line of its own; its target does
     return [f"{type(node).__name__}:{getattr(node, 'lineno', None) or node.target.lineno}"
-            for node in ast.walk(fn) if isinstance(node, kinds)]
+            for node in ast.walk(_function(tree, function)) if isinstance(node, kinds)]
 
 
 def test_the_oracle_assembly_has_no_loop():
@@ -346,6 +353,82 @@ def test_the_loop_finder_sees_each_kind_of_loop():
     tree = ast.parse(source)
     assert _loops(tree, "f") == ["For:2", "While:4", "comprehension:5"]
     assert _loops(tree, "g") == []
+
+
+def _numpy_calls(tree, function, names):
+    """The name of each `np.<name>` call in the module-level `function`, for
+    the members of `names`."""
+    found = []
+    for node in ast.walk(_function(tree, function)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (isinstance(func, ast.Attribute) and func.attr in names
+                and getattr(func.value, "id", None) in ("np", "numpy")):
+            found.append(func.attr)
+    return found
+
+
+def test_the_oracle_keeps_the_nonzeros_it_assembled():
+    # the entries kept are those the assignments wrote, not a second,
+    # hand-written statement of the window's block pattern
+    path = PACKAGE / "kkt.py"
+    assert _numpy_calls(ast.parse(path.read_text(), str(path)), "assemble_qp",
+                        ("tile", "repeat")) == []
+
+
+def test_the_numpy_call_finder_sees_each_spelling():
+    source = ("def f(blocks, n):\n    keep = np.tile(np.repeat(blocks, n, 0), 2)\n"
+              "    numpy.repeat(keep, 2)\n    keep.repeat(2)\n    tile(keep)\n"
+              "def g(blocks):\n    return np.tile(blocks, 2)\n")
+    assert sorted(_numpy_calls(ast.parse(source), "f", ("tile", "repeat"))) == [
+        "repeat", "repeat", "tile"]
+
+
+def _tries(tree, function):
+    """The line of each `try` statement in the module-level `function`."""
+    kinds = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    return sorted(node.lineno for node in ast.walk(_function(tree, function))
+                  if isinstance(node, kinds))
+
+
+def test_the_solver_loop_has_no_exception_path():
+    # a line search returns each finding, NON_DESCENT included, as an outcome
+    path = PACKAGE / "solver.py"
+    assert _tries(ast.parse(path.read_text(), str(path)), "solve") == []
+
+
+def test_the_try_finder_sees_nested_statements():
+    source = ("def f(xs):\n    for x in xs:\n        try:\n            g(x)\n"
+              "        except ValueError:\n            pass\n"
+              "    try:\n        pass\n    finally:\n        pass\n"
+              "def g(x):\n    try:\n        pass\n    finally:\n        pass\n")
+    assert _tries(ast.parse(source), "f") == [3, 7]
+
+
+def _raises(tree, name):
+    """The line of each `raise` of the exception class `name`, called or not,
+    bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) == name or getattr(exc, "attr", None) == name:
+                yield node.lineno
+
+
+def test_only_the_solver_raises_non_descent():
+    # a line search reports a non-descent direction as an outcome; only an
+    # iLQR sweep's, which its theory rules out, is raised, by `solve`
+    found = {path.name: list(_raises(ast.parse(path.read_text(), str(path)),
+                                     "NonDescentError"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert [name for name, lines in found.items() if lines] == ["solver.py"]
+
+
+def test_the_raise_finder_sees_each_spelling():
+    source = ("raise NonDescentError('x')\nraise NonDescentError\n"
+              "raise errors.NonDescentError('x')\nraise ValueError('NonDescentError')\n"
+              "try:\n    pass\nexcept NonDescentError:\n    raise\n"
+              "err = NonDescentError('x')\n")
+    assert sorted(_raises(ast.parse(source), "NonDescentError")) == [1, 2, 3]
 
 
 def test_importing_the_package_does_not_load_scipy_sparse():

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from trajopt import (BackwardSolution, DivergenceError, LinearModel,
-                     NonDescentError, QuadraticCost, SolverConfig,
+                     QuadraticCost, SolverConfig,
                      backward_ilqr, cost_gradient_adjoint,
                      directional_derivative, expand_along, forward_pass,
                      line_search, make_benchmark, rollout)
+from trajopt import linesearch
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
+from trajopt.linesearch import SIGMA
 from trajopt.models import SystemModel
 
 from conftest import random_nominal
@@ -80,7 +82,7 @@ def _first_trial(j_old, j_new, slope):
 def test_accept_perfectly_linear_decrease():
     outcome, ratio = _first_trial(j_old=10.0, j_new=9.0, slope=-1.0)
     assert ratio == pytest.approx(1.0, rel=1e-12)
-    assert outcome.status == "ACCEPTED"
+    assert outcome.status == "OK"
     assert outcome.alpha == 1.0
     assert len(outcome.trial_log) == 1
 
@@ -98,13 +100,28 @@ def test_accept_hand_ratio_case():
     assert outcome.alpha != 1.0
 
 
+def test_accept_rejects_a_ratio_of_exactly_sigma():
+    # realized -0.75 against predicted -7.5 at alpha 1: the ratio rounds to
+    # SIGMA itself, and acceptance needs strictly more
+    outcome, ratio = _first_trial(j_old=1.0, j_new=0.25, slope=-7.5)
+    assert ratio == SIGMA
+    assert outcome.alpha == 0.5
+
+
+def _assert_refused(outcome, nominal):
+    """A NON_DESCENT outcome: the nominal at alpha = 0, with no trial run."""
+    assert (outcome.status, outcome.alpha) == ("NON_DESCENT", 0.0)
+    assert outcome.trajectory is nominal
+    assert (outcome.trial_log, outcome.steps) == ((), 0)
+
+
 def test_accept_raises_on_nondescent_prediction():
     model, cost, nominal, sol = _one_step(j_old=1.0, j_new=0.5)
     forward_steps = []
     model._step = lambda x, u: forward_steps.append((x, u))  # every point ends here
     for slope in (0.0, 1.0):
-        with pytest.raises(NonDescentError):
-            line_search(model, cost, nominal, sol, slope, SolverConfig())
+        _assert_refused(line_search(model, cost, nominal, sol, slope, SolverConfig()),
+                        nominal)
     assert forward_steps == []  # refused before any forward pass
     # no configuration lets the ratio test divide by a zero step
     with pytest.raises(ValueError):
@@ -152,7 +169,7 @@ def test_line_search_backtracks_twice_on_stiff_curvature():
     outcome = line_search(model, cost, nominal, sol,
                           directional_derivative(exp, sol, grad),
                           SolverConfig())
-    assert outcome.status == "ACCEPTED"
+    assert outcome.status == "OK"
     assert outcome.alpha == pytest.approx(0.25)
     assert len(outcome.trial_log) == 3
     alphas = [row[0] for row in outcome.trial_log]
@@ -183,7 +200,7 @@ def test_line_search_logs_a_diverged_trial_and_backtracks():
     assert j_candidate == math.inf
     assert math.isnan(ratio)
     assert all(math.isfinite(row[1]) for row in outcome.trial_log[1:])
-    assert outcome.status == "ACCEPTED"
+    assert outcome.status == "OK"
     assert 0.0 < outcome.alpha < 1.0
     assert outcome.alpha == outcome.trial_log[-1][0]
     assert outcome.alpha == 0.5 ** (len(outcome.trial_log) - 1)  # one trial per halving
@@ -231,7 +248,7 @@ def test_line_search_accepts_full_step_on_quadratic(lqr_instance):
     outcome = line_search(model, cost, nominal, sol,
                           directional_derivative(exp, sol, grad),
                           SolverConfig())
-    assert outcome.status == "ACCEPTED"
+    assert outcome.status == "OK"
     assert outcome.alpha == 1.0
     assert len(outcome.trial_log) == 1
     assert outcome.steps == horizon
@@ -241,9 +258,9 @@ def test_line_search_raises_on_nondescent_direction():
     model, cost, nominal, exp, _ = _stiff_setup()
     sol = _gains([[-1.0]], [[0.0]], 1, 1, 1)  # points uphill
     grad = cost_gradient_adjoint(exp)
-    with pytest.raises(NonDescentError):
-        line_search(model, cost, nominal, sol,
-                    directional_derivative(exp, sol, grad), SolverConfig())
+    _assert_refused(line_search(model, cost, nominal, sol,
+                                directional_derivative(exp, sol, grad), SolverConfig()),
+                    nominal)
 
 
 def test_line_search_floor_hit_returns_nominal_unchanged():
@@ -262,6 +279,30 @@ def test_line_search_floor_hit_returns_nominal_unchanged():
     assert [row[0] for row in outcome.trial_log] == [0.5 ** j for j in range(27)]
 
 
+def test_line_search_tries_the_floor_itself():
+    # alpha_min = 0.25 is a power of RHO = 0.5, so the last trial sits on it
+    model, cost, nominal, exp, _ = _stiff_setup()
+    sol = _gains([[-1.0]], [[0.0]], 1, 1, 1)
+    outcome = line_search(model, cost, nominal, sol,
+                          directional_derivative(exp, sol, np.array([[-1.0]])),
+                          SolverConfig(alpha_min=0.25))
+    assert outcome.status == "FLOOR_HIT"
+    assert [row[0] for row in outcome.trial_log] == [1.0, 0.5, 0.25]
+
+
+def test_line_search_refuses_a_nan_slope_before_any_forward_pass(monkeypatch):
+    # NaN compares false both ways: only `not slope < 0` refuses it, where
+    # `slope >= 0` would backtrack to the floor on 27 trials
+    model, cost, x0, _ = make_benchmark("pendulum")
+    nominal = random_nominal(model, cost, x0, 20, seed=0)
+    sol = backward_ilqr(expand_along(model, cost, nominal))
+    calls = []
+    monkeypatch.setattr(linesearch, "forward_pass", lambda *args: calls.append(args))
+    _assert_refused(line_search(model, cost, nominal, sol, math.nan, SolverConfig()),
+                    nominal)
+    assert calls == []
+
+
 def test_accepted_outcomes_strictly_decrease_cost():
     model, cost, x0, _ = make_benchmark("pendulum")
     for seed in range(10):
@@ -272,7 +313,7 @@ def test_accepted_outcomes_strictly_decrease_cost():
         outcome = line_search(model, cost, nominal, sol,
                               directional_derivative(exp, sol, grad),
                               SolverConfig())
-        assert outcome.status == "ACCEPTED"
+        assert outcome.status == "OK"
         assert outcome.trajectory.cost < nominal.cost
 
 

@@ -374,10 +374,32 @@ _SKEW = np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])
      "tol must be positive"),
     (lambda: check_derivatives(*make_benchmark("pendulum")[:2], tol=float("nan")),
      ValueError, "tol must be positive"),
+    # non-finite weights and goals, each refused before any arithmetic: inf
+    # times the zeros of a diagonal weight would warn first
+    (lambda: QuadraticCost(np.diag([np.inf, 1.0]), np.eye(1), np.eye(2), np.zeros(2)),
+     ValueError, "Q, R, Q_terminal and goal must be finite"),
+    (lambda: QuadraticCost(np.eye(2), [[np.nan]], np.eye(2), np.zeros(2)),
+     ValueError, "Q, R, Q_terminal and goal must be finite"),
+    (lambda: QuadraticCost(np.eye(2), np.eye(1), np.diag([1.0, np.inf]), np.zeros(2)),
+     ValueError, "Q, R, Q_terminal and goal must be finite"),
+    (lambda: QuadraticCost(np.eye(2), np.eye(1), np.eye(2), [np.nan, 0.0]),
+     ValueError, "Q, R, Q_terminal and goal must be finite"),
+    (lambda: make_benchmark("pendulum", r_scale=np.inf), ValueError,
+     "q_diag, r_scale, qt_scale, x0 and goal must be finite"),
+    (lambda: make_benchmark("pendulum", q_diag=(np.inf, 1.0)), ValueError,
+     "q_diag, r_scale, qt_scale, x0 and goal must be finite"),
+    (lambda: make_benchmark("cartpole", qt_scale=np.inf), ValueError,
+     "q_diag, r_scale, qt_scale, x0 and goal must be finite"),
+    (lambda: make_benchmark("cartpole", x0=(0.0, np.nan, 0.0, 0.0)), ValueError,
+     "q_diag, r_scale, qt_scale, x0 and goal must be finite"),
+    (lambda: make_benchmark("pendulum", goal=(np.nan, 0.0)), ValueError,
+     "q_diag, r_scale, qt_scale, x0 and goal must be finite"),
 ], ids=["pendulum-dt", "cartpole-dt", "pendulum-dt-nan", "cartpole-dt-inf", "a-not-square",
         "b-rows", "b-1d", "q-shape", "qt-shape", "r-not-square", "r-skew", "q-skew",
         "qt-skew", "horizon-0", "benchmark-dt", "benchmark-dt-nan", "benchmark-dt-inf",
-        "unknown-system", "unknown-key", "tol-0", "tol-nan"])
+        "unknown-system", "unknown-key", "tol-0", "tol-nan", "q-inf", "r-nan", "qt-inf",
+        "goal-nan", "benchmark-r-inf", "benchmark-q-inf", "benchmark-qt-inf",
+        "benchmark-x0-nan", "benchmark-goal-nan"])
 def test_models_reject_bad_arguments(build, error, message):
     with pytest.raises(error, match=message):
         build()

@@ -117,6 +117,7 @@ def test_converged_predicate_thresholds():
     assert converged(record(1e-4, -1.0), config) == "gradient"  # closed threshold
     assert not converged(record(2e-4, -1.0), config)
     assert converged(record(1.0, 1e-10), config) == "step"
+    assert converged(record(1.0, -1e-9), config) == "step"  # closed threshold
     assert not converged(record(1.0, -1.0, status="NON_DESCENT"), config)
 
 
@@ -277,7 +278,7 @@ def test_hybrid_switches_to_ilqr_after_a_ddp_failure(cause, config, at):
 
 def test_a_sweep_predicting_an_increase_is_an_ilqr_bug_and_a_ddp_failure(monkeypatch):
     # The line search refuses a direction that predicts no decrease. iLQR's
-    # sweep provably descends, so there the refusal is a bug and propagates;
+    # sweep provably descends, so there the refusal is a bug and `solve` raises;
     # DDP's can fail far from an optimum, so there it ends the solve.
     monkeypatch.setattr("trajopt.solver.expected_reduction", lambda sol, exp, alpha: 1.0)
     model, cost, x0, horizon = make_benchmark("pendulum")

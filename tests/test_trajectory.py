@@ -60,6 +60,18 @@ def test_rollout_divergence_names_timestep():
     assert excinfo.value.timestep == 17
 
 
+def test_rollout_divergence_guard_is_a_closed_bound():
+    # x' = u: a state of exactly STATE_MAGNITUDE_LIMIT = 1e8 is kept, and the
+    # next float above it diverges
+    model = LinearModel(np.zeros((1, 1)), np.eye(1))
+    cost = QuadraticCost(np.eye(1), np.eye(1), np.eye(1), np.zeros(1))
+    traj = rollout(model, cost, [0.0], [[1e8], [-1e8]])
+    assert traj.states[1:, 0].tolist() == [1e8, -1e8]
+    with pytest.raises(DivergenceError) as excinfo:
+        rollout(model, cost, [0.0], [[1e8], [np.nextafter(-1e8, -np.inf)]])
+    assert excinfo.value.timestep == 2
+
+
 def test_rollout_divergence_catches_a_nan_behind_a_finite_component():
     model = LinearModel(np.eye(2), np.eye(2)[:, :1])
     model._step = lambda x, u: np.array([x[0] + 1.0, np.nan if x[0] >= 2.0 else x[1]])
