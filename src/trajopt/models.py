@@ -93,13 +93,15 @@ class SystemModel:
         return self._derivatives(x, u)
 
     @staticmethod
-    def _timestep(dt) -> float:
-        """The Euler step length as a float, checked finite and positive."""
-        if not np.isfinite(dt):
-            raise ValueError(f"timestep must be finite, got {dt}")
-        if dt <= 0:
+    def _parameters(**values):
+        """The named parameters as float arrays, each finite; a `timestep` also positive."""
+        arrays = {name: np.asarray(value, dtype=float) for name, value in values.items()}
+        for name, value in arrays.items():
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
+        if arrays.get("timestep", 1.0) <= 0:
             raise ValueError("timestep must be positive")
-        return float(dt)
+        return arrays.values()
 
     def _step(self, x, u):
         raise NotImplementedError
@@ -122,11 +124,9 @@ class PendulumModel(SystemModel):
     control_dim = 1
 
     def __init__(self, mass=1.0, length=1.0, gravity=9.81, damping=0.1, dt=0.05):
-        self.dt = self._timestep(dt)
-        self.mass = float(mass)
-        self.length = float(length)
-        self.gravity = float(gravity)
-        self.damping = float(damping)
+        self.dt, self.mass, self.length, self.gravity, self.damping = map(
+            float, self._parameters(timestep=dt, mass=mass, length=length,
+                                    gravity=gravity, damping=damping))
         self.state_low = np.array([-2 * np.pi, -8.0])
         self.state_high = np.array([2 * np.pi, 8.0])
         self.control_low = np.array([-5.0])
@@ -176,11 +176,9 @@ class CartPoleModel(SystemModel):
 
     def __init__(self, cart_mass=1.0, pole_mass=0.1, pole_com=0.5,
                  gravity=9.81, dt=0.02):
-        self.dt = self._timestep(dt)
-        self.cart_mass = float(cart_mass)
-        self.pole_mass = float(pole_mass)
-        self.pole_com = float(pole_com)
-        self.gravity = float(gravity)
+        self.dt, self.cart_mass, self.pole_mass, self.pole_com, self.gravity = map(
+            float, self._parameters(timestep=dt, cart_mass=cart_mass, pole_mass=pole_mass,
+                                    pole_com=pole_com, gravity=gravity))
         self.state_low = np.array([-2.0, -3.0, -2 * np.pi, -6.0])
         self.state_high = np.array([2.0, 3.0, 2 * np.pi, 6.0])
         self.control_low = np.array([-10.0])
@@ -277,14 +275,14 @@ class LinearModel(SystemModel):
     """Exactly linear dynamics x' = A x + B u, used for golden-case tests."""
 
     def __init__(self, a, b):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        a, b = self._parameters(A=a, B=b)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError("A must be square")
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise DimensionError("B must be (n, m)")
         self.a = a
         self.b = b
+        self._rows = np.hstack([a, b]).tolist()  # the rows of [A | B], for _step
         self.state_dim = a.shape[0]
         self.control_dim = b.shape[1]
         self.state_low = -np.ones(self.state_dim)
@@ -293,7 +291,14 @@ class LinearModel(SystemModel):
         self.control_high = np.ones(self.control_dim)
 
     def _step(self, x, u):
-        return (np.dot(self.a, x) + np.dot(self.b, u)).tolist()
+        # row i of [A | B] times (x, u), summed left to right as `_feedback` sums
+        xu, out = x + u, []
+        for row in self._rows:
+            acc = 0.0
+            for c, v in zip(row, xu):
+                acc += c * v
+            out.append(acc)
+        return out
 
     def _derivatives(self, x, u):
         batch, n, m = x.shape[:-1], self.state_dim, self.control_dim

@@ -66,43 +66,48 @@ def rollout(model, cost, x0, controls) -> Trajectory:
     return _propagate(model, cost, x0, u_seq)
 
 
+def _feedback(ubar, gain, x, xbar):
+    """ubar - gain (x - xbar) on lists of floats, each row summed left to right."""
+    u = []
+    for u_i, row in zip(ubar, gain):
+        acc = 0.0
+        for k, a, b in zip(row, x, xbar):
+            acc += k * (a - b)
+        u.append(u_i - acc)
+    return u
+
+
 def _propagate(model, cost, x0, controls, feedback=None) -> Trajectory:
     """Step x0 through the dynamics and price the result: the one nonlinear
     propagation behind `rollout` and the line search's forward pass.
 
-    Without `feedback`, `controls` is applied as given. With feedback
-    (K, xbar), `controls` holds the feedforward and control t becomes
-    controls[t] - K_t (x_t - xbar_t). Inputs are validated once per pass: the
-    public `step` checks x0 and u_0 (shapes, finite) before the loop, the
-    other controls are checked finite in one call, and the loop steps lists
-    of floats through the unchecked `_step`; a bad input raises
-    DimensionError. The first state x_t that is non-finite or beyond
-    STATE_MAGNITUDE_LIMIT raises DivergenceError(t), so a feedback control
-    that overflows to +-inf at t >= 1 raises at t + 1.
+    With feedback (K, xbar), control t is controls[t] - K_t (x_t - xbar_t)
+    (`_feedback`). `step` checks x0 and u_0, one call the other controls (a
+    bad input raises DimensionError); the inputs are split into lists once,
+    and the loop steps floats through `_step` with no numpy call. The first
+    x_t non-finite or beyond STATE_MAGNITUDE_LIMIT raises DivergenceError(t),
+    so a feedback control that overflows to +-inf at t >= 1 raises at t + 1.
     """
     horizon = controls.shape[0]
     if not np.isfinite(controls[1:]).all():
         raise DimensionError("non-finite control input")
-    gains, xbar = (None, None) if feedback is None else map(list, feedback)
-    rows = controls.tolist() if gains is None else list(controls)  # split once
-    step, dot = model._step, np.dot
-    with np.errstate(over="ignore", invalid="ignore"):  # the guard raises instead
-        u = rows[0] if gains is None else (rows[0] - dot(gains[0], x0 - xbar[0])).tolist()
-        x = model.step(x0, u).tolist()
-        states, applied = [x0.tolist(), x], [u]
-        for t in range(1, horizon + 1):
-            for c in x:
-                if not abs(c) <= STATE_MAGNITUDE_LIMIT:  # NaN fails too
-                    raise DivergenceError(t)
-            if t == horizon:
-                break
-            u = rows[t] if gains is None else (rows[t] - dot(gains[t], x - xbar[t])).tolist()
-            x = step(x, u)
-            states.append(x)
-            applied.append(u)
-    states = np.array(states)
-    if gains is not None:
-        controls = np.array(applied)
+    rows, step, start = controls.tolist(), model._step, x0.tolist()
+    gains, xbar = (None, None) if feedback is None else (a.tolist() for a in feedback)
+    u = rows[0] if gains is None else _feedback(rows[0], gains[0], start, xbar[0])
+    x = model.step(x0, u).tolist()
+    states, applied = start + x, list(u)  # flat lists, shaped after the loop
+    for t in range(1, horizon + 1):
+        for c in x:
+            if not abs(c) <= STATE_MAGNITUDE_LIMIT:  # NaN fails too
+                raise DivergenceError(t)
+        if t == horizon:
+            break
+        u = rows[t] if gains is None else _feedback(rows[t], gains[t], x, xbar[t])
+        x = step(x, u)
+        states.extend(x)  # not +=, which adds elementwise if _step returns an array
+        applied.extend(u)
+    states = np.array(states).reshape(horizon + 1, -1)
+    controls = controls if gains is None else np.array(applied).reshape(controls.shape)
     return Trajectory(states, controls, total_cost(cost, states, controls))
 
 

@@ -18,7 +18,9 @@ call: a rollout checks its inputs before the loop (its first point through
 the public `step`) and steps every later point through the unchecked
 `_step`. Nor does that loop make an `np.array`, `np.zeros`, `np.empty` or
 `np.asarray` call or assign into a subscript: it carries each state and
-control as Python values, and the arrays are stacked once after it. No
+control as Python values, and the arrays are stacked once after it. It uses
+no numpy at all, by an `np.` attribute or by a name bound to one (`dot =
+np.dot`, `from numpy import dot`): the feedback sums in Python floats. No
 per-stage loop (the sweep, `_propagate`, `linear_rollout` and
 `cost_gradient_adjoint`) uses `@`, directly or through a function of its
 module: each product is an `np.dot`.
@@ -288,6 +290,65 @@ def test_the_array_check_sees_each_build_and_store():
               "        np.zeros_like(x)\n")
     assert _in_loops(ast.parse(source), "f", _array_store) == [
         "f:array", "f:empty", "f:asarray", "f:[]=", "grow:[]=", "f:[]="]
+
+
+def _numpy_names(tree):
+    """Names bound in `tree` to a numpy attribute: by `dot = np.dot`, by one
+    place of a tuple assignment such as `step, dot = m._step, np.dot`, or by
+    `from numpy import dot`."""
+    def of_numpy(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return getattr(node, "id", None) in ("np", "numpy")
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                names.update(name.id for name, value in pairs
+                             if isinstance(name, ast.Name) and isinstance(value, ast.Attribute)
+                             and of_numpy(value))
+    return names
+
+
+def _numpy_use(aliases):
+    """A finding for `_in_loops`: "np.<attr>" for an attribute of numpy, or
+    the name read, for a member of `aliases`."""
+    def finding(node):
+        if (isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) in ("np", "numpy")):
+            return f"{node.value.id}.{node.attr}"
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in aliases:
+            return node.id
+        return None
+    return finding
+
+
+def test_the_propagation_loop_calls_no_numpy():
+    # the feedback and the steps run on Python floats; numpy checks the
+    # inputs before the loop and stacks the states and controls after it
+    path = PACKAGE / "trajectory.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert _in_loops(tree, "_propagate", _numpy_use(_numpy_names(tree))) == []
+
+
+def test_the_numpy_finder_sees_each_spelling():
+    source = ("from numpy import sqrt as root\n"
+              "def helper(x):\n    return numpy.abs(x)\n"
+              "def f(xs, m):\n    dot = np.dot\n    step, add = m._step, np.linalg.norm\n"
+              "    total, mul = np.sum(xs), m.mul\n"
+              "    for x in xs:\n        np.dot(x, x)\n        dot(x, x)\n        add(x)\n"
+              "        root(x)\n        helper(x)\n        mul(x, x)\n        x.dot(x)\n"
+              "        step(x, x)\n        dot = x\n")
+    tree = ast.parse(source)
+    assert _numpy_names(tree) == {"root", "dot", "add"}
+    assert sorted(_in_loops(tree, "f", _numpy_use(_numpy_names(tree)))) == [
+        "f:add", "f:dot", "f:np.dot", "f:root", "helper:numpy.abs"]
 
 
 def test_the_loop_check_sees_direct_and_indirect_linalg_calls():

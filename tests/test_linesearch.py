@@ -226,6 +226,21 @@ def test_forward_pass_turns_an_overflowing_control_into_divergence():
     assert excinfo.value.timestep == 2
 
 
+def test_forward_pass_turns_an_overflowing_sum_into_divergence_at_m2():
+    # x' = x + u with n = m = 2 from x = 0: at alpha = 1, x_1 = (1, 1), and
+    # each row of K_1 = 1e308 sums two finite products 1e308 to inf, so u_1
+    # overflows only through the accumulation; x_2 fails the guard
+    model = LinearModel(np.eye(2), np.eye(2))
+    cost = QuadraticCost(np.eye(2), np.eye(2), np.eye(2), np.zeros(2))
+    nominal = rollout(model, cost, np.zeros(2), np.zeros((2, 2)))
+    sol = _gains(-np.ones((2, 2)), np.full((2, 2, 2), 1e308), 2, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as excinfo:
+            forward_pass(model, cost, nominal, sol, 1.0)
+    assert excinfo.value.timestep == 2
+
+
 def test_line_search_logs_an_overflowing_control_as_a_diverged_trial():
     # at alpha = 0.5, u_1 = -1e308 stays finite and x_2 fails the guard
     model, cost, nominal, sol = _overflowing_feedback()

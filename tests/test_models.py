@@ -35,13 +35,26 @@ def test_pendulum_jacobian_entry_at_origin():
     assert fx[1, 0] == pytest.approx(-0.4905, abs=1e-12)
 
 
+def _row_sums(a, b, x, u):
+    """A x + B u as `LinearModel._step` rounds it: row i of [A | B] times
+    (x, u), each product added left to right to 0.0, with no fused
+    multiply-add (BLAS's `A @ x` may fuse or reorder)."""
+    xu = np.concatenate([x, u])
+    nxt = np.zeros(len(x))
+    for i, row in enumerate(np.hstack([a, b])):
+        for c, v in zip(row, xu):
+            nxt[i] += c * v
+    return nxt
+
+
 def test_linear_model_derivatives_are_the_matrices():
     a = np.array([[0.9, 0.2], [0.0, 1.1]])
     b = np.array([[0.5], [1.0]])
     model = LinearModel(a, b)
     x = np.array([0.3, -0.7])
     u = np.array([0.2])
-    assert np.array_equal(model.step(x, u), a @ x + b @ u)
+    assert np.array_equal(model.step(x, u), _row_sums(a, b, x, u))
+    assert np.allclose(model.step(x, u), a @ x + b @ u, rtol=0.0, atol=1e-15)
     fx, fu, fxx, fxu = model.derivatives(x, u)
     assert np.array_equal(fx, a)
     assert np.array_equal(fu, b)
@@ -50,17 +63,20 @@ def test_linear_model_derivatives_are_the_matrices():
 
 
 def test_linear_model_rollout_equals_the_matrix_products():
-    # `_step` calls np.dot; the states round as A @ x + B @ u does, point by point
+    # `_step` sums in Python floats; the states round as the row sums do,
+    # point by point, and stay within rounding of A @ x + B @ u
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=(4, 4)) / 2.0, rng.normal(size=(4, 2))
     model = LinearModel(a, b)
     x0, controls = rng.normal(size=4), rng.normal(size=(30, 2))
     states = [x0]
     for u in controls:
-        states.append(a @ states[-1] + b @ u)
+        states.append(_row_sums(a, b, states[-1], u))
     traj = rollout(model, QuadraticCost(np.eye(4), np.eye(2), np.eye(4), np.zeros(4)),
                    x0, controls)
     assert np.array_equal(traj.states, np.array(states))
+    products = [a @ x + b @ u for x, u in zip(traj.states[:-1], controls)]
+    assert np.allclose(traj.states[1:], products, rtol=1e-14, atol=1e-14)
 
 
 def _contract_model(name):
@@ -394,12 +410,23 @@ _SKEW = np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])
      "q_diag, r_scale, qt_scale, x0 and goal must be finite"),
     (lambda: make_benchmark("pendulum", goal=(np.nan, 0.0)), ValueError,
      "q_diag, r_scale, qt_scale, x0 and goal must be finite"),
+    # every physical parameter and matrix, not only the timestep: a model
+    # built from a non-finite one would step to inf or NaN
+    (lambda: PendulumModel(damping=float("nan")), ValueError,
+     "damping must be finite, got nan"),
+    (lambda: PendulumModel(mass=-np.inf), ValueError, "mass must be finite, got -inf"),
+    (lambda: CartPoleModel(pole_com=np.inf), ValueError, "pole_com must be finite, got inf"),
+    (lambda: CartPoleModel(gravity=float("nan")), ValueError, "gravity must be finite, got nan"),
+    (lambda: LinearModel([[np.inf]], [[1.0]]), ValueError, "A must be finite"),
+    (lambda: LinearModel(np.eye(2), [[0.0], [np.nan]]), ValueError, "B must be finite"),
 ], ids=["pendulum-dt", "cartpole-dt", "pendulum-dt-nan", "cartpole-dt-inf", "a-not-square",
         "b-rows", "b-1d", "q-shape", "qt-shape", "r-not-square", "r-skew", "q-skew",
         "qt-skew", "horizon-0", "benchmark-dt", "benchmark-dt-nan", "benchmark-dt-inf",
         "unknown-system", "unknown-key", "tol-0", "tol-nan", "q-inf", "r-nan", "qt-inf",
         "goal-nan", "benchmark-r-inf", "benchmark-q-inf", "benchmark-qt-inf",
-        "benchmark-x0-nan", "benchmark-goal-nan"])
+        "benchmark-x0-nan", "benchmark-goal-nan", "pendulum-damping-nan",
+        "pendulum-mass-inf", "cartpole-com-inf", "cartpole-gravity-nan", "linear-a-inf",
+        "linear-b-nan"])
 def test_models_reject_bad_arguments(build, error, message):
     with pytest.raises(error, match=message):
         build()

@@ -17,8 +17,11 @@ per-stage references kept below. The sweep's reference is the same
 recursion in (du, 1, dx) coordinates: `@` products, a per-stage contraction
 of the Hessian tensor with the weight, one solve of the u-rows and one
 finiteness check per stage. The other references evaluate a control law per
-step and step the models on numpy scalars. The loops themselves call
-`np.dot`, so the references also pin that it rounds as `@`.
+step and step the models on numpy scalars. The linearized rollout and the
+adjoint call `np.dot`, so their references also pin that it rounds as `@`.
+The forward pass's feedback and the linear model's step sum each row left
+to right in Python floats, so their references sum element by element in
+that order.
 On the pendulum and cart-pole nominals, the slope that `solve` gives the line
 search, -sum_t g_t'k_t from the sweep, must equal the directional derivative
 of the linearized rollout along the adjoint gradient to 1e-9.
@@ -244,7 +247,12 @@ def _reference_step(model, x, u):
         a_cart, a_pole = model._accel(th, w, u[0])
         dt = model.dt
         return np.array([p + dt * v, v + dt * a_cart, th + dt * w, w + dt * a_pole])
-    return model.a @ x + model.b @ u
+    ab, xu = np.hstack([model.a, model.b]), np.concatenate([x, u])
+    nxt = np.zeros(len(x))
+    for i in range(len(x)):
+        for j in range(len(xu)):
+            nxt[i] += ab[i, j] * xu[j]
+    return nxt
 
 
 def _reference_forward_pass(model, cost, nominal, sol, alpha):
@@ -254,8 +262,12 @@ def _reference_forward_pass(model, cost, nominal, sol, alpha):
     controls = np.zeros_like(nominal.controls)
     states[0] = nominal.states[0]
     for t in range(nominal.horizon):
-        controls[t] = (nominal.controls[t] - alpha * sol.k[t]
-                       - sol.K[t] @ (states[t] - nominal.states[t]))
+        feedforward = nominal.controls[t] - alpha * sol.k[t]
+        for i in range(len(feedforward)):
+            feedback = 0.0
+            for j in range(len(states[t])):
+                feedback += sol.K[t, i, j] * (states[t, j] - nominal.states[t, j])
+            controls[t, i] = feedforward[i] - feedback
         nxt = _reference_step(model, states[t], controls[t])
         if not np.abs(nxt).max() <= STATE_MAGNITUDE_LIMIT:
             return t + 1
