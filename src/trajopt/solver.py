@@ -19,8 +19,8 @@ records no prediction and stops the solve. Otherwise it takes its step, alpha
 and status straight from the line search's outcome. Only an iLQR NON_DESCENT
 raises, as NonDescentError: the cost-only sweep provably descends.
 
-One flat SolverConfig holds every setting of the loop, the line search's
-alpha_min included; its SIGMA and RHO are constants of linesearch.py.
+One flat SolverConfig holds every setting of the loop. The line search takes
+none: its SIGMA and its steps ALPHAS are constants of linesearch.py.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class SolverConfig:
     max_iters: int = 200
     grad_tol: float = 1e-4   # inf-norm of the cost gradient
     step_tol: float = 1e-9   # |realized cost change|
-    alpha_min: float = 1e-8  # line search: smallest step tried before giving up
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -72,8 +71,6 @@ class SolverConfig:
         # written so that a NaN fails each check
         if not (self.grad_tol > 0 and self.step_tol > 0):
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.alpha_min < 1.0:
-            raise ValueError("alpha_min must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,7 @@ def solve(model, cost, x0, init_controls, config):
             dj_pred = expected_reduction(sol, exp, 1.0)
             min_quu = float(quu_spectrum(sol).min())
             # the full step's slope -sum_t g_t'k_t is twice dj_pred
-            outcome = line_search(model, cost, traj, sol, 2.0 * dj_pred, config)
+            outcome = line_search(model, cost, traj, sol, 2.0 * dj_pred)
             step, alpha, status = outcome.trajectory, outcome.alpha, outcome.status
             if status == "NON_DESCENT" and active == "ilqr":
                 # The cost-only sweep provably yields a descent direction;

@@ -34,7 +34,9 @@ benchmark problem schema is written once, in `models.py`: no other module
 names its cost keys. No module reads the environment, so the configuration a
 run reports is all that set it. Only `backward.py` reads a sweep's value
 gradients `.v`: every other module takes costates from the sweep's `costates`
-or from `multipliers_from`, so their sign is decided in one place.
+or from `multipliers_from`, so their sign is decided in one place. No
+function outside `solver.py` and `cli.py` takes a parameter named `config`:
+the solver's settings stop at the solver, and the line search takes none.
 """
 
 import ast
@@ -569,3 +571,31 @@ def test_the_value_gradient_check_sees_each_read():
     source = ("lam = sol.v.copy()\nw = -sol.v[1:]\nf(sweep.v)\n"
               "v = sol.V\nsol.vv = v\nout.v = lam\n")
     assert sorted(_attribute_reads(ast.parse(source), "v")) == [1, 2, 3]
+
+
+def _taking(tree, name):
+    """The name of each function or lambda with a parameter called `name`,
+    of any kind: positional, keyword-only or variadic."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            if any(p is not None and p.arg == name for p in params):
+                yield getattr(node, "name", "<lambda>")
+
+
+def test_only_the_solver_and_the_cli_take_a_config():
+    found = {path.name: sorted(_taking(ast.parse(path.read_text(), str(path)), "config"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found["solver.py"]  # the finder sees the solver's own
+    assert {name: fns for name, fns in found.items()
+            if fns and name not in ("solver.py", "cli.py")} == {}
+
+
+def test_the_config_finder_sees_each_spelling():
+    source = ("def a(model, config):\n    pass\n"
+              "def b(model, *, config=None):\n    pass\n"
+              "def c(config, /):\n    pass\n"
+              "def d(model, cfg):\n    return config\n"
+              "e = lambda *config: config\n")
+    assert sorted(_taking(ast.parse(source), "config")) == ["<lambda>", "a", "b", "c"]

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from trajopt import (BackwardSolution, DivergenceError, LinearModel,
-                     QuadraticCost, SolverConfig,
-                     backward_ilqr, cost_gradient_adjoint,
+                     QuadraticCost, backward_ilqr, cost_gradient_adjoint,
                      directional_derivative, expand_along, forward_pass,
                      line_search, make_benchmark, rollout)
 from trajopt import linesearch
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
-from trajopt.linesearch import SIGMA
+from trajopt.linesearch import ALPHAS, SIGMA
 from trajopt.models import SystemModel
 
 from conftest import random_nominal
@@ -72,7 +71,7 @@ def _one_step(j_old, j_new):
 
 def _first_trial(j_old, j_new, slope):
     model, cost, nominal, sol = _one_step(j_old, j_new)
-    outcome = line_search(model, cost, nominal, sol, slope, SolverConfig())
+    outcome = line_search(model, cost, nominal, sol, slope)
     alpha, j_candidate, ratio = outcome.trial_log[0]
     assert alpha == 1.0
     assert j_candidate == pytest.approx(j_new, rel=1e-14)
@@ -120,12 +119,10 @@ def test_accept_raises_on_nondescent_prediction():
     forward_steps = []
     model._step = lambda x, u: forward_steps.append((x, u))  # every point ends here
     for slope in (0.0, 1.0):
-        _assert_refused(line_search(model, cost, nominal, sol, slope, SolverConfig()),
-                        nominal)
+        _assert_refused(line_search(model, cost, nominal, sol, slope), nominal)
     assert forward_steps == []  # refused before any forward pass
-    # no configuration lets the ratio test divide by a zero step
-    with pytest.raises(ValueError):
-        SolverConfig(alpha_min=0.0)
+    # no step lets the ratio test divide by zero
+    assert min(ALPHAS) > 0.0
 
 
 class _StiffScalarModel(SystemModel):
@@ -142,7 +139,7 @@ class _StiffScalarModel(SystemModel):
         self.control_high = np.ones(1)
 
     def _step(self, x, u):
-        return np.array([x[0] + u[0] + 3.0 * u[0] ** 2])
+        return [x[0] + u[0] + 3.0 * u[0] ** 2]
 
     def _derivatives(self, x, u):
         batch = x.shape[:-1]
@@ -167,8 +164,7 @@ def test_line_search_backtracks_twice_on_stiff_curvature():
     model, cost, nominal, exp, grad = _stiff_setup()
     sol = _gains([[1.0]], [[0.0]], 1, 1, 1)
     outcome = line_search(model, cost, nominal, sol,
-                          directional_derivative(exp, sol, grad),
-                          SolverConfig())
+                          directional_derivative(exp, sol, grad))
     assert outcome.status == "OK"
     assert outcome.alpha == pytest.approx(0.25)
     assert len(outcome.trial_log) == 3
@@ -193,8 +189,7 @@ def test_line_search_logs_a_diverged_trial_and_backtracks():
     model, cost, nominal, exp, grad = _stiff_setup()
     sol = _gains([[1e4]], [[0.0]], 1, 1, 1)
     outcome = line_search(model, cost, nominal, sol,
-                          directional_derivative(exp, sol, grad),
-                          SolverConfig())
+                          directional_derivative(exp, sol, grad))
     alpha, j_candidate, ratio = outcome.trial_log[0]
     assert alpha == 1.0
     assert j_candidate == math.inf
@@ -241,13 +236,13 @@ def test_forward_pass_turns_an_overflowing_sum_into_divergence_at_m2():
     assert excinfo.value.timestep == 2
 
 
-def test_line_search_logs_an_overflowing_control_as_a_diverged_trial():
+def test_line_search_logs_an_overflowing_control_as_a_diverged_trial(monkeypatch):
     # at alpha = 0.5, u_1 = -1e308 stays finite and x_2 fails the guard
     model, cost, nominal, sol = _overflowing_feedback()
+    monkeypatch.setattr(linesearch, "ALPHAS", (1.0, 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcome = line_search(model, cost, nominal, sol, -1.0,
-                              SolverConfig(alpha_min=0.4))
+        outcome = line_search(model, cost, nominal, sol, -1.0)
     assert [row[:2] for row in outcome.trial_log] == [(1.0, math.inf), (0.5, math.inf)]
     assert all(math.isnan(row[2]) for row in outcome.trial_log)
     assert (outcome.status, outcome.trajectory) == ("FLOOR_HIT", nominal)
@@ -261,8 +256,7 @@ def test_line_search_accepts_full_step_on_quadratic(lqr_instance):
     sol = backward_ilqr(exp)
     grad = cost_gradient_adjoint(exp)
     outcome = line_search(model, cost, nominal, sol,
-                          directional_derivative(exp, sol, grad),
-                          SolverConfig())
+                          directional_derivative(exp, sol, grad))
     assert outcome.status == "OK"
     assert outcome.alpha == 1.0
     assert len(outcome.trial_log) == 1
@@ -274,7 +268,7 @@ def test_line_search_raises_on_nondescent_direction():
     sol = _gains([[-1.0]], [[0.0]], 1, 1, 1)  # points uphill
     grad = cost_gradient_adjoint(exp)
     _assert_refused(line_search(model, cost, nominal, sol,
-                                directional_derivative(exp, sol, grad), SolverConfig()),
+                                directional_derivative(exp, sol, grad)),
                     nominal)
 
 
@@ -285,22 +279,21 @@ def test_line_search_floor_hit_returns_nominal_unchanged():
     sol = _gains([[-1.0]], [[0.0]], 1, 1, 1)
     fake_grad = np.array([[-1.0]])  # claims descent along the uphill direction
     outcome = line_search(model, cost, nominal, sol,
-                          directional_derivative(exp, sol, fake_grad),
-                          SolverConfig())
+                          directional_derivative(exp, sol, fake_grad))
     assert outcome.status == "FLOOR_HIT"
     assert outcome.alpha == 0.0
     assert outcome.trajectory is nominal
-    # every alpha = 0.5^j >= alpha_min = 1e-8 was tried: j = 0..26
+    # every step of ALPHAS was tried: 0.5^j for j = 0..26, the last not below 1e-8
     assert [row[0] for row in outcome.trial_log] == [0.5 ** j for j in range(27)]
 
 
-def test_line_search_tries_the_floor_itself():
-    # alpha_min = 0.25 is a power of RHO = 0.5, so the last trial sits on it
+def test_line_search_tries_the_floor_itself(monkeypatch):
+    # the last step of ALPHAS is tried before the search gives up
     model, cost, nominal, exp, _ = _stiff_setup()
     sol = _gains([[-1.0]], [[0.0]], 1, 1, 1)
+    monkeypatch.setattr(linesearch, "ALPHAS", (1.0, 0.5, 0.25))
     outcome = line_search(model, cost, nominal, sol,
-                          directional_derivative(exp, sol, np.array([[-1.0]])),
-                          SolverConfig(alpha_min=0.25))
+                          directional_derivative(exp, sol, np.array([[-1.0]])))
     assert outcome.status == "FLOOR_HIT"
     assert [row[0] for row in outcome.trial_log] == [1.0, 0.5, 0.25]
 
@@ -313,8 +306,7 @@ def test_line_search_refuses_a_nan_slope_before_any_forward_pass(monkeypatch):
     sol = backward_ilqr(expand_along(model, cost, nominal))
     calls = []
     monkeypatch.setattr(linesearch, "forward_pass", lambda *args: calls.append(args))
-    _assert_refused(line_search(model, cost, nominal, sol, math.nan, SolverConfig()),
-                    nominal)
+    _assert_refused(line_search(model, cost, nominal, sol, math.nan), nominal)
     assert calls == []
 
 
@@ -326,17 +318,9 @@ def test_accepted_outcomes_strictly_decrease_cost():
         sol = backward_ilqr(exp)
         grad = cost_gradient_adjoint(exp)
         outcome = line_search(model, cost, nominal, sol,
-                              directional_derivative(exp, sol, grad),
-                              SolverConfig())
+                              directional_derivative(exp, sol, grad))
         assert outcome.status == "OK"
         assert outcome.trajectory.cost < nominal.cost
-
-
-def test_config_validation():
-    # every search starts at alpha = 1, so the floor must lie below it
-    for value in (-1e-8, 0.0, 1.0, float("nan")):
-        with pytest.raises(ValueError, match="alpha_min must be in"):
-            SolverConfig(alpha_min=value)
 
 
 @pytest.mark.parametrize(("alpha", "gain_horizon", "message"), [

@@ -116,6 +116,20 @@ def test_step_is_the_checked_array_form_of_the_raw_step(name):
         assert nxt.tobytes() == np.array(model._step(x.tolist(), u.tolist())).tobytes()
 
 
+@pytest.mark.parametrize("raw", [lambda x, u: np.array(x), lambda x, u: x[:1]],
+                         ids=["array", "short-list"])
+def test_step_and_rollout_refuse_a_raw_step_that_breaks_its_contract(raw):
+    # a rollout sends its first point through `step`, which checks `_step`
+    model = LinearModel(np.eye(2), np.eye(2)[:, :1])
+    model._step = raw
+    cost = QuadraticCost(np.eye(2), np.eye(1), np.eye(2), np.zeros(2))
+    message = "_step must return a list of 2 floats"
+    with pytest.raises(DimensionError, match=message):
+        model.step([0.0, 0.0], [0.0])
+    with pytest.raises(DimensionError, match=message):
+        rollout(model, cost, [0.0, 0.0], np.zeros((3, 1)))
+
+
 def test_math_sin_and_cos_round_as_numpy_float64():
     # the models step on Python floats through `math`; the derivatives and the
     # property tests' reference step use numpy: the two must agree bit for bit
@@ -164,7 +178,7 @@ def test_hessian_symmetry_and_cost_definiteness(system):
 @pytest.mark.parametrize("system", ["pendulum", "cartpole"])
 def test_analytic_derivatives_match_finite_differences(system):
     model, cost, _, _ = make_benchmark(system)
-    report = check_derivatives(model, cost, sample_count=100, tol=1e-5, seed=0)
+    report = check_derivatives(model, cost, sample_count=100, tol=1e-7, seed=0)
     assert report.passed, report.summary()
 
 
@@ -419,6 +433,13 @@ _SKEW = np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])
     (lambda: CartPoleModel(gravity=float("nan")), ValueError, "gravity must be finite, got nan"),
     (lambda: LinearModel([[np.inf]], [[1.0]]), ValueError, "A must be finite"),
     (lambda: LinearModel(np.eye(2), [[0.0], [np.nan]]), ValueError, "B must be finite"),
+    # every mass and length divides the dynamics; damping and gravity may be zero
+    (lambda: PendulumModel(length=0.0), ValueError, "^length must be positive$"),
+    (lambda: PendulumModel(mass=0.0), ValueError, "^mass must be positive$"),
+    (lambda: PendulumModel(length=-1.0), ValueError, "^length must be positive$"),
+    (lambda: CartPoleModel(cart_mass=0.0), ValueError, "^cart_mass must be positive$"),
+    (lambda: CartPoleModel(pole_mass=-1.0), ValueError, "^pole_mass must be positive$"),
+    (lambda: CartPoleModel(pole_com=0.0), ValueError, "^pole_com must be positive$"),
 ], ids=["pendulum-dt", "cartpole-dt", "pendulum-dt-nan", "cartpole-dt-inf", "a-not-square",
         "b-rows", "b-1d", "q-shape", "qt-shape", "r-not-square", "r-skew", "q-skew",
         "qt-skew", "horizon-0", "benchmark-dt", "benchmark-dt-nan", "benchmark-dt-inf",
@@ -426,7 +447,8 @@ _SKEW = np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])
         "goal-nan", "benchmark-r-inf", "benchmark-q-inf", "benchmark-qt-inf",
         "benchmark-x0-nan", "benchmark-goal-nan", "pendulum-damping-nan",
         "pendulum-mass-inf", "cartpole-com-inf", "cartpole-gravity-nan", "linear-a-inf",
-        "linear-b-nan"])
+        "linear-b-nan", "pendulum-length-0", "pendulum-mass-0", "pendulum-length-negative",
+        "cartpole-cart-mass-0", "cartpole-pole-mass-negative", "cartpole-com-0"])
 def test_models_reject_bad_arguments(build, error, message):
     with pytest.raises(error, match=message):
         build()

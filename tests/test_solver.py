@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from trajopt import (IterationRecord, NonDescentError, SolverConfig, backward,
-                     backward_newton, converged, expand_along, make_benchmark,
-                     quu_spectrum, solve, total_cost)
+                     backward_newton, converged, expand_along, linesearch,
+                     make_benchmark, quu_spectrum, solve, total_cost)
 from trajopt.artifacts import write_iterations_csv, write_trials_csv
 
 from conftest import SWEEP_BUDGETS, join_runs, random_controls
@@ -222,9 +222,10 @@ def _cartpole_40(method, **config):
                  SolverConfig(method=method, **config))
 
 
-def test_solve_stops_on_a_floor_hit():
-    # with alpha_min = 0.6 only the full step is tried; iteration 3 rejects it
-    result = _cartpole_40("ilqr", alpha_min=0.6)
+def test_solve_stops_on_a_floor_hit(monkeypatch):
+    # with only the full step to try, iteration 3 rejects it
+    monkeypatch.setattr(linesearch, "ALPHAS", (1.0,))
+    result = _cartpole_40("ilqr")
     assert result.reason == "floor_hit" and not result.converged
     *running, last = result.records
     assert [r.status for r in running] == ["OK"] * 3
@@ -260,12 +261,13 @@ def test_the_line_search_takes_its_slope_from_the_sweep(method):
                 assert ratio == (cost - record.cost) / (alpha * (2.0 * record.dj_pred))
 
 
-@pytest.mark.parametrize("cause, config, at", [
-    ("NON_DESCENT", {}, 5),
-    ("FLOOR_HIT", {"alpha_min": 0.3}, 1),
+@pytest.mark.parametrize("cause, alphas, at", [
+    ("NON_DESCENT", linesearch.ALPHAS, 5),
+    ("FLOOR_HIT", (1.0, 0.5), 1),
 ], ids=["non_descent", "floor_hit"])
-def test_hybrid_switches_to_ilqr_after_a_ddp_failure(cause, config, at):
-    result = _cartpole_40("hybrid", max_iters=at + 3, **config)
+def test_hybrid_switches_to_ilqr_after_a_ddp_failure(monkeypatch, cause, alphas, at):
+    monkeypatch.setattr(linesearch, "ALPHAS", alphas)
+    result = _cartpole_40("hybrid", max_iters=at + 3)
     assert result.reason == "max_iters"
     # every accepted step is long, so no step length explains the switch:
     # the failed iteration alone moves hybrid to iLQR

@@ -74,7 +74,7 @@ def test_rollout_divergence_guard_is_a_closed_bound():
 
 def test_rollout_divergence_catches_a_nan_behind_a_finite_component():
     model = LinearModel(np.eye(2), np.eye(2)[:, :1])
-    model._step = lambda x, u: np.array([x[0] + 1.0, np.nan if x[0] >= 2.0 else x[1]])
+    model._step = lambda x, u: [x[0] + 1.0, math.nan if x[0] >= 2.0 else x[1]]
     with pytest.raises(DivergenceError) as excinfo:
         rollout(model, make_benchmark("pendulum")[1], [0.0, 0.0], np.zeros((5, 1)))
     assert excinfo.value.timestep == 3  # x_3 = (3, nan)
