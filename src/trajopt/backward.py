@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsysv as sysv
 
 from .errors import BackwardPassError, DimensionError
 
@@ -112,6 +111,8 @@ def _sweep(exp, method, lam_bar=None):
 
     aug = np.zeros((horizon + 1, n + 1, n + 1))  # W_t; W_t[0, 0] feeds no gain: left 0
     gain_rows, curvatures, infos = [], [], []  # [k_t | K_t], Quu_t, sysv's info
+    if m > 1:  # imported here: only m >= 2 needs LAPACK, so m = 1 never loads scipy
+        from scipy.linalg.lapack import dsysv as sysv
     dot = np.dot  # the BLAS kernels of `@`, at less cost per call
 
     # a zero pivot, an overflow or an invalid value is found by the scan below

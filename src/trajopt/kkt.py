@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .backward import multipliers_from
 from .errors import KktError
@@ -127,6 +126,7 @@ def solve_kkt(qp) -> KktSolution:
     band = np.bincount((upper + offset) * size + qp.cols, weights=qp.values,
                        minlength=(lower + upper + 1) * size)
     rhs = -qp.gradient
+    import scipy.linalg  # imported here: only the oracle needs it, so a solve never loads scipy
     try:
         solution = scipy.linalg.solve_banded(
             (lower, upper), band.reshape(lower + upper + 1, size), rhs,
@@ -208,8 +208,10 @@ def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
     problem weighted by the costates the sweep contracted: none for iLQR,
     the frozen sequence for Newton, the value gradients for DDP (the Newton
     sweep under that substitution). `costates`, when given, must be exactly
-    the sweep's own; otherwise ValueError.
+    the sweep's own; otherwise ValueError, as for a tol that is not positive.
     """
+    if not tol > 0:  # NaN fails too
+        raise ValueError("tol must be positive")
     if costates is not None and not np.array_equal(costates, sol.costates):
         raise ValueError("costates differ from those the sweep contracted")
     qp = assemble_qp(exp, sol.costates)

@@ -426,6 +426,15 @@ BENCHMARKS = {"pendulum": (PendulumModel, PENDULUM_DEFAULTS),
               "cartpole": (CartPoleModel, CARTPOLE_DEFAULTS)}
 
 
+def checked_count(name, value):
+    """value as an int of at least 1; else ValueError, not int()'s 5 from 5.5 or 1 from True."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(value)
+
+
 def make_benchmark(system, **overrides):
     """Build (model, cost, x0, horizon) for a benchmark named in BENCHMARKS.
 
@@ -441,11 +450,7 @@ def make_benchmark(system, **overrides):
     p = {key: value if overrides.get(key) is None else overrides[key]
          for key, value in defaults.items()}
 
-    horizon = p["horizon"]
-    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)):
-        raise ValueError(f"horizon must be an integer, got {horizon!r}")
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    horizon = checked_count("horizon", p["horizon"])
     q_diag, x0, goal = (np.asarray(p[key], float) for key in ("q_diag", "x0", "goal"))
     r_scale, qt_scale = float(p["r_scale"]), float(p["qt_scale"])
 
@@ -460,7 +465,7 @@ def make_benchmark(system, **overrides):
     q = np.diag(q_diag)
     r = r_scale * np.eye(model.control_dim)
     cost = QuadraticCost(q, r, qt_scale * q, goal)
-    return model, cost, x0, int(horizon)
+    return model, cost, x0, horizon
 
 
 def random_linear(rng):
@@ -487,14 +492,15 @@ FD_STEP = 3e-4  # scaled per coordinate by (1 + |value|)
 
 def _fd_jacobian(fn, z):
     """Four-point central-difference Jacobian of fn at the vector z, of shape
-    fn(z).shape + z.shape: entry [..., j] differences coordinate j."""
+    fn(z).shape + z.shape: entry [..., j] differences coordinate j. fn maps
+    all 4 z.size points, one (4 z.size, z.size) batch, to their stacked values."""
     z = np.asarray(z, dtype=float)
-    unit, columns = np.eye(z.size), []
-    for j in range(z.size):
-        h = FD_STEP * (1.0 + abs(z[j]))
-        f = {k: np.asarray(fn(z + k * h * unit[j])) for k in (-2, -1, 1, 2)}
-        columns.append((8.0 * (f[1] - f[-1]) - (f[2] - f[-2])) / (12.0 * h))
-    return np.stack(columns, axis=-1)
+    h = FD_STEP * (1.0 + np.abs(z))
+    # point [i, j] moves coordinate j of z by (-2, -1, 1, 2)[i] h_j
+    points = z + (np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * h[:, None]) * np.eye(z.size)
+    f = np.moveaxis(np.asarray(fn(points.reshape(-1, z.size))), 0, -1)
+    f = f.reshape(f.shape[:-1] + (4, z.size))  # f[..., i, j] at point [i, j]
+    return (8.0 * (f[..., 2, :] - f[..., 1, :]) - (f[..., 3, :] - f[..., 0, :])) / (12.0 * h)
 
 
 @dataclass(frozen=True)
@@ -544,30 +550,32 @@ def check_derivatives(model, cost, sample_count=100, tol=1e-7, seed=0):
     """
     if not tol > 0:  # NaN fails too
         raise ValueError("tol must be positive")
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    sample_count = checked_count("sample_count", sample_count)
     rng = np.random.default_rng(seed)
     worst = {}
+    each = lambda fn: lambda zs: [fn(z) for z in zs]  # a one-point fn, called per point
     for idx in range(sample_count):
         x = rng.uniform(model.state_low, model.state_high)
         u = rng.uniform(model.control_low, model.control_high)
         fx, fu, fxx, fxu = model.derivatives(x, u)
         lx, lxx, ru, r = cost.stage_derivatives(x, u)
         ct_x, ct_xx = cost.terminal_derivatives(x)
+        # x once per point of a batch of controls, u once per point of states
+        xs, us = np.tile(x, (4 * u.size, 1)), np.tile(u, (4 * x.size, 1))
         # (name, function differenced, point, analytic derivative); the
         # derivative of fx wrt x_k is fxx[..., k] and wrt u_l is fxu[..., l]
         rows = (
-            ("fx", lambda z: model.step(z, u), x, fx),
-            ("fu", lambda z: model.step(x, z), u, fu),
-            ("fxx", lambda z: model.derivatives(z, u)[0], x, fxx),
-            ("fxu", lambda z: model.derivatives(x, z)[0], u, fxu),
-            ("fuu", lambda z: model.derivatives(x, z)[1], u, 0.0),
-            ("lx", lambda z: cost.stage_cost(z, u), x, lx),
-            ("lxx", lambda z: cost.stage_derivatives(z, u)[0], x, lxx),
-            ("control_grad", lambda z: cost.stage_cost(x, z), u, ru),
-            ("control_hess", lambda z: cost.stage_derivatives(x, z)[2], u, r),
-            ("terminal_grad", cost.terminal_cost, x, ct_x),
-            ("terminal_hess", lambda z: cost.terminal_derivatives(z)[0], x, ct_xx),
+            ("fx", each(lambda z: model.step(z, u)), x, fx),
+            ("fu", each(lambda z: model.step(x, z)), u, fu),
+            ("fxx", lambda z: model.derivatives(z, us)[0], x, fxx),
+            ("fxu", lambda z: model.derivatives(xs, z)[0], u, fxu),
+            ("fuu", lambda z: model.derivatives(xs, z)[1], u, 0.0),
+            ("lx", lambda z: cost.stage_cost(z, us), x, lx),
+            ("lxx", lambda z: cost.stage_derivatives(z, us)[0], x, lxx),
+            ("control_grad", lambda z: cost.stage_cost(xs, z), u, ru),
+            ("control_hess", lambda z: cost.stage_derivatives(xs, z)[2], u, r),
+            ("terminal_grad", each(cost.terminal_cost), x, ct_x),
+            ("terminal_hess", each(lambda z: cost.terminal_derivatives(z)[0]), x, ct_xx),
         )
         for name, fn, z, exact in rows:
             err = _rel_err(_fd_jacobian(fn, z), exact)

@@ -35,6 +35,7 @@ from .errors import NonDescentError
 from .expansion import expand_along
 from .kkt import cost_gradient_adjoint
 from .linesearch import line_search
+from .models import checked_count
 from .trajectory import rollout
 
 __all__ = [
@@ -63,11 +64,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'")
-        count = self.max_iters
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"max_iters must be an integer, got {count!r}")
-        if count < 1:
-            raise ValueError("max_iters must be positive")
+        checked_count("max_iters", self.max_iters)
         # written so that a NaN fails each check
         if not (self.grad_tol > 0 and self.step_tol > 0):
             raise ValueError("tolerances must be positive")

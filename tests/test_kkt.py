@@ -290,7 +290,7 @@ def test_solve_kkt_rejects_a_bad_banded_solution(monkeypatch, change, message):
         solution[entry] += change
         return solution
 
-    monkeypatch.setattr("trajopt.kkt.scipy.linalg.solve_banded", nudged)
+    monkeypatch.setattr("scipy.linalg.solve_banded", nudged)  # where solve_kkt reads it
     with pytest.raises(KktError, match=message):
         solve_kkt(qp)
 
@@ -336,7 +336,12 @@ _FOREIGN_COSTATES = "costates differ from those the sweep contracted"
     (lambda exp, sol, lam: verify_equivalence(backward_newton(exp, lam), exp, 2 * lam),
      _FOREIGN_COSTATES),
     (lambda exp, sol, lam: verify_equivalence(sol, exp, lam), _FOREIGN_COSTATES),
-], ids=["assemble-costates", "verify-newton-other-costates", "verify-ilqr-costates"])
+    # a NaN or nonpositive tol would fail every report in silence
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=0.0), "^tol must be positive$"),
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=-1e-8), "^tol must be positive$"),
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=np.nan), "^tol must be positive$"),
+], ids=["assemble-costates", "verify-newton-other-costates", "verify-ilqr-costates",
+        "verify-tol-zero", "verify-tol-negative", "verify-tol-nan"])
 def test_oracle_rejects_bad_inputs(call, message):
     model, cost, x0, _ = make_benchmark("pendulum")
     exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=6))

@@ -28,15 +28,18 @@ The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
 arithmetic and no loop over stages, and keeps the nonzeros it assembled: it
 builds no block mask by `np.tile` or `np.repeat`. `solver.solve` holds no
 `try`: a line search returns each finding as an outcome, and only
-`solver.py` raises `NonDescentError`. `import trajopt` leaves `scipy.sparse`
-unloaded, so the library's import time and memory do not carry it. The
-benchmark problem schema is written once, in `models.py`: no other module
-names its cost keys. No module reads the environment, so the configuration a
-run reports is all that set it. Only `backward.py` reads a sweep's value
-gradients `.v`: every other module takes costates from the sweep's `costates`
-or from `multipliers_from`, so their sign is decided in one place. No
-function outside `solver.py` and `cli.py` takes a parameter named `config`:
-the solver's settings stop at the solver, and the line search takes none.
+`solver.py` raises `NonDescentError`. `import trajopt`, an m = 1 solve with
+each method and `trajopt run` on both benchmarks load no scipy module:
+`scipy.linalg` loads when an m >= 2 sweep or the oracle first runs, and
+`scipy.sparse` never, so neither the library's import time nor a swing-up's
+memory carries them. The benchmark problem schema is written once, in
+`models.py`: no other module names its cost keys. No module reads the
+environment, so the configuration a run reports is all that set it. Only
+`backward.py` reads a sweep's value gradients `.v`: every other module takes
+costates from the sweep's `costates` or from `multipliers_from`, so their
+sign is decided in one place. No function outside `solver.py` and `cli.py`
+takes a parameter named `config`: the solver's settings stop at the solver,
+and the line search takes none.
 """
 
 import ast
@@ -494,13 +497,38 @@ def test_the_raise_finder_sees_each_spelling():
     assert sorted(_raises(ast.parse(source), "NonDescentError")) == [1, 2, 3]
 
 
-def test_importing_the_package_does_not_load_scipy_sparse():
+def _scipy_modules_after(script):
+    """The scipy modules loaded once `script` has run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    probe = "import sys, trajopt; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                            capture_output=True, text=True).stdout
+    probe = script + "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_importing_the_package_does_not_load_scipy_sparse():
+    loaded = _scipy_modules_after(
+        "import numpy as np, trajopt\n"
+        "model, cost, x0, _ = trajopt.make_benchmark('pendulum', horizon=3)\n"
+        "traj = trajopt.rollout(model, cost, x0, np.zeros((3, 1)))\n"
+        "trajopt.solve_kkt(trajopt.assemble_qp(trajopt.expand_along(model, cost, traj)))")
     assert "scipy.linalg" in loaded  # the probe sees the oracle's own import
     assert "scipy.sparse" not in loaded
+
+
+def test_one_input_solves_and_runs_load_no_scipy(tmp_path):
+    # scipy serves only the m >= 2 sweep and the oracle: a swing-up loads none of it
+    loaded = _scipy_modules_after(
+        "import numpy as np, trajopt\n"
+        "from trajopt import cli\n"
+        "for system in ('pendulum', 'cartpole'):\n"
+        "    model, cost, x0, _ = trajopt.make_benchmark(system, horizon=10)\n"
+        "    for method in trajopt.solver.METHODS:\n"
+        "        trajopt.solve(model, cost, x0, np.zeros((10, 1)),\n"
+        "                      trajopt.SolverConfig(method=method, max_iters=3))\n"
+        "    assert cli.main(['run', '--system', system, '--method', 'all', '--out',\n"
+        f"                     {str(tmp_path)!r} + '/' + system, '--set', 'max_iters=2']) == 0")
+    assert loaded == []
 
 
 BENCHMARK_KEYS = ("q_diag", "r_scale", "qt_scale")

@@ -213,6 +213,12 @@ def test_check_derivatives_rejects_an_empty_sample(sample_count):
         check_derivatives(model, cost, sample_count=sample_count)
 
 
+def test_check_derivatives_reports_a_numpy_integer_sample_count_as_an_int():
+    model, cost, _, _ = make_benchmark("pendulum")
+    report = check_derivatives(model, cost, sample_count=np.int64(2))
+    assert report.sample_count == 2 and type(report.sample_count) is int
+
+
 def test_quadratic_cost_derivatives_at_special_points():
     q = np.diag([2.0, 0.5])
     cost = QuadraticCost(q, 0.1 * np.eye(1), 100 * q, goal=np.array([np.pi, 0.0]))
@@ -440,6 +446,12 @@ _SKEW = np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])
     (lambda: CartPoleModel(cart_mass=0.0), ValueError, "^cart_mass must be positive$"),
     (lambda: CartPoleModel(pole_mass=-1.0), ValueError, "^pole_mass must be positive$"),
     (lambda: CartPoleModel(pole_com=0.0), ValueError, "^pole_com must be positive$"),
+    # the integer rule of the horizon: range() would raise a bare TypeError on
+    # 1.5, and True would run one sample and report True
+    (lambda: check_derivatives(*make_benchmark("pendulum")[:2], sample_count=1.5),
+     ValueError, "sample_count must be an integer, got 1.5"),
+    (lambda: check_derivatives(*make_benchmark("pendulum")[:2], sample_count=True),
+     ValueError, "sample_count must be an integer, got True"),
 ], ids=["pendulum-dt", "cartpole-dt", "pendulum-dt-nan", "cartpole-dt-inf", "a-not-square",
         "b-rows", "b-1d", "q-shape", "qt-shape", "r-not-square", "r-skew", "q-skew",
         "qt-skew", "horizon-0", "benchmark-dt", "benchmark-dt-nan", "benchmark-dt-inf",
@@ -448,7 +460,8 @@ _SKEW = np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])
         "benchmark-x0-nan", "benchmark-goal-nan", "pendulum-damping-nan",
         "pendulum-mass-inf", "cartpole-com-inf", "cartpole-gravity-nan", "linear-a-inf",
         "linear-b-nan", "pendulum-length-0", "pendulum-mass-0", "pendulum-length-negative",
-        "cartpole-cart-mass-0", "cartpole-pole-mass-negative", "cartpole-com-0"])
+        "cartpole-cart-mass-0", "cartpole-pole-mass-negative", "cartpole-com-0",
+        "sample-count-fraction", "sample-count-bool"])
 def test_models_reject_bad_arguments(build, error, message):
     with pytest.raises(error, match=message):
         build()
