@@ -88,7 +88,7 @@ def _sweep(exp, method, lam_bar=None):
     if method == "newton":
         lam_bar = np.asarray(lam_bar, dtype=float)
         if lam_bar.shape != (horizon + 1, n):
-            raise ValueError("multiplier sequence must have shape (T+1, n)")
+            raise DimensionError("multiplier sequence must have shape (T+1, n)")
 
     # J_t maps z = (du, 1, dx) to (1, dx_{t+1}); W = [[0, v'], [v, V]] acts on that
     size = m + 1 + n
@@ -209,22 +209,21 @@ def multipliers_from(sol, dx=None) -> np.ndarray:
         return sol.v.copy()
     dx = np.asarray(dx, dtype=float)
     if dx.shape != sol.v.shape:
-        raise ValueError("path horizon does not match the solution")
+        raise DimensionError("path horizon does not match the solution")
     return sol.v + np.einsum("tij,tj->ti", sol.V, dx)
 
 
-def expected_reduction(sol, exp, alpha) -> float:
-    """Quadratic-model cost change for a step with feedforward scaled by alpha.
+def expected_reduction(sol, exp) -> float:
+    """Quadratic-model cost change for the sweep's full step.
 
-    Equals -(alpha - alpha^2/2) * sum_t g_t' Quu_t^{-1} g_t with g_t the stage
-    control gradient R u_t + fu' v_{t+1}; since k_t = Quu_t^{-1} g_t the sum is
-    accumulated as g_t . k_t. Nonpositive whenever every Quu is positive
-    definite; an indefinite sweep (Newton/DDP) can make it positive, which is
-    reported as-is. A sweep of another horizon than `exp` raises
-    DimensionError.
+    Equals -1/2 sum_t g_t' Quu_t^{-1} g_t with g_t the stage control gradient
+    R u_t + fu' v_{t+1}; since k_t = Quu_t^{-1} g_t the sum is accumulated as
+    g_t . k_t. A step with its feedforward scaled by alpha predicts
+    (2 alpha - alpha^2) times this, bit for bit on `linesearch.ALPHAS`.
+    Nonpositive whenever every Quu is positive definite; an indefinite sweep
+    (Newton/DDP) can make it positive, which is reported as-is. A sweep of
+    another horizon than `exp` raises DimensionError.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
     if sol.horizon != exp.horizon:
         raise DimensionError("gain horizon does not match the expansion")
     # stacks of matrix-vector and dot products round as each stage's would
@@ -232,7 +231,7 @@ def expected_reduction(sol, exp, alpha) -> float:
     total = 0.0
     for term in (g[:, None, :] @ sol.k[:, :, None])[:, 0, 0].tolist():
         total += term
-    return -(alpha - 0.5 * alpha * alpha) * total
+    return -0.5 * total
 
 
 def quu_spectrum(sol) -> np.ndarray:

@@ -240,7 +240,7 @@ def cmd_verify(cfg) -> int:
     instances.append(("linear-m2", *random_linear(rng)))
 
     for system, model, cost, x0 in instances:
-        deriv = check_derivatives(model, cost, sample_count=100, seed=cfg.seed)
+        deriv = check_derivatives(model, cost, seed=cfg.seed)
         print(f"[{system}] {deriv.summary()}")
         all_ok = all_ok and deriv.passed
 
@@ -263,8 +263,8 @@ def cmd_verify(cfg) -> int:
 
 def _add_common_flags(sub):
     sub.add_argument("--config", help="key=value configuration file")
-    sub.add_argument("--system", help="pendulum or cartpole")
-    sub.add_argument("--method", help="ilqr, newton, ddp, hybrid, all, or a comma list")
+    sub.add_argument("--system", help=" or ".join(SYSTEMS))
+    sub.add_argument("--method", help=f"{', '.join(METHODS)}, all, or a comma list")
     sub.add_argument("--seed", type=int, help="random seed")
     sub.add_argument("--out", help="output directory root")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",

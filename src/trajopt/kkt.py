@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import multipliers_from
-from .errors import KktError
+from .errors import DimensionError, KktError
 from .trajectory import linear_rollout
 
 __all__ = ["StackedQP", "KktSolution", "assemble_qp", "solve_kkt", "split_primal",
@@ -72,7 +72,7 @@ def assemble_qp(exp, costates=None) -> StackedQP:
     if weighted:
         costates = np.asarray(costates, dtype=float)
         if costates.shape != (horizon + 1, n):
-            raise ValueError("multiplier sequence must have shape (T+1, n)")
+            raise DimensionError("multiplier sequence must have shape (T+1, n)")
 
     xt, ut, lam, xn = (slice(0, n), slice(n, n + m),
                        slice(n + m, 2 * n + m), slice(2 * n + m, 3 * n + m))
@@ -203,7 +203,7 @@ def _block_err(candidate, reference, t_offset=0):
 def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
     """Compare one backward sweep against the direct banded KKT solve.
 
-    The sweep's full step (alpha = 1 linear rollout) and its costates must
+    The sweep's full step (its linear rollout) and its costates must
     reproduce the QP minimizer and equality multipliers of the stacked
     problem weighted by the costates the sweep contracted: none for iLQR,
     the frozen sequence for Newton, the value gradients for DDP (the Newton
@@ -219,7 +219,7 @@ def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
     dx_qp, du_qp = split_primal(qp, ksol.dz)
     lam_qp = ksol.multipliers.reshape(qp.horizon, qp.state_dim)
 
-    dx, du = linear_rollout(exp, sol, 1.0)
+    dx, du = linear_rollout(exp, sol)
     lam_sweep = multipliers_from(sol, dx)
 
     err_dx, t_dx = _block_err(dx[1:], dx_qp[1:], t_offset=1)

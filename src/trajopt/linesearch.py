@@ -10,10 +10,10 @@ SIGMA = 0.1 fraction of its first-order prediction:
 with d'grad the full step's slope along the exact cost gradient. The step z*
 minimizes the sweep's subproblem g'z + 1/2 z'Hz subject to the linearized
 dynamics Az = 0, so g'z* = -z*'Hz*: the slope is -sum_t g_t'k_t, twice
-`expected_reduction` at alpha = 1, read off the sweep. It is negative for a
-descent direction, so acceptance implies a strict cost decrease. If it is not
-(possible for the Newton and DDP sweeps), shrinking alpha cannot fix the sign:
-the search runs no trial and returns NON_DESCENT. Its statuses are those of
+`expected_reduction`, read off the sweep. It is negative for a descent
+direction, so acceptance implies a strict cost decrease. If it is not (possible
+for the Newton and DDP sweeps), shrinking alpha cannot fix the sign: the
+search runs no trial and returns NON_DESCENT. Its statuses are those of
 `IterationRecord`: "OK", "FLOOR_HIT" or "NON_DESCENT".
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DimensionError, DivergenceError
 from .trajectory import Trajectory, _propagate, linear_rollout
 
 __all__ = [
@@ -56,14 +56,14 @@ def forward_pass(model, cost, nominal, sol, alpha) -> Trajectory:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     if sol.horizon != nominal.horizon:
-        raise ValueError("gain horizon does not match the nominal")
+        raise DimensionError("gain horizon does not match the nominal")
     return _propagate(model, cost, nominal.states[0], nominal.controls - alpha * sol.k,
                       (sol.K, nominal.states))
 
 
 def directional_derivative(exp, sol, grad) -> float:
-    """d'grad of the alpha = 1 linearized rollout's du: checks the sweep's slope."""
-    _, du = linear_rollout(exp, sol, 1.0)
+    """d'grad of the full step's linearized du: checks the sweep's slope."""
+    _, du = linear_rollout(exp, sol)
     return float(np.sum(du * grad))
 
 

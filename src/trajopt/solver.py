@@ -174,7 +174,7 @@ def solve(model, cost, x0, init_controls, config):
                 lam_bar = sol.costates
             if index == 0:
                 first_sweep = sol
-            dj_pred = expected_reduction(sol, exp, 1.0)
+            dj_pred = expected_reduction(sol, exp)
             min_quu = float(quu_spectrum(sol).min())
             # the full step's slope -sum_t g_t'k_t is twice dj_pred
             outcome = line_search(model, cost, traj, sol, 2.0 * dj_pred)

@@ -111,22 +111,20 @@ def _propagate(model, cost, x0, controls, feedback=None) -> Trajectory:
     return Trajectory(states, controls, total_cost(cost, states, controls))
 
 
-def linear_rollout(exp, sol, alpha):
+def linear_rollout(exp, sol):
     """Propagate the gains through the linearized dynamics: the deviations
     (dx, du) from the nominal, (T+1, n) and (T, m), as `kkt.split_primal`.
 
-    du_t = -alpha k_t - K_t dx_t with dx_0 = 0; only the feedforward term is
-    scaled by alpha, the feedback stays at full strength. At alpha = 1 this
-    path is the exact minimizer of the quadratic subproblem the gains came
-    from (certified by the KKT oracle).
+    du_t = -k_t - K_t dx_t with dx_0 = 0: the full step, the exact minimizer
+    of the quadratic subproblem the gains came from (certified by the KKT
+    oracle). The path of a step alpha, `linear_rollout(exp, replace(sol,
+    k=alpha * sol.k))`, is alpha times it, bit for bit on `linesearch.ALPHAS`.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
     horizon = sol.k.shape[0]
     if exp.fx.shape[0] != horizon:
         raise DimensionError("gain horizon does not match the expansion")
     dx, du = [np.zeros(exp.fx.shape[1])], []
-    dx_t, feedforward, gains, fx, fu, dot = dx[0], -alpha * sol.k, sol.K, exp.fx, exp.fu, np.dot
+    dx_t, feedforward, gains, fx, fu, dot = dx[0], -sol.k, sol.K, exp.fx, exp.fu, np.dot
     for t in range(horizon):
         du_t = feedforward[t] - dot(gains[t], dx_t)
         dx_t = dot(fx[t], dx_t) + dot(fu[t], du_t)

@@ -143,7 +143,7 @@ def test_multiplier_terminal_identity():
     traj = random_nominal(model, cost, x0, 10, seed=1)
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
-    dx, _ = linear_rollout(exp, sol, 1.0)
+    dx, _ = linear_rollout(exp, sol)
     lam = multipliers_from(sol, dx)
     expected_terminal = exp.ct_x + exp.ct_xx @ dx[-1]
     assert np.allclose(lam[-1], expected_terminal, atol=1e-12)
@@ -154,7 +154,7 @@ def test_multipliers_match_kkt_equality_multipliers(lqr_instance):
     traj = random_nominal(model, cost, x0, horizon, seed=2)
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
-    dx, _ = linear_rollout(exp, sol, 1.0)
+    dx, _ = linear_rollout(exp, sol)
     lam = multipliers_from(sol, dx)
     ksol = solve_kkt(assemble_qp(exp))
     lam_qp = ksol.multipliers.reshape(horizon, 2)
@@ -182,7 +182,7 @@ def test_expected_reduction_hand_case():
         ct_x=[0.0], ct_xx=[[0.0]])
     sol = backward_ilqr(exp)
     assert sol.k[0, 0] == pytest.approx(0.5)
-    assert expected_reduction(sol, exp, 1.0) == pytest.approx(-0.5, abs=1e-15)
+    assert expected_reduction(sol, exp) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_expected_reduction_trivial_cases():
@@ -190,11 +190,12 @@ def test_expected_reduction_trivial_cases():
     traj = random_nominal(model, cost, x0, 10, seed=4)
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
-    assert expected_reduction(sol, exp, 0.0) == 0.0
+    # a step alpha predicts (2 alpha - alpha^2) times the full step's change: 0 at 0
+    assert 0.0 * expected_reduction(sol, exp) == 0.0
     zeroed = type(sol)(v=sol.v, V=sol.V, k=np.zeros_like(sol.k), K=sol.K,
                        quu=sol.quu, method=sol.method)
     # with zero feedforward the directional term vanishes at any alpha
-    assert expected_reduction(zeroed, exp, 0.7) == 0.0
+    assert expected_reduction(zeroed, exp) == 0.0
 
 
 @pytest.mark.parametrize("variant", ["ilqr", "newton"])
@@ -213,10 +214,10 @@ def test_expected_reduction_matches_dense_quadratic_model(variant):
         qp = assemble_qp(exp, lam)
     hessian, gradient, _ = dense_qp(qp)
     for alpha in (0.25, 0.5, 1.0):
-        z = _stack_path(*linear_rollout(exp, sol, alpha))
+        z = _stack_path(*linear_rollout(exp, replace(sol, k=alpha * sol.k)))
         model_change = float(gradient @ z + 0.5 * z @ hessian @ z)
         assert model_change == pytest.approx(
-            expected_reduction(sol, exp, alpha), abs=1e-10)
+            (2.0 * alpha - alpha * alpha) * expected_reduction(sol, exp), abs=1e-10)
 
 
 def test_expected_reduction_monotone_in_alpha_when_definite():
@@ -226,7 +227,7 @@ def test_expected_reduction_monotone_in_alpha_when_definite():
         exp = expand_along(model, cost, traj)
         sol = backward_ilqr(exp)
         alphas = np.linspace(0.0, 1.0, 21)
-        values = [expected_reduction(sol, exp, a) for a in alphas]
+        values = [(2.0 * a - a * a) * expected_reduction(sol, exp) for a in alphas]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -466,26 +467,22 @@ def _first_stages(exp, count):
 
 
 @pytest.mark.parametrize(("call", "error", "message"), [
-    (lambda exp, sol, path: expected_reduction(sol, exp, 1.5), ValueError,
-     r"alpha must be in \[0, 1\]"),
-    (lambda exp, sol, path: expected_reduction(sol, exp, -0.5), ValueError,
-     r"alpha must be in \[0, 1\]"),
     # one stage broadcasts against six, three do not: both are the same fault
-    (lambda exp, sol, path: expected_reduction(sol, _first_stages(exp, 1), 1.0),
+    (lambda exp, sol, path: expected_reduction(sol, _first_stages(exp, 1)),
      DimensionError, "gain horizon does not match the expansion"),
-    (lambda exp, sol, path: expected_reduction(sol, _first_stages(exp, 3), 1.0),
+    (lambda exp, sol, path: expected_reduction(sol, _first_stages(exp, 3)),
      DimensionError, "gain horizon does not match the expansion"),
     (lambda exp, sol, path: multipliers_from(sol, path[0][1:]),
-     ValueError, "path horizon does not match the solution"),
-    (lambda exp, sol, path: backward_newton(exp, sol.v[1:]), ValueError,
+     DimensionError, "path horizon does not match the solution"),
+    (lambda exp, sol, path: backward_newton(exp, sol.v[1:]), DimensionError,
      r"multiplier sequence must have shape \(T\+1, n\)"),
-    (lambda exp, sol, path: backward_newton(exp, sol.v[:, :1]), ValueError,
+    (lambda exp, sol, path: backward_newton(exp, sol.v[:, :1]), DimensionError,
      r"multiplier sequence must have shape \(T\+1, n\)"),
-], ids=["reduction-alpha-high", "reduction-alpha-low", "reduction-one-stage",
-        "reduction-horizon", "multipliers-path", "newton-horizon", "newton-width"])
+], ids=["reduction-one-stage", "reduction-horizon", "multipliers-path", "newton-horizon",
+        "newton-width"])
 def test_backward_rejects_bad_inputs(call, error, message):
     model, cost, x0, _ = make_benchmark("pendulum")
     exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=5))
     sol = backward_ilqr(exp)
     with pytest.raises(error, match=message):
-        call(exp, sol, linear_rollout(exp, sol, 1.0))
+        call(exp, sol, linear_rollout(exp, sol))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import trajopt
+from trajopt import cli
 from trajopt.artifacts import prediction_row
 from trajopt.cli import _KEYS, ExperimentConfig, build_config, main, parse_kv_file
 from trajopt.models import BENCHMARKS, PendulumModel
@@ -343,6 +344,18 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert refused.returncode == 2
     assert refused.stderr.startswith("configuration error:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("added", [(), ("quadrotor",)], ids=["benchmarks", "one-more"])
+def test_run_help_names_every_system_and_method(capsys, monkeypatch, added):
+    # the help is built from the schema: a system added to it shows unedited
+    monkeypatch.setattr(cli, "SYSTEMS", cli.SYSTEMS + added)
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--help"])
+    assert exited.value.code == 0
+    shown = capsys.readouterr().out
+    for name in (*cli.SYSTEMS, *cli.METHODS, "all"):
+        assert re.search(rf"\b{name}\b", shown), name
 
 
 def test_build_config_defaults_and_methods():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from trajopt import (KktError, backward_ddp, backward_for, backward_ilqr,
-                     backward_newton, cost_gradient_adjoint, expand_along,
-                     make_benchmark, rollout, verify_equivalence)
+from trajopt import (DimensionError, KktError, backward_ddp, backward_for,
+                     backward_ilqr, backward_newton, cost_gradient_adjoint,
+                     expand_along, make_benchmark, rollout, verify_equivalence)
 from trajopt import kkt
 from trajopt.artifacts import write_verification_json
 from trajopt.kkt import RESIDUAL_SCALE, StackedQP, assemble_qp, solve_kkt, split_primal
@@ -329,21 +329,24 @@ def test_verification_json_schema(tmp_path):
 _FOREIGN_COSTATES = "costates differ from those the sweep contracted"
 
 
-@pytest.mark.parametrize(("call", "message"), [
-    (lambda exp, sol, lam: assemble_qp(exp, sol.v[1:]),
+@pytest.mark.parametrize(("call", "error", "message"), [
+    (lambda exp, sol, lam: assemble_qp(exp, sol.v[1:]), DimensionError,
      r"multiplier sequence must have shape \(T\+1, n\)"),
     # a caller's costates must be the ones the sweep contracted
     (lambda exp, sol, lam: verify_equivalence(backward_newton(exp, lam), exp, 2 * lam),
-     _FOREIGN_COSTATES),
-    (lambda exp, sol, lam: verify_equivalence(sol, exp, lam), _FOREIGN_COSTATES),
+     ValueError, _FOREIGN_COSTATES),
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, lam), ValueError, _FOREIGN_COSTATES),
     # a NaN or nonpositive tol would fail every report in silence
-    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=0.0), "^tol must be positive$"),
-    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=-1e-8), "^tol must be positive$"),
-    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=np.nan), "^tol must be positive$"),
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=0.0), ValueError,
+     "^tol must be positive$"),
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=-1e-8), ValueError,
+     "^tol must be positive$"),
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=np.nan), ValueError,
+     "^tol must be positive$"),
 ], ids=["assemble-costates", "verify-newton-other-costates", "verify-ilqr-costates",
         "verify-tol-zero", "verify-tol-negative", "verify-tol-nan"])
-def test_oracle_rejects_bad_inputs(call, message):
+def test_oracle_rejects_bad_inputs(call, error, message):
     model, cost, x0, _ = make_benchmark("pendulum")
     exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=6))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(error, match=message):
         call(exp, backward_ilqr(exp), initial_multiplier_estimate(exp))

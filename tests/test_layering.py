@@ -620,6 +620,14 @@ def test_only_the_solver_and_the_cli_take_a_config():
             if fns and name not in ("solver.py", "cli.py")} == {}
 
 
+def test_only_the_forward_pass_takes_a_step_length():
+    # the linearized step and its prediction describe the full step; a step
+    # alpha scales them as their docstrings state
+    found = {(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+             for fn in _taking(ast.parse(path.read_text(), str(path)), "alpha")}
+    assert found == {("linesearch.py", "forward_pass")}
+
+
 def test_the_config_finder_sees_each_spelling():
     source = ("def a(model, config):\n    pass\n"
               "def b(model, *, config=None):\n    pass\n"

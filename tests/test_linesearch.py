@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from trajopt import (BackwardSolution, DivergenceError, LinearModel,
-                     QuadraticCost, backward_ilqr, cost_gradient_adjoint,
-                     directional_derivative, expand_along, forward_pass,
-                     line_search, make_benchmark, rollout)
+from trajopt import (BackwardSolution, DimensionError, DivergenceError,
+                     LinearModel, QuadraticCost, backward_ilqr,
+                     cost_gradient_adjoint, directional_derivative, expand_along,
+                     forward_pass, line_search, make_benchmark, rollout)
 from trajopt import linesearch
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
 from trajopt.linesearch import ALPHAS, SIGMA
@@ -326,11 +326,14 @@ def test_accepted_outcomes_strictly_decrease_cost():
 @pytest.mark.parametrize(("alpha", "gain_horizon", "message"), [
     (-0.1, 8, r"alpha must be in \[0, 1\]"),
     (1.5, 8, r"alpha must be in \[0, 1\]"),
+    (math.nan, 8, r"alpha must be in \[0, 1\]"),
     (1.0, 7, "gain horizon does not match the nominal"),
 ])
 def test_forward_pass_rejects_bad_inputs(alpha, gain_horizon, message):
     model, cost, x0, _ = make_benchmark("pendulum")
     nominal = random_nominal(model, cost, x0, 8, seed=4)
     sol = _gains(np.zeros(gain_horizon), np.zeros((gain_horizon, 2)), gain_horizon, 2, 1)
-    with pytest.raises(ValueError, match=message):
+    # a step outside [0, 1] is a bad value, gains of another horizon a bad shape
+    error = ValueError if gain_horizon == nominal.horizon else DimensionError
+    with pytest.raises(error, match=message):
         forward_pass(model, cost, nominal, sol, alpha)

@@ -46,6 +46,7 @@ from trajopt import (BackwardPassError, CartPoleModel, DivergenceError, LinearMo
                      forward_pass, linear_rollout, make_benchmark, rollout, total_cost,
                      verify_equivalence)
 from trajopt.expansion import ExpansionSequence
+from trajopt.linesearch import ALPHAS
 from trajopt.trajectory import STATE_MAGNITUDE_LIMIT
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -366,8 +367,11 @@ def test_expected_reduction_equals_the_per_stage_loop(problem):
     for t in range(sol.horizon):
         g = exp.ru[t] + exp.fu[t].T @ sol.v[t + 1]
         total += float(g @ sol.k[t])
-    for alpha in (0.0, 0.3, 1.0):
-        assert expected_reduction(sol, exp, alpha) == -(alpha - 0.5 * alpha * alpha) * total
+    assert expected_reduction(sol, exp) == -0.5 * total
+    # each trial step's prediction, bit for bit the alpha-scaled closed form
+    for alpha in ALPHAS:
+        assert ((2.0 * alpha - alpha * alpha) * expected_reduction(sol, exp)
+                == -(alpha - 0.5 * alpha * alpha) * total)
 
 
 @PROPERTY_SETTINGS
@@ -375,7 +379,7 @@ def test_expected_reduction_equals_the_per_stage_loop(problem):
 def test_the_sweeps_slope_is_the_linearized_rollouts(problem):
     # The step z* solves min g'z + 1/2 z'Hz s.t. Az = 0, so g'z* = -z*'Hz*:
     # the slope `solve` hands the line search, -sum_t g_t'k_t, must be the
-    # directional derivative measured independently, by the alpha = 1
+    # directional derivative measured independently, by the full step's
     # linearized rollout along the adjoint gradient. Newton gets the seeded
     # costates of `initial_multiplier_estimate`.
     model, cost, traj, _ = problem
@@ -384,7 +388,7 @@ def test_the_sweeps_slope_is_the_linearized_rollouts(problem):
     for method in ("ilqr", "newton", "ddp"):
         sol = backward_for(method, exp)
         assert directional_derivative(exp, sol, grad) == pytest.approx(
-            2.0 * expected_reduction(sol, exp, 1.0), rel=1e-9, abs=0.0), method
+            2.0 * expected_reduction(sol, exp), rel=1e-9, abs=0.0), method
 
 
 @PROPERTY_SETTINGS
@@ -415,7 +419,8 @@ def test_linear_rollout_equals_the_per_stage_reference(problem, alpha, method):
     model, cost, traj, rng = problem
     exp = expand_along(model, cost, traj)
     sol = backward_for(method, exp, _costates(rng, traj))
-    assert _equal(linear_rollout(exp, sol, alpha), _reference_linear_rollout(exp, sol, alpha))
+    assert _equal(linear_rollout(exp, replace(sol, k=alpha * sol.k)),
+                  _reference_linear_rollout(exp, sol, alpha))
 
 
 @PROPERTY_SETTINGS
@@ -440,7 +445,7 @@ def test_every_loop_equals_its_reference_on_nonlinear_nominals(problem, alpha):
         sol = backward_for(method, exp, costates)
         assert _equal((sol.v, sol.V, sol.k, sol.K, sol.quu),
                       _reference_sweep(exp, method, costates)), method
-        assert _equal(linear_rollout(exp, sol, alpha),
+        assert _equal(linear_rollout(exp, replace(sol, k=alpha * sol.k)),
                       _reference_linear_rollout(exp, sol, alpha)), method
         assert _forward_pass_equals_the_reference(model, cost, traj, sol, alpha), method
 

@@ -282,7 +282,7 @@ def test_a_sweep_predicting_an_increase_is_an_ilqr_bug_and_a_ddp_failure(monkeyp
     # The line search refuses a direction that predicts no decrease. iLQR's
     # sweep provably descends, so there the refusal is a bug and `solve` raises;
     # DDP's can fail far from an optimum, so there it ends the solve.
-    monkeypatch.setattr("trajopt.solver.expected_reduction", lambda sol, exp, alpha: 1.0)
+    monkeypatch.setattr("trajopt.solver.expected_reduction", lambda sol, exp: 1.0)
     model, cost, x0, horizon = make_benchmark("pendulum")
     u0 = np.zeros((horizon, 1))
     with pytest.raises(NonDescentError):

@@ -1,15 +1,19 @@
 """Rollout, total cost, and linearized rollout."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trajopt import (BackwardSolution, DimensionError, DivergenceError,
-                     LinearModel, PendulumModel, QuadraticCost, backward_ilqr,
-                     expand_along, linear_rollout, make_benchmark, rollout,
-                     total_cost)
+                     LinearModel, PendulumModel, QuadraticCost, backward_for,
+                     backward_ilqr, expand_along, linear_rollout, make_benchmark,
+                     rollout, total_cost)
 from trajopt.artifacts import write_trajectory_csv
+from trajopt.linesearch import ALPHAS
+from trajopt.models import random_linear
+from trajopt.solver import SWEEPS
 
 from conftest import random_nominal
 
@@ -164,7 +168,7 @@ def test_linear_rollout_zero_feedforward_is_zero_path():
     exp = expand_along(model, cost, traj)
     rng = np.random.default_rng(0)
     sol = _zero_gains(15, 2, 1, K=rng.normal(size=(15, 1, 2)))
-    dx, du = linear_rollout(exp, sol, 1.0)
+    dx, du = linear_rollout(exp, sol)
     assert not dx.any()
     assert not du.any()
 
@@ -174,7 +178,7 @@ def test_linear_rollout_alpha_zero_is_zero_path():
     traj = random_nominal(model, cost, x0, 15, seed=2)
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
-    dx, du = linear_rollout(exp, sol, 0.0)
+    dx, du = linear_rollout(exp, replace(sol, k=0.0 * sol.k))
     assert not dx.any()
     assert not du.any()
 
@@ -186,7 +190,7 @@ def test_linear_rollout_feedback_identity_and_dynamics():
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
     for alpha in (0.25, 1.0):
-        dx, du = linear_rollout(exp, sol, alpha)
+        dx, du = linear_rollout(exp, replace(sol, k=alpha * sol.k))
         assert dx[0].max() == 0.0
         for t in range(25):
             residual = du[t] + alpha * sol.k[t] + sol.K[t] @ dx[t]
@@ -200,14 +204,31 @@ def test_linear_rollout_scales_linearly_in_alpha_without_feedback():
     traj = random_nominal(model, cost, x0, 10, seed=6)
     exp = expand_along(model, cost, traj)
     sol = backward_ilqr(exp)
-    open_loop = _zero_gains(10, 2, 1)
     open_loop = type(sol)(v=sol.v, V=sol.V, k=sol.k,
                           K=np.zeros_like(sol.K), quu=sol.quu, method="ilqr")
-    full_dx, full_du = linear_rollout(exp, open_loop, 1.0)
+    full_dx, full_du = linear_rollout(exp, open_loop)
     for alpha in (0.25, 0.5, 0.75):
-        dx, du = linear_rollout(exp, open_loop, alpha)
+        dx, du = linear_rollout(exp, replace(open_loop, k=alpha * open_loop.k))
         assert np.allclose(du, alpha * full_du, atol=1e-14)
         assert np.allclose(dx, alpha * full_dx, atol=1e-12)
+
+
+@pytest.mark.parametrize("system", ["pendulum", "cartpole", "linear-m2"])
+def test_the_path_of_each_trial_step_is_alpha_times_the_full_step(system):
+    # feedback included: dx_0 = 0, so the whole path is linear in the
+    # feedforward, and scaling by a power of 2 rounds nothing
+    if system == "linear-m2":
+        model, cost, x0 = random_linear(np.random.default_rng(1))
+    else:
+        model, cost, x0, _ = make_benchmark(system)
+    exp = expand_along(model, cost, random_nominal(model, cost, x0, 30, seed=8))
+    for method in SWEEPS:
+        sol = backward_for(method, exp)
+        full_dx, full_du = linear_rollout(exp, sol)
+        for alpha in ALPHAS:
+            dx, du = linear_rollout(exp, replace(sol, k=alpha * sol.k))
+            assert np.array_equal(dx, alpha * full_dx), (method, alpha)
+            assert np.array_equal(du, alpha * full_du), (method, alpha)
 
 
 def test_rollout_is_dynamically_feasible():
@@ -242,14 +263,8 @@ def _pendulum_sweep(horizon):
     return exp, backward_ilqr(exp)
 
 
-@pytest.mark.parametrize(("alpha", "gain_horizon", "error", "message"), [
-    (-0.1, 6, ValueError, r"alpha must be in \[0, 1\]"),
-    (1.5, 6, ValueError, r"alpha must be in \[0, 1\]"),
-    (math.nan, 6, ValueError, r"alpha must be in \[0, 1\]"),
-    (1.0, 5, DimensionError, "gain horizon does not match the expansion"),
-])
-def test_linear_rollout_rejects_bad_inputs(alpha, gain_horizon, error, message):
+def test_linear_rollout_rejects_gains_of_another_horizon():
     exp, _ = _pendulum_sweep(6)
-    _, sol = _pendulum_sweep(gain_horizon)
-    with pytest.raises(error, match=message):
-        linear_rollout(exp, sol, alpha)
+    _, sol = _pendulum_sweep(5)
+    with pytest.raises(DimensionError, match="gain horizon does not match the expansion"):
+        linear_rollout(exp, sol)
