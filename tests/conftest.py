@@ -1,6 +1,12 @@
-"""Shared fixtures: the LQR golden case, the seeded iLQR sweeps, seeded
-nominal generators and a dense view of the stacked KKT oracle's QP."""
+"""Shared fixtures: the LQR golden case, the seeded solves (the iLQR
+sweeps, the cold starts and the cart-pole DDP sweep, which
+`tests/golden/solves.txt` pins), seeded nominal generators and a dense view
+of the stacked KKT oracle's QP.
 
+Each seeded solve is a plain function, so `make_golden.py` solves exactly
+the runs the session fixtures hand to the tests."""
+
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -8,11 +14,23 @@ import pytest
 
 from trajopt import (LinearModel, QuadraticCost, SolveResult, SolverConfig,
                      make_benchmark, rollout, solve, split_primal)
+from trajopt.solver import METHODS
 
 SEEDS = range(20)
-# iteration budgets of the seeded iLQR sweeps; `seed_sweeps` asserts that
-# every run fits in its budget
+# iteration budgets of the seeded iLQR sweeps and of the cold starts;
+# `seed_sweeps` asserts that every run fits in its budget
 SWEEP_BUDGETS = {"pendulum": 200, "cartpole": 500}
+# the cold starts: zero controls, or (seed, amplitude) of seeded uniform
+# controls as `random_controls` draws them
+COLD_STARTS = {"zero": None, "seed101x1": (101, 1.0), "seed102x1": (102, 1.0),
+               "seed104x3": (104, 3.0), "seed105x3": (105, 3.0)}
+# (system, method, start) of every cold solve. Cart-pole iLQR and hybrid
+# take seconds a start, so of those only criterion 08's zero-start iLQR
+# swing-up is solved; cart-pole Newton and DDP fail within a few iterations.
+COLD_RUNS = (tuple(("pendulum", method, start) for method in METHODS for start in COLD_STARTS)
+             + tuple(("cartpole", method, start) for method in ("newton", "ddp")
+                     for start in COLD_STARTS)
+             + (("cartpole", "ilqr", "zero"),))
 
 
 @pytest.fixture(scope="session")
@@ -77,8 +95,7 @@ class SeedRun:
     ddp: SolveResult | None   # DDP from warm's controls; None if warm failed
 
 
-@pytest.fixture(scope="session")
-def seed_sweeps():
+def solve_seed_sweeps():
     """Each benchmark's seeded iLQR starts, uniform controls in [-1, 1], each
     solved once: a warm run to grad 1e-2, then iLQR and DDP from its controls.
 
@@ -111,6 +128,49 @@ def seed_sweeps():
             runs.append(SeedRun(seed, ilqr, warm, tail, ddp))
         sweeps[system] = runs
     return sweeps
+
+
+def solve_cold_starts():
+    """{(system, method, start): (result, seconds)} of every run of
+    COLD_RUNS, each solved with its system's budget and timed."""
+    runs = {}
+    for system, method, start in COLD_RUNS:
+        model, cost, x0, horizon = make_benchmark(system)
+        u0 = (np.zeros((horizon, model.control_dim)) if COLD_STARTS[start] is None
+              else random_controls(horizon, model.control_dim, *COLD_STARTS[start]))
+        began = time.perf_counter()
+        result = solve(model, cost, x0, u0,
+                       SolverConfig(method=method, max_iters=SWEEP_BUDGETS[system]))
+        runs[system, method, start] = result, time.perf_counter() - began
+    return runs
+
+
+def solve_ddp_cartpole_sweep():
+    """20 seeded unregularized DDP runs on the cart-pole, lively inits:
+    (seed, initial controls, result) each."""
+    model, cost, x0, horizon = make_benchmark("cartpole")
+    runs = []
+    for seed in SEEDS:
+        u0 = random_controls(horizon, model.control_dim, seed, amplitude=5.0)
+        runs.append((seed, u0,
+                     solve(model, cost, x0, u0,
+                           SolverConfig(method="ddp", max_iters=200))))
+    return runs
+
+
+@pytest.fixture(scope="session")
+def seed_sweeps():
+    return solve_seed_sweeps()
+
+
+@pytest.fixture(scope="session")
+def cold_solves():
+    return solve_cold_starts()
+
+
+@pytest.fixture(scope="session")
+def ddp_cartpole_sweep():
+    return solve_ddp_cartpole_sweep()
 
 
 def dense_qp(qp):

@@ -3,11 +3,11 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
 per criterion. The seeded sweeps are session fixtures that solve each start
 once: criteria 03, 04 and 09 and the feasibility sweep read `seed_sweeps`
-from conftest.py, criteria 05 and 10 read `ddp_cartpole_sweep`.
+from conftest.py, criteria 05 and 10 read `ddp_cartpole_sweep`, and
+criterion 08 reads the zero-start iLQR runs of `cold_solves`.
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from trajopt.cli import main as cli_main
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
 from trajopt.solver import initial_multiplier_estimate
 
-from conftest import SEEDS, random_controls, swept_records
+from conftest import SWEEP_BUDGETS, random_controls, swept_records
 
 DEFAULT_SEED = 0
 
@@ -29,23 +29,6 @@ def _report(number, name, ok, detail=""):
     verdict = "PASS" if ok else "FAIL"
     print(f"[criterion {number:02d}] {name}: {verdict}" + (f"  ({detail})" if detail else ""))
     assert ok, f"criterion {number} ({name}) failed: {detail}"
-
-
-# ---------------------------------------------------------------------------
-# shared sweeps
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="session")
-def ddp_cartpole_sweep():
-    """20 seeded unregularized DDP runs on the cart-pole, lively inits."""
-    model, cost, x0, horizon = make_benchmark("cartpole")
-    runs = []
-    for seed in SEEDS:
-        u0 = random_controls(horizon, model.control_dim, seed, amplitude=5.0)
-        runs.append((seed, u0,
-                     solve(model, cost, x0, u0,
-                           SolverConfig(method="ddp", max_iters=200))))
-    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +183,14 @@ def test_criterion_07_adjoint_gradient_correctness():
             worst <= 1e-5, f"max rel err {worst:.2e}")
 
 
-def test_criterion_08_benchmark_convergence_speed():
+def test_criterion_08_benchmark_convergence_speed(cold_solves):
+    # each run solved with max_iters its system's SWEEP_BUDGETS entry
     budgets = {"pendulum": (200, 10.0), "cartpole": (500, 60.0)}
     ok = True
     details = []
     for system, (max_iters, seconds) in budgets.items():
-        model, cost, x0, horizon = make_benchmark(system)
-        start = time.perf_counter()
-        result = solve(model, cost, x0, np.zeros((horizon, model.control_dim)),
-                       SolverConfig(method="ilqr", max_iters=max_iters))
-        elapsed = time.perf_counter() - start
+        assert SWEEP_BUDGETS[system] == max_iters
+        result, elapsed = cold_solves[system, "ilqr", "zero"]
         good = (result.converged and result.records[-1].grad_norm <= 1e-4
                 and result.iterations <= max_iters and elapsed < seconds)
         ok = ok and good
