@@ -1,16 +1,19 @@
 """Control-affine benchmark systems and quadratic costs with analytic derivatives.
 
-The discrete dynamics are an explicit Euler step of the continuous equations
-of motion. Euler is used deliberately: it keeps the discrete map exactly
-affine in the control whenever the continuous dynamics are, which is the
+The discrete dynamics are an explicit Euler step x' = x + dt r(x, u) of the
+continuous rates r. Euler is used deliberately: it keeps the discrete map
+exactly affine in the control whenever the rates are, which is the
 structural assumption every solver in this package relies on (all second
 derivatives with respect to the control vanish). Higher-order integrators
 would re-introduce control nonlinearity through the stage compositions.
 
-Every model provides analytic first derivatives (Jacobians) and second
-derivative tensors of the discrete map, evaluated at a whole batch of points
-in one call, plus a finite-difference verifier (`check_derivatives`) that
-certifies them against central differences.
+`SystemModel` makes that choice once: it assembles the Euler map's
+Jacobians and second-derivative tensors from a model's analytic partials of
+r, evaluated at a whole batch of points in one call. A model supplies its
+Euler step on Python floats (`_step`) and the partials of its rates on
+arrays (`_rate_partials`); a finite-difference verifier
+(`check_derivatives`) certifies the assembled tensors against central
+differences of the step.
 """
 
 from __future__ import annotations
@@ -42,12 +45,16 @@ __all__ = [
 class SystemModel:
     """Base class for discrete-time dynamics x' = f(x, u), affine in u.
 
-    `derivatives` is array-first: it takes a whole batch of points in one
-    call, so a subclass's `_derivatives` must broadcast over leading axes.
-    `_step` maps one state and one control, lists of floats, to the next
-    state's list of floats, and `step` is its checked wrapper on arrays, which
-    also checks that `_step` returned a list of n values. A rollout checks
-    once and steps through `_step`: a subclass implements it.
+    A subclass supplies two methods. `_step` maps one state and one control,
+    lists of floats, to the next state's list of floats: x + dt r(x, u) for
+    an Euler model. `step` is its checked wrapper on arrays, which also
+    checks that `_step` returned a list of n values; a rollout checks once
+    and steps through `_step`. `_rate_partials(x, u)` returns the partials
+    (r_x, r_u, r_xx, r_xu) of the continuous rates at a batch of points,
+    kinematic entries such as d p_dot / d v = 1 included, and must broadcast
+    over leading axes; `derivatives` assembles the Euler map's tensors from
+    them. A model whose map is not an Euler step (`LinearModel`) overrides
+    `_derivatives` instead.
     """
 
     state_dim: int = 0
@@ -109,11 +116,11 @@ class SystemModel:
                 raise ValueError(f"{name} must be positive")
         return arrays.values()
 
-    def _step(self, x, u):
-        raise NotImplementedError
-
     def _derivatives(self, x, u):
-        raise NotImplementedError
+        """The Euler map's (fx, fu, fxx, fxu): I + dt r_x and dt times the rest."""
+        r_x, r_u, r_xx, r_xu = self._rate_partials(x, u)
+        dt = self.dt
+        return np.eye(self.state_dim) + dt * r_x, dt * r_u, dt * r_xx, dt * r_xu
 
 
 class PendulumModel(SystemModel):
@@ -145,22 +152,20 @@ class PendulumModel(SystemModel):
                - self.damping / ml2 * w + u[0] / ml2)
         return [th + self.dt * w, w + self.dt * acc]
 
-    def _derivatives(self, x, u):
+    def _rate_partials(self, x, u):
         th = x[..., 0]
-        dt = self.dt
         ml2 = self.mass * self.length ** 2
         gl = self.gravity / self.length
 
-        fx = np.zeros(th.shape + (2, 2))
-        fx[..., 0, :] = 1.0, dt
-        fx[..., 1, 0] = -dt * gl * np.cos(th)
-        fx[..., 1, 1] = 1.0 - dt * self.damping / ml2
-        fu = np.zeros(th.shape + (2, 1))
-        fu[..., 1, 0] = dt / ml2
-        fxx = np.zeros(th.shape + (2, 2, 2))
-        fxx[..., 1, 0, 0] = dt * gl * np.sin(th)
-        fxu = np.zeros(th.shape + (2, 2, 1))
-        return fx, fu, fxx, fxu
+        r_x = np.zeros(th.shape + (2, 2))
+        r_x[..., 0, 1] = 1.0
+        r_x[..., 1, 0] = -gl * np.cos(th)
+        r_x[..., 1, 1] = -self.damping / ml2
+        r_u = np.zeros(th.shape + (2, 1))
+        r_u[..., 1, 0] = 1.0 / ml2
+        r_xx = np.zeros(th.shape + (2, 2, 2))
+        r_xx[..., 1, 0, 0] = gl * np.sin(th)
+        return r_x, r_u, r_xx, np.zeros(th.shape + (2, 2, 1))
 
 
 class CartPoleModel(SystemModel):
@@ -205,12 +210,11 @@ class CartPoleModel(SystemModel):
         dt = self.dt
         return [p + dt * v, v + dt * a_cart, th + dt * w, w + dt * a_pole]
 
-    def _derivatives(self, x, u):
+    def _rate_partials(self, x, u):
         M, m = self.cart_mass, self.pole_mass
         L, g = self.pole_com, self.gravity
         th, w = x[..., 2], x[..., 3]
         force = u[..., 0]
-        dt = self.dt
 
         s, c = np.sin(th), np.cos(th)
         s2 = 2.0 * s * c          # sin(2 theta)
@@ -251,30 +255,23 @@ class CartPoleModel(SystemModel):
         a2_ww = n2_ww / (L * den)
         a2_tf = (s + c * dden / den) / (L * den)
 
-        fx = np.broadcast_to(np.eye(4), th.shape + (4, 4)).copy()
-        fx[..., 0, 1] += dt
-        fx[..., 1, 2] += dt * a1_t
-        fx[..., 1, 3] += dt * a1_w
-        fx[..., 2, 3] += dt
-        fx[..., 3, 2] += dt * a2_t
-        fx[..., 3, 3] += dt * a2_w
+        r_x = np.zeros(th.shape + (4, 4))
+        r_x[..., 0, 1] = r_x[..., 2, 3] = 1.0
+        r_x[..., 1, 2], r_x[..., 1, 3] = a1_t, a1_w
+        r_x[..., 3, 2], r_x[..., 3, 3] = a2_t, a2_w
 
-        fu = np.zeros(th.shape + (4, 1))
-        fu[..., 1, 0] = dt * a1_f
-        fu[..., 3, 0] = dt * a2_f
+        r_u = np.zeros(th.shape + (4, 1))
+        r_u[..., 1, 0], r_u[..., 3, 0] = a1_f, a2_f
 
-        fxx = np.zeros(th.shape + (4, 4, 4))
-        fxx[..., 1, 2, 2] = dt * a1_tt
-        fxx[..., 1, 2, 3] = fxx[..., 1, 3, 2] = dt * a1_tw
-        fxx[..., 1, 3, 3] = dt * a1_ww
-        fxx[..., 3, 2, 2] = dt * a2_tt
-        fxx[..., 3, 2, 3] = fxx[..., 3, 3, 2] = dt * a2_tw
-        fxx[..., 3, 3, 3] = dt * a2_ww
+        r_xx = np.zeros(th.shape + (4, 4, 4))
+        r_xx[..., 1, 2, 2], r_xx[..., 1, 3, 3] = a1_tt, a1_ww
+        r_xx[..., 1, 2, 3] = r_xx[..., 1, 3, 2] = a1_tw
+        r_xx[..., 3, 2, 2], r_xx[..., 3, 3, 3] = a2_tt, a2_ww
+        r_xx[..., 3, 2, 3] = r_xx[..., 3, 3, 2] = a2_tw
 
-        fxu = np.zeros(th.shape + (4, 4, 1))
-        fxu[..., 1, 2, 0] = dt * a1_tf
-        fxu[..., 3, 2, 0] = dt * a2_tf
-        return fx, fu, fxx, fxu
+        r_xu = np.zeros(th.shape + (4, 4, 1))
+        r_xu[..., 1, 2, 0], r_xu[..., 3, 2, 0] = a1_tf, a2_tf
+        return r_x, r_u, r_xx, r_xu
 
 
 class LinearModel(SystemModel):
