@@ -1,21 +1,17 @@
 """Control-affine benchmark systems and quadratic costs with analytic derivatives.
 
 The discrete dynamics are an explicit Euler step x' = x + dt r(x, u) of the
-continuous rates r. Euler is used deliberately: it keeps the discrete map
-exactly affine in the control whenever the rates are, which is the
-structural assumption every solver in this package relies on (all second
-derivatives with respect to the control vanish). Higher-order integrators
-would re-introduce control nonlinearity through the stage compositions.
-
-`SystemModel` makes that choice once: it assembles the Euler map's
-Jacobians and second-derivative tensors from a model's analytic partials of
-r, evaluated at a whole batch of points in one call. A model supplies its
-Euler step on Python floats (`_step`) and the partials of its rates on
-arrays (`_rate_partials`); a finite-difference verifier
-(`check_derivatives`) certifies the assembled tensors against central
-differences of the step.
+continuous rates r, made once in `SystemModel`: a model supplies its step on
+Python floats (`_step`) and the analytic partials of r at a batch of points
+(`_rate_partials`), and the base class assembles the Euler map's Jacobians
+and second-derivative tensors from them. Euler is used deliberately: it
+keeps the map exactly affine in the control whenever the rates are, which is
+the structural assumption every solver in this package relies on (all
+second derivatives with respect to the control vanish). Higher-order
+integrators would re-introduce control nonlinearity through the stage
+compositions. `check_derivatives` certifies the tensors against central
+differences.
 """
-
 from __future__ import annotations
 
 import math
@@ -45,22 +41,21 @@ __all__ = [
 class SystemModel:
     """Base class for discrete-time dynamics x' = f(x, u), affine in u.
 
-    A subclass supplies two methods. `_step` maps one state and one control,
-    lists of floats, to the next state's list of floats: x + dt r(x, u) for
-    an Euler model. `step` is its checked wrapper on arrays, which also
-    checks that `_step` returned a list of n values; a rollout checks once
-    and steps through `_step`. `_rate_partials(x, u)` returns the partials
-    (r_x, r_u, r_xx, r_xu) of the continuous rates at a batch of points,
-    kinematic entries such as d p_dot / d v = 1 included, and must broadcast
-    over leading axes; `derivatives` assembles the Euler map's tensors from
-    them. A model whose map is not an Euler step (`LinearModel`) overrides
-    `_derivatives` instead.
+    A subclass supplies `_step`, which maps one state and one control, lists
+    of floats, to the next state's list of floats, x + dt r(x, u), and
+    `_rate_partials(x, u)`, the partials (r_x, r_u, r_xx, r_xu) of its rates
+    at a batch of points, kinematic 1s such as d p_dot / d v included,
+    broadcast over leading axes. `step` is the checked wrapper of `_step` on
+    arrays, and a rollout checks once and steps through `_step`;
+    `derivatives` assembles the Euler map's tensors from the partials. A map
+    that is no Euler step (`LinearModel`) overrides `_derivatives` instead.
     """
 
     state_dim: int = 0
     control_dim: int = 0
-    # the parameters that must be positive; damping and gravity may be zero
+    # the parameters that must be positive, and those that may also be zero
     _positive = ("timestep", "mass", "length", "cart_mass", "pole_mass", "pole_com")
+    _nonnegative = ("gravity", "damping")
 
     # sampling box used by the finite-difference verifier and seeded sweeps
     state_low: np.ndarray
@@ -107,13 +102,15 @@ class SystemModel:
 
     @classmethod
     def _parameters(cls, **values):
-        """The named parameters as float arrays, each finite, and positive if in `_positive`."""
+        """The named parameters as float arrays, finite, and positive or nonnegative if listed."""
         arrays = {name: np.asarray(value, dtype=float) for name, value in values.items()}
         for name, value in arrays.items():
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got {value}")
             if name in cls._positive and not value > 0:
                 raise ValueError(f"{name} must be positive")
+            if name in cls._nonnegative and not value >= 0:
+                raise ValueError(f"{name} must be nonnegative")
         return arrays.values()
 
     def _derivatives(self, x, u):
@@ -257,18 +254,14 @@ class CartPoleModel(SystemModel):
 
         r_x = np.zeros(th.shape + (4, 4))
         r_x[..., 0, 1] = r_x[..., 2, 3] = 1.0
-        r_x[..., 1, 2], r_x[..., 1, 3] = a1_t, a1_w
-        r_x[..., 3, 2], r_x[..., 3, 3] = a2_t, a2_w
-
+        r_x[..., 1, 2], r_x[..., 1, 3], r_x[..., 3, 2], r_x[..., 3, 3] = a1_t, a1_w, a2_t, a2_w
         r_u = np.zeros(th.shape + (4, 1))
         r_u[..., 1, 0], r_u[..., 3, 0] = a1_f, a2_f
-
         r_xx = np.zeros(th.shape + (4, 4, 4))
         r_xx[..., 1, 2, 2], r_xx[..., 1, 3, 3] = a1_tt, a1_ww
         r_xx[..., 1, 2, 3] = r_xx[..., 1, 3, 2] = a1_tw
         r_xx[..., 3, 2, 2], r_xx[..., 3, 3, 3] = a2_tt, a2_ww
         r_xx[..., 3, 2, 3] = r_xx[..., 3, 3, 2] = a2_tw
-
         r_xu = np.zeros(th.shape + (4, 4, 1))
         r_xu[..., 1, 2, 0], r_xu[..., 3, 2, 0] = a1_tf, a2_tf
         return r_x, r_u, r_xx, r_xu

@@ -184,7 +184,7 @@ def test_criterion_07_adjoint_gradient_correctness():
 
 
 def test_criterion_08_benchmark_convergence_speed(cold_solves):
-    # each run solved with max_iters its system's SWEEP_BUDGETS entry
+    # (max_iters, seconds); `cold_solves` solves with SWEEP_BUDGETS as max_iters
     budgets = {"pendulum": (200, 10.0), "cartpole": (500, 60.0)}
     ok = True
     details = []

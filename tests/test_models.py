@@ -7,7 +7,7 @@ import pytest
 
 from trajopt import (CartPoleModel, DimensionError, LinearModel, PendulumModel,
                      QuadraticCost, check_derivatives, make_benchmark, rollout)
-from trajopt.models import BENCHMARKS, CARTPOLE_DEFAULTS, PENDULUM_DEFAULTS
+from trajopt.models import BENCHMARKS, CARTPOLE_DEFAULTS, PENDULUM_DEFAULTS, SystemModel
 
 
 def test_pendulum_downward_equilibrium_is_fixed_point():
@@ -180,6 +180,47 @@ def test_analytic_derivatives_match_finite_differences(system):
     model, cost, _, _ = make_benchmark(system)
     report = check_derivatives(model, cost, seed=0)
     assert report.passed, report.summary()
+
+
+class _DampedDoubleIntegrator(SystemModel):
+    """p_ddot = u - c p_dot: a custom model that supplies only its Euler step
+    on floats and the partials of its rates on arrays."""
+
+    state_dim, control_dim = 2, 1
+
+    def __init__(self, c=0.3, dt=0.1):
+        self.c, self.dt = c, dt
+        self.state_low, self.state_high = -np.ones(2), np.ones(2)
+        self.control_low, self.control_high = -np.ones(1), np.ones(1)
+
+    def _step(self, x, u):
+        p, v = x
+        return [p + self.dt * v, v + self.dt * (u[0] - self.c * v)]
+
+    def _rate_partials(self, x, u):
+        batch = x.shape[:-1]
+        return (np.broadcast_to([[0.0, 1.0], [0.0, -self.c]], batch + (2, 2)),
+                np.broadcast_to([[0.0], [1.0]], batch + (2, 1)),
+                np.zeros(batch + (2, 2, 2)), np.zeros(batch + (2, 2, 1)))
+
+
+def test_a_custom_model_of_step_and_rate_partials_passes_the_derivative_check():
+    cost = QuadraticCost(np.eye(2), np.eye(1), np.eye(2), np.zeros(2))
+    report = check_derivatives(_DampedDoubleIntegrator(), cost, seed=0)
+    assert report.passed, report.summary()
+
+
+def test_the_euler_assembly_of_a_custom_model_is_exact_at_a_batch():
+    model = _DampedDoubleIntegrator()
+    dt, c = model.dt, model.c
+    rng = np.random.default_rng(6)
+    fx, fu, fxx, fxu = model.derivatives(rng.uniform(-1.0, 1.0, (2, 3, 2)),
+                                         rng.uniform(-1.0, 1.0, (2, 3, 1)))
+    assert fx.shape == (2, 3, 2, 2) and fu.shape == (2, 3, 2, 1)
+    assert np.array_equal(fx, np.broadcast_to([[1.0, dt], [0.0, 1.0 - dt * c]], fx.shape))
+    assert np.array_equal(fu, np.broadcast_to([[0.0], [dt]], fu.shape))
+    assert np.array_equal(fxx, np.zeros((2, 3, 2, 2, 2)))
+    assert np.array_equal(fxu, np.zeros((2, 3, 2, 2, 1)))
 
 
 def test_check_derivatives_linear_model_is_machine_exact():
@@ -446,6 +487,10 @@ _SKEW = np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])
     (lambda: CartPoleModel(cart_mass=0.0), ValueError, "^cart_mass must be positive$"),
     (lambda: CartPoleModel(pole_mass=-1.0), ValueError, "^pole_mass must be positive$"),
     (lambda: CartPoleModel(pole_com=0.0), ValueError, "^pole_com must be positive$"),
+    # gravity must pull theta = 0 down, and damping must take energy out
+    (lambda: PendulumModel(damping=-1.0), ValueError, "^damping must be nonnegative$"),
+    (lambda: PendulumModel(gravity=-9.81), ValueError, "^gravity must be nonnegative$"),
+    (lambda: CartPoleModel(gravity=-1.0), ValueError, "^gravity must be nonnegative$"),
     # empty dimensions: eigvalsh(...)[0] of an empty R or Q would raise a bare
     # IndexError, and an empty A or B would fail later inside `solve`
     (lambda: QuadraticCost(np.eye(2), np.zeros((0, 0)), np.eye(2), np.zeros(2)),
@@ -465,6 +510,7 @@ _SKEW = np.array([[1.0, 0.5], [0.5 + 4e-6, 1.0]])
         "pendulum-mass-inf", "cartpole-com-inf", "cartpole-gravity-nan", "linear-a-inf",
         "linear-b-nan", "pendulum-length-0", "pendulum-mass-0", "pendulum-length-negative",
         "cartpole-cart-mass-0", "cartpole-pole-mass-negative", "cartpole-com-0",
+        "pendulum-damping-negative", "pendulum-gravity-negative", "cartpole-gravity-negative",
         "r-empty", "goal-empty", "a-empty", "b-no-columns"])
 def test_models_reject_bad_arguments(build, error, message):
     with pytest.raises(error, match=message):
