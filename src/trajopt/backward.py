@@ -40,6 +40,7 @@ import numpy as np
 from .errors import BackwardPassError, DimensionError
 
 __all__ = [
+    "SWEEPS",
     "BackwardSolution",
     "backward_ilqr",
     "backward_newton",
@@ -47,8 +48,11 @@ __all__ = [
     "multipliers_from",
     "expected_reduction",
     "quu_spectrum",
+    "initial_multiplier_estimate",
+    "backward_for",
 ]
 
+SWEEPS = ("ilqr", "newton", "ddp")
 PSD_SLACK = 1e-10  # tolerated eigenvalue undershoot from rounding
 _FAILURES = (  # the checks of one stage, in the order it makes them
     "iLQR control curvature lost definiteness", "singular control curvature",
@@ -238,3 +242,25 @@ def quu_spectrum(sol) -> np.ndarray:
     """Minimum eigenvalue of each stage's control curvature block."""
     return np.linalg.eigvalsh(sol.quu)[:, 0]
 
+
+def initial_multiplier_estimate(exp) -> np.ndarray:
+    """Costate seed for the first Newton sweep: value gradients of an iLQR
+    sweep on the same expansion, the stacked subproblem's multiplier estimate
+    at zero deviation."""
+    return multipliers_from(backward_ilqr(exp))
+
+
+def backward_for(method, exp, costates=None):
+    """The backward sweep of one method in SWEEPS on `exp`.
+
+    Newton contracts the given costates, seeded by `initial_multiplier_estimate`
+    when there are none yet; the other sweeps ignore them. The sweep carries
+    what it contracted in `costates`.
+    """
+    if method == "ilqr":
+        return backward_ilqr(exp)
+    if method == "ddp":
+        return backward_ddp(exp)
+    if costates is None:
+        costates = initial_multiplier_estimate(exp)
+    return backward_newton(exp, costates)

@@ -28,11 +28,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import artifacts
+from .backward import SWEEPS, backward_for
 from .errors import ConfigError, DimensionError, TrajoptError
 from .expansion import expand_along
 from .kkt import verify_equivalence
 from .models import BENCHMARKS, check_derivatives, make_benchmark, random_linear
-from .solver import METHODS, SWEEPS, SolverConfig, backward_for, solve
+from .solver import METHODS, SolverConfig, solve
 from .trajectory import rollout
 
 __all__ = [

@@ -73,3 +73,19 @@ def expand_along(model, cost, traj) -> ExpansionSequence:
         fx=fx, fu=fu, fxx=fxx, fxu=fxu,
         lx=lx, lxx=lxx, ru=ru, r=np.asarray(r, dtype=float),
         ct_x=np.asarray(ct_x, dtype=float), ct_xx=np.asarray(ct_xx, dtype=float))
+
+
+def cost_gradient_adjoint(exp) -> np.ndarray:
+    """Exact gradient of the total cost wrt each control, by one adjoint sweep.
+
+    nu_T = C_x, nu_t = l_x + fx' nu_{t+1}; the gradient at stage t is
+    R u_t + fu' nu_{t+1}. Matches central finite differences of the rolled-out
+    cost and costs one backward pass instead of 2 T m rollouts.
+    """
+    nu_t = exp.ct_x
+    nu, lx, fx_t, dot = [nu_t], exp.lx, exp.fx.transpose(0, 2, 1), np.dot
+    for t in range(exp.horizon - 1, 0, -1):  # nu_0 feeds no gradient
+        nu_t = lx[t] + dot(fx_t[t], nu_t)
+        nu.append(nu_t)
+    # nu_1..nu_T; a stack of matrix-vector products rounds as each stage's would
+    return exp.ru + (exp.fu.transpose(0, 2, 1) @ np.array(nu[::-1])[:, :, None])[..., 0]

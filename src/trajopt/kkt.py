@@ -24,10 +24,11 @@ import numpy as np
 
 from .backward import multipliers_from
 from .errors import DimensionError, KktError
+from .expansion import cost_gradient_adjoint  # kept for perfbench/tracer.py
 from .trajectory import linear_rollout
 
 __all__ = ["StackedQP", "KktSolution", "assemble_qp", "solve_kkt", "split_primal",
-           "cost_gradient_adjoint", "VerificationReport", "verify_equivalence"]
+           "VerificationReport", "verify_equivalence"]
 
 RESIDUAL_SCALE = 1e-9  # KKT residual bound, scaled by 1 + input norms
 
@@ -152,22 +153,6 @@ def split_primal(qp, dz):
     dx = np.zeros((horizon + 1, n))
     dx[1:] = stages[:, m:]
     return dx, stages[:, :m]
-
-
-def cost_gradient_adjoint(exp) -> np.ndarray:
-    """Exact gradient of the total cost wrt each control, by one adjoint sweep.
-
-    nu_T = C_x, nu_t = l_x + fx' nu_{t+1}; the gradient at stage t is
-    R u_t + fu' nu_{t+1}. Matches central finite differences of the rolled-out
-    cost and costs one backward pass instead of 2 T m rollouts.
-    """
-    nu_t = exp.ct_x
-    nu, lx, fx_t, dot = [nu_t], exp.lx, exp.fx.transpose(0, 2, 1), np.dot
-    for t in range(exp.horizon - 1, 0, -1):  # nu_0 feeds no gradient
-        nu_t = lx[t] + dot(fx_t[t], nu_t)
-        nu.append(nu_t)
-    # nu_1..nu_T; a stack of matrix-vector products rounds as each stage's would
-    return exp.ru + (exp.fu.transpose(0, 2, 1) @ np.array(nu[::-1])[:, :, None])[..., 0]
 
 
 @dataclass(frozen=True)

@@ -29,28 +29,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import (backward_ddp, backward_ilqr, backward_newton, expected_reduction,
-                       multipliers_from, quu_spectrum)
+from .backward import SWEEPS, backward_for, expected_reduction, multipliers_from, quu_spectrum
+from .backward import initial_multiplier_estimate  # kept for perfbench/tracer.py
 from .errors import NonDescentError
-from .expansion import expand_along
-from .kkt import cost_gradient_adjoint
+from .expansion import cost_gradient_adjoint, expand_along
 from .linesearch import line_search
 from .models import checked_count
 from .trajectory import rollout
 
 __all__ = [
-    "SWEEPS",
     "METHODS",
     "SolverConfig",
     "IterationRecord",
     "SolveResult",
     "converged",
     "solve",
-    "backward_for",
-    "initial_multiplier_estimate",
 ]
 
-SWEEPS = ("ilqr", "newton", "ddp")
 METHODS = SWEEPS + ("hybrid",)
 
 
@@ -124,29 +119,6 @@ def converged(record, config) -> str | None:
     if abs(record.dj_realized) <= config.step_tol:
         return "step"
     return None
-
-
-def initial_multiplier_estimate(exp) -> np.ndarray:
-    """Costate seed for the first Newton sweep: value gradients of an iLQR
-    sweep on the same expansion, the stacked subproblem's multiplier estimate
-    at zero deviation."""
-    return multipliers_from(backward_ilqr(exp))
-
-
-def backward_for(method, exp, costates=None):
-    """The backward sweep of one method in SWEEPS on `exp`.
-
-    Newton contracts the given costates, seeded by `initial_multiplier_estimate`
-    when there are none yet; the other sweeps ignore them. The sweep carries
-    what it contracted in `costates`.
-    """
-    if method == "ilqr":
-        return backward_ilqr(exp)
-    if method == "ddp":
-        return backward_ddp(exp)
-    if costates is None:
-        costates = initial_multiplier_estimate(exp)
-    return backward_newton(exp, costates)
 
 
 def solve(model, cost, x0, init_controls, config):

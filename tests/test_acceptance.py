@@ -16,9 +16,9 @@ from trajopt import (SolverConfig, backward_ddp, backward_ilqr,
                      backward_newton, cost_gradient_adjoint, expand_along,
                      make_benchmark, rollout, solve, verify_equivalence)
 from trajopt.artifacts import prediction_row
+from trajopt.backward import initial_multiplier_estimate
 from trajopt.cli import main as cli_main
 from trajopt.kkt import assemble_qp, solve_kkt, split_primal
-from trajopt.solver import initial_multiplier_estimate
 
 from conftest import SWEEP_BUDGETS, random_controls, swept_records
 

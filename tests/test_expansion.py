@@ -1,11 +1,12 @@
-"""The per-trajectory local model."""
+"""The per-trajectory local model and the adjoint gradient."""
 
 import numpy as np
 import pytest
 
 from trajopt import (DimensionError, LinearModel, PendulumModel, QuadraticCost,
-                     TrajoptError, Trajectory, expand_along, make_benchmark,
-                     rollout)
+                     TrajoptError, Trajectory, cost_gradient_adjoint,
+                     expand_along, make_benchmark, rollout)
+from trajopt.kkt import assemble_qp, solve_kkt, split_primal
 
 from conftest import random_nominal
 
@@ -143,3 +144,44 @@ def test_expansion_dims():
     assert exp.control_dim == 1
     assert exp.fxx.shape == (7, 4, 4, 4)
     assert exp.fxu.shape == (7, 4, 4, 1)
+
+
+def test_adjoint_gradient_zero_at_equilibrium_goal():
+    model = PendulumModel(damping=0.0)
+    cost = QuadraticCost(np.diag([1.0, 0.1]), 0.1 * np.eye(1),
+                         np.diag([100.0, 10.0]), goal=np.zeros(2))
+    traj = rollout(model, cost, np.zeros(2), np.zeros((10, 1)))
+    grad = cost_gradient_adjoint(expand_along(model, cost, traj))
+    assert np.max(np.abs(grad)) == 0.0
+
+
+@pytest.mark.parametrize("system", ["pendulum", "cartpole"])
+def test_adjoint_gradient_matches_finite_differences(system):
+    model, cost, x0, _ = make_benchmark(system)
+    horizon = 12
+    for seed in range(10):
+        traj = random_nominal(model, cost, x0, horizon, seed=seed)
+        grad = cost_gradient_adjoint(expand_along(model, cost, traj))
+        fd = np.zeros_like(grad)
+        h = 1e-5
+        for t in range(horizon):
+            for j in range(model.control_dim):
+                up = traj.controls.copy()
+                dn = traj.controls.copy()
+                up[t, j] += h
+                dn[t, j] -= h
+                fd[t, j] = (rollout(model, cost, x0, up).cost
+                            - rollout(model, cost, x0, dn).cost) / (2 * h)
+        err = np.max(np.abs(fd - grad) / (1.0 + np.abs(grad)))
+        assert err <= 1e-5
+
+
+def test_adjoint_gradient_vanishes_at_kkt_optimum(lqr_instance):
+    model, cost, x0, horizon = lqr_instance
+    nominal = random_nominal(model, cost, x0, horizon, seed=1)
+    exp = expand_along(model, cost, nominal)
+    ksol = solve_kkt(assemble_qp(exp))
+    _, du = split_primal(assemble_qp(exp), ksol.dz)
+    optimum = rollout(model, cost, x0, nominal.controls + du)
+    grad = cost_gradient_adjoint(expand_along(model, cost, optimum))
+    assert np.max(np.abs(grad)) <= 1e-9

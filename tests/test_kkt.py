@@ -1,5 +1,4 @@
-"""Stacked QP assembly, banded KKT solves, the adjoint gradient, and
-equivalence."""
+"""Stacked QP assembly, banded KKT solves, and equivalence."""
 
 import json
 from dataclasses import replace
@@ -9,13 +8,13 @@ import pytest
 import scipy.linalg
 
 from trajopt import (DimensionError, KktError, backward_ddp, backward_for,
-                     backward_ilqr, backward_newton, cost_gradient_adjoint,
-                     expand_along, make_benchmark, rollout, verify_equivalence)
+                     backward_ilqr, backward_newton, expand_along,
+                     make_benchmark, rollout, verify_equivalence)
 from trajopt import kkt
 from trajopt.artifacts import write_verification_json
+from trajopt.backward import initial_multiplier_estimate
 from trajopt.kkt import RESIDUAL_SCALE, StackedQP, assemble_qp, solve_kkt, split_primal
 from trajopt.models import random_linear
-from trajopt.solver import initial_multiplier_estimate
 
 from conftest import dense_qp, random_nominal
 
@@ -160,48 +159,6 @@ def test_solver_invariants_on_random_problems():
         curvature = float(dz @ hessian @ dz)
         assert directional == pytest.approx(-curvature, rel=1e-9, abs=1e-9)
         assert directional < 0.0
-
-
-def test_adjoint_gradient_zero_at_equilibrium_goal():
-    from trajopt import PendulumModel, QuadraticCost
-    model = PendulumModel(damping=0.0)
-    cost = QuadraticCost(np.diag([1.0, 0.1]), 0.1 * np.eye(1),
-                         np.diag([100.0, 10.0]), goal=np.zeros(2))
-    traj = rollout(model, cost, np.zeros(2), np.zeros((10, 1)))
-    grad = cost_gradient_adjoint(expand_along(model, cost, traj))
-    assert np.max(np.abs(grad)) == 0.0
-
-
-@pytest.mark.parametrize("system", ["pendulum", "cartpole"])
-def test_adjoint_gradient_matches_finite_differences(system):
-    model, cost, x0, _ = make_benchmark(system)
-    horizon = 12
-    for seed in range(10):
-        traj = random_nominal(model, cost, x0, horizon, seed=seed)
-        grad = cost_gradient_adjoint(expand_along(model, cost, traj))
-        fd = np.zeros_like(grad)
-        h = 1e-5
-        for t in range(horizon):
-            for j in range(model.control_dim):
-                up = traj.controls.copy()
-                dn = traj.controls.copy()
-                up[t, j] += h
-                dn[t, j] -= h
-                fd[t, j] = (rollout(model, cost, x0, up).cost
-                            - rollout(model, cost, x0, dn).cost) / (2 * h)
-        err = np.max(np.abs(fd - grad) / (1.0 + np.abs(grad)))
-        assert err <= 1e-5
-
-
-def test_adjoint_gradient_vanishes_at_kkt_optimum(lqr_instance):
-    model, cost, x0, horizon = lqr_instance
-    nominal = random_nominal(model, cost, x0, horizon, seed=1)
-    exp = expand_along(model, cost, nominal)
-    ksol = solve_kkt(assemble_qp(exp))
-    _, du = split_primal(assemble_qp(exp), ksol.dz)
-    optimum = rollout(model, cost, x0, nominal.controls + du)
-    grad = cost_gradient_adjoint(expand_along(model, cost, optimum))
-    assert np.max(np.abs(grad)) <= 1e-9
 
 
 def test_verify_equivalence_linear_is_exact(lqr_instance):

@@ -372,7 +372,7 @@ def test_the_loop_check_sees_direct_and_indirect_linalg_calls():
 
 
 PER_STAGE_LOOPS = [("backward.py", "_sweep"), ("trajectory.py", "_propagate"),
-                   ("trajectory.py", "linear_rollout"), ("kkt.py", "cost_gradient_adjoint")]
+                   ("trajectory.py", "linear_rollout"), ("expansion.py", "cost_gradient_adjoint")]
 
 
 @pytest.mark.parametrize(("module", "function"), PER_STAGE_LOOPS)

@@ -11,9 +11,9 @@ from trajopt import (BackwardSolution, DimensionError, DivergenceError,
                      backward_ilqr, expand_along, linear_rollout, make_benchmark,
                      rollout, total_cost)
 from trajopt.artifacts import write_trajectory_csv
+from trajopt.backward import SWEEPS
 from trajopt.linesearch import ALPHAS
 from trajopt.models import random_linear
-from trajopt.solver import SWEEPS
 
 from conftest import random_nominal
 
