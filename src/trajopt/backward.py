@@ -29,6 +29,10 @@ One ordered scan after it makes the checks of each stage, in the order a
 stage makes them (`_FAILURES`), and raises for the highest failing stage with
 the first check it fails: the first failure in sweep order, as per-stage
 checks would raise it, since a stage reads only the stages above it.
+
+`backward_for` maps each name of SWEEPS to its sweep. It seeds a Newton sweep
+given no costates by `initial_multiplier_estimate`: the value gradients of an
+iLQR sweep on the same expansion.
 """
 
 from __future__ import annotations
@@ -85,6 +89,14 @@ class BackwardSolution:
     @property
     def horizon(self) -> int:
         return self.k.shape[0]
+
+    def check_gains(self, horizon, m, n, of):
+        """Raise DimensionError unless k is (horizon, m) and K (horizon, m, n),
+        the shapes the gains take on `of`, a nominal or an expansion."""
+        if self.horizon != horizon:
+            raise DimensionError(f"gain horizon does not match the {of}")
+        if self.k.shape != (horizon, m) or self.K.shape != (horizon, m, n):
+            raise DimensionError(f"gain dimensions do not match the {of}")
 
 
 def _sweep(exp, method, lam_bar=None):
@@ -225,11 +237,10 @@ def expected_reduction(sol, exp) -> float:
     g_t . k_t. A step with its feedforward scaled by alpha predicts
     (2 alpha - alpha^2) times this, bit for bit on `linesearch.ALPHAS`.
     Nonpositive whenever every Quu is positive definite; an indefinite sweep
-    (Newton/DDP) can make it positive, which is reported as-is. A sweep of
-    another horizon than `exp` raises DimensionError.
+    (Newton/DDP) can make it positive, which is reported as-is. Gains of
+    another shape than `exp`'s raise DimensionError.
     """
-    if sol.horizon != exp.horizon:
-        raise DimensionError("gain horizon does not match the expansion")
+    sol.check_gains(exp.horizon, exp.control_dim, exp.state_dim, "expansion")
     # stacks of matrix-vector and dot products round as each stage's would
     g = exp.ru + (exp.fu.transpose(0, 2, 1) @ sol.v[1:, :, None])[..., 0]
     total = 0.0
@@ -255,8 +266,10 @@ def backward_for(method, exp, costates=None):
 
     Newton contracts the given costates, seeded by `initial_multiplier_estimate`
     when there are none yet; the other sweeps ignore them. The sweep carries
-    what it contracted in `costates`.
+    what it contracted in `costates`. A name not in SWEEPS raises ValueError.
     """
+    if method not in SWEEPS:
+        raise ValueError(f"unknown sweep '{method}'")
     if method == "ilqr":
         return backward_ilqr(exp)
     if method == "ddp":

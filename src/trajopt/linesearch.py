@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError
+from .errors import DivergenceError
 from .trajectory import Trajectory, _propagate, linear_rollout
 
 __all__ = [
@@ -51,12 +51,12 @@ def forward_pass(model, cost, nominal, sol, alpha) -> Trajectory:
 
     u_t = ubar_t - alpha k_t - K_t (x_t - xbar_t), rolled through the true
     dynamics from the nominal's initial state. Raises DivergenceError if the
-    closed-loop rollout blows up, which callers treat as a rejected step.
+    closed-loop rollout blows up, which callers treat as a rejected step, and
+    DimensionError for gains of another shape than the nominal's.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    if sol.horizon != nominal.horizon:
-        raise DimensionError("gain horizon does not match the nominal")
+    sol.check_gains(*nominal.controls.shape, nominal.states.shape[1], "nominal")
     return _propagate(model, cost, nominal.states[0], nominal.controls - alpha * sol.k,
                       (sol.K, nominal.states))
 

@@ -120,9 +120,8 @@ def linear_rollout(exp, sol):
     oracle). The path of a step alpha, `linear_rollout(exp, replace(sol,
     k=alpha * sol.k))`, is alpha times it, bit for bit on `linesearch.ALPHAS`.
     """
-    horizon = sol.k.shape[0]
-    if exp.fx.shape[0] != horizon:
-        raise DimensionError("gain horizon does not match the expansion")
+    horizon = exp.horizon
+    sol.check_gains(horizon, exp.control_dim, exp.state_dim, "expansion")
     dx, du = [np.zeros(exp.fx.shape[1])], []
     dx_t, feedforward, gains, fx, fu, dot = dx[0], -sol.k, sol.K, exp.fx, exp.fu, np.dot
     for t in range(horizon):

@@ -42,6 +42,12 @@ MUTANTS = (
     # the derivative check's tolerance, loosened a hundredfold
     ("models.py", "DERIVATIVE_TOL = 1e-7", "DERIVATIVE_TOL = 1e-5",
      "tests/test_models.py::test_check_derivatives_flags_a_second_derivative_off_by_1e_6"),
+    # the forward pass's gain check blind to the state dimension: _feedback's
+    # zip then truncates a gain row into a trajectory
+    ("linesearch.py",
+     'sol.check_gains(*nominal.controls.shape, nominal.states.shape[1], "nominal")',
+     'sol.check_gains(*nominal.controls.shape, sol.K.shape[2], "nominal")',
+     "tests/test_linesearch.py::test_forward_pass_rejects_gains_of_another_dimension"),
     # cos(2 theta) of the cart-pole's partials rounded another way: only the
     # golden of full solves sees a rounding-level change of a solve
     ("models.py", "c2 = c * c - s * s", "c2 = (c - s) * (c + s)",

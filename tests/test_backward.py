@@ -486,3 +486,21 @@ def test_backward_rejects_bad_inputs(call, error, message):
     sol = backward_ilqr(exp)
     with pytest.raises(error, match=message):
         call(exp, sol, linear_rollout(exp, sol))
+
+
+@pytest.mark.parametrize(("system", "other"), [("pendulum", "cartpole"), ("cartpole", "pendulum")])
+def test_expected_reduction_rejects_gains_of_another_state_dimension(system, other):
+    model, cost, x0, _ = make_benchmark(system)
+    exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=5))
+    model, cost, x0, _ = make_benchmark(other)
+    foreign = backward_ilqr(expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=5)))
+    with pytest.raises(DimensionError, match="gain dimensions do not match the expansion"):
+        expected_reduction(foreign, exp)
+
+
+@pytest.mark.parametrize("method", ["DDP", "hybrid", ""])
+def test_backward_for_rejects_a_method_it_has_no_sweep_for(method):
+    model, cost, x0, _ = make_benchmark("pendulum")
+    exp = expand_along(model, cost, random_nominal(model, cost, x0, 4, seed=0))
+    with pytest.raises(ValueError, match=f"unknown sweep '{method}'"):
+        backward_for(method, exp)

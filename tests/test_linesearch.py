@@ -337,3 +337,18 @@ def test_forward_pass_rejects_bad_inputs(alpha, gain_horizon, message):
     error = ValueError if gain_horizon == nominal.horizon else DimensionError
     with pytest.raises(error, match=message):
         forward_pass(model, cost, nominal, sol, alpha)
+
+
+@pytest.mark.parametrize(("system", "n", "m"), [
+    ("pendulum", 4, 1), ("cartpole", 2, 1), ("pendulum", 2, 2)],
+    ids=["cartpole-gains-on-pendulum", "pendulum-gains-on-cartpole", "two-input-gains"])
+def test_forward_pass_rejects_gains_of_another_dimension(system, n, m):
+    # _feedback zips a gain row with the state: a check must catch a
+    # mismatch before the zip truncates it into a trajectory
+    model, cost, x0, _ = make_benchmark(system)
+    nominal = random_nominal(model, cost, x0, 8, seed=4)
+    sol = _gains(np.zeros(8 * m), np.zeros(8 * m * n), 8, n, m)
+    with pytest.raises(DimensionError, match="gain dimensions do not match the nominal"):
+        forward_pass(model, cost, nominal, sol, 1.0)
+    with pytest.raises(DimensionError, match="gain dimensions do not match the nominal"):
+        line_search(model, cost, nominal, sol, -1.0)

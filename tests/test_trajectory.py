@@ -9,7 +9,7 @@ import pytest
 from trajopt import (BackwardSolution, DimensionError, DivergenceError,
                      LinearModel, PendulumModel, QuadraticCost, backward_for,
                      backward_ilqr, expand_along, linear_rollout, make_benchmark,
-                     rollout, total_cost)
+                     rollout, total_cost, verify_equivalence)
 from trajopt.artifacts import write_trajectory_csv
 from trajopt.backward import SWEEPS
 from trajopt.linesearch import ALPHAS
@@ -268,3 +268,14 @@ def test_linear_rollout_rejects_gains_of_another_horizon():
     _, sol = _pendulum_sweep(5)
     with pytest.raises(DimensionError, match="gain horizon does not match the expansion"):
         linear_rollout(exp, sol)
+
+
+@pytest.mark.parametrize(("n", "m"), [(4, 1), (2, 2)], ids=["state", "control"])
+def test_linear_rollout_rejects_gains_of_another_dimension(n, m):
+    # verify_equivalence reaches the same check through linear_rollout
+    exp, _ = _pendulum_sweep(6)
+    sol = _zero_gains(6, n, m)
+    with pytest.raises(DimensionError, match="gain dimensions do not match the expansion"):
+        linear_rollout(exp, sol)
+    with pytest.raises(DimensionError, match="gain dimensions do not match the expansion"):
+        verify_equivalence(sol, exp)
