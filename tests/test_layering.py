@@ -39,7 +39,9 @@ environment, so the configuration a run reports is all that set it. Only
 costates from the sweep's `costates` or from `multipliers_from`, so their
 sign is decided in one place. No function outside `solver.py` and `cli.py`
 takes a parameter named `config`: the solver's settings stop at the solver,
-and the line search takes none.
+and the line search takes none. Only `cli.py` and `__init__.py` import the
+KKT oracle `kkt`, and `kkt` imports nothing from `solver`: no code a solve
+runs depends on the oracle that checks it.
 """
 
 import ast
@@ -635,3 +637,34 @@ def test_the_config_finder_sees_each_spelling():
               "def d(model, cfg):\n    return config\n"
               "e = lambda *config: config\n")
     assert sorted(_taking(ast.parse(source), "config")) == ["<lambda>", "a", "b", "c"]
+
+
+def _imports_of(tree, name):
+    """The line of each import of the package's module `name`: relative or
+    absolute, of the module itself or of a name from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = "" if node.level else "trajopt"
+            module = node.module or ""
+            if (module == (f"{package}.{name}" if package else name)
+                    or module == package and any(a.name == name for a in node.names)):
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any(a.name == f"trajopt.{name}" for a in node.names):
+                yield node.lineno
+
+
+def test_only_the_cli_imports_the_oracle():
+    found = {path.name: list(_imports_of(ast.parse(path.read_text(), str(path)), "kkt"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == {"cli.py", "__init__.py"}
+    kkt = PACKAGE / "kkt.py"
+    assert list(_imports_of(ast.parse(kkt.read_text(), str(kkt)), "solver")) == []
+
+
+def test_the_import_finder_sees_each_spelling():
+    source = ("from .kkt import solve_kkt\nfrom . import kkt\n"
+              "from trajopt.kkt import x\nimport trajopt.kkt\n"
+              "from trajopt import kkt as oracle\nfrom .kkt_extra import y\n"
+              "import kkt\nfrom .solver import kkt_rows\nimport trajopt.kkt_extra\n")
+    assert sorted(_imports_of(ast.parse(source), "kkt")) == [1, 2, 3, 4, 5]
