@@ -4,6 +4,9 @@ One call collects, per timestep, the dynamics Jacobians and Hessian tensors
 together with the cost derivatives, all evaluated on the nominal. Every
 backward pass and the KKT oracle consume this one structure, so they are
 guaranteed to linearize the same problem.
+
+`cost_gradient_adjoint` reads the exact cost gradient off the same structure
+by one adjoint sweep, with no sweep's gains and no call of the oracle.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Outer loop: expand, sweep backward, line-search, repeat.
 
-The loop is the same for every method; only the backward sweep changes. The
-Newton sweep threads a costate sequence across iterations: it is seeded from
-an iLQR sweep on the first nominal and afterwards re-evaluated on each
-accepted path by `multipliers_from` (v_t + V_t dx_t), so that near a solution
-the frozen costates agree with the sweep's own value gradients and the step
-becomes the exact Newton step.
+This module holds the loop alone: `backward.backward_for` picks its sweep,
+and `expansion.cost_gradient_adjoint` gives the gradient it tests. The loop is
+the same for every method; only the backward sweep changes. The Newton sweep
+threads a costate sequence across iterations: it is seeded from an iLQR sweep
+on the first nominal and afterwards re-evaluated on each accepted path by
+`multipliers_from` (v_t + V_t dx_t), so that near a solution the frozen
+costates agree with the sweep's own value gradients and the step becomes the
+exact Newton step.
 
 The hybrid method runs DDP until a DDP iteration fails, in NON_DESCENT or
 FLOOR_HIT, then switches for good to iLQR from the unchanged nominal: iLQR
