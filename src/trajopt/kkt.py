@@ -15,8 +15,8 @@ fx_t dx_t + fu_t du_t - dx_{t+1} = 0, so the equality multipliers returned by
 the KKT solve are the costates lam_1 .. lam_T of `multipliers_from`, with the
 sweep's own sign.
 
-Only the CLI (and `__init__`) imports this module: no code a solve runs
-depends on the oracle that checks it.
+Within the package only the CLI (and `__init__`) imports this module: no
+code a solve runs depends on the oracle that checks it.
 """
 
 from __future__ import annotations

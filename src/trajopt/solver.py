@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import SWEEPS, backward_for, expected_reduction, multipliers_from, quu_spectrum
-from .backward import initial_multiplier_estimate  # kept for perfbench/tracer.py
+from .backward import initial_multiplier_estimate  # kept for perfbench: tracer.py, workloads.py
 from .errors import NonDescentError
 from .expansion import cost_gradient_adjoint, expand_along
 from .linesearch import line_search
