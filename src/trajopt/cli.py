@@ -19,7 +19,6 @@ and seed reproduce byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -76,16 +75,9 @@ class ExperimentConfig:
         return self.method.split(",")
 
 
-def _finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite value '{text}'")
-    return value
-
-
 def _parse_float_list(text):
     try:
-        return tuple(_finite_float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated floats, got '{text}'") from exc
 
@@ -108,8 +100,7 @@ def _typed(parser, label):
     return parse
 
 
-_TYPE_PARSERS = {str: str, int: int, float: _finite_float, bool: _parse_bool,
-                 tuple: _parse_float_list}
+_TYPE_PARSERS = {str: str, int: int, float: float, bool: _parse_bool, tuple: _parse_float_list}
 
 
 def _keys(cls, skip=()):
@@ -146,7 +137,12 @@ def parse_kv_file(path):
 
 
 def build_config(pairs) -> ExperimentConfig:
-    """Validate raw string pairs and produce a typed configuration."""
+    """Parse raw string pairs into a typed configuration and check it before
+    any run starts. The CLI checks the keys, the value types, `init`,
+    `init_amplitude`, `seed` and repeated methods. Every other value is
+    checked by the object it configures, built here: the SolverConfig of each
+    method and the benchmark problem. Their ValueError or DimensionError is
+    raised as a ConfigError."""
     values = {ExperimentConfig: {}, "problem": {}, SolverConfig: {}}
     for key, raw in pairs.items():
         if key not in _KEYS:
@@ -155,33 +151,22 @@ def build_config(pairs) -> ExperimentConfig:
         values[owner][key] = parse(raw)
 
     cfg = ExperimentConfig(problem=values["problem"], **values[ExperimentConfig])
-    if cfg.system not in SYSTEMS:
-        raise ConfigError(f"unknown system '{cfg.system}'")
-    if cfg.method != "all":
-        for method in cfg.methods():
-            if method not in METHODS:
-                raise ConfigError(f"unknown method '{method}'")
-            if cfg.methods().count(method) > 1:  # one run directory per method
-                raise ConfigError(f"method '{method}' is repeated")
     if cfg.init not in ("zero", "random"):
         raise ConfigError(f"unknown init '{cfg.init}'")
-    if cfg.init_amplitude < 0:
-        raise ConfigError("init_amplitude must be nonnegative")
+    if not 0 <= cfg.init_amplitude < np.inf:  # NaN fails too
+        raise ConfigError("init_amplitude must be nonnegative and finite")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
     try:
-        # Surface bad numeric settings now rather than mid-run.
-        solver = SolverConfig(**values[SolverConfig])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return replace(cfg, solver=solver)
-
-
-def _setup(cfg):
-    try:
-        return make_benchmark(cfg.system, **cfg.problem)
+        cfg = replace(cfg, solver=SolverConfig(**values[SolverConfig]))
+        for method in cfg.methods():
+            cfg.solver_config(method)
+            if cfg.methods().count(method) > 1:  # one run directory per method
+                raise ConfigError(f"method '{method}' is repeated")
+        make_benchmark(cfg.system, **cfg.problem)
     except (ValueError, DimensionError) as exc:
         raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 def cmd_run(cfg) -> int:
@@ -192,7 +177,7 @@ def cmd_run(cfg) -> int:
     With `warm_start` the shared guess is a near-solution: plain iLQR down
     to a loose gradient tolerance, from whose controls every method restarts.
     """
-    model, cost, x0, horizon = _setup(cfg)
+    model, cost, x0, horizon = make_benchmark(cfg.system, **cfg.problem)
     controls0 = np.zeros((horizon, model.control_dim))
     if cfg.init == "random":  # seeded uniform draws in [-a, a] per entry
         controls0 = np.random.default_rng(cfg.seed).uniform(

@@ -196,10 +196,10 @@ def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
     problem weighted by the costates the sweep contracted: none for iLQR,
     the frozen sequence for Newton, the value gradients for DDP (the Newton
     sweep under that substitution). `costates`, when given, must be exactly
-    the sweep's own; otherwise ValueError, as for a tol that is not positive.
+    the sweep's own; otherwise ValueError, as for a tol not in (0, inf).
     """
-    if not tol > 0:  # NaN fails too
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # NaN fails too; an infinite tol passes every sweep
+        raise ValueError("tol must be positive and finite")
     if costates is not None and not np.array_equal(costates, sol.costates):
         raise ValueError("costates differ from those the sweep contracted")
     qp = assemble_qp(exp, sol.costates)

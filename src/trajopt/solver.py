@@ -62,9 +62,9 @@ class SolverConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'")
         checked_count("max_iters", self.max_iters)
-        # written so that a NaN fails each check
-        if not (self.grad_tol > 0 and self.step_tol > 0):
-            raise ValueError("tolerances must be positive")
+        # a NaN fails each check; an infinite tolerance would stop every solve at once
+        if not (0 < self.grad_tol < np.inf and 0 < self.step_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)

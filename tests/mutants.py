@@ -48,6 +48,13 @@ MUTANTS = (
      'sol.check_gains(*nominal.controls.shape, nominal.states.shape[1], "nominal")',
      'sol.check_gains(*nominal.controls.shape, sol.K.shape[2], "nominal")',
      "tests/test_linesearch.py::test_forward_pass_rejects_gains_of_another_dimension"),
+    # the upper bound of each tolerance dropped: an infinite grad_tol stops a
+    # solve at once, an infinite oracle tol passes every sweep
+    ("solver.py", "0 < self.grad_tol < np.inf and 0 < self.step_tol < np.inf",
+     "0 < self.grad_tol and 0 < self.step_tol",
+     "tests/test_solver.py::test_solver_config_rejects_infinite_tolerances"),
+    ("kkt.py", "if not 0 < tol < np.inf:", "if not 0 < tol:",
+     "tests/test_kkt.py::test_oracle_rejects_bad_inputs"),
     # cos(2 theta) of the cart-pole's partials rounded another way: only the
     # golden of full solves sees a rounding-level change of a solve
     ("models.py", "c2 = c * c - s * s", "c2 = (c - s) * (c + s)",

@@ -81,13 +81,28 @@ def test_bad_values_exit_2(tmp_path):
     assert _run(["run", "--out", str(tmp_path), "--set", "grad_tol=-1"]) == 2
 
 
-@pytest.mark.parametrize("setting", ["grad_tol=nan", "init_amplitude=nan",
-                                     "step_tol=inf", "x0=nan,0"])
+# the default of each key; a float list is set with the pendulum's two entries
+_DEFAULTS = {**{f.name: f.default for f in (*fields(ExperimentConfig), *fields(SolverConfig))},
+             **BENCHMARKS["pendulum"][1]}
+_NON_FINITE = [f"{key}={value}" + (",0" if isinstance(default, tuple) else "")
+               for key, default in _DEFAULTS.items()
+               if key in _KEYS and isinstance(default, (float, tuple))
+               for value in ("inf", "nan")]
+
+
+def test_the_non_finite_cases_cover_every_float_key():
+    assert len(_NON_FINITE) == 2 * 9
+    assert {"grad_tol=nan", "init_amplitude=nan", "step_tol=inf", "x0=nan,0"} <= set(_NON_FINITE)
+
+
+@pytest.mark.parametrize("setting", _NON_FINITE)
 def test_non_finite_values_exit_2(tmp_path, capsys, setting):
     out = tmp_path / "out"
     args = ["run", "--out", str(out), "--set", "init=random", "--set", setting]
     assert _run(args) == 2
-    assert "configuration error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the object that uses the value rejects it, not the CLI's type parser
+    assert err.startswith("configuration error:") and "finite" in err
     assert not out.exists()
 
 
@@ -399,12 +414,12 @@ def test_build_config_parses_booleans_and_keeps_the_problem_keys_set():
 
 @pytest.mark.parametrize(("args", "message"), [
     (["--set", "horizon"], "--set expects key=value, got 'horizon'"),
-    (["--set", "init_amplitude=-0.5"], "init_amplitude must be nonnegative"),
+    (["--set", "init_amplitude=-0.5"], "init_amplitude must be nonnegative and finite"),
     (["--set", "warm_start=maybe"], "expected a boolean, got 'maybe'"),
     (["--set", "horizon=5.5"], "bad value for horizon: '5.5'"),
     (["--set", "q_diag=1,2,x"], "expected comma-separated floats, got '1,2,x'"),
     (["--system", "acrobot"], "unknown system 'acrobot'"),
-    # accepted by the parser, rejected by the benchmark when the run sets up
+    # accepted by the parser, rejected by the benchmark that build_config builds
     (["--set", "q_diag=1,2,3"], "q_diag length must match the state dimension"),
     (["--system", "cartpole", "--set", "x0=0,0"],
      "x0 and goal length must match the state dimension"),

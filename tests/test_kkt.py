@@ -284,6 +284,7 @@ def test_verification_json_schema(tmp_path):
 
 
 _FOREIGN_COSTATES = "costates differ from those the sweep contracted"
+_BAD_TOL = "^tol must be positive and finite$"
 
 
 @pytest.mark.parametrize(("call", "error", "message"), [
@@ -293,15 +294,14 @@ _FOREIGN_COSTATES = "costates differ from those the sweep contracted"
     (lambda exp, sol, lam: verify_equivalence(backward_newton(exp, lam), exp, 2 * lam),
      ValueError, _FOREIGN_COSTATES),
     (lambda exp, sol, lam: verify_equivalence(sol, exp, lam), ValueError, _FOREIGN_COSTATES),
-    # a NaN or nonpositive tol would fail every report in silence
-    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=0.0), ValueError,
-     "^tol must be positive$"),
-    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=-1e-8), ValueError,
-     "^tol must be positive$"),
-    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=np.nan), ValueError,
-     "^tol must be positive$"),
+    # a NaN or nonpositive tol would fail every report in silence, an
+    # infinite one would pass every sweep, a wrong one included
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=0.0), ValueError, _BAD_TOL),
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=-1e-8), ValueError, _BAD_TOL),
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=np.nan), ValueError, _BAD_TOL),
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=np.inf), ValueError, _BAD_TOL),
 ], ids=["assemble-costates", "verify-newton-other-costates", "verify-ilqr-costates",
-        "verify-tol-zero", "verify-tol-negative", "verify-tol-nan"])
+        "verify-tol-zero", "verify-tol-negative", "verify-tol-nan", "verify-tol-inf"])
 def test_oracle_rejects_bad_inputs(call, error, message):
     model, cost, x0, _ = make_benchmark("pendulum")
     exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=6))

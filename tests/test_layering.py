@@ -41,7 +41,9 @@ sign is decided in one place. No function outside `solver.py` and `cli.py`
 takes a parameter named `config`: the solver's settings stop at the solver,
 and the line search takes none. Only `cli.py` and `__init__.py` import the
 KKT oracle `kkt`, and `kkt` imports nothing from `solver`: no code a solve
-runs depends on the oracle that checks it.
+runs depends on the oracle that checks it. `cli.py` makes no `isfinite`
+call and no `in` or `not in` test against `METHODS`, `SWEEPS` or `SYSTEMS`:
+the objects it builds check those values, so no value is checked twice.
 """
 
 import ast
@@ -668,3 +670,39 @@ def test_the_import_finder_sees_each_spelling():
               "from trajopt import kkt as oracle\nfrom .kkt_extra import y\n"
               "import kkt\nfrom .solver import kkt_rows\nimport trajopt.kkt_extra\n")
     assert sorted(_imports_of(ast.parse(source), "kkt")) == [1, 2, 3, 4, 5]
+
+
+SCHEMA_NAMES = ("METHODS", "SWEEPS", "SYSTEMS")
+
+
+def _second_checks(tree):
+    """(kind, line) for each `isfinite` call, of any module or bare, and each
+    `in` or `not in` test whose right side names METHODS, SWEEPS or SYSTEMS."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "isfinite":
+                yield "isfinite", node.lineno
+        elif isinstance(node, ast.Compare):
+            for op, right in zip(node.ops, node.comparators):
+                if isinstance(op, (ast.In, ast.NotIn)) and any(
+                        getattr(n, "id", getattr(n, "attr", None)) in SCHEMA_NAMES
+                        for n in ast.walk(right)):
+                    yield "membership", node.lineno
+
+
+def test_the_cli_checks_no_value_a_library_object_checks():
+    path = PACKAGE / "cli.py"
+    assert list(_second_checks(ast.parse(path.read_text(), str(path)))) == []
+
+
+def test_the_second_check_finder_sees_each_spelling():
+    source = ("import math\nfrom numpy import isfinite\n"
+              "a = math.isfinite(x)\nb = np.isfinite(x).all()\nc = isfinite(x)\n"
+              "d = m in METHODS\ne = s not in cli.SYSTEMS\nf = m in (*SWEEPS, 'all')\n"
+              "g = 0 < m in set(METHODS)\nh = METHODS in m\ni = k in KEYS\n"
+              "j = m == METHODS\nfor m in METHODS:\n    pass\nk = math.isfinite\n")
+    assert sorted(_second_checks(ast.parse(source))) == [
+        ("isfinite", 3), ("isfinite", 4), ("isfinite", 5), ("membership", 6),
+        ("membership", 7), ("membership", 8), ("membership", 9)]

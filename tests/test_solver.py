@@ -362,6 +362,14 @@ def test_solver_config_rejects_non_positive_tolerances(settings):
         SolverConfig(**settings)
 
 
+@pytest.mark.parametrize("name", ["grad_tol", "step_tol"])
+def test_solver_config_rejects_infinite_tolerances(name):
+    # an infinite tolerance would report every solve converged after one
+    # iteration, the pendulum's zero start at J = 986.96
+    with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
+        SolverConfig(**{name: np.inf})
+
+
 def test_iteration_csv_round_trip(tmp_path):
     model, cost, x0, horizon = make_benchmark("pendulum")
     result = solve(model, cost, x0, random_controls(horizon, 1, seed=0),
