@@ -14,12 +14,12 @@ from .backward import (BackwardSolution, backward_ddp, backward_for,
 from .errors import (BackwardPassError, ConfigError, DimensionError,
                      DivergenceError, KktError, NonDescentError, TrajoptError)
 from .expansion import ExpansionSequence, cost_gradient_adjoint, expand_along
-from .kkt import (KktSolution, StackedQP, assemble_qp, solve_kkt, split_primal,
-                  verify_equivalence)
+from .kkt import (KktSolution, StackedQP, assemble_qp, check_derivatives,
+                  solve_kkt, split_primal, verify_equivalence)
 from .linesearch import (LineSearchOutcome, directional_derivative,
                          forward_pass, line_search)
 from .models import (CartPoleModel, LinearModel, PendulumModel,
-                     QuadraticCost, check_derivatives, make_benchmark)
+                     QuadraticCost, make_benchmark)
 from .solver import (IterationRecord, SolveResult, SolverConfig, converged,
                      solve)
 from .trajectory import Trajectory, linear_rollout, rollout, total_cost

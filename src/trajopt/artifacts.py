@@ -114,11 +114,12 @@ def write_trajectory_csv(path, traj, cost):
 
 
 def write_verification_json(path, reports):
-    """One entry per certified sweep, with its per-block errors (dx, du, lam)."""
-    payload = [{"method": r.method, "T": r.horizon, "max_rel_err": r.max_rel_err,
-                "pass": r.passed, "err_dx": r.err_dx, "err_du": r.err_du,
-                "err_lam": r.err_lam, "worst_timestep": r.worst_timestep, "tol": r.tol}
-               for r in reports]
+    """One entry per check of each (system, report) pair; `T` is None for
+    the derivative checks."""
+    payload = [{"system": system, "certified": r.certified, "T": r.horizon, "check": c.name,
+                "max_rel_err": c.max_rel_err, "worst": c.worst, "tol": c.tol,
+                "pass": c.passed}
+               for system, r in reports for c in r.checks]
     _write(path, json.dumps(payload, indent=2))
 
 

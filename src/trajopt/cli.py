@@ -30,8 +30,8 @@ from . import artifacts
 from .backward import SWEEPS, backward_for
 from .errors import ConfigError, DimensionError, TrajoptError
 from .expansion import expand_along
-from .kkt import verify_equivalence
-from .models import BENCHMARKS, check_derivatives, make_benchmark, random_linear
+from .kkt import check_derivatives, verify_equivalence
+from .models import BENCHMARKS, make_benchmark, random_linear
 from .solver import METHODS, SolverConfig, solve
 from .trajectory import rollout
 
@@ -54,7 +54,12 @@ class ExperimentConfig:
     """The experiment's settings. The solver settings, line search's
     included, live in `solver`, so their fields and defaults are those of
     SolverConfig. `problem` holds the benchmark keys that were set; the
-    others take the defaults of `models.BENCHMARKS`."""
+    others take the defaults of `models.BENCHMARKS`.
+
+    Construction checks `init`, `init_amplitude`, `seed` and that no method
+    is repeated, and builds what the other settings configure: the
+    SolverConfig of each method and the benchmark problem. A bad setting
+    raises their ValueError or DimensionError."""
 
     system: str = "pendulum"
     method: str = "ilqr"
@@ -65,6 +70,20 @@ class ExperimentConfig:
     out: str = "runs"
     warm_start: bool = False
     solver: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self):
+        if self.init not in ("zero", "random"):
+            raise ValueError(f"unknown init '{self.init}'")
+        if not 0 <= self.init_amplitude < np.inf:  # NaN fails too
+            raise ValueError("init_amplitude must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        methods = self.methods()
+        for method in methods:
+            self.solver_config(method)
+            if methods.count(method) > 1:  # one run directory per method
+                raise ValueError(f"method '{method}' is repeated")
+        make_benchmark(self.system, **self.problem)
 
     def solver_config(self, method) -> SolverConfig:
         return replace(self.solver, method=method)
@@ -137,36 +156,21 @@ def parse_kv_file(path):
 
 
 def build_config(pairs) -> ExperimentConfig:
-    """Parse raw string pairs into a typed configuration and check it before
-    any run starts. The CLI checks the keys, the value types, `init`,
-    `init_amplitude`, `seed` and repeated methods. Every other value is
-    checked by the object it configures, built here: the SolverConfig of each
-    method and the benchmark problem. Their ValueError or DimensionError is
-    raised as a ConfigError."""
+    """Parse raw string pairs into a typed configuration, which checks
+    itself as it is built, before any run starts; a bad key, value or
+    setting is a ConfigError."""
     values = {ExperimentConfig: {}, "problem": {}, SolverConfig: {}}
     for key, raw in pairs.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown configuration key '{key}'")
         owner, parse = _KEYS[key]
         values[owner][key] = parse(raw)
-
-    cfg = ExperimentConfig(problem=values["problem"], **values[ExperimentConfig])
-    if cfg.init not in ("zero", "random"):
-        raise ConfigError(f"unknown init '{cfg.init}'")
-    if not 0 <= cfg.init_amplitude < np.inf:  # NaN fails too
-        raise ConfigError("init_amplitude must be nonnegative and finite")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be nonnegative")
     try:
-        cfg = replace(cfg, solver=SolverConfig(**values[SolverConfig]))
-        for method in cfg.methods():
-            cfg.solver_config(method)
-            if cfg.methods().count(method) > 1:  # one run directory per method
-                raise ConfigError(f"method '{method}' is repeated")
-        make_benchmark(cfg.system, **cfg.problem)
+        return ExperimentConfig(problem=values["problem"],
+                                solver=SolverConfig(**values[SolverConfig]),
+                                **values[ExperimentConfig])
     except (ValueError, DimensionError) as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def cmd_run(cfg) -> int:
@@ -219,30 +223,26 @@ def cmd_run(cfg) -> int:
 def cmd_verify(cfg) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
-    all_ok = True
-    reports = []
+    reports = []  # (system, report) pairs
     # both benchmarks and a seeded linear system with two inputs
     instances = [(system, *make_benchmark(system)[:3]) for system in SYSTEMS]
     instances.append(("linear-m2", *random_linear(rng)))
 
     for system, model, cost, x0 in instances:
-        deriv = check_derivatives(model, cost, seed=cfg.seed)
-        print(f"[{system}] {deriv.summary()}")
-        all_ok = all_ok and deriv.passed
-
+        found = [check_derivatives(model, cost, seed=cfg.seed)]
         for horizon in VERIFY_HORIZONS:
             controls = rng.uniform(-cfg.init_amplitude, cfg.init_amplitude,
                                    size=(horizon, model.control_dim))
             traj = rollout(model, cost, x0, controls)
             exp = expand_along(model, cost, traj)
-
-            for label in SWEEPS:
-                report = verify_equivalence(backward_for(label, exp), exp, tol=1e-8)
-                reports.append(report)
-                print(f"[{system}] {report.summary()}")
-                all_ok = all_ok and report.passed
+            found += [verify_equivalence(backward_for(label, exp), exp, tol=1e-8)
+                      for label in SWEEPS]
+        for report in found:
+            print(f"[{system}] {report.summary()}")
+            reports.append((system, report))
 
     artifacts.write_verification_json(os.path.join(cfg.out, "verify_report.json"), reports)
+    all_ok = all(report.passed for _, report in reports)
     print("verification:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 

@@ -1,19 +1,23 @@
-"""Whole-trajectory QP oracle, solved as one banded KKT system.
+"""The certificates: the whole-trajectory KKT oracle and the derivative check.
 
-Stacks the local quadratic subproblem min g'z + 0.5 z'Hz s.t. A z = 0 over
-the full horizon and certifies the Riccati sweeps against a direct solve of
-its KKT system [H A'; A 0] [dz; lam] = [-g; 0]. Ordered stage by stage,
-(du_t, lam_{t+1}, dx_{t+1}) for t = 0 .. T-1, the matrix is banded with
-half-bandwidth at most 2n + m - 1 at any horizon. The Riccati sweep is a
-block factorization of this same matrix (Rao, Wright & Rawlings, JOTA 1998);
-the oracle factors it independently, by LAPACK's banded LU with partial
-pivoting. Its nonzero entries are kept as (row, col, value) triplets, and
-every check reads them.
+The oracle stacks the local quadratic subproblem min g'z + 0.5 z'Hz s.t.
+A z = 0 over the full horizon and certifies the Riccati sweeps against a
+direct solve of its KKT system [H A'; A 0] [dz; lam] = [-g; 0]. Ordered
+stage by stage, (du_t, lam_{t+1}, dx_{t+1}) for t = 0 .. T-1, the matrix is
+banded with half-bandwidth at most 2n + m - 1 at any horizon. The Riccati
+sweep is a block factorization of this same matrix (Rao, Wright & Rawlings,
+JOTA 1998); the oracle factors it independently, by LAPACK's banded LU with
+partial pivoting. Its nonzero entries are kept as (row, col, value)
+triplets, and every check reads them.
 
 dx_0 is fixed at zero and is not an unknown. Constraint t enforces
 fx_t dx_t + fu_t du_t - dx_{t+1} = 0, so the equality multipliers returned by
 the KKT solve are the costates lam_1 .. lam_T of `multipliers_from`, with the
 sweep's own sign.
+
+`check_derivatives` certifies the tensors the sweeps contract against central
+differences. Both certificates return a `VerificationReport` of `Check`s, one
+per certified quantity, and a NaN error fails its check.
 
 Within the package only the CLI (and `__init__`) imports this module: no
 code a solve runs depends on the oracle that checks it.
@@ -31,9 +35,12 @@ from .expansion import cost_gradient_adjoint  # kept for perfbench/tracer.py
 from .trajectory import linear_rollout
 
 __all__ = ["StackedQP", "KktSolution", "assemble_qp", "solve_kkt", "split_primal",
-           "VerificationReport", "verify_equivalence"]
+           "Check", "VerificationReport", "verify_equivalence", "check_derivatives"]
 
 RESIDUAL_SCALE = 1e-9  # KKT residual bound, scaled by 1 + input norms
+FD_STEP = 3e-4  # scaled per coordinate by (1 + |value|)
+DERIVATIVE_SAMPLES = 100  # seeded points from the model's sampling box
+DERIVATIVE_TOL = 1e-7  # 45x the worst error, seeds 0-9, of the benchmarks and random_linear
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,33 +166,54 @@ def split_primal(qp, dz):
 
 
 @dataclass(frozen=True)
-class VerificationReport:
-    method: str  # the certified sweep's
-    horizon: int
-    err_dx: float
-    err_du: float
-    err_lam: float
-    worst_timestep: int
+class Check:
+    name: str
+    max_rel_err: float
+    worst: int  # the sample or timestep of the largest error
     tol: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_err <= self.tol  # a NaN error fails
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """The checks of one certificate: of a sweep, named by its method and
+    horizon, or of the derivatives (`certified` "derivatives", no horizon)."""
+
+    certified: str
+    horizon: int | None
+    checks: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     @property
     def max_rel_err(self) -> float:
-        return max(self.err_dx, self.err_du, self.err_lam)
+        return float(np.max([c.max_rel_err for c in self.checks]))  # NaN wins
+
+    def failures(self):
+        return [c for c in self.checks if not c.passed]
 
     def summary(self) -> str:
-        status = "ok" if self.passed else f"FAIL at t={self.worst_timestep}"
-        return (f"{self.method:6s} T={self.horizon:<3d} "
-                f"rel err dx={self.err_dx:.3e} du={self.err_du:.3e} "
-                f"lam={self.err_lam:.3e}  {status}")
+        """A line naming the certificate and its verdict, then one per check."""
+        head, at = ((self.certified, "sample ") if self.horizon is None
+                    else (f"{self.certified} T={self.horizon}", "t="))
+        return "\n".join([f"{head}: {'ok' if self.passed else 'FAIL'}"] + [
+            f"  {c.name:13s} max rel err {c.max_rel_err:.3e} at {at}{c.worst:<3d} "
+            f"tol {c.tol:g}  {'ok' if c.passed else 'FAIL'}" for c in self.checks])
 
 
-def _block_err(candidate, reference, t_offset=0):
+def _block_check(name, candidate, reference, tol, t_offset=0) -> Check:
+    """The largest difference from the oracle's block, relative to the
+    block's scale, and the timestep of the first largest (or NaN) entry."""
     scale = max(1.0, float(np.max(np.abs(reference), initial=0.0)))
     diff = np.abs(candidate - reference)
     err = float(np.max(diff, initial=0.0))
     worst = int(np.unravel_index(np.argmax(diff), diff.shape)[0]) if diff.size else 0
-    return err / scale, worst + t_offset
+    return Check(name, err / scale, worst + t_offset, tol)
 
 
 def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
@@ -210,9 +238,9 @@ def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
     dx, du = linear_rollout(exp, sol)
     lam_sweep = multipliers_from(sol, dx)
 
-    err_dx, t_dx = _block_err(dx[1:], dx_qp[1:], t_offset=1)
-    err_du, t_du = _block_err(du, du_qp)
-    err_lam, t_lam = _block_err(lam_sweep[1:], lam_qp, t_offset=1)
+    checks = (_block_check("dx", dx[1:], dx_qp[1:], tol, t_offset=1),
+              _block_check("du", du, du_qp, tol),
+              _block_check("lam", lam_sweep[1:], lam_qp, tol, t_offset=1))
 
     if sol.costates is None:
         # Descent certificate of the cost-only subproblem: on the constraint
@@ -228,10 +256,63 @@ def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
         if np.max(np.abs(ksol.dz)) > 1e-10 and directional >= 0.0:
             raise KktError("stacked QP step failed to be a descent direction")
 
-    errs = {"dx": (err_dx, t_dx), "du": (err_du, t_du), "lam": (err_lam, t_lam)}
-    worst_block = max(errs, key=lambda k: errs[k][0])
-    return VerificationReport(
-        method=sol.method, horizon=qp.horizon,
-        err_dx=err_dx, err_du=err_du, err_lam=err_lam,
-        worst_timestep=errs[worst_block][1], tol=tol,
-        passed=max(err_dx, err_du, err_lam) <= tol)
+    return VerificationReport(sol.method, qp.horizon, checks)
+
+
+def _fd_jacobian(fn, z):
+    """Four-point central-difference Jacobian of fn at the vector z, of shape
+    fn(z).shape + z.shape: entry [..., j] differences coordinate j. fn maps
+    all 4 z.size points, one (4 z.size, z.size) batch, to their stacked values."""
+    z = np.asarray(z, dtype=float)
+    h = FD_STEP * (1.0 + np.abs(z))
+    # point [i, j] moves coordinate j of z by (-2, -1, 1, 2)[i] h_j
+    points = z + (np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * h[:, None]) * np.eye(z.size)
+    f = np.moveaxis(np.asarray(fn(points.reshape(-1, z.size))), 0, -1)
+    f = f.reshape(f.shape[:-1] + (4, z.size))  # f[..., i, j] at point [i, j]
+    return (8.0 * (f[..., 2, :] - f[..., 1, :]) - (f[..., 3, :] - f[..., 0, :])) / (12.0 * h)
+
+
+def check_derivatives(model, cost, seed=0) -> VerificationReport:
+    """Certify analytic derivatives against four-point central differences.
+
+    First derivatives are differenced from the values; second derivatives are
+    differenced from the analytic first derivatives (a nested difference of
+    values would drown in rounding error). Each named derivative's check
+    holds its largest error |fd - exact| / (1 + |exact|) over
+    DERIVATIVE_SAMPLES seeded samples drawn from the model's sampling box,
+    the first NaN if any, and passes when that is at most DERIVATIVE_TOL.
+    """
+    rng = np.random.default_rng(seed)
+    errors = []  # errors[sample][row]
+    each = lambda fn: lambda zs: [fn(z) for z in zs]  # a one-point fn, called per point
+    for _ in range(DERIVATIVE_SAMPLES):
+        x = rng.uniform(model.state_low, model.state_high)
+        u = rng.uniform(model.control_low, model.control_high)
+        fx, fu, fxx, fxu = model.derivatives(x, u)
+        lx, lxx, ru, r = cost.stage_derivatives(x, u)
+        ct_x, ct_xx = cost.terminal_derivatives(x)
+        # x once per point of a batch of controls, u once per point of states
+        xs, us = np.tile(x, (4 * u.size, 1)), np.tile(u, (4 * x.size, 1))
+        # (name, function differenced, point, analytic derivative); the
+        # derivative of fx wrt x_k is fxx[..., k] and wrt u_l is fxu[..., l]
+        rows = (
+            ("fx", each(lambda z: model.step(z, u)), x, fx),
+            ("fu", each(lambda z: model.step(x, z)), u, fu),
+            ("fxx", lambda z: model.derivatives(z, us)[0], x, fxx),
+            ("fxu", lambda z: model.derivatives(xs, z)[0], u, fxu),
+            ("fuu", lambda z: model.derivatives(xs, z)[1], u, 0.0),
+            ("lx", lambda z: cost.stage_cost(z, us), x, lx),
+            ("lxx", lambda z: cost.stage_derivatives(z, us)[0], x, lxx),
+            ("control_grad", lambda z: cost.stage_cost(xs, z), u, ru),
+            ("control_hess", lambda z: cost.stage_derivatives(xs, z)[2], u, r),
+            ("terminal_grad", each(cost.terminal_cost), x, ct_x),
+            ("terminal_hess", each(lambda z: cost.terminal_derivatives(z)[0]), x, ct_xx),
+        )
+        errors.append([np.max(np.abs(_fd_jacobian(fn, z) - exact) / (1.0 + np.abs(exact)))
+                       for _, fn, z, exact in rows])
+
+    errors = np.array(errors)
+    worst = np.argmax(errors, axis=0)  # the first largest error, or the first NaN
+    checks = tuple(Check(name, float(errors[i, j]), int(i), DERIVATIVE_TOL)
+                   for j, ((name, *_), i) in enumerate(zip(rows, worst)))
+    return VerificationReport("derivatives", None, checks)

@@ -9,14 +9,12 @@ keeps the map exactly affine in the control whenever the rates are, which is
 the structural assumption every solver in this package relies on (all
 second derivatives with respect to the control vanish). Higher-order
 integrators would re-introduce control nonlinearity through the stage
-compositions. `check_derivatives` certifies the tensors against central
+compositions. `kkt.check_derivatives` certifies the tensors against central
 differences.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimensionError
@@ -27,9 +25,6 @@ __all__ = [
     "CartPoleModel",
     "LinearModel",
     "QuadraticCost",
-    "DerivativeCheck",
-    "DerivativeCheckReport",
-    "check_derivatives",
     "make_benchmark",
     "random_linear",
     "BENCHMARKS",
@@ -475,104 +470,3 @@ def random_linear(rng):
     half = rng.standard_normal((m, m))
     cost = QuadraticCost(q, 0.1 * (np.eye(m) + half @ half.T), 10.0 * q, np.zeros(n))
     return LinearModel(a, b), cost, rng.uniform(-1.0, 1.0, size=n)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference verification
-# ---------------------------------------------------------------------------
-
-FD_STEP = 3e-4  # scaled per coordinate by (1 + |value|)
-DERIVATIVE_SAMPLES = 100  # seeded points from the model's sampling box
-DERIVATIVE_TOL = 1e-7  # 45x the worst error, seeds 0-9, of the benchmarks and random_linear
-
-
-def _fd_jacobian(fn, z):
-    """Four-point central-difference Jacobian of fn at the vector z, of shape
-    fn(z).shape + z.shape: entry [..., j] differences coordinate j. fn maps
-    all 4 z.size points, one (4 z.size, z.size) batch, to their stacked values."""
-    z = np.asarray(z, dtype=float)
-    h = FD_STEP * (1.0 + np.abs(z))
-    # point [i, j] moves coordinate j of z by (-2, -1, 1, 2)[i] h_j
-    points = z + (np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * h[:, None]) * np.eye(z.size)
-    f = np.moveaxis(np.asarray(fn(points.reshape(-1, z.size))), 0, -1)
-    f = f.reshape(f.shape[:-1] + (4, z.size))  # f[..., i, j] at point [i, j]
-    return (8.0 * (f[..., 2, :] - f[..., 1, :]) - (f[..., 3, :] - f[..., 0, :])) / (12.0 * h)
-
-
-@dataclass(frozen=True)
-class DerivativeCheck:
-    name: str
-    max_rel_err: float
-    worst_sample: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class DerivativeCheckReport:
-    checks: tuple = field(default_factory=tuple)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.ok]
-
-    def summary(self) -> str:
-        lines = [f"derivative check: {DERIVATIVE_SAMPLES} samples, tol {DERIVATIVE_TOL:g}"]
-        for c in self.checks:
-            status = "ok" if c.ok else f"FAIL (sample {c.worst_sample})"
-            lines.append(f"  {c.name:12s} max rel err {c.max_rel_err:.3e}  {status}")
-        return "\n".join(lines)
-
-
-def _rel_err(approx, exact):
-    approx = np.asarray(approx, dtype=float)
-    exact = np.asarray(exact, dtype=float)
-    return float(np.max(np.abs(approx - exact) / (1.0 + np.abs(exact))))
-
-
-def check_derivatives(model, cost, seed=0):
-    """Certify analytic derivatives against four-point central differences.
-
-    First derivatives are differenced from the values; second derivatives are
-    differenced from the analytic first derivatives (a nested difference of
-    values would drown in rounding error). Each named derivative gets the
-    maximum relative error over DERIVATIVE_SAMPLES seeded samples drawn from
-    the model's sampling box, and passes when that is at most DERIVATIVE_TOL.
-    """
-    rng = np.random.default_rng(seed)
-    worst = {}
-    each = lambda fn: lambda zs: [fn(z) for z in zs]  # a one-point fn, called per point
-    for idx in range(DERIVATIVE_SAMPLES):
-        x = rng.uniform(model.state_low, model.state_high)
-        u = rng.uniform(model.control_low, model.control_high)
-        fx, fu, fxx, fxu = model.derivatives(x, u)
-        lx, lxx, ru, r = cost.stage_derivatives(x, u)
-        ct_x, ct_xx = cost.terminal_derivatives(x)
-        # x once per point of a batch of controls, u once per point of states
-        xs, us = np.tile(x, (4 * u.size, 1)), np.tile(u, (4 * x.size, 1))
-        # (name, function differenced, point, analytic derivative); the
-        # derivative of fx wrt x_k is fxx[..., k] and wrt u_l is fxu[..., l]
-        rows = (
-            ("fx", each(lambda z: model.step(z, u)), x, fx),
-            ("fu", each(lambda z: model.step(x, z)), u, fu),
-            ("fxx", lambda z: model.derivatives(z, us)[0], x, fxx),
-            ("fxu", lambda z: model.derivatives(xs, z)[0], u, fxu),
-            ("fuu", lambda z: model.derivatives(xs, z)[1], u, 0.0),
-            ("lx", lambda z: cost.stage_cost(z, us), x, lx),
-            ("lxx", lambda z: cost.stage_derivatives(z, us)[0], x, lxx),
-            ("control_grad", lambda z: cost.stage_cost(xs, z), u, ru),
-            ("control_hess", lambda z: cost.stage_derivatives(xs, z)[2], u, r),
-            ("terminal_grad", each(cost.terminal_cost), x, ct_x),
-            ("terminal_hess", each(lambda z: cost.terminal_derivatives(z)[0]), x, ct_xx),
-        )
-        for name, fn, z, exact in rows:
-            err = _rel_err(_fd_jacobian(fn, z), exact)
-            if name not in worst or err > worst[name][0]:
-                worst[name] = (err, idx)
-
-    checks = tuple(
-        DerivativeCheck(name, err, idx, err <= DERIVATIVE_TOL)
-        for name, (err, idx) in sorted(worst.items()))
-    return DerivativeCheckReport(checks=checks)

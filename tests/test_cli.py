@@ -114,6 +114,23 @@ def test_repeated_method_exits_2(tmp_path, capsys, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(("settings", "message"), [
+    ({"init": "warm"}, "unknown init 'warm'"),
+    ({"init_amplitude": -0.5}, "init_amplitude must be nonnegative and finite"),
+    ({"init_amplitude": float("nan")}, "init_amplitude must be nonnegative and finite"),
+    ({"seed": -1}, "seed must be nonnegative"),
+    ({"method": "ilqr,ilqr"}, "method 'ilqr' is repeated"),
+    ({"method": "ilqr,sqp"}, "unknown method 'sqp'"),
+    ({"system": "spring"}, "unknown system 'spring'"),
+    ({"problem": {"horizon": 0}}, "horizon must be at least 1"),
+], ids=["init", "amplitude-negative", "amplitude-nan", "seed", "method-repeated",
+        "method-unknown", "system", "horizon"])
+def test_an_experiment_config_checks_itself(settings, message):
+    # cmd_run and cmd_verify take a config built without build_config too
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**settings)
+
+
 @pytest.mark.parametrize("extra", [["--system", "cartpole"], ["--method", "ddp"],
                                    ["--set", "horizon=100"], ["--set", "max_iters=5"]])
 def test_verify_rejects_keys_it_ignores(tmp_path, capsys, extra):
@@ -300,24 +317,36 @@ def test_verify_passes_by_default(tmp_path, capsys):
     out = tmp_path / "verify"
     assert _run(["verify", "--out", str(out), "--seed", "1"]) == 0
     payload = json.loads((out / "verify_report.json").read_text())
-    # three systems x six horizons x three sweeps
-    assert len(payload) == 54
+    systems = ("pendulum", "cartpole", "linear-m2")
+    # per system, 11 derivative checks and six horizons x three sweeps x
+    # three blocks (dx, du, lam)
+    assert len(payload) == 3 * (11 + 6 * 3 * 3)
     assert all(entry["pass"] for entry in payload)
-    assert {entry["T"] for entry in payload} == {1, 2, 5, 20, 100, 200}
+    for system in systems:
+        derivatives = [entry for entry in payload
+                       if (entry["system"], entry["certified"]) == (system, "derivatives")]
+        assert [entry["check"] for entry in derivatives] == [
+            "fx", "fu", "fxx", "fxu", "fuu", "lx", "lxx", "control_grad",
+            "control_hess", "terminal_grad", "terminal_hess"]
+        for entry in derivatives:
+            assert entry["T"] is None and entry["tol"] == 1e-7
+            assert 0 <= entry["worst"] < 100
+    sweeps = [entry for entry in payload if entry["certified"] != "derivatives"]
+    assert {entry["T"] for entry in sweeps} == {1, 2, 5, 20, 100, 200}
     # the horizons the benchmarks run at are certified for every sweep,
     # on both benchmarks and on the two-input linear system
-    at_200 = [entry["method"] for entry in payload if entry["T"] == 200]
-    assert at_200 == ["ilqr", "newton", "ddp"] * 3
+    at_200 = [(entry["system"], entry["certified"], entry["check"])
+              for entry in sweeps if entry["T"] == 200]
+    assert at_200 == [(system, sweep, block) for system in systems
+                      for sweep in ("ilqr", "newton", "ddp")
+                      for block in ("dx", "du", "lam")]
     certified = [line.split()[:2] for line in capsys.readouterr().out.splitlines()
                  if "T=200" in line and line.endswith(" ok")]
-    assert certified == [[f"[{system}]", sweep]
-                         for system in ("pendulum", "cartpole", "linear-m2")
+    assert certified == [[f"[{system}]", sweep] for system in systems
                          for sweep in ("ilqr", "newton", "ddp")]
-    for entry in payload:
+    for entry in sweeps:
         assert entry["tol"] == 1e-8
-        assert entry["max_rel_err"] == max(entry["err_dx"], entry["err_du"],
-                                           entry["err_lam"])
-        assert 0 <= entry["worst_timestep"] <= entry["T"]
+        assert 0 <= entry["worst"] <= entry["T"]
 
 
 def test_verify_detects_injected_jacobian_fault(tmp_path, monkeypatch):
@@ -419,7 +448,7 @@ def test_build_config_parses_booleans_and_keeps_the_problem_keys_set():
     (["--set", "horizon=5.5"], "bad value for horizon: '5.5'"),
     (["--set", "q_diag=1,2,x"], "expected comma-separated floats, got '1,2,x'"),
     (["--system", "acrobot"], "unknown system 'acrobot'"),
-    # accepted by the parser, rejected by the benchmark that build_config builds
+    # accepted by the parser, rejected by the benchmark the configuration builds
     (["--set", "q_diag=1,2,3"], "q_diag length must match the state dimension"),
     (["--system", "cartpole", "--set", "x0=0,0"],
      "x0 and goal length must match the state dimension"),

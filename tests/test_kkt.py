@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from trajopt import (DimensionError, KktError, backward_ddp, backward_for,
-                     backward_ilqr, backward_newton, expand_along,
+                     backward_ilqr, backward_newton, check_derivatives, expand_along,
                      make_benchmark, rollout, verify_equivalence)
 from trajopt import kkt
 from trajopt.artifacts import write_verification_json
@@ -195,10 +195,25 @@ def test_verify_equivalence_localizes_injected_fault():
     bad = type(sol)(v=sol.v, V=sol.V, k=corrupted_k, K=sol.K, quu=sol.quu,
                     method="ilqr")
     report = verify_equivalence(bad, exp, tol=1e-8)
-    assert report.method == "ilqr"
+    assert report.certified == "ilqr"
     assert not report.passed
     assert report.max_rel_err > 1e-4
-    assert report.worst_timestep >= 4  # corruption propagates from stage 4 on
+    worst = max(report.checks, key=lambda c: c.max_rel_err)
+    assert worst.worst >= 4  # corruption propagates from stage 4 on
+
+
+def test_verify_equivalence_fails_a_nan_value_hessian():
+    # a NaN in V makes the sweep's costates lam_t = v_t + V_t dx_t NaN from
+    # t = 5; the worst error is NaN, and no comparison lets it pass
+    model, cost, x0, _ = make_benchmark("pendulum")
+    exp = expand_along(model, cost, random_nominal(model, cost, x0, 20, seed=0))
+    sol = backward_ilqr(exp)
+    value_hessians = sol.V.copy()
+    value_hessians[5] = np.nan
+    report = verify_equivalence(replace(sol, V=value_hessians), exp, tol=1e-8)
+    assert not report.passed
+    assert np.isnan(report.max_rel_err)
+    assert [(c.name, c.worst) for c in report.failures()] == [("lam", 5)]
 
 
 @pytest.mark.parametrize(("scale", "sign", "message"), [
@@ -262,7 +277,7 @@ def test_oracle_certifies_every_sweep_at_benchmark_horizons():
             exp = expand_along(model, cost, traj)
             for method in ("ilqr", "newton", "ddp"):
                 report = verify_equivalence(backward_for(method, exp), exp, tol=1e-8)
-                assert (report.method, report.horizon) == (method, horizon)
+                assert (report.certified, report.horizon) == (method, horizon)
                 assert report.passed, report.summary()
 
 
@@ -271,16 +286,20 @@ def test_verification_json_schema(tmp_path):
     traj = random_nominal(model, cost, x0, 5, seed=2)
     exp = expand_along(model, cost, traj)
     report = verify_equivalence(backward_ilqr(exp), exp, tol=1e-8)
+    derivatives = check_derivatives(model, cost)
     out = tmp_path / "verify.json"
-    write_verification_json(out, [report])
+    write_verification_json(out, [("pendulum", report), ("pendulum", derivatives)])
     payload = json.loads(out.read_text())
-    assert payload == [{
-        "method": "ilqr", "T": 5,
-        "max_rel_err": report.max_rel_err, "pass": True,
-        "err_dx": report.err_dx, "err_du": report.err_du,
-        "err_lam": report.err_lam, "worst_timestep": report.worst_timestep,
-        "tol": 1e-8,
-    }]
+    assert payload == [
+        {"system": "pendulum", "certified": "ilqr", "T": 5, "check": c.name,
+         "max_rel_err": c.max_rel_err, "worst": c.worst, "tol": 1e-8, "pass": True}
+        for c in report.checks] + [
+        {"system": "pendulum", "certified": "derivatives", "T": None, "check": c.name,
+         "max_rel_err": c.max_rel_err, "worst": c.worst, "tol": 1e-7, "pass": True}
+        for c in derivatives.checks]
+    assert [entry["check"] for entry in payload[:3]] == ["dx", "du", "lam"]
+    assert report.max_rel_err == max(c.max_rel_err for c in report.checks)
+    assert all(0 <= entry["worst"] <= 5 for entry in payload[:3])
 
 
 _FOREIGN_COSTATES = "costates differ from those the sweep contracted"

@@ -44,6 +44,9 @@ KKT oracle `kkt`, and `kkt` imports nothing from `solver`: no code a solve
 runs depends on the oracle that checks it. `cli.py` makes no `isfinite`
 call and no `in` or `not in` test against `METHODS`, `SWEEPS` or `SYSTEMS`:
 the objects it builds check those values, so no value is checked twice.
+The derivative check lives with the oracle in `kkt.py`: `models.py` defines
+no `check_derivatives`, no `_fd_jacobian` and no `FD_` or `DERIVATIVE_`
+constant.
 """
 
 import ast
@@ -159,6 +162,39 @@ def test_the_helper_checks_see_each_reader_and_definition():
     assert _defines(tree, "params")
     assert _defines(ast.parse("params = {}\n"), "params")
     assert not _defines(ast.parse("f(params)\n"), "params")
+
+
+DERIVATIVE_CHECK = re.compile(r"check_derivatives|_fd_jacobian|FD_\w*|DERIVATIVE_\w*")
+
+
+def _derivative_check_definitions(tree):
+    """(name, line) of each function, class, assigned name or assigned
+    attribute, at any depth, named as a part of the derivative check."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+        else:
+            continue
+        if DERIVATIVE_CHECK.fullmatch(name):
+            yield name, node.lineno
+
+
+def test_models_define_no_derivative_check():
+    path = PACKAGE / "models.py"
+    assert list(_derivative_check_definitions(ast.parse(path.read_text(), str(path)))) == []
+
+
+def test_the_derivative_check_finder_sees_each_spelling():
+    source = ("FD_STEP = 3e-4\nDERIVATIVE_TOL: float = 1e-7\n"
+              "a, DERIVATIVE_SAMPLES = 1, 100\n"
+              "def check_derivatives(model, cost):\n    return DERIVATIVE_TOL\n"
+              "class C:\n    def _fd_jacobian(self, fn, z):\n        self.FD_ORDER = 4\n"
+              "check_derivatives(m, c)\nFD = 1\nMY_FD_STEP = 2\nfd_step = 3\n")
+    assert sorted(_derivative_check_definitions(ast.parse(source))) == [
+        ("DERIVATIVE_SAMPLES", 3), ("DERIVATIVE_TOL", 2), ("FD_ORDER", 8), ("FD_STEP", 1),
+        ("_fd_jacobian", 7), ("check_derivatives", 4)]
 
 
 def _in_loops(tree, function, finding):

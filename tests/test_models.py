@@ -264,6 +264,26 @@ def test_check_derivatives_flags_a_second_derivative_off_by_1e_6():
     assert 1e-7 < report.failures()[0].max_rel_err < 1e-5
 
 
+class _NanPendulum(PendulumModel):
+    """A pendulum whose analytic d theta_ddot / d theta is NaN where theta > 6."""
+
+    def _rate_partials(self, x, u):
+        r_x, r_u, r_xx, r_xu = super()._rate_partials(x, u)
+        r_x[..., 1, 0] = np.where(x[..., 0] > 6.0, np.nan, r_x[..., 1, 0])
+        return r_x, r_u, r_xx, r_xu
+
+
+def test_check_derivatives_fails_a_nan_jacobian():
+    # of seed 0's samples, 9, 57, 66 and 84 have theta > 6; a NaN error is
+    # the worst, and it fails its check however it compares
+    _, cost, _, _ = make_benchmark("pendulum")
+    report = check_derivatives(_NanPendulum(), cost, seed=0)
+    assert not report.passed
+    fx = next(c for c in report.checks if c.name == "fx")
+    assert not fx.passed and math.isnan(fx.max_rel_err) and fx.worst == 9
+    assert "fx" in [c.name for c in report.failures()] and math.isnan(report.max_rel_err)
+
+
 def test_quadratic_cost_derivatives_at_special_points():
     q = np.diag([2.0, 0.5])
     cost = QuadraticCost(q, 0.1 * np.eye(1), 100 * q, goal=np.array([np.pi, 0.0]))
