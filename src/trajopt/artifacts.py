@@ -115,12 +115,13 @@ def write_trajectory_csv(path, traj, cost):
 
 def write_verification_json(path, reports):
     """One entry per check of each (system, report) pair; `T` is None for
-    the derivative checks."""
+    the derivative checks, and `max_rel_err` None for a NaN or infinite
+    error, which JSON cannot hold (such a check fails)."""
     payload = [{"system": system, "certified": r.certified, "T": r.horizon, "check": c.name,
-                "max_rel_err": c.max_rel_err, "worst": c.worst, "tol": c.tol,
-                "pass": c.passed}
+                "max_rel_err": c.max_rel_err if np.isfinite(c.max_rel_err) else None,
+                "worst": c.worst, "tol": c.tol, "pass": c.passed}
                for system, r in reports for c in r.checks]
-    _write(path, json.dumps(payload, indent=2))
+    _write(path, json.dumps(payload, indent=2, allow_nan=False))
 
 
 def write_merged_csv(path, results):

@@ -7,8 +7,8 @@ stage by stage, (du_t, lam_{t+1}, dx_{t+1}) for t = 0 .. T-1, the matrix is
 banded with half-bandwidth at most 2n + m - 1 at any horizon. The Riccati
 sweep is a block factorization of this same matrix (Rao, Wright & Rawlings,
 JOTA 1998); the oracle factors it independently, by LAPACK's banded LU with
-partial pivoting. Its nonzero entries are kept as (row, col, value)
-triplets, and every check reads them.
+partial pivoting. It is kept as the T dense stage windows that assembly
+fills: the solve scatters them into the band, and the checks multiply by them.
 
 dx_0 is fixed at zero and is not an unknown. Constraint t enforces
 fx_t dx_t + fu_t du_t - dx_{t+1} = 0, so the equality multipliers returned by
@@ -45,12 +45,10 @@ DERIVATIVE_TOL = 1e-7  # 45x the worst error, seeds 0-9, of the benchmarks and r
 
 @dataclass(frozen=True, eq=False)
 class StackedQP:
-    """The KKT matrix of min g'z + 0.5 z'Hz s.t. A z = 0 as triplets over its
-    unknowns, z and lam interleaved; repeated (row, col) pairs add up."""
+    """The KKT matrix of min g'z + 0.5 z'Hz s.t. A z = 0 over its unknowns,
+    z and lam interleaved, as the sum of the stage windows of `assemble_qp`."""
 
-    rows: np.ndarray      # (nnz,) int
-    cols: np.ndarray      # (nnz,) int
-    values: np.ndarray    # (nnz,)
+    windows: np.ndarray   # (T, 3n+m, 3n+m)
     gradient: np.ndarray  # (K,) g on the entries of z, 0 on those of lam
     primal: np.ndarray    # (K,) bool, True on the entries of z
     horizon: int
@@ -75,8 +73,9 @@ def assemble_qp(exp, costates=None) -> StackedQP:
     such blocks because dx_0 is pinned to zero.
 
     Stage t fills one dense window of the matrix, over the unknowns
-    (dx_t, du_t, lam_{t+1}, dx_{t+1}), which are contiguous; all T windows
-    are filled at once and their nonzero entries kept.
+    (dx_t, du_t, lam_{t+1}, dx_{t+1}): they are contiguous, start n before
+    the stage's own, and overlap the next window on dx_{t+1}. All T windows
+    are filled at once, and stage 0's dx_0 rows and columns are zeroed.
     """
     horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
     weighted = costates is not None
@@ -102,53 +101,54 @@ def assemble_qp(exp, costates=None) -> StackedQP:
         cross = np.einsum("ti,tijk->tjk", w, exp.fxu[1:])
         window[1:, xt, ut] = cross
         window[1:, ut, xt] = cross.transpose(0, 2, 1)
-
-    keep = window != 0.0
-    keep[0, :n] = keep[0, :, :n] = False  # dx_0 is not an unknown
-    # the window of stage t starts n before the stage's own unknowns
-    first = np.arange(horizon)[:, None, None] * stride - n
-    local = np.arange(width)
-    rows = np.broadcast_to(first + local[:, None], window.shape)[keep]
-    cols = np.broadcast_to(first + local, window.shape)[keep]
+    window[0, xt] = window[0, :, xt] = 0.0  # dx_0 is not an unknown
 
     grad = np.zeros((horizon, stride))
     grad[:, :m] = exp.ru
     grad[:, m + n:] = np.concatenate([exp.lx[1:], exp.ct_x[None]])
     primal = np.ones((horizon, stride), dtype=bool)
     primal[:, m:m + n] = False
-    return StackedQP(rows=rows, cols=cols, values=window[keep],
-                     gradient=grad.reshape(-1), primal=primal.reshape(-1),
+    return StackedQP(windows=window, gradient=grad.reshape(-1), primal=primal.reshape(-1),
                      horizon=horizon, state_dim=n, control_dim=m)
 
 
 def _matvec(qp, x):
-    """The KKT matrix times x, summed from the triplets."""
-    return np.bincount(qp.rows, weights=qp.values * x[qp.cols], minlength=x.size)
+    """The KKT matrix times x: each window times its slice of x, whose dx_0
+    is zero, with the rows where consecutive windows overlap added."""
+    n, (horizon, width, _) = qp.state_dim, qp.windows.shape
+    stages = x.reshape(horizon, width - n)
+    sliced = np.zeros((horizon, width))
+    sliced[:, n:] = stages
+    sliced[1:, :n] = stages[:-1, width - 2 * n:]
+    parts = np.matmul(qp.windows, sliced[:, :, None])[:, :, 0]
+    parts[:-1, width - n:] += parts[1:, :n]  # the rows of dx_{t+1}
+    return parts[:, n:].reshape(-1)
 
 
 def solve_kkt(qp) -> KktSolution:
-    """Solve [H A'; A 0] [dz; lam] = [-g; 0] by banded LU with pivoting, in
-    the band read off the triplets. The residual bound covers the constraint
-    rows too: their right-hand side is 0."""
-    size = qp.gradient.shape[0]
-    offset = qp.rows - qp.cols
-    lower = int(np.max(offset, initial=0))
-    upper = int(np.max(-offset, initial=0))
-    band = np.bincount((upper + offset) * size + qp.cols, weights=qp.values,
-                       minlength=(lower + upper + 1) * size)
-    rhs = -qp.gradient
-    import scipy.linalg  # imported here: only the oracle needs it, so a solve never loads scipy
-    try:
-        solution = scipy.linalg.solve_banded(
-            (lower, upper), band.reshape(lower + upper + 1, size), rhs,
-            overwrite_ab=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise KktError(f"singular KKT matrix: {exc}") from exc
+    """Solve [H A'; A 0] [dz; lam] = [-g; 0] by LAPACK's banded LU (gbsv).
+
+    With s = 2n + m, both half-bandwidths are s - 1 and the band has
+    ld = 3s - 2 rows, s - 1 of them for the LU's fill. One bincount puts entry
+    (r, c) of window t at row 2(s - 1) + r - c of column t s - n + c, after n
+    dropped columns for dx_0. The residual bound covers the constraint rows
+    (right-hand side 0) too."""
+    n, (horizon, width, _) = qp.state_dim, qp.windows.shape
+    stride, size = width - n, qp.gradient.size
+    half, ld = stride - 1, 3 * stride - 2
+    local = np.arange(width)  # the offsets of window t: t s ld + those of window 0
+    offsets = (np.arange(0, horizon * stride * ld, stride * ld)[:, None]
+               + (local * (ld - 1) + local[:, None] + 2 * half).reshape(-1))
+    band = np.bincount(offsets.reshape(-1), weights=qp.windows.reshape(-1),
+                       minlength=(size + n) * ld)[n * ld:]
+    from scipy.linalg.lapack import dgbsv  # imported here: a solve never loads scipy
+    _, _, solution, info = dgbsv(half, half, band.reshape(size, ld).T, -qp.gradient,
+                                 overwrite_ab=True, overwrite_b=True)
+    if info != 0:
+        raise KktError(f"singular KKT matrix: LAPACK gbsv info {info}")
     if not np.isfinite(solution).all():
         raise KktError("KKT solve produced non-finite values")
-
-    product = _matvec(qp, solution)
-    residual = float(np.max(np.abs(product - rhs), initial=0.0))
+    residual = float(np.max(np.abs(_matvec(qp, solution) + qp.gradient), initial=0.0))
     scale = 1.0 + float(np.max(np.abs(qp.gradient), initial=0.0))
     if residual > RESIDUAL_SCALE * scale:
         raise KktError(f"KKT residual {residual:.3e} exceeds {RESIDUAL_SCALE * scale:.3e}")

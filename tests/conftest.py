@@ -1,6 +1,6 @@
 """Shared fixtures: the LQR golden case, the seeded solves (the iLQR
 sweeps, the cold starts and the cart-pole DDP sweep, which
-`tests/golden/solves.txt` pins), seeded nominal generators and a dense view
+`tests/golden/solves.txt` pins), seeded nominal generators and dense views
 of the stacked KKT oracle's QP.
 
 Each seeded solve is a plain function, so `make_golden.py` solves exactly
@@ -173,12 +173,26 @@ def ddp_cartpole_sweep():
     return solve_ddp_cartpole_sweep()
 
 
+def dense_kkt(qp):
+    """The KKT matrix of an assembled `StackedQP` as a dense array over its
+    unknowns, z and lam interleaved, read block by block off the QP's stage
+    windows. Window t covers the unknowns from t (2n + m) - n on, so
+    window 0 starts with dx_0, which is not an unknown: its rows and columns
+    must hold zeros."""
+    n, width = qp.state_dim, qp.windows.shape[1]
+    stride = width - n
+    padded = np.zeros((qp.primal.size + n,) * 2)  # dx_0 first
+    for t, window in enumerate(qp.windows):
+        padded[t * stride:t * stride + width, t * stride:t * stride + width] += window
+    assert not padded[:n].any() and not padded[:, :n].any(), "an entry at dx_0"
+    return padded[n:, n:]
+
+
 def dense_qp(qp):
     """(H, g, A) of an assembled `StackedQP` as dense arrays, in the layout
     z = (dx_1 .. dx_T, du_0 .. du_{T-1}) with the rows of A in constraint
-    order, read entry by entry off the QP's triplets."""
-    kkt = np.zeros((qp.primal.size, qp.primal.size))
-    np.add.at(kkt, (qp.rows, qp.cols), qp.values)
+    order, read off `dense_kkt`."""
+    kkt = dense_kkt(qp)
     dx, du = split_primal(qp, np.flatnonzero(qp.primal))
     z = np.concatenate([dx[1:].reshape(-1), du.reshape(-1)]).astype(int)
     lam = np.flatnonzero(~qp.primal)

@@ -23,6 +23,14 @@ MUTANTS = (
     ("kkt.py", 'cross = np.einsum("ti,tijk->tjk", w, exp.fxu[1:])',
      'cross = np.einsum("ti,tijk->tjk", w, exp.fxu[1:, ..., ::-1])',
      "tests/test_properties.py::test_every_sweep_matches_the_kkt_oracle_on_random_expansions"),
+    # the oracle's stage windows: stage 0 keeps entries at dx_0, which is no
+    # unknown; the band scatter puts every window one stage to the right
+    ("kkt.py", "window[0, xt] = window[0, :, xt] = 0.0",
+     "window[0, :0] = window[0, :, :0] = 0.0",
+     "tests/test_properties.py::test_the_oracle_windows_multiply_and_solve_as_the_dense_matrix"),
+    ("kkt.py", "np.arange(0, horizon * stride * ld, stride * ld)",
+     "np.arange(stride * ld, (horizon + 1) * stride * ld, stride * ld)",
+     "tests/test_properties.py::test_the_oracle_windows_multiply_and_solve_as_the_dense_matrix"),
     # boundaries: a ratio of exactly SIGMA, a state of exactly the limit, a
     # cost change of exactly step_tol
     ("linesearch.py", "if ratio > SIGMA:", "if ratio >= SIGMA:",
@@ -58,6 +66,10 @@ MUTANTS = (
      "tests/test_solver.py::test_solver_config_rejects_infinite_tolerances"),
     ("kkt.py", "if not 0 < tol < np.inf:", "if not 0 < tol:",
      "tests/test_kkt.py::test_oracle_rejects_bad_inputs"),
+    # a NaN error written as the bare token NaN, which strict JSON rejects
+    ("artifacts.py", '"max_rel_err": c.max_rel_err if np.isfinite(c.max_rel_err) else None,',
+     '"max_rel_err": c.max_rel_err,',
+     "tests/test_kkt.py::test_verification_json_writes_a_nan_error_as_null"),
     # cos(2 theta) of the cart-pole's partials rounded another way: only the
     # golden of full solves sees a rounding-level change of a solve
     ("models.py", "c2 = c * c - s * s", "c2 = (c - s) * (c + s)",

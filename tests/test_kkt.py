@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.linalg import lapack
 
 from trajopt import (DimensionError, KktError, backward_ddp, backward_for,
                      backward_ilqr, backward_newton, check_derivatives, expand_along,
@@ -91,11 +91,11 @@ def test_assemble_pendulum_entrywise_recomputation():
 
 
 def test_solve_unconstrained_identity_hessian():
+    # one stage of three controls and no state: a window of unknowns
+    # (du_0,) only, with no constraint
     g = np.array([1.0, -2.0, 0.5])
-    diagonal = np.arange(3)
-    qp = StackedQP(rows=diagonal, cols=diagonal, values=np.ones(3), gradient=g,
-                   primal=np.ones(3, dtype=bool),
-                   horizon=1, state_dim=2, control_dim=1)
+    qp = StackedQP(windows=np.eye(3)[None], gradient=g, primal=np.ones(3, dtype=bool),
+                   horizon=1, state_dim=0, control_dim=3)
     sol = solve_kkt(qp)
     assert np.allclose(sol.dz, -g, atol=1e-14)
     assert sol.multipliers.size == 0
@@ -104,11 +104,11 @@ def test_solve_unconstrained_identity_hessian():
 def test_solve_scalar_constrained_by_hand():
     # min 4 z + z^2 subject to -z = 0, the sign of the stacked constraints
     # (fx dx + fu du - dx' = 0): dz = 0 and the multiplier balances the
-    # gradient, lam = 4. Unknowns (z, lam): KKT matrix [[2, -1], [-1, 0]].
-    qp = StackedQP(rows=np.array([0, 0, 1]), cols=np.array([0, 1, 0]),
-                   values=np.array([2.0, -1.0, -1.0]), gradient=np.array([4.0, 0.0]),
-                   primal=np.array([True, False]),
-                   horizon=1, state_dim=1, control_dim=0)
+    # gradient, lam = 4. One stage with n = 1, m = 0: unknowns (lam, z), KKT
+    # matrix [[0, -1], [-1, 2]], in the window over (dx_0, lam, z).
+    window = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 2.0]])
+    qp = StackedQP(windows=window[None], gradient=np.array([0.0, 4.0]),
+                   primal=np.array([False, True]), horizon=1, state_dim=1, control_dim=0)
     sol = solve_kkt(qp)
     assert sol.dz[0] == pytest.approx(0.0, abs=1e-14)
     assert sol.multipliers[0] == pytest.approx(4.0, abs=1e-14)
@@ -202,18 +202,40 @@ def test_verify_equivalence_localizes_injected_fault():
     assert worst.worst >= 4  # corruption propagates from stage 4 on
 
 
-def test_verify_equivalence_fails_a_nan_value_hessian():
-    # a NaN in V makes the sweep's costates lam_t = v_t + V_t dx_t NaN from
-    # t = 5; the worst error is NaN, and no comparison lets it pass
+def _nan_value_hessian_report():
+    """The report of a T = 20 pendulum iLQR sweep whose V[5] is NaN."""
     model, cost, x0, _ = make_benchmark("pendulum")
     exp = expand_along(model, cost, random_nominal(model, cost, x0, 20, seed=0))
     sol = backward_ilqr(exp)
     value_hessians = sol.V.copy()
     value_hessians[5] = np.nan
-    report = verify_equivalence(replace(sol, V=value_hessians), exp, tol=1e-8)
+    return verify_equivalence(replace(sol, V=value_hessians), exp, tol=1e-8)
+
+
+def test_verify_equivalence_fails_a_nan_value_hessian():
+    # a NaN in V makes the sweep's costates lam_t = v_t + V_t dx_t NaN from
+    # t = 5; the worst error is NaN, and no comparison lets it pass
+    report = _nan_value_hessian_report()
     assert not report.passed
     assert np.isnan(report.max_rel_err)
     assert [(c.name, c.worst) for c in report.failures()] == [("lam", 5)]
+
+
+def test_verification_json_writes_a_nan_error_as_null(tmp_path):
+    # the report of the V[5] NaN sweep stays strict JSON: the failed check's
+    # error is null, not the bare token NaN
+    report = _nan_value_hessian_report()
+    out = tmp_path / "verify.json"
+    write_verification_json(out, [("pendulum", report)])
+
+    def strict(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    payload = json.loads(out.read_text(), parse_constant=strict)
+    lam = payload[2]
+    assert (lam["check"], lam["max_rel_err"], lam["worst"], lam["pass"]) == ("lam", None, 5, False)
+    assert [entry["pass"] for entry in payload] == [c.passed for c in report.checks]
+    assert all(isinstance(entry["max_rel_err"], float) for entry in payload[:2])
 
 
 @pytest.mark.parametrize(("scale", "sign", "message"), [
@@ -235,15 +257,11 @@ def test_the_descent_certificate_rejects_a_bad_oracle_step(monkeypatch, scale, s
 
 
 def test_solve_kkt_rejects_singular_systems():
-    import warnings
-    rows, cols = np.divmod(np.arange(4), 2)
-    qp = StackedQP(rows=rows, cols=cols, values=np.zeros(4),
-                   gradient=np.array([1.0, 0.0]), primal=np.ones(2, dtype=bool),
-                   horizon=1, state_dim=1, control_dim=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # LU of an exactly singular matrix
-        with pytest.raises(KktError):
-            solve_kkt(qp)
+    # one stage with n = m = 1 whose window, over (dx_0, du_0, lam_1, dx_1), is zero
+    qp = StackedQP(windows=np.zeros((1, 4, 4)), gradient=np.array([1.0, 0.0, 0.0]),
+                   primal=np.array([True, False, True]), horizon=1, state_dim=1, control_dim=1)
+    with pytest.raises(KktError, match="singular KKT matrix"):
+        solve_kkt(qp)
 
 
 @pytest.mark.parametrize(("change", "message"), [(1e-6, "KKT residual"),
@@ -255,14 +273,14 @@ def test_solve_kkt_rejects_a_bad_banded_solution(monkeypatch, change, message):
     qp = assemble_qp(expand_along(model, cost, random_nominal(model, cost, x0, 5, seed=3)))
     entry = qp.control_dim + qp.state_dim
     assert qp.primal[entry] and RESIDUAL_SCALE * (1.0 + np.abs(qp.gradient).max()) < 1e-6
-    solve_banded = scipy.linalg.solve_banded
+    dgbsv = lapack.dgbsv
 
     def nudged(*args, **kwargs):
-        solution = solve_banded(*args, **kwargs)
+        lu, pivots, solution, info = dgbsv(*args, **kwargs)
         solution[entry] += change
-        return solution
+        return lu, pivots, solution, info
 
-    monkeypatch.setattr("scipy.linalg.solve_banded", nudged)  # where solve_kkt reads it
+    monkeypatch.setattr(lapack, "dgbsv", nudged)  # where solve_kkt imports it from
     with pytest.raises(KktError, match=message):
         solve_kkt(qp)
 

@@ -25,8 +25,9 @@ per-stage loop (the sweep, `_propagate`, `linear_rollout` and
 `cost_gradient_adjoint`) uses `@`, directly or through a function of its
 module: each product is an `np.dot`.
 The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
-arithmetic and no loop over stages, and keeps the nonzeros it assembled: it
-builds no block mask by `np.tile` or `np.repeat`. `solver.solve` holds no
+arithmetic and no loop over stages, and keeps the stage windows it filled,
+whose entries the band solve and the checks read: it builds no block mask by
+`np.tile` or `np.repeat`. `solver.solve` holds no
 `try`: a line search returns each finding as an outcome, and only
 `solver.py` raises `NonDescentError`. `import trajopt`, an m = 1 solve with
 each method and `trajopt run` on both benchmarks load no scipy module:

@@ -45,9 +45,12 @@ from trajopt import (BackwardPassError, CartPoleModel, DivergenceError, LinearMo
                      directional_derivative, expand_along, expected_reduction,
                      forward_pass, linear_rollout, make_benchmark, rollout, total_cost,
                      verify_equivalence)
+from trajopt import kkt
 from trajopt.expansion import ExpansionSequence
 from trajopt.linesearch import ALPHAS
 from trajopt.trajectory import STATE_MAGNITUDE_LIMIT
+
+from conftest import dense_kkt, random_nominal
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                              database=None)
@@ -328,6 +331,40 @@ def test_every_sweep_matches_the_kkt_oracle_on_random_expansions(drawn):
     for method in ("ilqr", "newton", "ddp"):
         report = verify_equivalence(backward_for(method, exp, costates), exp, tol=1e-8)
         assert report.passed, report.summary()
+
+
+def _windows_act_as_the_dense_kkt_matrix(qp, rng):
+    """The oracle's products and solve against the dense matrix its windows
+    sum to: `_matvec` to 1e-12 of the largest |K||x| entry, `solve_kkt` to
+    1e-9 of the largest entry of np.linalg.solve's solution."""
+    dense = dense_kkt(qp)
+    x = rng.normal(size=qp.gradient.size)
+    error = np.max(np.abs(kkt._matvec(qp, x) - dense @ x))
+    assert error <= 1e-12 * np.max(np.abs(dense) @ np.abs(x))
+    ksol = kkt.solve_kkt(qp)
+    solution = np.empty(qp.gradient.size)
+    solution[qp.primal], solution[~qp.primal] = ksol.dz, ksol.multipliers
+    reference = np.linalg.solve(dense, -qp.gradient)
+    assert np.max(np.abs(solution - reference)) <= 1e-9 * max(1.0, np.max(np.abs(reference)))
+
+
+@PROPERTY_SETTINGS
+@given(expansions(), SWEEPS, st.integers(0, 2**32 - 1))
+def test_the_oracle_windows_multiply_and_solve_as_the_dense_matrix(drawn, method, seed):
+    # weighted as each sweep's check weights them: none for iLQR, the drawn
+    # costates for Newton, the sweep's value gradients for DDP
+    exp, costates = drawn
+    weights = backward_for(method, exp, costates).costates
+    _windows_act_as_the_dense_kkt_matrix(kkt.assemble_qp(exp, weights),
+                                         np.random.default_rng(seed))
+
+
+def test_the_oracle_windows_act_as_the_dense_matrix_on_a_long_cartpole_ddp_sweep():
+    model, cost, x0, _ = make_benchmark("cartpole")
+    exp = expand_along(model, cost, random_nominal(model, cost, x0, 200, seed=200))
+    qp = kkt.assemble_qp(exp, backward_for("ddp", exp).costates)
+    assert qp.horizon == 200
+    _windows_act_as_the_dense_kkt_matrix(qp, np.random.default_rng(0))
 
 
 @PROPERTY_SETTINGS
