@@ -15,7 +15,7 @@ from .errors import (BackwardPassError, ConfigError, DimensionError,
                      DivergenceError, KktError, NonDescentError, TrajoptError)
 from .expansion import ExpansionSequence, cost_gradient_adjoint, expand_along
 from .kkt import (KktSolution, StackedQP, assemble_qp, check_derivatives,
-                  solve_kkt, split_primal, verify_equivalence)
+                  solve_kkt, verify_equivalence)
 from .linesearch import (LineSearchOutcome, directional_derivative,
                          forward_pass, line_search)
 from .models import (CartPoleModel, LinearModel, PendulumModel,
@@ -33,7 +33,7 @@ __all__ = [
     "KktError", "NonDescentError", "TrajoptError",
     "ExpansionSequence", "expand_along",
     "KktSolution", "StackedQP", "assemble_qp", "cost_gradient_adjoint",
-    "solve_kkt", "split_primal", "verify_equivalence",
+    "solve_kkt", "verify_equivalence",
     "LineSearchOutcome", "directional_derivative", "forward_pass", "line_search",
     "CartPoleModel", "LinearModel", "PendulumModel", "QuadraticCost",
     "check_derivatives", "make_benchmark",

@@ -214,15 +214,12 @@ def backward_ddp(exp) -> BackwardSolution:
     return _sweep(exp, "ddp")
 
 
-def multipliers_from(sol, dx=None) -> np.ndarray:
+def multipliers_from(sol, dx) -> np.ndarray:
     """Costates at the state deviations dx from the sweep's nominal.
 
     lam_t = v_t + V_t dx_t, which are also the stacked QP's equality
-    multipliers (so lam_T = C_x + C_xx dx_T at the terminal stage). With no
-    dx the costates are evaluated on the nominal, lam_t = v_t.
+    multipliers (so lam_T = C_x + C_xx dx_T at the terminal stage).
     """
-    if dx is None:
-        return sol.v.copy()
     dx = np.asarray(dx, dtype=float)
     if dx.shape != sol.v.shape:
         raise DimensionError("path horizon does not match the solution")
@@ -257,8 +254,8 @@ def quu_spectrum(sol) -> np.ndarray:
 def initial_multiplier_estimate(exp) -> np.ndarray:
     """Costate seed for the first Newton sweep: value gradients of an iLQR
     sweep on the same expansion, the stacked subproblem's multiplier estimate
-    at zero deviation."""
-    return multipliers_from(backward_ilqr(exp))
+    at zero deviation, lam_t = v_t."""
+    return backward_ilqr(exp).v
 
 
 def backward_for(method, exp, costates=None):

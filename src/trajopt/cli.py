@@ -56,10 +56,11 @@ class ExperimentConfig:
     SolverConfig. `problem` holds the benchmark keys that were set; the
     others take the defaults of `models.BENCHMARKS`.
 
-    Construction checks `init`, `init_amplitude`, `seed` and that no method
-    is repeated, and builds what the other settings configure: the
-    SolverConfig of each method and the benchmark problem. A bad setting
-    raises their ValueError or DimensionError."""
+    Construction checks `init`, `init_amplitude`, `seed` (a nonnegative
+    int), `warm_start` (a bool) and that no method is repeated, and builds
+    what the other settings configure: the SolverConfig of each method and
+    the benchmark problem. A bad setting raises their ValueError or
+    DimensionError."""
 
     system: str = "pendulum"
     method: str = "ilqr"
@@ -76,8 +77,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown init '{self.init}'")
         if not 0 <= self.init_amplitude < np.inf:  # NaN fails too
             raise ValueError("init_amplitude must be nonnegative and finite")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not isinstance(self.warm_start, bool):
+            raise ValueError("warm_start must be a bool")
         methods = self.methods()
         for method in methods:
             self.solver_config(method)

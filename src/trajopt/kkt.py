@@ -2,13 +2,14 @@
 
 The oracle stacks the local quadratic subproblem min g'z + 0.5 z'Hz s.t.
 A z = 0 over the full horizon and certifies the Riccati sweeps against a
-direct solve of its KKT system [H A'; A 0] [dz; lam] = [-g; 0]. Ordered
-stage by stage, (du_t, lam_{t+1}, dx_{t+1}) for t = 0 .. T-1, the matrix is
-banded with half-bandwidth at most 2n + m - 1 at any horizon. The Riccati
-sweep is a block factorization of this same matrix (Rao, Wright & Rawlings,
-JOTA 1998); the oracle factors it independently, by LAPACK's banded LU with
-partial pivoting. It is kept as the T dense stage windows that assembly
-fills: the solve scatters them into the band, and the checks multiply by them.
+direct solve of its KKT system [H A'; A 0] [z; lam] = [-g; 0]. Its one
+layout is the stage row, (du_t, lam_{t+1}, dx_{t+1}) for t = 0 .. T-1, from
+assembly to verdict; in that order the matrix is banded with half-bandwidth
+at most 2n + m - 1 at any horizon. The Riccati sweep is a block
+factorization of this same matrix (Rao, Wright & Rawlings, JOTA 1998); the
+oracle factors it independently, by LAPACK's banded LU with partial
+pivoting. It is kept as the T dense stage windows that assembly fills: the
+solve scatters them into the band, and the checks multiply the rows by them.
 
 dx_0 is fixed at zero and is not an unknown. Constraint t enforces
 fx_t dx_t + fu_t du_t - dx_{t+1} = 0, so the equality multipliers returned by
@@ -34,8 +35,8 @@ from .errors import DimensionError, KktError
 from .expansion import cost_gradient_adjoint  # kept for perfbench/tracer.py
 from .trajectory import linear_rollout
 
-__all__ = ["StackedQP", "KktSolution", "assemble_qp", "solve_kkt", "split_primal",
-           "Check", "VerificationReport", "verify_equivalence", "check_derivatives"]
+__all__ = ["StackedQP", "KktSolution", "assemble_qp", "solve_kkt", "Check",
+           "VerificationReport", "verify_equivalence", "check_derivatives"]
 
 RESIDUAL_SCALE = 1e-9  # KKT residual bound, scaled by 1 + input norms
 FD_STEP = 3e-4  # scaled per coordinate by (1 + |value|)
@@ -45,22 +46,22 @@ DERIVATIVE_TOL = 1e-7  # 45x the worst error, seeds 0-9, of the benchmarks and r
 
 @dataclass(frozen=True, eq=False)
 class StackedQP:
-    """The KKT matrix of min g'z + 0.5 z'Hz s.t. A z = 0 over its unknowns,
-    z and lam interleaved, as the sum of the stage windows of `assemble_qp`."""
+    """The KKT matrix of min g'z + 0.5 z'Hz s.t. A z = 0, as the sum of the
+    stage windows of `assemble_qp`, and g, in stage rows (du_t, lam_{t+1},
+    dx_{t+1}). T, n and m are read off the two shapes."""
 
     windows: np.ndarray   # (T, 3n+m, 3n+m)
-    gradient: np.ndarray  # (K,) g on the entries of z, 0 on those of lam
-    primal: np.ndarray    # (K,) bool, True on the entries of z
-    horizon: int
-    state_dim: int
-    control_dim: int
+    gradient: np.ndarray  # (T, 2n+m) g in the du and dx columns, 0 in those of lam
 
 
 @dataclass(frozen=True, eq=False)
 class KktSolution:
-    dz: np.ndarray           # (N,) primal step, (du_t, dx_{t+1}) stage by stage
-    multipliers: np.ndarray  # (T n,) stacked equality multipliers
-    residual: float          # inf-norm of the KKT equations at the solution
+    """The KKT solution, as views of its (T, 2n+m) stage rows."""
+
+    du: np.ndarray   # (T, m) du_0 .. du_{T-1}
+    lam: np.ndarray  # (T, n) equality multipliers lam_1 .. lam_T
+    dx: np.ndarray   # (T, n) dx_1 .. dx_T
+    residual: float  # inf-norm of the KKT equations at the solution
 
 
 def assemble_qp(exp, costates=None) -> StackedQP:
@@ -106,35 +107,35 @@ def assemble_qp(exp, costates=None) -> StackedQP:
     grad = np.zeros((horizon, stride))
     grad[:, :m] = exp.ru
     grad[:, m + n:] = np.concatenate([exp.lx[1:], exp.ct_x[None]])
-    primal = np.ones((horizon, stride), dtype=bool)
-    primal[:, m:m + n] = False
-    return StackedQP(windows=window, gradient=grad.reshape(-1), primal=primal.reshape(-1),
-                     horizon=horizon, state_dim=n, control_dim=m)
+    return StackedQP(windows=window, gradient=grad)
 
 
 def _matvec(qp, x):
-    """The KKT matrix times x: each window times its slice of x, whose dx_0
-    is zero, with the rows where consecutive windows overlap added."""
-    n, (horizon, width, _) = qp.state_dim, qp.windows.shape
-    stages = x.reshape(horizon, width - n)
+    """The KKT matrix times x, both (T, 2n+m) stage rows: each window times
+    its row of x after the previous row's dx (dx_0 = 0), with the rows where
+    consecutive windows overlap added."""
+    horizon, width, _ = qp.windows.shape
+    n = width - x.shape[1]
     sliced = np.zeros((horizon, width))
-    sliced[:, n:] = stages
-    sliced[1:, :n] = stages[:-1, width - 2 * n:]
+    sliced[:, n:] = x
+    sliced[1:, :n] = x[:-1, width - 2 * n:]
     parts = np.matmul(qp.windows, sliced[:, :, None])[:, :, 0]
     parts[:-1, width - n:] += parts[1:, :n]  # the rows of dx_{t+1}
-    return parts[:, n:].reshape(-1)
+    return parts[:, n:]
 
 
 def solve_kkt(qp) -> KktSolution:
-    """Solve [H A'; A 0] [dz; lam] = [-g; 0] by LAPACK's banded LU (gbsv).
+    """Solve [H A'; A 0] [z; lam] = [-g; 0] by LAPACK's banded LU (gbsv).
 
     With s = 2n + m, both half-bandwidths are s - 1 and the band has
     ld = 3s - 2 rows, s - 1 of them for the LU's fill. One bincount puts entry
     (r, c) of window t at row 2(s - 1) + r - c of column t s - n + c, after n
-    dropped columns for dx_0. The residual bound covers the constraint rows
-    (right-hand side 0) too."""
-    n, (horizon, width, _) = qp.state_dim, qp.windows.shape
-    stride, size = width - n, qp.gradient.size
+    dropped columns for dx_0. The solution is reshaped once to its (T, s)
+    stage rows, which `du`, `lam` and `dx` view. The residual bound covers
+    the constraint rows (right-hand side 0) too."""
+    (horizon, width, _), stride = qp.windows.shape, qp.gradient.shape[1]
+    n, size = width - stride, qp.gradient.size
+    m = stride - 2 * n
     half, ld = stride - 1, 3 * stride - 2
     local = np.arange(width)  # the offsets of window t: t s ld + those of window 0
     offsets = (np.arange(0, horizon * stride * ld, stride * ld)[:, None]
@@ -142,27 +143,19 @@ def solve_kkt(qp) -> KktSolution:
     band = np.bincount(offsets.reshape(-1), weights=qp.windows.reshape(-1),
                        minlength=(size + n) * ld)[n * ld:]
     from scipy.linalg.lapack import dgbsv  # imported here: a solve never loads scipy
-    _, _, solution, info = dgbsv(half, half, band.reshape(size, ld).T, -qp.gradient,
-                                 overwrite_ab=True, overwrite_b=True)
+    _, _, solution, info = dgbsv(half, half, band.reshape(size, ld).T,
+                                 -qp.gradient.reshape(-1), overwrite_ab=True, overwrite_b=True)
     if info != 0:
         raise KktError(f"singular KKT matrix: LAPACK gbsv info {info}")
     if not np.isfinite(solution).all():
         raise KktError("KKT solve produced non-finite values")
+    solution = solution.reshape(horizon, stride)
     residual = float(np.max(np.abs(_matvec(qp, solution) + qp.gradient), initial=0.0))
     scale = 1.0 + float(np.max(np.abs(qp.gradient), initial=0.0))
     if residual > RESIDUAL_SCALE * scale:
         raise KktError(f"KKT residual {residual:.3e} exceeds {RESIDUAL_SCALE * scale:.3e}")
-    return KktSolution(dz=solution[qp.primal], multipliers=solution[~qp.primal],
+    return KktSolution(du=solution[:, :m], lam=solution[:, m:m + n], dx=solution[:, m + n:],
                        residual=residual)
-
-
-def split_primal(qp, dz):
-    """Unstack dz into (dx, du) with dx including the pinned dx_0 = 0 row."""
-    n, m, horizon = qp.state_dim, qp.control_dim, qp.horizon
-    stages = dz.reshape(horizon, m + n)
-    dx = np.zeros((horizon + 1, n))
-    dx[1:] = stages[:, m:]
-    return dx, stages[:, :m]
 
 
 @dataclass(frozen=True)
@@ -232,31 +225,25 @@ def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
         raise ValueError("costates differ from those the sweep contracted")
     qp = assemble_qp(exp, sol.costates)
     ksol = solve_kkt(qp)
-    dx_qp, du_qp = split_primal(qp, ksol.dz)
-    lam_qp = ksol.multipliers.reshape(qp.horizon, qp.state_dim)
-
     dx, du = linear_rollout(exp, sol)
-    lam_sweep = multipliers_from(sol, dx)
-
-    checks = (_block_check("dx", dx[1:], dx_qp[1:], tol, t_offset=1),
-              _block_check("du", du, du_qp, tol),
-              _block_check("lam", lam_sweep[1:], lam_qp, tol, t_offset=1))
+    checks = (_block_check("dx", dx[1:], ksol.dx, tol, t_offset=1),
+              _block_check("du", du, ksol.du, tol),
+              _block_check("lam", multipliers_from(sol, dx)[1:], ksol.lam, tol, t_offset=1))
 
     if sol.costates is None:
         # Descent certificate of the cost-only subproblem: on the constraint
-        # kernel the step satisfies dz'g = -dz'H dz < 0 unless it is zero.
-        # With its multiplier entries zeroed, z'Kz is exactly dz'H dz.
-        z = np.zeros(qp.primal.size)
-        z[qp.primal] = ksol.dz
-        directional = float(z @ qp.gradient)
-        curvature = float(z @ _matvec(qp, z))
+        # kernel the step satisfies z'g = -z'H z < 0 unless it is zero.
+        # With its multiplier columns zeroed, the rows' z'Kz is exactly z'H z.
+        z = np.hstack([ksol.du, np.zeros_like(ksol.lam), ksol.dx])
+        directional = float(np.vdot(z, qp.gradient))
+        curvature = float(np.vdot(z, _matvec(qp, z)))
         scale = max(1.0, abs(curvature))
         if abs(directional + curvature) > 1e-7 * scale:
             raise KktError("descent certificate identity violated")
-        if np.max(np.abs(ksol.dz)) > 1e-10 and directional >= 0.0:
+        if np.max(np.abs(z)) > 1e-10 and directional >= 0.0:
             raise KktError("stacked QP step failed to be a descent direction")
 
-    return VerificationReport(sol.method, qp.horizon, checks)
+    return VerificationReport(sol.method, exp.horizon, checks)
 
 
 def _fd_jacobian(fn, z):

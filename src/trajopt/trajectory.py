@@ -113,7 +113,7 @@ def _propagate(model, cost, x0, controls, feedback=None) -> Trajectory:
 
 def linear_rollout(exp, sol):
     """Propagate the gains through the linearized dynamics: the deviations
-    (dx, du) from the nominal, (T+1, n) and (T, m), as `kkt.split_primal`.
+    (dx, du) from the nominal, (T+1, n) with dx_0 = 0 and (T, m).
 
     du_t = -k_t - K_t dx_t with dx_0 = 0: the full step, the exact minimizer
     of the quadratic subproblem the gains came from (certified by the KKT

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from trajopt import (LinearModel, QuadraticCost, SolveResult, SolverConfig,
-                     make_benchmark, rollout, solve, split_primal)
+                     make_benchmark, rollout, solve)
 from trajopt.solver import METHODS
 
 SEEDS = range(20)
@@ -175,13 +175,13 @@ def ddp_cartpole_sweep():
 
 def dense_kkt(qp):
     """The KKT matrix of an assembled `StackedQP` as a dense array over its
-    unknowns, z and lam interleaved, read block by block off the QP's stage
-    windows. Window t covers the unknowns from t (2n + m) - n on, so
-    window 0 starts with dx_0, which is not an unknown: its rows and columns
-    must hold zeros."""
-    n, width = qp.state_dim, qp.windows.shape[1]
-    stride = width - n
-    padded = np.zeros((qp.primal.size + n,) * 2)  # dx_0 first
+    unknowns in their stage rows (du_t, lam_{t+1}, dx_{t+1}), flattened,
+    read block by block off the QP's stage windows. Window t covers the
+    unknowns from t (2n + m) - n on, so window 0 starts with dx_0, which is
+    not an unknown: its rows and columns must hold zeros."""
+    width, stride = qp.windows.shape[1], qp.gradient.shape[1]
+    n = width - stride
+    padded = np.zeros((qp.gradient.size + n,) * 2)  # dx_0 first
     for t, window in enumerate(qp.windows):
         padded[t * stride:t * stride + width, t * stride:t * stride + width] += window
     assert not padded[:n].any() and not padded[:, :n].any(), "an entry at dx_0"
@@ -193,7 +193,9 @@ def dense_qp(qp):
     z = (dx_1 .. dx_T, du_0 .. du_{T-1}) with the rows of A in constraint
     order, read off `dense_kkt`."""
     kkt = dense_kkt(qp)
-    dx, du = split_primal(qp, np.flatnonzero(qp.primal))
-    z = np.concatenate([dx[1:].reshape(-1), du.reshape(-1)]).astype(int)
-    lam = np.flatnonzero(~qp.primal)
-    return kkt[np.ix_(z, z)], qp.gradient[z], kkt[np.ix_(lam, z)]
+    stride = qp.gradient.shape[1]
+    n = qp.windows.shape[1] - stride
+    index = np.arange(qp.gradient.size).reshape(qp.gradient.shape)  # of each unknown
+    z = np.concatenate([index[:, stride - n:].reshape(-1), index[:, :stride - 2 * n].reshape(-1)])
+    lam = index[:, stride - 2 * n:stride - n].reshape(-1)
+    return kkt[np.ix_(z, z)], qp.gradient.reshape(-1)[z], kkt[np.ix_(lam, z)]

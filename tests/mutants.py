@@ -66,6 +66,15 @@ MUTANTS = (
      "tests/test_solver.py::test_solver_config_rejects_infinite_tolerances"),
     ("kkt.py", "if not 0 < tol < np.inf:", "if not 0 < tol:",
      "tests/test_kkt.py::test_oracle_rejects_bad_inputs"),
+    # the oracle's multipliers and states swapped in its stage rows: with
+    # n = 2 both are (T, 2), so only their values tell them apart
+    ("kkt.py", "lam=solution[:, m:m + n], dx=solution[:, m + n:]",
+     "lam=solution[:, m + n:], dx=solution[:, m:m + n]",
+     "tests/test_backward.py::test_multipliers_match_kkt_equality_multipliers"),
+    # a bool seed taken as the int it subclasses
+    ("cli.py", "if not isinstance(self.seed, int) or isinstance(self.seed, bool):",
+     "if not isinstance(self.seed, int):",
+     "tests/test_cli.py::test_an_experiment_config_checks_itself"),
     # a NaN error written as the bare token NaN, which strict JSON rejects
     ("artifacts.py", '"max_rel_err": c.max_rel_err if np.isfinite(c.max_rel_err) else None,',
      '"max_rel_err": c.max_rel_err,',

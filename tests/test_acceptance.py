@@ -18,7 +18,7 @@ from trajopt import (SolverConfig, backward_ddp, backward_ilqr,
 from trajopt.artifacts import prediction_row
 from trajopt.backward import initial_multiplier_estimate
 from trajopt.cli import main as cli_main
-from trajopt.kkt import assemble_qp, solve_kkt, split_primal
+from trajopt.kkt import assemble_qp, solve_kkt
 
 from conftest import SWEEP_BUDGETS, random_controls, swept_records
 
@@ -61,8 +61,7 @@ def test_criterion_02_lqr_golden_case(lqr_instance):
     u0 = random_controls(horizon, 1, seed=7)
 
     exp = expand_along(model, cost, rollout(model, cost, x0, u0))
-    qp = assemble_qp(exp)
-    _, du = split_primal(qp, solve_kkt(qp).dz)
+    du = solve_kkt(assemble_qp(exp)).du
     optimum = rollout(model, cost, x0, u0 + du).cost
 
     ok = True

@@ -9,8 +9,9 @@ import pytest
 from trajopt import (BackwardPassError, DimensionError, LinearModel,
                      QuadraticCost, SolverConfig, backward_ddp, backward_for,
                      backward_ilqr, backward_newton, expand_along,
-                     expected_reduction, linear_rollout, make_benchmark,
-                     multipliers_from, quu_spectrum, rollout, solve)
+                     expected_reduction, initial_multiplier_estimate,
+                     linear_rollout, make_benchmark, multipliers_from,
+                     quu_spectrum, rollout, solve)
 from trajopt.artifacts import write_gain_profile_csv
 from trajopt.expansion import ExpansionSequence
 from trajopt.kkt import assemble_qp, solve_kkt
@@ -132,8 +133,10 @@ def test_ddp_first_sweep_goes_indefinite_on_cartpole_somewhere():
 def test_multipliers_on_zero_path_are_the_value_gradients():
     model, cost, x0, _ = make_benchmark("pendulum")
     traj = random_nominal(model, cost, x0, 10, seed=1)
-    sol = backward_ilqr(expand_along(model, cost, traj))
-    lam = multipliers_from(sol)
+    exp = expand_along(model, cost, traj)
+    sol = backward_ilqr(exp)
+    assert np.array_equal(initial_multiplier_estimate(exp), sol.v)
+    lam = multipliers_from(sol, np.zeros_like(sol.v))
     assert np.array_equal(lam, sol.v)
     assert lam is not sol.v
 
@@ -156,8 +159,7 @@ def test_multipliers_match_kkt_equality_multipliers(lqr_instance):
     sol = backward_ilqr(exp)
     dx, _ = linear_rollout(exp, sol)
     lam = multipliers_from(sol, dx)
-    ksol = solve_kkt(assemble_qp(exp))
-    lam_qp = ksol.multipliers.reshape(horizon, 2)
+    lam_qp = solve_kkt(assemble_qp(exp)).lam
     assert np.max(np.abs(lam[1:] - lam_qp)) <= 1e-8 * max(1, np.max(np.abs(lam_qp)))
 
 

@@ -119,11 +119,19 @@ def test_repeated_method_exits_2(tmp_path, capsys, method):
     ({"init_amplitude": -0.5}, "init_amplitude must be nonnegative and finite"),
     ({"init_amplitude": float("nan")}, "init_amplitude must be nonnegative and finite"),
     ({"seed": -1}, "seed must be nonnegative"),
+    # numpy would take a float seed as far as its SeedSequence and a bool
+    # seed as 1, and a truthy string would run the warm start
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": float("nan")}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"warm_start": "no"}, "warm_start must be a bool"),
+    ({"warm_start": 1}, "warm_start must be a bool"),
     ({"method": "ilqr,ilqr"}, "method 'ilqr' is repeated"),
     ({"method": "ilqr,sqp"}, "unknown method 'sqp'"),
     ({"system": "spring"}, "unknown system 'spring'"),
     ({"problem": {"horizon": 0}}, "horizon must be at least 1"),
-], ids=["init", "amplitude-negative", "amplitude-nan", "seed", "method-repeated",
+], ids=["init", "amplitude-negative", "amplitude-nan", "seed", "seed-float", "seed-nan",
+        "seed-bool", "warm-start-str", "warm-start-int", "method-repeated",
         "method-unknown", "system", "horizon"])
 def test_an_experiment_config_checks_itself(settings, message):
     # cmd_run and cmd_verify take a config built without build_config too

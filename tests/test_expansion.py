@@ -6,7 +6,7 @@ import pytest
 from trajopt import (DimensionError, LinearModel, PendulumModel, QuadraticCost,
                      TrajoptError, Trajectory, cost_gradient_adjoint,
                      expand_along, make_benchmark, rollout)
-from trajopt.kkt import assemble_qp, solve_kkt, split_primal
+from trajopt.kkt import assemble_qp, solve_kkt
 
 from conftest import random_nominal
 
@@ -180,8 +180,7 @@ def test_adjoint_gradient_vanishes_at_kkt_optimum(lqr_instance):
     model, cost, x0, horizon = lqr_instance
     nominal = random_nominal(model, cost, x0, horizon, seed=1)
     exp = expand_along(model, cost, nominal)
-    ksol = solve_kkt(assemble_qp(exp))
-    _, du = split_primal(assemble_qp(exp), ksol.dz)
+    du = solve_kkt(assemble_qp(exp)).du
     optimum = rollout(model, cost, x0, nominal.controls + du)
     grad = cost_gradient_adjoint(expand_along(model, cost, optimum))
     assert np.max(np.abs(grad)) <= 1e-9

@@ -13,7 +13,7 @@ from trajopt import (DimensionError, KktError, backward_ddp, backward_for,
 from trajopt import kkt
 from trajopt.artifacts import write_verification_json
 from trajopt.backward import initial_multiplier_estimate
-from trajopt.kkt import RESIDUAL_SCALE, StackedQP, assemble_qp, solve_kkt, split_primal
+from trajopt.kkt import RESIDUAL_SCALE, StackedQP, assemble_qp, solve_kkt
 from trajopt.models import random_linear
 
 from conftest import dense_qp, random_nominal
@@ -94,11 +94,9 @@ def test_solve_unconstrained_identity_hessian():
     # one stage of three controls and no state: a window of unknowns
     # (du_0,) only, with no constraint
     g = np.array([1.0, -2.0, 0.5])
-    qp = StackedQP(windows=np.eye(3)[None], gradient=g, primal=np.ones(3, dtype=bool),
-                   horizon=1, state_dim=0, control_dim=3)
-    sol = solve_kkt(qp)
-    assert np.allclose(sol.dz, -g, atol=1e-14)
-    assert sol.multipliers.size == 0
+    sol = solve_kkt(StackedQP(windows=np.eye(3)[None], gradient=g[None]))
+    assert sol.du.shape == (1, 3) and np.allclose(sol.du, -g, atol=1e-14)
+    assert sol.lam.size == sol.dx.size == 0
 
 
 def test_solve_scalar_constrained_by_hand():
@@ -107,19 +105,17 @@ def test_solve_scalar_constrained_by_hand():
     # gradient, lam = 4. One stage with n = 1, m = 0: unknowns (lam, z), KKT
     # matrix [[0, -1], [-1, 2]], in the window over (dx_0, lam, z).
     window = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, -1.0, 2.0]])
-    qp = StackedQP(windows=window[None], gradient=np.array([0.0, 4.0]),
-                   primal=np.array([False, True]), horizon=1, state_dim=1, control_dim=0)
-    sol = solve_kkt(qp)
-    assert sol.dz[0] == pytest.approx(0.0, abs=1e-14)
-    assert sol.multipliers[0] == pytest.approx(4.0, abs=1e-14)
+    sol = solve_kkt(StackedQP(windows=window[None], gradient=np.array([0.0, 4.0])[None]))
+    assert sol.du.size == 0
+    assert sol.dx[0, 0] == pytest.approx(0.0, abs=1e-14)
+    assert sol.lam[0, 0] == pytest.approx(4.0, abs=1e-14)
 
 
 def test_kkt_reproduces_classical_lqr_solution(lqr_instance):
     model, cost, x0, horizon = lqr_instance
     nominal = rollout(model, cost, x0, np.zeros((horizon, 1)))
     exp = expand_along(model, cost, nominal)
-    ksol = solve_kkt(assemble_qp(exp))
-    _, du = split_primal(assemble_qp(exp), ksol.dz)
+    du = solve_kkt(assemble_qp(exp)).du
 
     # independent reference: textbook Riccati gains rolled out from x0 (the
     # problem is exactly quadratic, so the one-shot QP step is the optimum)
@@ -149,8 +145,7 @@ def test_solver_invariants_on_random_problems():
         qp = assemble_qp(exp)
         sol = solve_kkt(qp)
         hessian, gradient, constraints = dense_qp(qp)
-        dx, du = split_primal(qp, sol.dz)
-        dz = np.concatenate([dx[1:].reshape(-1), du.reshape(-1)])
+        dz = np.concatenate([sol.dx.reshape(-1), sol.du.reshape(-1)])  # dense_qp's order
         scale = 1.0 + np.max(np.abs(gradient))
         assert sol.residual <= 1e-9 * scale
         assert np.max(np.abs(constraints @ dz)) <= 1e-9 * scale
@@ -243,14 +238,15 @@ def test_verification_json_writes_a_nan_error_as_null(tmp_path):
     (-1.0, -1.0, "stacked QP step failed to be a descent direction"),
 ], ids=["identity", "ascent"])
 def test_the_descent_certificate_rejects_a_bad_oracle_step(monkeypatch, scale, sign, message):
-    # iLQR's oracle step dz has g'dz = -dz'H dz < 0. Doubled, it breaks that
-    # identity; negated, with dz'H dz read negated too, it keeps the identity
-    # and ascends
+    # iLQR's oracle step z = (du, dx) has g'z = -z'H z < 0. Doubled, it
+    # breaks that identity; negated, with z'H z read negated too, it keeps
+    # the identity and ascends
     model, cost, x0, _ = make_benchmark("pendulum")
     exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=6))
     ksol = solve_kkt(assemble_qp(exp))
     matvec = kkt._matvec
-    monkeypatch.setattr(kkt, "solve_kkt", lambda qp: replace(ksol, dz=scale * ksol.dz))
+    monkeypatch.setattr(kkt, "solve_kkt",
+                        lambda qp: replace(ksol, du=scale * ksol.du, dx=scale * ksol.dx))
     monkeypatch.setattr(kkt, "_matvec", lambda qp, x: sign * matvec(qp, x))
     with pytest.raises(KktError, match=message):
         verify_equivalence(backward_ilqr(exp), exp, tol=1e-8)
@@ -258,8 +254,7 @@ def test_the_descent_certificate_rejects_a_bad_oracle_step(monkeypatch, scale, s
 
 def test_solve_kkt_rejects_singular_systems():
     # one stage with n = m = 1 whose window, over (dx_0, du_0, lam_1, dx_1), is zero
-    qp = StackedQP(windows=np.zeros((1, 4, 4)), gradient=np.array([1.0, 0.0, 0.0]),
-                   primal=np.array([True, False, True]), horizon=1, state_dim=1, control_dim=1)
+    qp = StackedQP(windows=np.zeros((1, 4, 4)), gradient=np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(KktError, match="singular KKT matrix"):
         solve_kkt(qp)
 
@@ -268,11 +263,14 @@ def test_solve_kkt_rejects_singular_systems():
                                                 (np.nan, "non-finite values")])
 def test_solve_kkt_rejects_a_bad_banded_solution(monkeypatch, change, message):
     # the guards after the banded solve, fed the true solution with one dx
-    # entry nudged (or made NaN); stage 0's unknowns are (du_0, lam_1, dx_1)
+    # entry nudged (or made NaN): dx_1's first column, after (du_0, lam_1) in
+    # stage row 0 of gbsv's flat solution
     model, cost, x0, _ = make_benchmark("pendulum")
     qp = assemble_qp(expand_along(model, cost, random_nominal(model, cost, x0, 5, seed=3)))
-    entry = qp.control_dim + qp.state_dim
-    assert qp.primal[entry] and RESIDUAL_SCALE * (1.0 + np.abs(qp.gradient).max()) < 1e-6
+    n, m = 2, 1
+    entry = m + n
+    assert qp.gradient.shape == (5, 2 * n + m) and qp.windows.shape[1] == 3 * n + m
+    assert RESIDUAL_SCALE * (1.0 + np.abs(qp.gradient).max()) < 1e-6
     dgbsv = lapack.dgbsv
 
     def nudged(*args, **kwargs):

@@ -47,10 +47,12 @@ call and no `in` or `not in` test against `METHODS`, `SWEEPS` or `SYSTEMS`:
 the objects it builds check those values, so no value is checked twice.
 The derivative check lives with the oracle in `kkt.py`: `models.py` defines
 no `check_derivatives`, no `_fd_jacobian` and no `FD_` or `DERIVATIVE_`
-constant.
+constant. Every name in a module's `__all__` exists in that module, so a
+stale export fails here and not at a caller's `from trajopt import *`.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -743,3 +745,13 @@ def test_the_second_check_finder_sees_each_spelling():
     assert sorted(_second_checks(ast.parse(source))) == [
         ("isfinite", 3), ("isfinite", 4), ("isfinite", 5), ("membership", 6),
         ("membership", 7), ("membership", 8), ("membership", 9)]
+
+
+EXPORTING = sorted(p.stem for p in PACKAGE.glob("*.py") if "__all__" in p.read_text())
+
+
+@pytest.mark.parametrize("stem", EXPORTING)
+def test_every_exported_name_exists(stem):
+    assert {"__init__", "kkt"} <= set(EXPORTING)
+    module = importlib.import_module("trajopt" if stem == "__init__" else f"trajopt.{stem}")
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -11,7 +11,7 @@ from trajopt import (BackwardSolution, DimensionError, DivergenceError,
                      cost_gradient_adjoint, directional_derivative, expand_along,
                      forward_pass, line_search, make_benchmark, rollout)
 from trajopt import linesearch
-from trajopt.kkt import assemble_qp, solve_kkt, split_primal
+from trajopt.kkt import assemble_qp, solve_kkt
 from trajopt.linesearch import ALPHAS, SIGMA
 from trajopt.models import SystemModel
 
@@ -52,8 +52,7 @@ def test_forward_pass_full_step_solves_lqr(lqr_instance):
     exp = expand_along(model, cost, nominal)
     sol = backward_ilqr(exp)
     out = forward_pass(model, cost, nominal, sol, 1.0)
-    ksol = solve_kkt(assemble_qp(exp))
-    _, du = split_primal(assemble_qp(exp), ksol.dz)
+    du = solve_kkt(assemble_qp(exp)).du
     optimum = rollout(model, cost, x0, nominal.controls + du)
     assert out.cost == pytest.approx(optimum.cost, rel=1e-12)
 

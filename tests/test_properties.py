@@ -338,13 +338,12 @@ def _windows_act_as_the_dense_kkt_matrix(qp, rng):
     sum to: `_matvec` to 1e-12 of the largest |K||x| entry, `solve_kkt` to
     1e-9 of the largest entry of np.linalg.solve's solution."""
     dense = dense_kkt(qp)
-    x = rng.normal(size=qp.gradient.size)
-    error = np.max(np.abs(kkt._matvec(qp, x) - dense @ x))
-    assert error <= 1e-12 * np.max(np.abs(dense) @ np.abs(x))
+    x = rng.normal(size=qp.gradient.shape)  # stage rows, which dense_kkt flattens
+    error = np.max(np.abs(kkt._matvec(qp, x).reshape(-1) - dense @ x.reshape(-1)))
+    assert error <= 1e-12 * np.max(np.abs(dense) @ np.abs(x.reshape(-1)))
     ksol = kkt.solve_kkt(qp)
-    solution = np.empty(qp.gradient.size)
-    solution[qp.primal], solution[~qp.primal] = ksol.dz, ksol.multipliers
-    reference = np.linalg.solve(dense, -qp.gradient)
+    solution = np.hstack([ksol.du, ksol.lam, ksol.dx]).reshape(-1)
+    reference = np.linalg.solve(dense, -qp.gradient.reshape(-1))
     assert np.max(np.abs(solution - reference)) <= 1e-9 * max(1.0, np.max(np.abs(reference)))
 
 
@@ -363,7 +362,7 @@ def test_the_oracle_windows_act_as_the_dense_matrix_on_a_long_cartpole_ddp_sweep
     model, cost, x0, _ = make_benchmark("cartpole")
     exp = expand_along(model, cost, random_nominal(model, cost, x0, 200, seed=200))
     qp = kkt.assemble_qp(exp, backward_for("ddp", exp).costates)
-    assert qp.horizon == 200
+    assert qp.windows.shape[0] == 200
     _windows_act_as_the_dense_kkt_matrix(qp, np.random.default_rng(0))
 
 
