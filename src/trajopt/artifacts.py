@@ -24,8 +24,9 @@ __all__ = [
     "write_trajectory_csv",
     "write_verification_json",
     "write_merged_csv",
-    "write_prediction_csv",
 ]
+
+_RECORD_HEADER = "index,J,dJ_pred,dJ_realized,alpha,min_quu,grad_norm,method,status,J_pred,feasible"
 
 
 def _row(*cells) -> str:
@@ -51,13 +52,18 @@ def prediction_row(j, dj_pred):
     return j_pred, j_pred >= 0.0
 
 
+def _record_cells(r):
+    """An iteration record's cells; J_pred and feasible are empty where dJ_pred is."""
+    j_pred = feasible = None
+    if r.dj_pred is not None:
+        j_pred, attainable = prediction_row(r.cost, r.dj_pred)
+        feasible = "true" if attainable else "false"
+    return (r.index, r.cost, r.dj_pred, r.dj_realized, r.alpha, r.min_quu,
+            r.grad_norm, r.method_active, r.status, j_pred, feasible)
+
+
 def write_iterations_csv(path, records):
-    _write_csv(
-        path,
-        "index,J,dJ_pred,dJ_realized,alpha,min_quu,grad_norm,method,status",
-        (_row(r.index, r.cost, r.dj_pred, r.dj_realized, r.alpha, r.min_quu,
-              r.grad_norm, r.method_active, r.status)
-         for r in records))
+    _write_csv(path, _RECORD_HEADER, (_row(*_record_cells(r)) for r in records))
 
 
 def write_trials_csv(path, logs):
@@ -125,22 +131,7 @@ def write_verification_json(path, reports):
 
 
 def write_merged_csv(path, results):
-    """A multi-method run's merged trace: one row per (method, iteration)."""
-    _write_csv(
-        path, "method,iteration,J,alpha,min_quu,grad_norm,dJ_pred",
-        (_row(method, r.index, r.cost, r.alpha, r.min_quu, r.grad_norm, r.dj_pred)
-         for method, result in results for r in result.records))
-
-
-def write_prediction_csv(path, results):
-    """A multi-method run's prediction table: J + dJ_pred and whether it is attainable;
-    the three cells are empty on a record that formed no sweep."""
-    rows = []
-    for method, result in results:
-        for r in result.records:
-            j_pred = feasible = None
-            if r.dj_pred is not None:
-                j_pred, attainable = prediction_row(r.cost, r.dj_pred)
-                feasible = "true" if attainable else "false"
-            rows.append(_row(method, r.index, r.cost, r.dj_pred, j_pred, feasible))
-    _write_csv(path, "method,iteration,J,dJ_pred,J_pred,feasible", rows)
+    """A multi-method run's merged trace: each run's iterations.csv rows in
+    turn, each led by the run's method."""
+    rows = (_row(method, *_record_cells(r)) for method, result in results for r in result.records)
+    _write_csv(path, "run," + _RECORD_HEADER, rows)

@@ -4,7 +4,7 @@ Two subcommands:
 
   run      solve once per configured method, all from one initial guess, and
            write each run's artifacts; with several methods, also merge their
-           iteration traces into plot-ready CSV tables
+           iteration records into one plot-ready CSV table
   verify   run the derivative checks and the KKT-oracle equivalence suite
 
 Configuration comes from a plain key=value file (--config), overridable with
@@ -31,7 +31,7 @@ from .backward import SWEEPS, backward_for
 from .errors import ConfigError, DimensionError, TrajoptError
 from .expansion import expand_along
 from .kkt import check_derivatives, verify_equivalence
-from .models import BENCHMARKS, make_benchmark, random_linear
+from .models import BENCHMARKS, is_a, make_benchmark, random_linear
 from .solver import METHODS, SolverConfig, solve
 from .trajectory import rollout
 
@@ -56,11 +56,11 @@ class ExperimentConfig:
     SolverConfig. `problem` holds the benchmark keys that were set; the
     others take the defaults of `models.BENCHMARKS`.
 
-    Construction checks `init`, `init_amplitude`, `seed` (a nonnegative
-    int), `warm_start` (a bool) and that no method is repeated, and builds
-    what the other settings configure: the SolverConfig of each method and
-    the benchmark problem. A bad setting raises their ValueError or
-    DimensionError."""
+    Construction checks the type of each setting (a bool is no int or
+    number here), `init`, `init_amplitude`, that `seed` is nonnegative and
+    that no method is repeated, and builds what the settings configure: the
+    SolverConfig of each method and the benchmark problem. A bad setting
+    raises ValueError, or the benchmark's DimensionError."""
 
     system: str = "pendulum"
     method: str = "ilqr"
@@ -73,16 +73,18 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        for name, kind, noun in (("method", str, "a string"), ("problem", dict, "a dict"),
+                                 ("seed", int, "an integer"), ("warm_start", bool, "a bool"),
+                                 ("out", (str, os.PathLike), "a path"),
+                                 ("solver", SolverConfig, "a SolverConfig")):
+            if not is_a(getattr(self, name), kind):
+                raise ValueError(f"{name} must be {noun}")
         if self.init not in ("zero", "random"):
             raise ValueError(f"unknown init '{self.init}'")
-        if not 0 <= self.init_amplitude < np.inf:  # NaN fails too
+        if not (is_a(self.init_amplitude) and 0 <= self.init_amplitude < np.inf):  # NaN fails too
             raise ValueError("init_amplitude must be nonnegative and finite")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not isinstance(self.warm_start, bool):
-            raise ValueError("warm_start must be a bool")
         methods = self.methods()
         for method in methods:
             self.solver_config(method)
@@ -181,7 +183,7 @@ def build_config(pairs) -> ExperimentConfig:
 def cmd_run(cfg) -> int:
     """Solve each configured method from one shared initial guess and write
     its artifacts: to `cfg.out` for one method, else to its <method>
-    subdirectory, with the merged tables of all the runs in `cfg.out`.
+    subdirectory, with the merged table of all the runs in `cfg.out`.
 
     With `warm_start` the shared guess is a near-solution: plain iLQR down
     to a loose gradient tolerance, from whose controls every method restarts.
@@ -221,7 +223,6 @@ def cmd_run(cfg) -> int:
 
     if len(methods) > 1:
         artifacts.write_merged_csv(os.path.join(cfg.out, "merged.csv"), results)
-        artifacts.write_prediction_csv(os.path.join(cfg.out, "prediction_table.csv"), results)
     return 0
 
 
@@ -300,9 +301,6 @@ def main(argv=None) -> int:
     dispatch = {"run": cmd_run, "verify": cmd_verify}
     try:
         return dispatch[args.command](cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

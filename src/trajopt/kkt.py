@@ -33,6 +33,7 @@ import numpy as np
 from .backward import multipliers_from
 from .errors import DimensionError, KktError
 from .expansion import cost_gradient_adjoint  # kept for perfbench/tracer.py
+from .models import is_a
 from .trajectory import linear_rollout
 
 __all__ = ["StackedQP", "KktSolution", "assemble_qp", "solve_kkt", "Check",
@@ -217,9 +218,9 @@ def verify_equivalence(sol, exp, costates=None, tol=1e-8) -> VerificationReport:
     problem weighted by the costates the sweep contracted: none for iLQR,
     the frozen sequence for Newton, the value gradients for DDP (the Newton
     sweep under that substitution). `costates`, when given, must be exactly
-    the sweep's own; otherwise ValueError, as for a tol not in (0, inf).
+    the sweep's own; otherwise ValueError, as for a tol that is no number in (0, inf).
     """
-    if not 0 < tol < np.inf:  # NaN fails too; an infinite tol passes every sweep
+    if not (is_a(tol) and 0 < tol < np.inf):  # NaN fails too; an infinite tol passes every sweep
         raise ValueError("tol must be positive and finite")
     if costates is not None and not np.array_equal(costates, sol.costates):
         raise ValueError("costates differ from those the sweep contracted")

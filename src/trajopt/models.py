@@ -15,6 +15,7 @@ differences.
 from __future__ import annotations
 
 import math
+from numbers import Real
 import numpy as np
 
 from .errors import DimensionError
@@ -415,9 +416,14 @@ BENCHMARKS = {"pendulum": (PendulumModel, PENDULUM_DEFAULTS),
               "cartpole": (CartPoleModel, CARTPOLE_DEFAULTS)}
 
 
+def is_a(value, kind=Real):
+    """isinstance(value, kind), a real number by default; a bool is no int and no number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
 def checked_count(name, value):
     """value as an int of at least 1; else ValueError, not int()'s 5 from 5.5 or 1 from True."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not is_a(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1")

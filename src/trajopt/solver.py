@@ -36,7 +36,7 @@ from .backward import initial_multiplier_estimate  # kept for perfbench: tracer.
 from .errors import NonDescentError
 from .expansion import cost_gradient_adjoint, expand_along
 from .linesearch import line_search
-from .models import checked_count
+from .models import checked_count, is_a
 from .trajectory import rollout
 
 __all__ = [
@@ -63,7 +63,7 @@ class SolverConfig:
             raise ValueError(f"unknown method '{self.method}'")
         checked_count("max_iters", self.max_iters)
         # a NaN fails each check; an infinite tolerance would stop every solve at once
-        if not (0 < self.grad_tol < np.inf and 0 < self.step_tol < np.inf):
+        if not all(is_a(tol) and 0 < tol < np.inf for tol in (self.grad_tol, self.step_tol)):
             raise ValueError("tolerances must be positive and finite")
 
 

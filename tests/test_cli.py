@@ -118,6 +118,9 @@ def test_repeated_method_exits_2(tmp_path, capsys, method):
     ({"init": "warm"}, "unknown init 'warm'"),
     ({"init_amplitude": -0.5}, "init_amplitude must be nonnegative and finite"),
     ({"init_amplitude": float("nan")}, "init_amplitude must be nonnegative and finite"),
+    # a string would raise TypeError from the comparison, a bool would run as 1.0
+    ({"init_amplitude": "1"}, "init_amplitude must be nonnegative and finite"),
+    ({"init_amplitude": True}, "init_amplitude must be nonnegative and finite"),
     ({"seed": -1}, "seed must be nonnegative"),
     # numpy would take a float seed as far as its SeedSequence and a bool
     # seed as 1, and a truthy string would run the warm start
@@ -126,12 +129,18 @@ def test_repeated_method_exits_2(tmp_path, capsys, method):
     ({"seed": True}, "seed must be an integer"),
     ({"warm_start": "no"}, "warm_start must be a bool"),
     ({"warm_start": 1}, "warm_start must be a bool"),
+    # each would fail later, as an AttributeError, a TypeError or an error from os
+    ({"method": 3}, "method must be a string"),
+    ({"out": 5}, "out must be a path"),
+    ({"problem": None}, "problem must be a dict"),
+    ({"solver": None}, "solver must be a SolverConfig"),
     ({"method": "ilqr,ilqr"}, "method 'ilqr' is repeated"),
     ({"method": "ilqr,sqp"}, "unknown method 'sqp'"),
     ({"system": "spring"}, "unknown system 'spring'"),
     ({"problem": {"horizon": 0}}, "horizon must be at least 1"),
-], ids=["init", "amplitude-negative", "amplitude-nan", "seed", "seed-float", "seed-nan",
-        "seed-bool", "warm-start-str", "warm-start-int", "method-repeated",
+], ids=["init", "amplitude-negative", "amplitude-nan", "amplitude-str", "amplitude-bool",
+        "seed", "seed-float", "seed-nan", "seed-bool", "warm-start-str", "warm-start-int",
+        "method-int", "out-int", "problem-none", "solver-none", "method-repeated",
         "method-unknown", "system", "horizon"])
 def test_an_experiment_config_checks_itself(settings, message):
     # cmd_run and cmd_verify take a config built without build_config too
@@ -235,7 +244,7 @@ def test_a_converged_start_writes_no_sweep(tmp_path, capsys):
     assert "reason=gradient iterations=1 " in capsys.readouterr().out
     header, row = (out / "iterations.csv").read_text().splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
-    assert cells["dJ_pred"] == cells["min_quu"] == ""
+    assert cells["dJ_pred"] == cells["min_quu"] == cells["J_pred"] == cells["feasible"] == ""
     assert (cells["dJ_realized"], cells["alpha"], cells["status"]) == ("0", "0", "OK")
     assert (out / "quu_profile.csv").read_text() == "t,min_eig_quu,k_norm,K_norm\n"
 
@@ -251,35 +260,33 @@ def test_run_with_several_methods_writes_merged_tables(tmp_path):
     out = tmp_path / "cmp"
     assert _run(_two_method_run(out)) == 0
     merged = (out / "merged.csv").read_text().splitlines()
-    assert merged[0] == "method,iteration,J,alpha,min_quu,grad_norm,dJ_pred"
-    methods = {line.split(",")[0] for line in merged[1:]}
-    assert methods == {"ilqr", "ddp"}
-    table = (out / "prediction_table.csv").read_text().splitlines()
-    assert table[0] == "method,iteration,J,dJ_pred,J_pred,feasible"
+    assert merged[0] == ("run,index,J,dJ_pred,dJ_realized,alpha,min_quu,grad_norm,method,status,"
+                         "J_pred,feasible")
+    rows = [dict(zip(merged[0].split(","), line.split(","))) for line in merged[1:]]
+    assert {cells["run"] for cells in rows} == {"ilqr", "ddp"}
     # both runs stop on their gradient; that last record forms no sweep, so
-    # its prediction cells are empty in both tables
-    rows = [line.split(",") for line in table[1:]]
-    last = {cells[0]: i for i, cells in enumerate(rows)}.values()
-    for i, (cells, trace) in enumerate(zip(rows, (line.split(",") for line in merged[1:]))):
+    # its prediction cells are empty
+    last = {cells["run"]: i for i, cells in enumerate(rows)}.values()
+    for i, cells in enumerate(rows):
         if i in last:
-            assert cells[3:] == ["", "", ""] and trace[4] == trace[6] == ""
+            assert cells["min_quu"] == cells["dJ_pred"] == cells["J_pred"] == ""
+            assert cells["feasible"] == ""
             continue
-        assert cells[5] in ("true", "false")
-        assert float(cells[4]) == pytest.approx(
-            float(cells[2]) + float(cells[3]), rel=1e-12)
+        assert cells["feasible"] in ("true", "false")
+        assert float(cells["J_pred"]) == pytest.approx(
+            float(cells["J"]) + float(cells["dJ_pred"]), rel=1e-12)
 
 
 def test_merged_rows_are_the_cells_of_each_methods_iterations(tmp_path):
     out = tmp_path / "cmp"
     assert _run(_two_method_run(out)) == 0
-    columns = ("J", "alpha", "min_quu", "grad_norm", "dJ_pred")
     expected = []
     for method in ("ilqr", "ddp"):
         header, *rows = (out / method / "iterations.csv").read_text().splitlines()
-        for row in rows:
-            cells = dict(zip(header.split(","), row.split(",")))
-            expected.append(",".join([method, cells["index"], *map(cells.get, columns)]))
-    assert (out / "merged.csv").read_text().splitlines()[1:] == expected
+        expected.extend(f"{method},{row}" for row in rows)
+    header_row, *merged = (out / "merged.csv").read_text().splitlines()
+    assert header_row == "run," + header
+    assert merged == expected
 
 
 def test_one_method_run_writes_no_merged_tables(tmp_path):
@@ -437,6 +444,30 @@ def test_the_readme_lists_each_configuration_key_once():
     section = readme.split("### Configuration keys\n\n", 1)[1]
     listed = re.findall(r"`([^`]+)`", section.split("\n\n", 1)[0])
     assert sorted(listed) == sorted(_KEYS) and len(_KEYS) == 17
+
+
+def _readme_table(heading):
+    """The names in the first column of the README table under `heading`."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split(f"### {heading}\n\n", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
+
+
+def test_the_readme_tables_name_exactly_the_files_a_run_writes(tmp_path):
+    # a file dropped or added fails here, not in a reader's hands
+    per_run, merged = _readme_table("Per-run artifacts"), _readme_table("Multi-method artifacts")
+    assert "<method>/" in merged
+
+    def written(root):
+        return sorted(path.relative_to(root).as_posix() for path in root.rglob("*"))
+
+    assert _run(_fast_pendulum(tmp_path / "one")) == 0
+    assert written(tmp_path / "one") == sorted(per_run)
+    assert _run(_two_method_run(tmp_path / "two")) == 0
+    expected = [name for name in merged if name != "<method>/"]
+    for method in ("ilqr", "ddp"):
+        expected += [method, *(f"{method}/{name}" for name in per_run)]
+    assert written(tmp_path / "two") == sorted(expected)
 
 
 def test_build_config_parses_booleans_and_keeps_the_problem_keys_set():

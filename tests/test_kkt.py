@@ -335,8 +335,11 @@ _BAD_TOL = "^tol must be positive and finite$"
     (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=-1e-8), ValueError, _BAD_TOL),
     (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=np.nan), ValueError, _BAD_TOL),
     (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=np.inf), ValueError, _BAD_TOL),
+    # a bool tol would run as the int it subclasses, and pass every sweep at 1
+    (lambda exp, sol, lam: verify_equivalence(sol, exp, tol=True), ValueError, _BAD_TOL),
 ], ids=["assemble-costates", "verify-newton-other-costates", "verify-ilqr-costates",
-        "verify-tol-zero", "verify-tol-negative", "verify-tol-nan", "verify-tol-inf"])
+        "verify-tol-zero", "verify-tol-negative", "verify-tol-nan", "verify-tol-inf",
+        "verify-tol-bool"])
 def test_oracle_rejects_bad_inputs(call, error, message):
     model, cost, x0, _ = make_benchmark("pendulum")
     exp = expand_along(model, cost, random_nominal(model, cost, x0, 6, seed=6))

@@ -362,6 +362,16 @@ def test_solver_config_rejects_non_positive_tolerances(settings):
         SolverConfig(**settings)
 
 
+@pytest.mark.parametrize("settings", [{"grad_tol": True}, {"step_tol": True},
+                                      {"grad_tol": "1"}, {"step_tol": None}],
+                         ids=["grad-tol-bool", "step-tol-bool", "grad-tol-str", "step-tol-none"])
+def test_solver_config_rejects_a_tolerance_that_is_no_number(settings):
+    # a bool would run as the int it subclasses, grad_tol=True as 1.0; a
+    # string or None would raise TypeError from the comparison
+    with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
+        SolverConfig(**settings)
+
+
 @pytest.mark.parametrize("name", ["grad_tol", "step_tol"])
 def test_solver_config_rejects_infinite_tolerances(name):
     # an infinite tolerance would report every solve converged after one
@@ -377,12 +387,18 @@ def test_iteration_csv_round_trip(tmp_path):
     iter_path = tmp_path / "iterations.csv"
     write_iterations_csv(iter_path, result.records)
     lines = iter_path.read_text().splitlines()
-    assert lines[0] == "index,J,dJ_pred,dJ_realized,alpha,min_quu,grad_norm,method,status"
+    assert lines[0] == ("index,J,dJ_pred,dJ_realized,alpha,min_quu,grad_norm,method,status,"
+                        "J_pred,feasible")
     assert len(lines) == 1 + len(result.records)
-    row = lines[1].split(",")
-    assert float(row[1]) == result.records[0].cost
-    assert row[7] == "ilqr"
-    assert row[8] == "OK"
+    # every cell of the first row reads back as its record's value
+    first = result.records[0]
+    index, *numbers, method, status, j_pred, feasible = lines[1].split(",")
+    assert int(index) == first.index == 0
+    assert [float(cell) for cell in numbers] == [first.cost, first.dj_pred, first.dj_realized,
+                                                 first.alpha, first.min_quu, first.grad_norm]
+    assert (method, status) == ("ilqr", "OK")
+    assert float(j_pred) == first.cost + first.dj_pred
+    assert feasible == ("true" if float(j_pred) >= 0.0 else "false")
 
     trials_path = tmp_path / "trials.csv"
     write_trials_csv(trials_path, result.trial_logs)
