@@ -151,8 +151,8 @@ def solve_kkt(qp) -> KktSolution:
     if not np.isfinite(solution).all():
         raise KktError("KKT solve produced non-finite values")
     solution = solution.reshape(horizon, stride)
-    residual = float(np.max(np.abs(_matvec(qp, solution) + qp.gradient), initial=0.0))
-    scale = 1.0 + float(np.max(np.abs(qp.gradient), initial=0.0))
+    residual = float(np.abs(_matvec(qp, solution) + qp.gradient).max(initial=0.0))
+    scale = 1.0 + float(np.abs(qp.gradient).max(initial=0.0))
     if residual > RESIDUAL_SCALE * scale:
         raise KktError(f"KKT residual {residual:.3e} exceeds {RESIDUAL_SCALE * scale:.3e}")
     return KktSolution(du=solution[:, :m], lam=solution[:, m:m + n], dx=solution[:, m + n:],
@@ -203,10 +203,10 @@ class VerificationReport:
 def _block_check(name, candidate, reference, tol, t_offset=0) -> Check:
     """The largest difference from the oracle's block, relative to the
     block's scale, and the timestep of the first largest (or NaN) entry."""
-    scale = max(1.0, float(np.max(np.abs(reference), initial=0.0)))
-    diff = np.abs(candidate - reference)
-    err = float(np.max(diff, initial=0.0))
-    worst = int(np.unravel_index(np.argmax(diff), diff.shape)[0]) if diff.size else 0
+    scale = max(1.0, float(np.abs(reference).max(initial=0.0)))
+    diff = np.abs(candidate - reference)  # (T, width): the row of a flat index is its timestep
+    err = float(diff.max(initial=0.0))
+    worst = int(diff.argmax()) // diff.shape[1] if diff.size else 0
     return Check(name, err / scale, worst + t_offset, tol)
 
 

@@ -119,15 +119,15 @@ def linear_rollout(exp, sol):
     of the quadratic subproblem the gains came from (certified by the KKT
     oracle). The path of a step alpha, `linear_rollout(exp, replace(sol,
     k=alpha * sol.k))`, is alpha times it, bit for bit on `linesearch.ALPHAS`.
+    The loop writes each du_t and dx_{t+1} in place, into its row of dx or du.
     """
-    horizon = exp.horizon
-    sol.check_gains(horizon, exp.control_dim, exp.state_dim, "expansion")
-    dx, du = [np.zeros(exp.fx.shape[1])], []
-    dx_t, feedforward, gains, fx, fu, dot = dx[0], -sol.k, sol.K, exp.fx, exp.fu, np.dot
-    for t in range(horizon):
-        du_t = feedforward[t] - dot(gains[t], dx_t)
-        dx_t = dot(fx[t], dx_t) + dot(fu[t], du_t)
-        dx.append(dx_t)
-        du.append(du_t)
-    return np.array(dx), np.array(du)
+    horizon, n, m = exp.horizon, exp.state_dim, exp.control_dim
+    sol.check_gains(horizon, m, n, "expansion")
+    dx, du = np.zeros((horizon + 1, n)), np.empty((horizon, m))
+    dot, subtract, add = np.dot, np.subtract, np.add
+    for ff, gain, fx_t, fu_t, dx_t, du_t, dx_next in zip(-sol.k, sol.K, exp.fx, exp.fu,
+                                                         dx, du, dx[1:]):
+        subtract(ff, dot(gain, dx_t), out=du_t)
+        add(dot(fx_t, dx_t), dot(fu_t, du_t), out=dx_next)
+    return dx, du
 

@@ -11,7 +11,7 @@ case counting by its base name; only otherwise does the named test run
 again, alone. So the session fixtures are solved once per mutant.
 
     python tests/run_mutants.py            # every mutant
-    python tests/run_mutants.py kkt.py     # the mutants of files matching a substring
+    python tests/run_mutants.py kkt        # the mutants whose names contain a substring
 
 Exits 1 if any mutant survives, else 0.
 """
@@ -48,15 +48,15 @@ def _pytest(cwd, *args):
 def main(argv):
     chosen = [m for m in MUTANTS if not argv or any(a in m[0] for a in argv)]
     survivors = 0
-    for name, old, new, killer in chosen:
+    for name, file, old, new, killer in chosen:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
             copy = Path(tmp)
             _copy(copy)
-            target = copy / "src" / "trajopt" / name
+            target = copy / "src" / "trajopt" / file
             text = target.read_text()
             if text.count(old) != 1:
-                sys.exit(f"{name}: the site {old!r} does not occur exactly once")
+                sys.exit(f"{name}: the site {old!r} does not occur exactly once in {file}")
             target.write_text(text.replace(old, new))
             # the site test fails on every mutant: it would kill them all
             killed, first = _pytest(copy, "--ignore", "tests/test_mutant_sites.py")

@@ -20,8 +20,10 @@ the public `step`) and steps every later point through the unchecked
 `np.asarray` call or assign into a subscript: it carries each state and
 control as Python values, and the arrays are stacked once after it. It uses
 no numpy at all, by an `np.` attribute or by a name bound to one (`dot =
-np.dot`, `from numpy import dot`): the feedback sums in Python floats. No
-per-stage loop (the sweep, `_propagate`, `linear_rollout` and
+np.dot`, `from numpy import dot`): the feedback sums in Python floats. The
+loop of `trajectory.linear_rollout` makes no `np.array`, `np.concatenate` or
+list `.append` call: it writes each row in place, into arrays allocated
+before it. No per-stage loop (the sweep, `_propagate`, `linear_rollout` and
 `cost_gradient_adjoint`) uses `@`, directly or through a function of its
 module: each product is an `np.dot`.
 The KKT oracle's `kkt.assemble_qp` builds the stacked system with index
@@ -338,6 +340,36 @@ def test_the_array_check_sees_each_build_and_store():
               "        np.zeros_like(x)\n")
     assert _in_loops(ast.parse(source), "f", _array_store) == [
         "f:array", "f:empty", "f:asarray", "f:[]=", "grow:[]=", "f:[]="]
+
+
+def _row_build(node):
+    """The name of an `np.array` or `np.concatenate` (or `np.concat`) call,
+    or "append" for an `.append` call."""
+    func = node.func if isinstance(node, ast.Call) else None
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr == "append" or (func.attr in ("array", "concatenate", "concat")
+                                 and getattr(func.value, "id", None) in ("np", "numpy")):
+        return func.attr
+    return None
+
+
+def test_the_linear_rollout_loop_writes_its_rows_in_place():
+    # du_t and dx_{t+1} go into their rows of arrays allocated before the
+    # loop; no list of rows is stacked after it
+    path = PACKAGE / "trajectory.py"
+    assert _in_loops(ast.parse(path.read_text(), str(path)), "linear_rollout", _row_build) == []
+
+
+def test_the_row_build_check_sees_each_spelling():
+    source = ("def keep(rows, x):\n    rows.append(x)\n"
+              "def f(xs, out):\n    rows = np.array(xs)\n"
+              "    for t, x in enumerate(xs):\n        rows.append(x)\n        np.array(x)\n"
+              "        numpy.concatenate([x, x])\n        np.concat([x])\n        keep(xs, x)\n"
+              "        np.asarray(x)\n        np.subtract(x, x, out=out[t])\n"
+              "        x.concatenate(x)\n")
+    assert _in_loops(ast.parse(source), "f", _row_build) == [
+        "f:append", "f:array", "f:concatenate", "f:concat", "keep:append"]
 
 
 def _numpy_names(tree):
