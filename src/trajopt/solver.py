@@ -1,25 +1,32 @@
-"""Outer loop: expand, sweep backward, line-search, repeat.
+"""Outer loop: one SQP iteration as three phases over a per-problem state.
 
-This module holds the loop alone: `backward.backward_for` picks its sweep,
-and `expansion.cost_gradient_adjoint` gives the gradient it tests. The loop is
-the same for every method; only the backward sweep changes. The Newton sweep
-threads a costate sequence across iterations: it is seeded from an iLQR sweep
-on the first nominal and afterwards re-evaluated on each accepted path by
-`multipliers_from` (v_t + V_t dx_t), so that near a solution the frozen
-costates agree with the sweep's own value gradients and the step becomes the
-exact Newton step.
+A `SolveState` holds one problem's place in the loop: its nominal, active
+method, threaded costates, records, trial logs, first sweep, model-step
+count and stop reason. Each iteration runs three phases on it:
+- `prepare(state)` expands along the nominal and tests the adjoint gradient.
+  It returns the expansion to sweep, or None when the gradient has converged:
+  that iteration runs no sweep (no Newton seed either), records no
+  prediction and stops the solve;
+- the caller sweeps: `backward_for(state.active, exp, state.costates)`;
+- `advance(state, sol)` takes the step, alpha and status straight from the
+  line search's outcome, records the iteration, switches a hybrid solve and
+  tests for a stop. Only an iLQR NON_DESCENT raises, as NonDescentError: the
+  cost-only sweep provably descends.
+`solve` runs the phases on one state until it has a reason. The sweep alone
+reads nothing of the state but its method and costates, so a lockstep driver
+of many states would share only the sweep.
+
+Only the sweep differs between methods. The Newton sweep threads its
+costates across iterations: seeded from an iLQR sweep on the first nominal,
+they are re-evaluated on each accepted path by `multipliers_from` (v_t + V_t
+dx_t), so near a solution they agree with the sweep's own value gradients
+and the step becomes the exact Newton step.
 
 The hybrid method runs DDP until a DDP iteration fails, in NON_DESCENT or
 FLOOR_HIT, then switches for good to iLQR from the unchanged nominal: iLQR
 always yields a descent direction, while DDP can fail far from an optimum.
 Its first sweep is always DDP's, and the record of the failed DDP iteration,
 the last one whose method is "ddp", gives the switch's iteration and cause.
-
-Each iteration tests the adjoint gradient before it forms a subproblem: an
-iteration whose gradient has converged runs no sweep (and so no Newton seed),
-records no prediction and stops the solve. Otherwise it takes its step, alpha
-and status straight from the line search's outcome. Only an iLQR NON_DESCENT
-raises, as NonDescentError: the cost-only sweep provably descends.
 
 One flat SolverConfig holds every setting of the loop. The line search takes
 none: its SIGMA and its steps ALPHAS are constants of linesearch.py.
@@ -44,6 +51,7 @@ __all__ = [
     "SolverConfig",
     "IterationRecord",
     "SolveResult",
+    "SolveState",
     "converged",
     "solve",
 ]
@@ -88,7 +96,6 @@ class SolveResult:
     records: tuple
     converged: bool
     reason: str
-    multipliers: np.ndarray | None = None  # threaded costates (Newton, once seeded)
     trial_logs: tuple = ()  # (iteration, ((alpha, J_candidate, ratio), ...)) rows
     # the BackwardSolution of iteration 0; None when its gradient had
     # converged, since such an iteration forms no sweep
@@ -108,6 +115,18 @@ class SolveResult:
         return self.trajectory.cost
 
 
+class SolveState:
+    """One problem's place in the loop, from its first rollout `trajectory`."""
+
+    def __init__(self, model, cost, config, trajectory):
+        self.model, self.cost, self.config, self.trajectory = model, cost, config, trajectory
+        self.active = "ddp" if config.method == "hybrid" else config.method
+        self.model_steps = trajectory.horizon
+        self.costates = self.first_sweep = self.reason = None  # reason: None while running
+        self.records, self.trial_logs = [], []
+        self.expansion = self.grad_norm = None  # the nominal's, set by `prepare`
+
+
 def converged(record, config) -> str | None:
     """Closed-threshold convergence test on one iteration record.
 
@@ -123,68 +142,63 @@ def converged(record, config) -> str | None:
     return None
 
 
+def prepare(state):
+    """Expand along the nominal and test its gradient: the expansion to sweep,
+    or None after recording a converged gradient, which takes no step."""
+    state.expansion = exp = expand_along(state.model, state.cost, state.trajectory)
+    state.grad_norm = float(np.max(np.abs(cost_gradient_adjoint(exp))))
+    if state.grad_norm > state.config.grad_tol:
+        return exp
+    record = IterationRecord(len(state.records), state.trajectory.cost, None, 0.0, 0.0,
+                             None, state.grad_norm, state.active, "OK")
+    state.records.append(record)
+    state.reason = converged(record, state.config)
+    return None
+
+
+def advance(state, sol):
+    """Line-search along `sol`, the sweep of `prepare`'s expansion, record the
+    iteration and set the state's reason if it stops the solve."""
+    traj, index, config = state.trajectory, len(state.records), state.config
+    if state.active == "newton":
+        state.costates = sol.costates
+    if index == 0:
+        state.first_sweep = sol
+    dj_pred = expected_reduction(sol, state.expansion)
+    min_quu = float(quu_spectrum(sol).min())
+    # the full step's slope -sum_t g_t'k_t is twice dj_pred; the search accepts
+    # a step or ends in NON_DESCENT or FLOOR_HIT, at alpha = 0 on the nominal
+    outcome = line_search(state.model, state.cost, traj, sol, 2.0 * dj_pred)
+    step, alpha, status = outcome.trajectory, outcome.alpha, outcome.status
+    if status == "NON_DESCENT" and state.active == "ilqr":  # a bug, not a finding
+        raise NonDescentError(f"iLQR direction predicts {dj_pred:.3e}")
+    if outcome.trial_log:  # a NON_DESCENT search runs no trial
+        state.trial_logs.append((index, outcome.trial_log))
+    state.model_steps += outcome.steps
+    record = IterationRecord(index, traj.cost, dj_pred, step.cost - traj.cost, alpha,
+                             min_quu, state.grad_norm, state.active, status)
+    state.records.append(record)
+
+    if status != "OK":
+        if config.method == "hybrid" and state.active == "ddp":
+            state.active = "ilqr"  # for good, from the unchanged nominal
+        else:
+            state.reason = status.lower()
+    elif alpha > 0:
+        if state.active == "newton":
+            state.costates = multipliers_from(sol, step.states - traj.states)
+        state.trajectory = step
+    state.reason = state.reason or converged(record, config) or (
+        "max_iters" if index + 1 == config.max_iters else None)
+
+
 def solve(model, cost, x0, init_controls, config):
     """Iterate one method to convergence, a terminal failure, or max_iters."""
-    hybrid = config.method == "hybrid"
-    traj = rollout(model, cost, x0, init_controls)
-    model_steps = traj.horizon
-    records = []
-    trial_logs = []
-    first_sweep = lam_bar = None
-    active = "ddp" if hybrid else config.method
-    reason = "max_iters"
-
-    for index in range(config.max_iters):
-        exp = expand_along(model, cost, traj)
-        grad_norm = float(np.max(np.abs(cost_gradient_adjoint(exp))))
-
-        # A converged gradient forms no sweep and takes no step; otherwise the
-        # line search accepts one or ends the iteration in NON_DESCENT or
-        # FLOOR_HIT, at alpha = 0 on the unchanged nominal.
-        status, step, alpha, dj_pred, min_quu = "OK", traj, 0.0, None, None
-        if grad_norm > config.grad_tol:
-            sol = backward_for(active, exp, lam_bar)
-            if active == "newton":
-                lam_bar = sol.costates
-            if index == 0:
-                first_sweep = sol
-            dj_pred = expected_reduction(sol, exp)
-            min_quu = float(quu_spectrum(sol).min())
-            # the full step's slope -sum_t g_t'k_t is twice dj_pred
-            outcome = line_search(model, cost, traj, sol, 2.0 * dj_pred)
-            step, alpha, status = outcome.trajectory, outcome.alpha, outcome.status
-            if status == "NON_DESCENT" and active == "ilqr":
-                # The cost-only sweep provably yields a descent direction;
-                # reaching this line means a bug, not a method failure.
-                raise NonDescentError(f"iLQR direction predicts {dj_pred:.3e}")
-            if outcome.trial_log:  # a NON_DESCENT search runs no trial
-                trial_logs.append((index, outcome.trial_log))
-            model_steps += outcome.steps
-
-        record = IterationRecord(
-            index, traj.cost, dj_pred, step.cost - traj.cost, alpha, min_quu,
-            grad_norm, active, status)
-        records.append(record)
-
-        if status != "OK":
-            if hybrid and active == "ddp":
-                active = "ilqr"  # for good, from the unchanged nominal
-                continue
-            reason = status.lower()
-            break
-
-        if alpha > 0:
-            if active == "newton":
-                lam_bar = multipliers_from(sol, step.states - traj.states)
-            traj = step
-
-        stop = converged(record, config)
-        if stop:
-            reason = stop
-            break
-
+    state = SolveState(model, cost, config, rollout(model, cost, x0, init_controls))
+    while state.reason is None:
+        exp = prepare(state)
+        if exp is not None:
+            advance(state, backward_for(state.active, exp, state.costates))
     return SolveResult(
-        trajectory=traj, records=tuple(records),
-        converged=reason in ("gradient", "step"), reason=reason,
-        multipliers=lam_bar, trial_logs=tuple(trial_logs),
-        first_sweep=first_sweep, model_steps=model_steps)
+        state.trajectory, tuple(state.records), state.reason in ("gradient", "step"),
+        state.reason, tuple(state.trial_logs), state.first_sweep, state.model_steps)

@@ -3,7 +3,8 @@
     PYTHONPATH=src python tests/make_golden.py
 
 The file's first line names the machine it was written on (Python, numpy,
-BLAS, platform). Every later line is one run of the seeded solves in
+BLAS, platform). `machine()` also names the OpenBLAS core that ran, read
+from numpy's bundled OpenBLAS, so a failing golden test names the kernel. Every later line is one run of the seeded solves in
 `conftest.py`:
 
     system method start reason iterations trials model_steps final_cost hash
@@ -21,6 +22,7 @@ lines moved and why. A different numpy or BLAS that moves the file is a
 reproducibility finding to record, not a file to rewrite quietly.
 """
 
+import ctypes
 import hashlib
 import platform
 from pathlib import Path
@@ -30,12 +32,25 @@ import numpy as np
 GOLDEN = Path(__file__).resolve().parent / "golden" / "solves.txt"
 
 
+def blas_core():
+    """The kernel numpy's bundled OpenBLAS picked for this process, such as
+    `SkylakeX`, or `unknown` where that library or its symbol is absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def machine():
-    """The header's text: the versions and platform the runs rounded on."""
+    """The header's text: the versions, BLAS kernel and platform the runs
+    rounded on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"python {platform.python_version()}, numpy {np.__version__}, "
-            f"blas {blas.get('name', 'unknown')} {blas.get('version', '')}, "
-            f"{platform.platform()}")
+            f"blas {blas.get('name', 'unknown')} {blas.get('version', '')} "
+            f"core {blas_core()}, {platform.platform()}")
 
 
 def golden_line(system, method, start, result):

@@ -116,4 +116,20 @@ MUTANTS = (
     ("kkt-worst-entry-column-as-timestep", "kkt.py",
      "int(diff.argmax()) // diff.shape[1]", "int(diff.argmax()) % diff.shape[1]",
      "tests/test_kkt.py::test_verify_equivalence_fails_a_nan_value_hessian"),
+    # a predicted cost of exactly zero, the benchmark costs' bound, taken as
+    # unattainable
+    ("artifacts-prediction-at-zero-unattainable", "artifacts.py",
+     "return j_pred, j_pred >= 0.0", "return j_pred, j_pred > 0.0",
+     "tests/test_cli.py::test_prediction_row_flags_unattainable_predictions"),
+    # the phase handoff: Newton's costates kept frozen at the sweep's, not
+    # re-evaluated on the accepted path
+    ("solver-newton-costates-not-re-evaluated", "solver.py",
+     "state.costates = multipliers_from(sol, step.states - traj.states)",
+     "state.costates = sol.costates",
+     "tests/test_solver.py::test_newton_multiplier_consistency_at_convergence"),
+    # the hybrid switch left undone: a failed DDP iteration neither stops
+    # the solve nor moves it to iLQR
+    ("solver-hybrid-switch-left-undone", "solver.py",
+     'state.active = "ilqr"  # for good', 'state.active = "ddp"  # for good',
+     "tests/test_solver.py::test_hybrid_switches_to_ilqr_after_a_ddp_failure"),
 )

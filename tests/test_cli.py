@@ -326,6 +326,8 @@ def test_prediction_row_flags_unattainable_predictions():
     j_pred, feasible = prediction_row(2.872408e5, -3.3685e5)
     assert j_pred == pytest.approx(-4.9609e4, rel=1e-4)
     assert not feasible
+    # a prediction of exactly the bound zero is attainable
+    assert prediction_row(2.5, -2.5) == (0.0, True)
 
 
 def test_verify_passes_by_default(tmp_path, capsys):

@@ -6,7 +6,9 @@ change of numerics, even at the rounding level, fails here and names each
 run that moved. `make_golden.py` rewrites the file after an intended change.
 """
 
-from make_golden import GOLDEN, golden_lines, machine
+import ctypes
+
+from make_golden import GOLDEN, blas_core, golden_lines, machine
 
 
 def test_full_solves_match_the_golden(seed_sweeps, cold_solves, ddp_cartpole_sweep):
@@ -23,3 +25,9 @@ def test_full_solves_match_the_golden(seed_sweeps, cold_solves, ddp_cartpole_swe
     written_on = header.removeprefix("# ")
     assert not moved, (f"{len(moved)} of {len(old)} golden solves moved (golden: {written_on}; "
                        f"here: {machine()}):\n" + "\n".join(moved))
+
+
+def test_the_machine_names_its_blas_core_or_unknown(monkeypatch):
+    assert f"core {blas_core()}," in machine()
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())  # no such symbol
+    assert blas_core() == "unknown"

@@ -31,7 +31,10 @@ arithmetic and no loop over stages, and keeps the stage windows it filled,
 whose entries the band solve and the checks read: it builds no block mask by
 `np.tile` or `np.repeat`. `solver.solve` holds no
 `try`: a line search returns each finding as an outcome, and only
-`solver.py` raises `NonDescentError`. `import trajopt`, an m = 1 solve with
+`solver.py` raises `NonDescentError`. In `solver.py`, `expand_along` and
+`cost_gradient_adjoint` are read only by `prepare`, `line_search` only by
+`advance` and `backward_for` only by `solve`: each step of the iteration is
+taken in its one phase, so no second driver forks the loop. `import trajopt`, an m = 1 solve with
 each method and `trajopt run` on both benchmarks load no scipy module:
 `scipy.linalg` loads when an m >= 2 sweep or the oracle first runs, and
 `scipy.sparse` never, so neither the library's import time nor a swing-up's
@@ -543,6 +546,33 @@ def test_the_try_finder_sees_nested_statements():
               "    try:\n        pass\n    finally:\n        pass\n"
               "def g(x):\n    try:\n        pass\n    finally:\n        pass\n")
     assert _tries(ast.parse(source), "f") == [3, 7]
+
+
+# each step of the solver's iteration -> the one phase that takes it
+PHASES = {"expand_along": "prepare", "cost_gradient_adjoint": "prepare",
+          "line_search": "advance", "backward_for": "solve"}
+
+
+def _phase_readers(tree):
+    """For each step of PHASES, the sorted functions that read its name."""
+    return {name: sorted(_readers(tree, name)) for name in PHASES}
+
+
+def test_each_step_of_the_solver_iteration_is_taken_in_its_one_phase():
+    path = PACKAGE / "solver.py"
+    assert _phase_readers(ast.parse(path.read_text(), str(path))) == {
+        name: [phase] for name, phase in PHASES.items()}
+
+
+def test_the_phase_check_sees_a_forked_loop():
+    source = ("from .backward import backward_for\n"
+              "def solve(state):\n    return backward_for(state)\n"
+              "def solve_many(states):\n    sweep = backward_for\n"
+              "    return [trajopt.backward_for(s) for s in states]\n"
+              "def advance(state):\n    return line_search(state), expansion.expand_along(state)\n")
+    assert _phase_readers(ast.parse(source)) == {
+        "expand_along": ["advance"], "cost_gradient_adjoint": [],
+        "line_search": ["advance"], "backward_for": ["solve", "solve_many"]}
 
 
 def _raises(tree, name):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from trajopt import (IterationRecord, NonDescentError, SolverConfig, backward,
-                     backward_newton, converged, expand_along, linesearch,
-                     make_benchmark, quu_spectrum, solve, total_cost)
+                     backward_for, backward_newton, converged, expand_along, linesearch,
+                     make_benchmark, quu_spectrum, rollout, solve, total_cost)
 from trajopt.artifacts import write_iterations_csv, write_trials_csv
+from trajopt.solver import SolveState, advance, prepare
 
 from conftest import SWEEP_BUDGETS, join_runs, random_controls
 
@@ -92,18 +93,28 @@ def test_hybrid_without_cooling_is_identical_to_ddp():
     assert [r.alpha for r in hybrid.records] == [r.alpha for r in ddp.records]
 
 
+def _driven(model, cost, x0, controls, config):
+    """The state `solve` ends with, its phases driven by hand."""
+    state = SolveState(model, cost, config, rollout(model, cost, x0, controls))
+    while state.reason is None:
+        exp = prepare(state)
+        if exp is not None:
+            advance(state, backward_for(state.active, exp, state.costates))
+    return state
+
+
 def test_newton_multiplier_consistency_at_convergence():
     model, cost, x0, horizon = make_benchmark("pendulum")
     warm = solve(model, cost, x0, np.zeros((horizon, 1)),
                  SolverConfig(method="ilqr", grad_tol=1e-2))
-    result = solve(model, cost, x0, warm.trajectory.controls,
-                   SolverConfig(method="newton", grad_tol=1e-6,
-                                step_tol=1e-14, max_iters=100))
-    assert result.converged
-    assert result.multipliers is not None
+    state = _driven(model, cost, x0, warm.trajectory.controls,
+                    SolverConfig(method="newton", grad_tol=1e-6,
+                                 step_tol=1e-14, max_iters=100))
+    assert state.reason in ("gradient", "step")
+    assert state.costates is not None
     final_sweep = backward_newton(
-        expand_along(model, cost, result.trajectory), result.multipliers)
-    assert np.max(np.abs(result.multipliers - final_sweep.v)) <= 1e-6
+        expand_along(model, cost, state.trajectory), state.costates)
+    assert np.max(np.abs(state.costates - final_sweep.v)) <= 1e-6
 
 
 def test_converged_predicate_thresholds():
@@ -157,7 +168,10 @@ def test_a_converged_gradient_forms_no_sweep(monkeypatch, method):
     (record,) = again.records
     assert record.dj_pred is None and record.min_quu is None
     assert (record.alpha, record.dj_realized, record.status) == (0.0, 0.0, "OK")
-    assert again.first_sweep is None and again.multipliers is None
+    assert again.first_sweep is None
+    driven = _driven(model, cost, x0, first.trajectory.controls, config)
+    assert len(calls) == 0
+    assert driven.first_sweep is None and driven.costates is None
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -315,6 +329,37 @@ def test_hybrid_after_a_ddp_failure_is_ilqr_from_the_controls_ddp_left():
     assert hybrid.model_steps == ddp.model_steps + ilqr.model_steps - horizon
     tail = [r.cost for r in ilqr.records]
     assert all(b < a for a, b in zip(tail, tail[1:]))
+
+
+def test_two_problems_driven_phase_by_phase_in_lockstep_are_their_solves():
+    # a lockstep driver: every running state is prepared, then all are swept,
+    # then each advances; the phases carry every other thing in the state
+    problems = []
+    for system, horizon, method in (("pendulum", 100, "newton"), ("cartpole", 40, "hybrid")):
+        model, cost, x0, _ = make_benchmark(system, horizon=horizon)
+        problems.append((model, cost, x0, np.zeros((horizon, 1)), SolverConfig(method=method)))
+    states = [SolveState(model, cost, config, rollout(model, cost, x0, u0))
+              for model, cost, x0, u0, config in problems]
+    while running := [state for state in states if state.reason is None]:
+        exps = [prepare(state) for state in running]
+        sols = [None if exp is None else backward_for(state.active, exp, state.costates)
+                for state, exp in zip(running, exps)]
+        for state, sol in zip(running, sols):
+            if sol is not None:
+                advance(state, sol)
+
+    newton, hybrid = (solve(*problem) for problem in problems)
+    assert newton.reason == "non_descent" and newton.iterations == 22
+    assert {r.method_active for r in hybrid.records} == {"ddp", "ilqr"}  # it switched
+    for state, result in zip(states, (newton, hybrid)):
+        assert tuple(state.records) == result.records
+        assert repr(tuple(state.trial_logs)) == repr(result.trial_logs)
+        assert state.trajectory.states.tobytes() == result.trajectory.states.tobytes()
+        assert state.trajectory.controls.tobytes() == result.trajectory.controls.tobytes()
+        assert state.first_sweep.method == result.first_sweep.method
+        assert state.first_sweep.k.tobytes() == result.first_sweep.k.tobytes()
+        assert state.first_sweep.K.tobytes() == result.first_sweep.K.tobytes()
+        assert (state.model_steps, state.reason) == (result.model_steps, result.reason)
 
 
 def _counted_solve(system, horizon, controls, **config):
